@@ -12,19 +12,67 @@ use sim_core::{
     Addr, AuditPhase, AuditProbe, DenseMap, DenseSet, FastHash, GpuId, GroupId, KernelId, PlaneId,
     SimDuration, SimTime, TbId, TileId,
 };
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
+/// One GPU's view of one tile. Every GPU holds a slot per tile id it
+/// touches, so the entry stays small: what is only needed while a tile is
+/// awaited lives on the heap or in [`SystemSim::gate_index`].
 #[derive(Debug, Default)]
 struct TileEntry {
+    contribs: u32,
     present: bool,
     fetching: bool,
-    contribs: u32,
-    /// Inline storage: almost every tile has at most a couple of waiting
-    /// TBs, so the common case never heap-allocates.
-    resume_waiters: sim_core::SmallVec<TbId, 4>,
-    /// TBs whose readiness counter decrements when this tile lands.
-    ready_waiters: sim_core::SmallVec<TbId, 4>,
+    /// The ready gates this tile counts toward, as a range of
+    /// [`SystemSim::gate_index`]; a gate appears once per listing.
+    gates: Range<u32>,
+    /// TBs blocked until this tile lands.
+    resume_waiters: Waiters,
+}
+
+const _: () = assert!(std::mem::size_of::<Option<TileEntry>>() <= 40);
+
+/// TBs blocked on one tile, in arrival order. Most tiles have a single
+/// waiter, which is stored inline; only a second one allocates. The
+/// `Vec` niche keeps this at the size of a `Vec`.
+#[derive(Debug, Default)]
+enum Waiters {
+    #[default]
+    None,
+    One(TbId),
+    Many(Vec<TbId>),
+}
+
+impl Waiters {
+    fn push(&mut self, tb: TbId) {
+        *self = match std::mem::take(self) {
+            Waiters::None => Waiters::One(tb),
+            Waiters::One(first) => Waiters::Many(vec![first, tb]),
+            Waiters::Many(mut tbs) => {
+                tbs.push(tb);
+                Waiters::Many(tbs)
+            }
+        };
+    }
+
+    fn as_slice(&self) -> &[TbId] {
+        match self {
+            Waiters::None => &[],
+            Waiters::One(tb) => std::slice::from_ref(tb),
+            Waiters::Many(tbs) => tbs,
+        }
+    }
+}
+
+/// TBs of one GPU that wait on the same tile list before their kernel may
+/// dispatch them share one counter: the list's length, decremented once
+/// per listed tile as it lands.
+#[derive(Debug)]
+struct ReadyGate {
+    remaining: u32,
+    /// Ascending; emptied when the gate opens.
+    tbs: Vec<TbId>,
 }
 
 #[derive(Debug, Default)]
@@ -57,7 +105,9 @@ pub struct SystemSim<L: SwitchLogic<Msg>> {
 
     tb_gpu: DenseMap<TbId, GpuId>,
     tb_blocked: DenseMap<TbId, usize>,
-    tb_ready_remaining: DenseMap<TbId, usize>,
+    gates: Vec<ReadyGate>,
+    /// Gate ids grouped by (GPU, tile); [`TileEntry::gates`] indexes it.
+    gate_index: Vec<u32>,
     ready_pending: DenseSet<TbId>,
     launched_tbs: DenseSet<TbId>,
     tiles: Vec<DenseMap<TileId, TileEntry>>,
@@ -65,6 +115,9 @@ pub struct SystemSim<L: SwitchLogic<Msg>> {
 
     /// Pre-access-blocked TBs, flat-indexed `gpu * n_groups + group`.
     preaccess_blocked: Vec<Vec<TbId>>,
+    /// Running total of `preaccess_blocked`, so cadence audits need not
+    /// sum every (GPU, group) slot.
+    preaccess_waiting: usize,
     n_groups: usize,
 
     /// Per-plane CAIS credit state, flat-indexed `gpu * n_planes + plane`.
@@ -173,12 +226,14 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
 
         let mut tiles: Vec<DenseMap<TileId, TileEntry>> =
             (0..cfg.n_gpus).map(|_| DenseMap::new()).collect();
-        let mut tb_ready_remaining: DenseMap<TbId, usize> = DenseMap::with_capacity(n_tbs);
         let mut ready_pending: DenseSet<TbId> = DenseSet::with_capacity(n_tbs);
-        // Deterministic registration order: waiter lists (and therefore
-        // FIFO tie-breaks downstream) must not depend on hash order.
+        // Ascending TB order, so every gate's TB list is sorted.
         let mut ready_deps: Vec<(&TbId, &Vec<TileId>)> = program.tb_ready_deps.iter().collect();
         ready_deps.sort_by_key(|(tb, _)| **tb);
+        let mut gates: Vec<ReadyGate> = Vec::new();
+        let mut gate_of: HashMap<(GpuId, &[TileId]), u32, FastHash> = HashMap::default();
+        // (GPU, tile, gate) once per listing of a tile in a gate's list.
+        let mut members: Vec<(GpuId, TileId, u32)> = Vec::new();
         for (tb, dep_tiles) in ready_deps {
             let gpu = *tb_gpu
                 .get(*tb)
@@ -189,14 +244,27 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 ready_pending.insert(*tb);
                 continue;
             }
-            tb_ready_remaining.insert(*tb, dep_tiles.len());
-            for tile in dep_tiles {
-                tiles[gpu.index()]
-                    .get_or_default(*tile)
-                    .ready_waiters
-                    .push(*tb);
-            }
+            let gate = *gate_of.entry((gpu, dep_tiles)).or_insert_with(|| {
+                let id = gates.len() as u32;
+                gates.push(ReadyGate {
+                    remaining: dep_tiles.len() as u32,
+                    tbs: Vec::new(),
+                });
+                members.extend(dep_tiles.iter().map(|&tile| (gpu, tile, id)));
+                id
+            });
+            gates[gate as usize].tbs.push(*tb);
         }
+        members.sort_unstable();
+        let gate_index: Vec<u32> = members.iter().map(|&(_, _, gate)| gate).collect();
+        let mut start = 0;
+        for run in members.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (gpu, tile, _) = run[0];
+            let end = start + run.len() as u32;
+            tiles[gpu.index()].get_or_default(tile).gates = start..end;
+            start = end;
+        }
+        drop(members);
 
         let mut tile_expected: DenseMap<TileId, u32> = DenseMap::new();
         for (tile, expected) in &program.tile_expected {
@@ -219,12 +287,14 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             kernel_spans: BTreeMap::new(),
             tb_gpu,
             tb_blocked: DenseMap::with_capacity(n_tbs),
-            tb_ready_remaining,
+            gates,
+            gate_index,
             ready_pending,
             launched_tbs: DenseSet::with_capacity(n_tbs),
             tiles,
             tile_expected,
             preaccess_blocked: vec![Vec::new(); cfg.n_gpus * n_groups],
+            preaccess_waiting: 0,
             n_groups,
             throttle,
             inflight_cais_loads: HashSet::default(),
@@ -363,7 +433,6 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     fn engine_audit_probe(&self, probe: &mut AuditProbe) {
         let outstanding: usize = self.throttle.iter().map(|t| t.outstanding).sum();
         let queued: usize = self.throttle.iter().map(|t| t.queue.len()).sum();
-        let preaccess: usize = self.preaccess_blocked.iter().map(|v| v.len()).sum();
         probe.counter("engine.blocked_tbs", self.tb_blocked.len() as u64);
         probe.counter(
             "engine.inflight_cais_loads",
@@ -371,7 +440,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         );
         probe.counter("engine.throttle_outstanding", outstanding as u64);
         probe.counter("engine.throttle_queued", queued as u64);
-        probe.counter("engine.preaccess_blocked", preaccess as u64);
+        probe.counter("engine.preaccess_blocked", self.preaccess_waiting as u64);
         probe.counter("engine.kernels_remaining", self.kernels_remaining as u64);
         probe.counter("engine.semantic_contribs", self.semantic_contribs);
         if probe.is_quiescence() {
@@ -395,6 +464,14 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 "quiescence: no outstanding throttle credits",
                 outstanding as u64,
             );
+            // The one full recount of every (GPU, group) waiter list.
+            let preaccess: usize = self.preaccess_blocked.iter().map(|v| v.len()).sum();
+            probe.ledger(
+                "engine",
+                "pre-access tally matches the waiter lists",
+                preaccess as u64,
+                self.preaccess_waiting as u64,
+            );
             probe.require_zero(
                 "engine",
                 "quiescence: no TBs blocked on pre-access sync",
@@ -415,7 +492,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 if entry.present {
                     continue;
                 }
-                for &tb in entry.resume_waiters.iter() {
+                for &tb in entry.resume_waiters.as_slice() {
                     let state = if entry.fetching {
                         "fetch in flight"
                     } else {
@@ -530,25 +607,34 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         }
         entry.present = true;
         let waiters = std::mem::take(&mut entry.resume_waiters);
-        let ready = std::mem::take(&mut entry.ready_waiters);
-        for &tb in waiters.iter() {
+        let gates = entry.gates.clone();
+        for &tb in waiters.as_slice() {
             self.dec_blocked(now, tb);
         }
-        for &tb in ready.iter() {
-            let rem = self
-                .tb_ready_remaining
-                .get_mut(tb)
-                .expect("ready waiter without counter");
-            *rem -= 1;
-            if *rem == 0 {
-                if self.launched_tbs.contains(tb) {
-                    let g = *self.tb_gpu.get(tb).expect("waiter TB without a GPU");
-                    self.gpus[g.index()].make_tb_ready(now, tb);
-                } else {
-                    self.ready_pending.insert(tb);
-                }
+        for tb in self.open_gates(gates) {
+            if self.launched_tbs.contains(tb) {
+                let g = *self.tb_gpu.get(tb).expect("gated TB without a GPU");
+                self.gpus[g.index()].make_tb_ready(now, tb);
+            } else {
+                self.ready_pending.insert(tb);
             }
         }
+    }
+
+    /// Counts one landing against each gate in `gates` (a range of
+    /// [`SystemSim::gate_index`]) and returns the TBs of every gate that
+    /// reaches zero, in ascending `TbId` order.
+    fn open_gates(&mut self, gates: Range<u32>) -> Vec<TbId> {
+        let mut woken = Vec::new();
+        for &g in &self.gate_index[gates.start as usize..gates.end as usize] {
+            let gate = &mut self.gates[g as usize];
+            gate.remaining -= 1;
+            if gate.remaining == 0 {
+                woken.append(&mut gate.tbs);
+            }
+        }
+        woken.sort_unstable();
+        woken
     }
 
     fn add_contrib(&mut self, now: SimTime, gpu: GpuId, tile: TileId, n: u32) {
@@ -649,6 +735,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 };
                 if kind == SyncKind::PreAccess {
                     self.preaccess_blocked[gpu.index() * self.n_groups + group.index()].push(tb);
+                    self.preaccess_waiting += 1;
                 }
                 self.inject(
                     t,
@@ -953,6 +1040,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                         .get_mut(slot)
                         .map(std::mem::take)
                         .unwrap_or_default();
+                    self.preaccess_waiting -= waiters.len();
                     for tb in waiters {
                         self.gpus[gpu.index()].resume_tb(t, tb);
                     }
@@ -1339,6 +1427,94 @@ mod tests {
         );
     }
 
+    /// A program of dependency-gated kernels on GPU 0, one per entry of
+    /// `kernels`, each holding the listed TBs (`TbId(i)`, compute-only).
+    /// Kernel `i > 0` runs after kernel 0, so only kernel 0 is a root.
+    fn gated_program(kernels: &[&[u64]], deps: &[(u64, Vec<TileId>)]) -> Program {
+        let mut p = Program::new();
+        for (k, tbs) in kernels.iter().enumerate() {
+            let tbs = tbs
+                .iter()
+                .map(|&i| TbDesc::compute_only(TbId(i), i, SimDuration::from_us(1)))
+                .collect();
+            let mut desc = KernelDesc::new(KernelId(k as u32), format!("gated{k}"), tbs);
+            desc.tbs_auto_ready = false;
+            p.push(PlannedKernel {
+                gpu: GpuId(0),
+                desc,
+                after: if k == 0 { vec![] } else { vec![KernelId(0)] },
+            });
+        }
+        for (tb, tiles) in deps {
+            p.tb_ready_deps.insert(TbId(*tb), tiles.clone());
+        }
+        p
+    }
+
+    fn gated_sim(kernels: &[&[u64]], deps: &[(u64, Vec<TileId>)]) -> SystemSim<Box<PureRouter>> {
+        SystemSim::new(
+            quiet_cfg(2),
+            gated_program(kernels, deps),
+            Box::new(PureRouter),
+        )
+    }
+
+    #[test]
+    fn gates_completing_on_one_tile_wake_in_ascending_tb_order() {
+        let (a, b) = (TileId(0), TileId(1));
+        // Gate [A] holds tb0 and tb3, gate [B, A] holds tb1 and tb2; tb1
+        // and tb3 belong to a kernel that has not launched.
+        let deps = [(0, vec![a]), (1, vec![b, a]), (2, vec![b, a]), (3, vec![a])];
+        let mut sim = gated_sim(&[&[0, 2], &[1, 3]], &deps);
+        assert_eq!(sim.gates.len(), 2);
+        sim.launch_kernel(SimTime::ZERO, 0);
+        let t = SimTime::from_us(1);
+        sim.mark_tile_present(t, GpuId(0), b);
+        assert!(sim.ready_pending.is_empty(), "gate [B, A] still waits on A");
+        // Landing A opens both gates at once.
+        let gates = sim.tiles[0]
+            .get(a)
+            .expect("gated tile has an entry")
+            .gates
+            .clone();
+        assert_eq!(
+            sim.open_gates(gates),
+            vec![TbId(0), TbId(1), TbId(2), TbId(3)]
+        );
+
+        // Through `mark_tile_present`: unlaunched TBs wait in
+        // `ready_pending` for their kernel, launched ones go to the GPU.
+        let mut sim = gated_sim(&[&[0, 2], &[1, 3]], &deps);
+        sim.launch_kernel(SimTime::ZERO, 0);
+        sim.mark_tile_present(t, GpuId(0), b);
+        sim.mark_tile_present(t, GpuId(0), a);
+        let pending: Vec<u64> = (0..4)
+            .filter(|&i| sim.ready_pending.contains(TbId(i)))
+            .collect();
+        assert_eq!(pending, vec![1, 3]);
+    }
+
+    #[test]
+    fn tile_listed_twice_in_one_dependency_list_counts_twice() {
+        let (a, b) = (TileId(0), TileId(1));
+        let mut sim = gated_sim(&[&[], &[0]], &[(0, vec![a, a, b])]);
+        sim.mark_tile_present(SimTime::ZERO, GpuId(0), a);
+        assert_eq!(sim.gates[0].remaining, 1);
+        assert!(!sim.ready_pending.contains(TbId(0)));
+        sim.mark_tile_present(SimTime::ZERO, GpuId(0), b);
+        assert!(sim.ready_pending.contains(TbId(0)));
+    }
+
+    #[test]
+    fn empty_dependency_list_is_ready_at_launch() {
+        let sim = gated_sim(&[&[0]], &[(0, vec![])]);
+        assert!(sim.gates.is_empty());
+        assert!(sim.ready_pending.contains(TbId(0)));
+        // The TB dispatches with its kernel; nothing else releases it.
+        let report = sim.run().expect("a TB with no prerequisites runs");
+        assert_eq!(report.kernel_spans.len(), 1);
+    }
+
     /// A one-kernel program whose sole TB waits on a tile nobody produces.
     fn deadlocking_program(ids: &mut IdAlloc) -> Program {
         let tile = ids.tile();
@@ -1371,6 +1547,11 @@ mod tests {
                 assert_eq!(d.kernels_remaining, 1);
                 assert_eq!(d.engine_blocked_tbs, 1);
                 assert!(d.kernels.iter().any(|k| k.contains("stuck")));
+                assert!(
+                    d.waits_for.iter().any(|e| e.starts_with("tb0 -> tile0@g0")),
+                    "waits-for edges must name the stuck TB: {:?}",
+                    d.waits_for
+                );
             }
             other => panic!("expected Deadlock, got {other:?}"),
         }

@@ -76,8 +76,6 @@ enum TbState {
     /// warp scheduler runs other work meanwhile); re-dispatched with
     /// priority on resume.
     Yielded { phase: usize },
-    /// Finished.
-    Done,
 }
 
 #[derive(Debug)]
@@ -122,6 +120,8 @@ pub struct GpuSim {
     cfg: Arc<GpuConfig>,
     now: SimTime,
     queue: EventQueue<GpuEvent>,
+    /// Live TBs only: a TB enters at its kernel's launch and is dropped,
+    /// phases and all, the moment it completes.
     tbs: HashMap<TbId, TbRuntime, FastHash>,
     kernels: HashMap<KernelId, KernelRuntime, FastHash>,
     ready: BinaryHeap<Reverse<(u64, u64, TbId)>>,
@@ -232,13 +232,13 @@ impl GpuSim {
     }
 
     /// Marks a dependency-gated TB as ready (engine resolved its inputs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the TB is unknown.
+    /// A TB that is not live (it already completed, so it was ready) is
+    /// left alone.
     pub fn make_tb_ready(&mut self, time: SimTime, tb: TbId) {
         assert!(time >= self.now, "cannot mark ready in the past");
-        let rt = self.tbs.get_mut(&tb).expect("make_tb_ready: unknown TB");
+        let Some(rt) = self.tbs.get_mut(&tb) else {
+            return;
+        };
         if rt.deps_ok {
             return;
         }
@@ -326,20 +326,15 @@ impl GpuSim {
 
     /// True when no TB is queued, running, blocked or pending.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-            && self
-                .tbs
-                .values()
-                .all(|rt| matches!(rt.state, TbState::Done))
+        self.queue.is_empty() && self.tbs.is_empty()
     }
 
-    /// Blocked/waiting TBs (diagnostics for deadlock reports).
+    /// Live TBs in ascending id order: launched and not yet completed
+    /// (diagnostics for deadlock reports).
     pub fn stuck_tbs(&self) -> Vec<TbId> {
-        self.tbs
-            .iter()
-            .filter(|(_, rt)| !matches!(rt.state, TbState::Done))
-            .map(|(id, _)| *id)
-            .collect()
+        let mut tbs: Vec<TbId> = self.tbs.keys().copied().collect();
+        tbs.sort_unstable();
+        tbs
     }
 
     /// Total internal events processed so far (perf accounting).
@@ -571,9 +566,11 @@ impl GpuSim {
     }
 
     fn complete_tb(&mut self, now: SimTime, tb: TbId) {
-        let rt = self.tbs.get_mut(&tb).expect("complete_tb: unknown TB");
-        rt.state = TbState::Done;
-        let kernel = rt.kernel;
+        let kernel = self
+            .tbs
+            .remove(&tb)
+            .expect("complete_tb: unknown TB")
+            .kernel;
         self.slots_free += 1;
         self.note_occupancy_change(now, -1);
         self.effects
@@ -632,6 +629,31 @@ mod tests {
             .expect("kernel completed");
         // 3 us launch overhead + 10 us compute.
         assert_eq!(done.0, SimTime::from_us(13));
+        assert!(gpu.is_idle());
+    }
+
+    #[test]
+    fn completed_tbs_leave_no_state() {
+        let mut gpu = GpuSim::new(quiet_cfg(), 1);
+        let blocker = TbDesc {
+            phases: vec![Phase::WaitTiles(vec![TileId(9)])],
+            ..compute_tb(0, 1)
+        };
+        let tbs = vec![blocker, compute_tb(1, 10), compute_tb(2, 10)];
+        gpu.launch_kernel(SimTime::ZERO, KernelDesc::new(KernelId(0), "k", tbs));
+        while let Some(t) = gpu.next_time() {
+            gpu.advance(t);
+        }
+        // The two compute TBs retired; only the blocked one is live.
+        assert_eq!(gpu.stuck_tbs(), vec![TbId(0)]);
+        assert!(!gpu.is_idle());
+        gpu.resume_tb(SimTime::from_us(50), TbId(0));
+        run_all(&mut gpu);
+        assert!(gpu.is_idle());
+        assert!(gpu.stuck_tbs().is_empty());
+        assert!(gpu.tbs.is_empty(), "no TB state may outlive its TB");
+        // A late readiness signal for a retired TB is harmless.
+        gpu.make_tb_ready(SimTime::from_us(60), TbId(1));
         assert!(gpu.is_idle());
     }
 

@@ -411,8 +411,12 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
             retx: None,
             payload,
         };
-        // External callers only inject once the fabric has been advanced
-        // through `time`, so every link event at `time` already fired.
+        // Callers inject either at the fabric's settled time (every link
+        // event at `time` already fired) or at a future time, like the
+        // engine's memory responses stamped `now + mem_read_latency`. A
+        // future-stamped packet that queues behind a busy link is served
+        // as soon as the link frees, even before its stamp; that is a
+        // known defect, counted as `fabric.early_departures`.
         self.enqueue_on_link(time, pkt, true);
     }
 
@@ -697,11 +701,19 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
             }
         }
         let saved = self.links.iter().map(Link::events_saved).sum();
-        let mut report = FabricReport::new(horizon, usages).with_events_saved(saved);
+        let mut report = FabricReport::new(horizon, usages)
+            .with_events_saved(saved)
+            .with_early_departures(self.early_departures());
         if let Some(f) = &self.faults {
             report = report.with_resilience(f.counters.clone());
         }
         report
+    }
+
+    /// Packets whose link serialization started before the time they were
+    /// injected for, summed over all links (see [`Fabric::inject`]).
+    fn early_departures(&self) -> u64 {
+        self.links.iter().map(Link::early_departures).sum()
     }
 
     /// Fault-injection counters so far; `None` when link fault injection is
@@ -737,6 +749,7 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
         probe.counter("fabric.retx_requeued", t.retx_requeued);
         probe.counter("fabric.queued_now", queued);
         probe.counter("fabric.events_processed", self.queue.pops());
+        probe.counter("fabric.early_departures", self.early_departures());
         probe.ledger_with(
             "fabric",
             "pkt conservation: enqueued == served + queued",
@@ -1164,6 +1177,46 @@ mod tests {
         assert!(c.degraded_serves > 0);
         // Both hops at quarter bandwidth: 2*(400 ns wire) + 500 ns latency.
         assert!(d[0].time > SimTime::from_us(2) + SimDuration::from_ns(700));
+    }
+
+    #[test]
+    fn future_stamped_packet_behind_busy_link_departs_early() {
+        // A 984 B packet holds gpu0's up link for 1.0 us. An 84 B packet
+        // stamped 5.0 us queues behind it and is served when the link
+        // frees at 1.0 us, so it lands at 2.6 us instead of 5.7 us.
+        let alone = {
+            let mut f = Fabric::new(cfg2(), PureRouter);
+            f.inject(
+                SimTime::from_us(5),
+                GpuId(0),
+                GpuId(1),
+                PlaneId(0),
+                blob(84),
+            );
+            f.run_to_completion();
+            assert_eq!(f.early_departures(), 0);
+            f.drain_deliveries()[0].time
+        };
+        assert_eq!(alone, SimTime::from_ns(5700));
+        let mut f = Fabric::new(cfg2(), PureRouter);
+        f.inject(SimTime::ZERO, GpuId(0), GpuId(1), PlaneId(0), blob(984));
+        f.inject(
+            SimTime::from_us(5),
+            GpuId(0),
+            GpuId(1),
+            PlaneId(0),
+            blob(84),
+        );
+        f.run_to_completion();
+        let d = f.drain_deliveries();
+        assert_eq!(d[1].payload.bytes, 84);
+        assert_eq!(d[1].time, SimTime::from_ns(2600));
+        assert_eq!(f.early_departures(), 1);
+        assert_eq!(f.report(SimDuration::from_us(6)).early_departures(), 1);
+        let mut probe = AuditProbe::new(sim_core::AuditPhase::Cadence);
+        f.audit_probe(&mut probe);
+        let report = probe.into_report(f.now(), Vec::new());
+        assert!(report.counters.contains(&("fabric.early_departures", 1)));
     }
 
     #[test]

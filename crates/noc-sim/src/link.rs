@@ -48,6 +48,9 @@ struct QueuedPacket<P> {
     pkt: Packet<P>,
     remaining: u64,
     header_pending: bool,
+    /// The time the packet was enqueued for; a serve that starts earlier
+    /// is an early departure (see [`Link::early_departures`]).
+    stamp: SimTime,
 }
 
 /// An in-flight coalesced burst: the sole non-empty VC's head packet being
@@ -90,6 +93,7 @@ pub struct Link<P> {
     series: Option<UtilizationSeries>,
     bytes_carried: u64,
     packets_carried: u64,
+    early_departures: u64,
 }
 
 /// Outcome of serving the link at some instant.
@@ -146,6 +150,7 @@ impl<P> Link<P> {
             series: series_bucket.map(UtilizationSeries::new),
             bytes_carried: 0,
             packets_carried: 0,
+            early_departures: 0,
         }
     }
 
@@ -236,6 +241,7 @@ impl<P> Link<P> {
             pkt,
             remaining: data_bytes,
             header_pending: true,
+            stamp: now,
         });
         if let Some(b) = self.burst {
             if b.vc != vc {
@@ -277,6 +283,8 @@ impl<P> Link<P> {
             pkt,
             remaining: data_bytes,
             header_pending: true,
+            // Due whenever the link next serves, after its backoff.
+            stamp: SimTime::ZERO,
         });
     }
 
@@ -340,6 +348,9 @@ impl<P> Link<P> {
             .enumerate()
             .all(|(i, q)| i == vc || q.is_empty());
         let head = self.vcs[vc].front_mut().expect("vc checked non-empty");
+        if head.header_pending && now < head.stamp {
+            self.early_departures += 1;
+        }
         if sole && head.remaining > self.segment_bytes {
             let (r0, hdr) = (head.remaining, head.header_pending);
             let (free_at, wire_total, segments, served) = self.walk_burst(now, r0, hdr, None);
@@ -394,6 +405,14 @@ impl<P> Link<P> {
     /// Packets fully carried so far.
     pub fn packets_carried(&self) -> u64 {
         self.packets_carried
+    }
+
+    /// Packets whose serialization started before the time they were
+    /// enqueued for. A packet stamped in the future that queues behind a
+    /// busy link is served as soon as the link frees, even before its
+    /// stamp; this counts how often that happened.
+    pub fn early_departures(&self) -> u64 {
+        self.early_departures
     }
 
     /// Link events avoided by coalescing (per-segment events the baseline

@@ -65,6 +65,7 @@ pub struct FabricReport {
     horizon: SimDuration,
     usages: Vec<LinkUsage>,
     events_saved: u64,
+    early_departures: u64,
     resilience: ResilienceCounters,
 }
 
@@ -75,6 +76,7 @@ impl FabricReport {
             horizon,
             usages,
             events_saved: 0,
+            early_departures: 0,
             resilience: ResilienceCounters::default(),
         }
     }
@@ -102,6 +104,18 @@ impl FabricReport {
     /// minus the single burst event that replaced each run of them.
     pub fn events_saved(&self) -> u64 {
         self.events_saved
+    }
+
+    /// Attaches the early-departure counter.
+    pub fn with_early_departures(mut self, early_departures: u64) -> FabricReport {
+        self.early_departures = early_departures;
+        self
+    }
+
+    /// Packets whose link serialization started before the time they were
+    /// injected for, across all links (see `Link::early_departures`).
+    pub fn early_departures(&self) -> u64 {
+        self.early_departures
     }
 
     /// The observation horizon used for utilization.
