@@ -17,12 +17,12 @@
 //! * operators stay strictly barriered.
 
 use cais_engine::{
-    lower::GemmLowering, ExecReport, IdAlloc, Msg, PlannedKernel, Program, SimError, Strategy,
+    lower::GemmLowering, ExecReport, IdAlloc, PlannedKernel, Program, SimError, Strategy,
     SystemConfig, SystemSim,
 };
 use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
-use noc_sim::{PureRouter, SwitchLogic};
+use noc_sim::PureRouter;
 use sim_core::{GpuId, KernelId, TileId};
 
 /// The LADM baseline strategy.
@@ -77,27 +77,14 @@ impl Strategy for LadmStrategy {
                 NodeKind::Collective { kind, rows, cols } => {
                     self.lower_collective(&mut ctx, dfg, id, *kind, *rows, *cols)
                 }
-                other => {
-                    let name = dfg.node(id).name.clone();
-                    let mut kids = Vec::with_capacity(ctx.cfg.n_gpus);
-                    for g in 0..ctx.cfg.n_gpus {
-                        let kid = ctx.ids.kernel();
-                        let desc = ctx.low.plain_compute_kernel(
-                            &mut ctx.ids,
-                            kid,
-                            &name,
-                            GpuId(g as u16),
-                            other,
-                            ctx.cfg.gpu.sm_count,
-                        );
-                        ctx.prog.push(PlannedKernel {
-                            gpu: GpuId(g as u16),
-                            desc,
-                            after: ctx.prev.clone(),
-                        });
-                        kids.push(kid);
-                    }
-                    ctx.prev = kids;
+                _ => {
+                    ctx.prev = ctx.low.plain_stage(
+                        &mut ctx.prog,
+                        &mut ctx.ids,
+                        ctx.cfg,
+                        dfg.node(id),
+                        |_| ctx.prev.clone(),
+                    );
                 }
             }
         }
@@ -106,12 +93,7 @@ impl Strategy for LadmStrategy {
         prog
     }
 
-    fn switch_logic(&self, _cfg: &SystemConfig) -> Box<dyn SwitchLogic<Msg>> {
-        Box::new(PureRouter)
-    }
-
     fn run(&self, cfg: SystemConfig, program: Program) -> Result<ExecReport, SimError> {
-        // Monomorphized dispatch: LADM always routes through a plain switch.
         SystemSim::new(cfg, program, PureRouter).run()
     }
 }

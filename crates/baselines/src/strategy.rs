@@ -6,12 +6,12 @@ use crate::producers::{
     TiledGemmOpts,
 };
 use cais_engine::{
-    lower::GemmLowering, ExecReport, IdAlloc, Msg, PlannedKernel, Program, SimError, Strategy,
+    lower::GemmLowering, ExecReport, IdAlloc, PlannedKernel, Program, SimError, Strategy,
     SystemConfig, SystemSim,
 };
 use gpu_sim::KernelCost;
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
-use noc_sim::{PureRouter, SwitchLogic};
+use noc_sim::PureRouter;
 use nvls::{
     nvls_all_gather, nvls_all_reduce, nvls_reduce_scatter, ring_all_gather, ring_all_reduce,
     ring_reduce_scatter, CollOutput, InputTiles, NvlsLogic,
@@ -190,16 +190,7 @@ impl Strategy for BaselineStrategy {
         prog
     }
 
-    fn switch_logic(&self, cfg: &SystemConfig) -> Box<dyn SwitchLogic<Msg>> {
-        match self.transport {
-            Transport::Ring => Box::new(PureRouter),
-            Transport::Nvls => Box::new(NvlsLogic::new(cfg.n_gpus)),
-        }
-    }
-
     fn run(&self, cfg: SystemConfig, program: Program) -> Result<ExecReport, SimError> {
-        // Concrete logic types so the fabric's per-packet dispatch
-        // monomorphizes instead of going through `Box<dyn SwitchLogic>`.
         match self.transport {
             Transport::Ring => SystemSim::new(cfg, program, PureRouter).run(),
             Transport::Nvls => {
@@ -276,27 +267,11 @@ impl BaselineStrategy {
     }
 
     fn plain_node(&self, ctx: &mut Ctx, dfg: &Dfg, id: NodeId) {
-        let node = dfg.node(id);
-        let after = ctx.prev.clone();
-        let mut kids = Vec::with_capacity(ctx.cfg.n_gpus);
-        for g in 0..ctx.cfg.n_gpus {
-            let kid = ctx.ids.kernel();
-            let desc = ctx.low.plain_compute_kernel(
-                &mut ctx.ids,
-                kid,
-                &node.name,
-                GpuId(g as u16),
-                &node.kind,
-                ctx.cfg.gpu.sm_count,
-            );
-            ctx.prog.push(PlannedKernel {
-                gpu: GpuId(g as u16),
-                desc,
-                after: after.clone(),
+        ctx.prev = ctx
+            .low
+            .plain_stage(&mut ctx.prog, &mut ctx.ids, ctx.cfg, dfg.node(id), |_| {
+                ctx.prev.clone()
             });
-            kids.push(kid);
-        }
-        ctx.prev = kids;
         ctx.prev_gemm = None;
         ctx.prev_coll_gates = None;
     }

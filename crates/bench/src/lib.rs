@@ -1,8 +1,9 @@
-//! Benchmark crate: see `benches/experiments.rs` (one target per paper
-//! table/figure, each printing the regenerated table once and then
-//! timing the regeneration), `benches/simulator.rs` (microbenches of the
-//! event engine, fabric, GPU dispatch and merge unit) and
-//! `benches/sweep.rs` (serial vs. parallel sweep-runner scaling).
+//! Benchmark crate: see `benches/perf.rs` (end-to-end single-run
+//! timings gated against `BENCH_sim.json`), `benches/simulator.rs`
+//! (microbenches of the event engine, fabric, GPU dispatch and merge
+//! unit) and `benches/sweep.rs` (serial vs. parallel sweep-runner
+//! scaling). Per-figure wall times come from `cais-experiments`, which
+//! logs them to stderr.
 //!
 //! All benches are plain `harness = false` binaries built on the tiny
 //! wall-clock [`timeit`] helper — no external benchmarking framework, so

@@ -34,15 +34,12 @@ use crate::index::Expr;
 use crate::logic::CaisLogic;
 use crate::merge::MergeConfig;
 use cais_engine::{
-    lower::GemmLowering, ExecReport, IdAlloc, Msg, PlannedKernel, Program, SimError, Strategy,
+    lower::GemmLowering, ExecReport, IdAlloc, PlannedKernel, Program, SimError, Strategy,
     SystemConfig, SystemSim,
 };
 use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, ReadyPolicy, TbDesc};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
-use noc_sim::SwitchLogic;
 use sim_core::{GpuId, KernelId, SimDuration, TileId};
-use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Published CAIS variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +94,6 @@ pub struct CaisStrategy {
     /// Throttle-credit override for ablations (`Some(None)` disables
     /// throttling even when the coordination option is on).
     credits_override: Option<Option<usize>>,
-    /// Filled during lowering; consumed by `switch_logic`.
-    group_expected: RefCell<HashMap<sim_core::GroupId, u32>>,
 }
 
 impl CaisStrategy {
@@ -118,7 +113,6 @@ impl CaisStrategy {
             timeout: SimDuration::from_us(30),
             cais_packet_bytes: DEFAULT_PACKET_BYTES,
             credits_override: None,
-            group_expected: RefCell::new(HashMap::new()),
         }
     }
 
@@ -260,7 +254,6 @@ impl Strategy for CaisStrategy {
     }
 
     fn lower(&self, dfg: &Dfg, cfg: &SystemConfig) -> Program {
-        self.group_expected.borrow_mut().clear();
         let plan = dataflow::plan(dfg);
         let mut ctx = LowerCtx {
             cfg,
@@ -292,23 +285,10 @@ impl Strategy for CaisStrategy {
         prog
     }
 
-    fn switch_logic(&self, cfg: &SystemConfig) -> Box<dyn SwitchLogic<Msg>> {
-        Box::new(self.build_logic(cfg))
-    }
-
-    fn run(&self, cfg: SystemConfig, program: Program) -> Result<ExecReport, SimError> {
-        // Concrete `CaisLogic` so the fabric's per-packet dispatch
-        // monomorphizes instead of going through `Box<dyn SwitchLogic>`.
-        let logic = self.build_logic(&cfg);
-        SystemSim::new(cfg, program, logic).run()
-    }
-}
-
-impl CaisStrategy {
-    /// Builds the in-switch merge logic for `cfg`, shared by the boxed
-    /// [`Strategy::switch_logic`] path and the monomorphized
-    /// [`Strategy::run`] override.
-    fn build_logic(&self, cfg: &SystemConfig) -> CaisLogic {
+    fn run(&self, cfg: SystemConfig, mut program: Program) -> Result<ExecReport, SimError> {
+        // The sync-group sizes lowering recorded go to the switch, which
+        // is their only reader.
+        let group_expected = std::mem::take(&mut program.group_expected);
         let (entry_fault_rate, degrade_threshold) = match &cfg.faults.merge_faults {
             Some(mf) => (mf.rate, mf.degrade_threshold),
             None => (0.0, u32::MAX),
@@ -321,11 +301,14 @@ impl CaisStrategy {
             entry_fault_rate,
             degrade_threshold,
         };
-        CaisLogic::new(cfg.n_gpus, merge_cfg)
-            .with_group_expected(self.group_expected.borrow().clone())
-            .with_fault_seed(cfg.faults.seed)
+        let logic = CaisLogic::new(cfg.n_gpus, merge_cfg)
+            .with_group_expected(group_expected)
+            .with_fault_seed(cfg.faults.seed);
+        SystemSim::new(cfg, program, logic).run()
     }
+}
 
+impl CaisStrategy {
     /// A plain (non-fused) node: one kernel per GPU.
     fn lower_node(&self, ctx: &mut LowerCtx, dfg: &Dfg, id: NodeId) {
         let node = dfg.node(id);
@@ -333,25 +316,12 @@ impl CaisStrategy {
             self.lower_standalone_collective(ctx, dfg, &node.name, *kind, *rows, *cols);
             return;
         }
-        let mut out = Vec::with_capacity(ctx.p());
-        for g in 0..ctx.p() {
-            let kid = ctx.ids.kernel();
-            let desc = ctx.low.plain_compute_kernel(
-                &mut ctx.ids,
-                kid,
-                &node.name,
-                GpuId(g as u16),
-                &node.kind,
-                ctx.cfg.gpu.sm_count,
-            );
-            let after = ctx.after_for(g, self.fused);
-            ctx.prog.push(PlannedKernel {
-                gpu: GpuId(g as u16),
-                desc,
-                after,
+        let mut after: Vec<_> = (0..ctx.p()).map(|g| ctx.after_for(g, self.fused)).collect();
+        let out = ctx
+            .low
+            .plain_stage(&mut ctx.prog, &mut ctx.ids, ctx.cfg, node, |g| {
+                std::mem::take(&mut after[g])
             });
-            out.push(kid);
-        }
         ctx.set_stage_output(out);
     }
 
@@ -415,7 +385,7 @@ impl CaisStrategy {
                                 &mut refs,
                                 &Expr::mul(Expr::BlockIdx, Expr::Const(pkt as i64)),
                             ) {
-                                self.group_expected.borrow_mut().insert(grp, ctx.p() as u32);
+                                ctx.prog.group_expected.insert(grp, ctx.p() as u32);
                             }
                         }
                         for (g, tb) in row.into_iter().enumerate() {
@@ -623,7 +593,7 @@ impl CaisStrategy {
                         &mut refs,
                         &Expr::mul(Expr::BlockIdx, Expr::Const(tile_bytes as i64)),
                     ) {
-                        self.group_expected.borrow_mut().insert(grp, ctx.p() as u32);
+                        ctx.prog.group_expected.insert(grp, ctx.p() as u32);
                     }
                 }
                 for (g, tb) in row.into_iter().enumerate() {
@@ -870,9 +840,7 @@ impl CaisStrategy {
                         &Expr::mul(Expr::BlockIdx, Expr::Const(tile_bytes as i64)),
                     ) {
                         // The owner reads locally and never syncs.
-                        self.group_expected
-                            .borrow_mut()
-                            .insert(grp, (ctx.p() - 1) as u32);
+                        ctx.prog.group_expected.insert(grp, (ctx.p() - 1) as u32);
                     }
                 }
                 // Distribute the fetcher TBs back to their GPUs (they were

@@ -34,10 +34,9 @@ pub struct SystemConfig {
     /// Fault-injection plan; the default injects nothing and leaves every
     /// result byte-identical to a fault-free run.
     pub faults: FaultPlan,
-    /// Conservation-auditor settings. The default enables checking only in
-    /// `audit`-feature builds or after
-    /// [`sim_core::audit::set_force_enabled`] (the harness `--audit`
-    /// flag); auditing is observe-only either way.
+    /// Conservation-auditor settings: `enabled` (off by default) adds
+    /// cadence checks and the forensic event ring. The end-of-run
+    /// quiescence check runs regardless; auditing is observe-only.
     pub audit: AuditConfig,
 }
 

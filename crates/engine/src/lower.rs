@@ -6,9 +6,11 @@
 //! the tile geometry and roofline arithmetic shared by all of them live
 //! here.
 
+use crate::config::SystemConfig;
 use crate::ids::IdAlloc;
-use gpu_sim::{KernelCost, KernelDesc, Phase, TbDesc};
-use llm_workload::NodeKind;
+use crate::program::{PlannedKernel, Program};
+use gpu_sim::{KernelCost, KernelDesc, TbDesc};
+use llm_workload::{Node, NodeKind};
 use sim_core::{GpuId, KernelId, SimDuration};
 
 /// Square output-tile geometry used to decompose GEMMs into TBs.
@@ -86,42 +88,39 @@ impl GemmLowering {
         self.cost.gemm_tile(m_len, n_len, k, self.elem)
     }
 
-    /// Duration of a whole compute node when executed as one dense grid,
-    /// assuming perfect SM packing (used for quick estimates/tests).
-    pub fn node_serial_time(&self, kind: &NodeKind) -> SimDuration {
-        match kind {
-            NodeKind::Gemm { m, n, k } => {
-                let mut total = SimDuration::ZERO;
-                for (_, ml) in self.tiling.ranges(*m) {
-                    for (_, nl) in self.tiling.ranges(*n) {
-                        total += self.gemm_tb_time(ml, nl, *k);
-                    }
-                }
-                total
-            }
-            NodeKind::AttentionCore { flops, bytes } => self.cost.tb_time(*flops, *bytes as f64),
-            NodeKind::LayerNorm { rows, cols } => {
-                self.cost.elementwise(rows * cols, self.elem, 8.0)
-            }
-            NodeKind::Elementwise {
-                rows,
-                cols,
-                flops_per_elem,
-            } => self
-                .cost
-                .elementwise(rows * cols, self.elem, *flops_per_elem),
-            NodeKind::Collective { .. } => SimDuration::ZERO,
-        }
+    /// Lowers a communication-free compute node into one kernel per GPU
+    /// and appends them to `prog`. GPU `g`'s kernel launches after
+    /// `after(g)`. Ids are allocated GPU by GPU: the kernel id, then its
+    /// TB ids. Returns the kernel ids in GPU order.
+    pub fn plain_stage(
+        &self,
+        prog: &mut Program,
+        ids: &mut IdAlloc,
+        cfg: &SystemConfig,
+        node: &Node,
+        mut after: impl FnMut(usize) -> Vec<KernelId>,
+    ) -> Vec<KernelId> {
+        (0..cfg.n_gpus)
+            .map(|g| {
+                let kid = ids.kernel();
+                let desc =
+                    self.plain_compute_kernel(ids, kid, &node.name, &node.kind, cfg.gpu.sm_count);
+                prog.push(PlannedKernel {
+                    gpu: GpuId(g as u16),
+                    desc,
+                    after: after(g),
+                })
+            })
+            .collect()
     }
 
-    /// Lowers a communication-free compute node into one kernel on `gpu`:
-    /// a grid of pure-compute TBs sized by the node kind.
+    /// Lowers a communication-free compute node into one kernel: a grid
+    /// of pure-compute TBs sized by the node kind.
     pub fn plain_compute_kernel(
         &self,
         ids: &mut IdAlloc,
         kid: KernelId,
         name: &str,
-        _gpu: GpuId,
         kind: &NodeKind,
         sm_count: usize,
     ) -> KernelDesc {
@@ -181,11 +180,6 @@ impl GemmLowering {
         }
         KernelDesc::new(kid, name, tbs)
     }
-
-    /// Phase helper: a compute phase of the given length.
-    pub fn compute(&self, d: SimDuration) -> Phase {
-        Phase::Compute(d)
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +219,6 @@ mod tests {
             &mut ids,
             kid,
             "gemm",
-            GpuId(0),
             &NodeKind::Gemm {
                 m: 512,
                 n: 256,
@@ -246,7 +239,6 @@ mod tests {
             &mut ids,
             kid,
             "ln",
-            GpuId(0),
             &NodeKind::LayerNorm {
                 rows: 1152,
                 cols: 4096,
@@ -266,7 +258,6 @@ mod tests {
             &mut ids,
             kid,
             "oops",
-            GpuId(0),
             &NodeKind::Collective {
                 kind: llm_workload::CollKind::AllReduce,
                 rows: 1,
@@ -274,21 +265,5 @@ mod tests {
             },
             66,
         );
-    }
-
-    #[test]
-    fn serial_time_scales_with_work() {
-        let l = lowering();
-        let small = l.node_serial_time(&NodeKind::Gemm {
-            m: 256,
-            n: 256,
-            k: 1024,
-        });
-        let large = l.node_serial_time(&NodeKind::Gemm {
-            m: 512,
-            n: 256,
-            k: 1024,
-        });
-        assert!(large > small);
     }
 }

@@ -30,7 +30,8 @@ pub struct Program {
     /// count as present (e.g. `p` partial sums).
     pub tile_expected: HashMap<TileId, u32>,
     /// Expected sync participants per TB group (defaults to the GPU count
-    /// when absent).
+    /// when absent). Written by CAIS lowering; its `run` hands the map
+    /// to the switch's sync table.
     pub group_expected: HashMap<GroupId, u32>,
 }
 

@@ -2,12 +2,9 @@
 
 use crate::config::SystemConfig;
 use crate::error::SimError;
-use crate::msg::Msg;
 use crate::program::Program;
 use crate::report::ExecReport;
-use crate::system::SystemSim;
 use llm_workload::Dfg;
-use noc_sim::SwitchLogic;
 
 /// An execution strategy: how a logical dataflow graph becomes kernels,
 /// thread blocks and switch behaviour.
@@ -29,25 +26,20 @@ pub trait Strategy: Send {
     /// Lowers the workload graph into an executable program.
     fn lower(&self, dfg: &Dfg, cfg: &SystemConfig) -> Program;
 
-    /// The in-switch logic this strategy runs (plain router, NVLS
-    /// multicast/reduction, CAIS merge unit).
-    fn switch_logic(&self, cfg: &SystemConfig) -> Box<dyn SwitchLogic<Msg>>;
-
     /// Runs an already-lowered `program` on `cfg`.
     ///
-    /// The default builds the dyn-boxed [`Strategy::switch_logic`] and
-    /// pays one virtual call per packet. Strategies override this to
-    /// construct their concrete logic type and instantiate a
-    /// monomorphized [`SystemSim`], so the whole run costs exactly one
-    /// virtual call — this method — at the strategy boundary.
+    /// Each strategy builds its concrete in-switch logic (plain router,
+    /// NVLS multicast/reduction, CAIS merge unit) and a [`SystemSim`]
+    /// monomorphized over it, so the whole run costs one virtual call,
+    /// this method, at the strategy boundary. Everything the run needs
+    /// from lowering travels in `program`.
+    ///
+    /// [`SystemSim`]: crate::SystemSim
     ///
     /// # Errors
     ///
-    /// Propagates the typed [`SimError`] from [`SystemSim::run`].
-    fn run(&self, cfg: SystemConfig, program: Program) -> Result<ExecReport, SimError> {
-        let logic = self.switch_logic(&cfg);
-        SystemSim::new(cfg, program, logic).run()
-    }
+    /// Propagates the typed [`SimError`] from `SystemSim::run`.
+    fn run(&self, cfg: SystemConfig, program: Program) -> Result<ExecReport, SimError>;
 }
 
 /// Lowers and executes `dfg` under `strategy`, returning the report.
@@ -56,8 +48,9 @@ pub trait Strategy: Send {
 ///
 /// # Errors
 ///
-/// Returns the typed [`SimError`] from [`SystemSim::run`] — deadlock,
-/// deadline overrun, or fault-budget exhaustion — instead of panicking.
+/// Returns the typed [`SimError`] from [`Strategy::run`] — deadlock,
+/// deadline overrun, fault-budget exhaustion or an audit violation —
+/// instead of panicking.
 pub fn execute(
     strategy: &dyn Strategy,
     dfg: &Dfg,

@@ -86,11 +86,9 @@ struct ThrottleState {
 /// Construct with [`SystemSim::new`], then call [`SystemSim::run`].
 ///
 /// Generic over the switch-logic type so the per-packet callback
-/// monomorphizes to a direct call. Passing a concrete logic (possibly
-/// boxed, e.g. `Box<PureRouter>`) compiles a dedicated fabric with no
-/// virtual dispatch on the packet path; passing `Box<dyn SwitchLogic<Msg>>`
-/// keeps the old fully-dynamic behaviour for callers that select logic at
-/// runtime.
+/// monomorphizes to a direct call: each concrete logic (`PureRouter`,
+/// `NvlsLogic`, `CaisLogic`) compiles a dedicated fabric with no virtual
+/// dispatch on the packet path.
 pub struct SystemSim<L: SwitchLogic<Msg>> {
     cfg: SystemConfig,
     gpus: Vec<GpuSim>,
@@ -322,7 +320,9 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     /// work does, [`SimError::DeadlineExceeded`] when simulated time passes
     /// the configured deadline, and [`SimError::FaultBudgetExhausted`] when
     /// fault injection force-delivered packets past their retransmit
-    /// budget.
+    /// budget, and [`SimError::AuditViolation`] when a conservation ledger
+    /// is broken: at the end-of-run quiescence check, which every run
+    /// makes, or at a cadence check when `cfg.audit.enabled`.
     pub fn run(mut self) -> Result<ExecReport, SimError> {
         let _prof = prof_scope(Subsystem::EngineLoop);
         let roots: Vec<usize> = self
@@ -1127,11 +1127,9 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         }
         // Mandatory end-of-run quiescence verification: every queue
         // drained, every slab empty, no orphaned retransmission state.
-        // Runs on the success path precisely so that silent bookkeeping
-        // leaks cannot survive a "passing" run.
-        if self.cfg.audit.enabled {
-            self.audit_check(AuditPhase::Quiescence)?;
-        }
+        // Runs on the success path of every run, audited or not, so that
+        // silent bookkeeping leaks cannot survive a "passing" run.
+        self.audit_check(AuditPhase::Quiescence)?;
         let total = self.now.since(SimTime::ZERO);
         let logic_stats = self.fabric.logic().stats();
         let mean_request_spread = logic_stats
@@ -1182,7 +1180,7 @@ mod tests {
     }
 
     fn run(cfg: SystemConfig, program: Program) -> ExecReport {
-        SystemSim::new(cfg, program, Box::new(PureRouter))
+        SystemSim::new(cfg, program, PureRouter)
             .run()
             .expect("test program must complete")
     }
@@ -1403,20 +1401,12 @@ mod tests {
             let _ = cfg;
             p
         };
-        let fast = SystemSim::new(
-            unthrottled_cfg.clone(),
-            build(&unthrottled_cfg),
-            Box::new(PureRouter),
-        )
-        .run()
-        .expect("unthrottled run completes");
-        let slow = SystemSim::new(
-            throttled_cfg.clone(),
-            build(&throttled_cfg),
-            Box::new(PureRouter),
-        )
-        .run()
-        .expect("throttled run completes");
+        let fast = SystemSim::new(unthrottled_cfg.clone(), build(&unthrottled_cfg), PureRouter)
+            .run()
+            .expect("unthrottled run completes");
+        let slow = SystemSim::new(throttled_cfg.clone(), build(&throttled_cfg), PureRouter)
+            .run()
+            .expect("throttled run completes");
         // With one credit the two 1 MB responses cannot overlap on the
         // wire, so the throttled run is measurably longer.
         assert!(
@@ -1451,12 +1441,8 @@ mod tests {
         p
     }
 
-    fn gated_sim(kernels: &[&[u64]], deps: &[(u64, Vec<TileId>)]) -> SystemSim<Box<PureRouter>> {
-        SystemSim::new(
-            quiet_cfg(2),
-            gated_program(kernels, deps),
-            Box::new(PureRouter),
-        )
+    fn gated_sim(kernels: &[&[u64]], deps: &[(u64, Vec<TileId>)]) -> SystemSim<PureRouter> {
+        SystemSim::new(quiet_cfg(2), gated_program(kernels, deps), PureRouter)
     }
 
     #[test]
@@ -1539,7 +1525,7 @@ mod tests {
         let cfg = quiet_cfg(2);
         let mut ids = IdAlloc::new(2);
         let p = deadlocking_program(&mut ids);
-        let err = SystemSim::new(cfg, p, Box::new(PureRouter))
+        let err = SystemSim::new(cfg, p, PureRouter)
             .run()
             .expect_err("unsatisfiable tile wait must deadlock");
         match &err {
@@ -1573,7 +1559,7 @@ mod tests {
             ),
             after: vec![],
         });
-        let err = SystemSim::new(cfg, p, Box::new(PureRouter))
+        let err = SystemSim::new(cfg, p, PureRouter)
             .run()
             .expect_err("1 ns deadline must be exceeded");
         match &err {
@@ -1617,7 +1603,7 @@ mod tests {
             desc: KernelDesc::new(ids.kernel(), "loader", vec![tb]),
             after: vec![],
         });
-        let err = SystemSim::new(cfg, p, Box::new(PureRouter))
+        let err = SystemSim::new(cfg, p, PureRouter)
             .run()
             .expect_err("drop_rate 1.0 must exhaust the retransmit budget");
         match &err {

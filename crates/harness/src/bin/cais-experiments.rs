@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cais-experiments [fig2|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|table2|area|ablations|sensitivity|resilience|chaos|all]
-//!                  [--smoke] [--jobs N] [--timeout-secs N] [--audit]
+//!                  [--smoke] [--jobs N] [--timeout-secs N]
 //! cais-experiments --profile [--smoke]
 //! ```
 //!
@@ -14,12 +14,10 @@
 //! watchdog whose victims become TIMEOUT lines instead. Either makes the
 //! process exit with status 1.
 //!
-//! `--audit` enables the conservation auditor for every run: cadence
-//! ledger checks plus end-of-run quiescence verification (see
-//! [`sim_core::audit`]). Auditing is observe-only — tables are
-//! byte-identical with it on and off — and a violation fails the run with
-//! a forensic report. The `chaos` experiment additionally forces audit on
-//! for its own runs regardless of the flag.
+//! Every run ends with the conservation auditor's quiescence check (see
+//! [`sim_core::audit`]); a violation fails the run with a forensic
+//! report. The `chaos` experiment also runs cadence checks during its
+//! own runs. An unknown `--flag` exits with status 2.
 //!
 //! `--profile` runs the representative workload shapes single-threaded
 //! and prints the simulator's per-subsystem self-profiler breakdown;
@@ -59,13 +57,32 @@ fn parse_flag(args: &[String], name: &str) -> Option<u64> {
     None
 }
 
+/// Flags that stand alone.
+const SWITCHES: [&str; 2] = ["--smoke", "--profile"];
+/// Flags that take a value, as `--name N` or `--name=N`.
+const VALUED: [&str; 2] = ["--jobs", "--timeout-secs"];
+
+/// Exits with status 2 on any `--flag` that is not known, so a stale or
+/// misspelled flag never passes without a word.
+fn reject_unknown_flags(args: &[String]) {
+    for a in args.iter().filter(|a| a.starts_with("--")) {
+        let name = a.split_once('=').map_or(a.as_str(), |(n, _)| n);
+        if !SWITCHES.contains(&a.as_str()) && !VALUED.contains(&name) {
+            eprintln!(
+                "unknown flag {a}; known flags: {} {}",
+                SWITCHES.join(" "),
+                VALUED.map(|f| format!("{f} N")).join(" ")
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_flags(&args);
     let smoke = args.iter().any(|a| a == "--smoke");
     let scale = if smoke { Scale::Smoke } else { Scale::Paper };
-    if args.iter().any(|a| a == "--audit") {
-        sim_core::audit::set_force_enabled(true);
-    }
     if args.iter().any(|a| a == "--profile") {
         cais_harness::profile::run(scale);
         return;
@@ -82,7 +99,7 @@ fn main() {
                 skip_next = false;
                 return false;
             }
-            if *a == "--jobs" || *a == "--timeout-secs" {
+            if VALUED.contains(&a.as_str()) {
                 skip_next = true;
             }
             !a.starts_with("--")

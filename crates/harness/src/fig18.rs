@@ -58,7 +58,7 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
                 let mut ids = IdAlloc::new(cfg.n_gpus);
                 nvls_all_reduce(&mut prog, &mut ids, &cfg, &cost, "ar", bytes, &[], None);
                 let n = cfg.n_gpus;
-                SystemSim::new(cfg, prog, Box::new(NvlsLogic::new(n))).run()
+                SystemSim::new(cfg, prog, NvlsLogic::new(n)).run()
             })
         })
         .collect();

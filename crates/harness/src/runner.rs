@@ -230,9 +230,8 @@ pub fn roster_name(si: usize) -> String {
 }
 
 /// A sweep job running roster entry `si` on one transformer layer of
-/// `model`. The entry (with its interior lowering state) and the graph
-/// are constructed inside the closure, on the worker thread that claims
-/// the job.
+/// `model`. The entry and the graph are constructed inside the closure,
+/// on the worker thread that claims the job.
 pub fn layer_job(si: usize, model: &ModelConfig, cfg: &SystemConfig, pass: Pass) -> SweepJob {
     let label = format!("{}/{}/{pass:?}", roster_name(si), model.name);
     let (model, cfg) = (model.clone(), cfg.clone());

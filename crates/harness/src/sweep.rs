@@ -8,9 +8,8 @@
 //!
 //! * **Thread confinement.** A job closure owns everything it needs
 //!   (model, config, strategy constructor) and builds its own
-//!   [`SystemSim`](cais_engine::SystemSim) on the worker thread, so
-//!   interior mutability inside strategies (e.g. `CaisStrategy`'s
-//!   lowering cache) never crosses threads.
+//!   [`SystemSim`](cais_engine::SystemSim) on the worker thread, so no
+//!   simulation state crosses threads.
 //! * **Failure isolation.** A job that returns a typed
 //!   [`SimError`](cais_engine::SimError), panics, or exceeds the optional
 //!   per-job wall-clock watchdog ([`set_job_timeout`]) becomes a failed

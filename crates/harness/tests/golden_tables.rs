@@ -15,8 +15,13 @@
 //! If an intentional model change shifts these numbers, regenerate the
 //! snapshots (see `EXPERIMENTS.md`) and justify the diff in the PR.
 
-use cais_harness::runner::Scale;
+use cais_core::strategies::DEFAULT_PACKET_BYTES;
+use cais_core::{CaisStrategy, CoordinationOpts};
+use cais_engine::strategy::execute;
+use cais_harness::runner::{layer_job, roster, Scale};
+use cais_harness::sweep::{self, JobResult, SweepJob};
 use cais_harness::Table;
+use llm_workload::{sublayer, ModelConfig, Pass, SubLayer};
 
 /// Renders tables exactly as `cais-experiments` prints them to stdout:
 /// each table's `render()` followed by a newline.
@@ -72,25 +77,68 @@ fn fig14_smoke_matches_golden() {
     );
 }
 
+/// The fig11 smoke roster jobs and the fig14 smoke coordinated and
+/// uncoordinated jobs, with the auditor's cadence checks and event ring
+/// switched by `audit`.
+fn golden_jobs(audit: bool) -> Vec<SweepJob> {
+    let mut cfg = Scale::Smoke.system();
+    cfg.audit.enabled = audit;
+    cfg.audit.cadence_events = 1024;
+    let fig11_model = Scale::Smoke.model(&ModelConfig::mega_gpt_4b());
+    let mut jobs: Vec<SweepJob> = (0..roster().len())
+        .map(|si| layer_job(si, &fig11_model, &cfg, Pass::Forward))
+        .collect();
+    let fig14_model = Scale::Smoke.model(&ModelConfig::llama_7b());
+    for kb in [10, 40, 160] {
+        for coordinated in [true, false] {
+            let (model, cfg) = (fig14_model.clone(), cfg.clone());
+            jobs.push(SweepJob::new(
+                format!("fig14/{kb}kb/coordinated={coordinated}"),
+                move || {
+                    // fig14's paper-axis KB at 128 B entries, as bytes.
+                    let bytes = kb * 1024 / 128 * (DEFAULT_PACKET_BYTES + 16);
+                    let mut strategy = CaisStrategy::full().with_merge_table(Some(bytes));
+                    if !coordinated {
+                        strategy =
+                            strategy.with_coordination("w/o-coord", CoordinationOpts::none());
+                    }
+                    let dfg = sublayer(&model, cfg.tp(), SubLayer::L2);
+                    execute(&strategy, &dfg, &cfg)
+                },
+            ));
+        }
+    }
+    jobs
+}
+
+/// What a run computed: total time, event count, switch-logic counters
+/// and the bytes every link carried.
+fn fingerprint(r: &JobResult) -> String {
+    let report = r
+        .report()
+        .unwrap_or_else(|| panic!("{} failed: {:?}", r.label, r.failure()));
+    let bytes: Vec<u64> = report.fabric.usages().iter().map(|u| u.bytes).collect();
+    format!(
+        "{}: total={:?} events={} logic={:?} bytes={bytes:?}",
+        r.label, report.total, report.events_processed, report.logic_stats
+    )
+}
+
 /// The conservation auditor must be observe-only, exactly like the
-/// profiler: with auditing force-enabled at runtime (the `--audit` flag's
-/// mechanism) the fig11 and fig14 smoke tables must match the same golden
-/// bytes. CI also runs this file under `--features audit`, which enables
-/// auditing by default in every run, pinning the cargo-feature path too.
+/// profiler: the golden-table jobs compute identical reports with
+/// `cfg.audit.enabled` on (checking every 1024 events) and off.
 #[test]
-fn audit_is_observe_only_on_golden_tables() {
-    sim_core::audit::set_force_enabled(true);
-    let fig11 = rendered(cais_harness::fig11::run(Scale::Smoke, 1));
-    let fig14 = rendered(cais_harness::fig14::run(Scale::Smoke, 1));
-    sim_core::audit::set_force_enabled(false);
-    assert_eq!(
-        fig11,
-        include_str!("golden/fig11_smoke.txt"),
-        "fig11 output drifted with the audit enabled"
-    );
-    assert_eq!(
-        fig14,
-        include_str!("golden/fig14_smoke.txt"),
-        "fig14 output drifted with the audit enabled"
-    );
+fn audit_config_is_observe_only_on_golden_jobs() {
+    let on: Vec<String> = sweep::run_jobs(golden_jobs(true), 2)
+        .iter()
+        .map(fingerprint)
+        .collect();
+    let off: Vec<String> = sweep::run_jobs(golden_jobs(false), 2)
+        .iter()
+        .map(fingerprint)
+        .collect();
+    assert_eq!(on.len(), 17);
+    for (a, b) in on.iter().zip(&off) {
+        assert_eq!(a, b, "report drifted with the audit enabled");
+    }
 }

@@ -130,25 +130,6 @@ pub trait SwitchLogic<P: Payload> {
     fn audit_probe(&self, _probe: &mut AuditProbe) {}
 }
 
-// Covers both `Box<dyn SwitchLogic<P>>` (the thin dyn entry point kept at
-// strategy construction) and `Box<ConcreteLogic>` (where the forwarding
-// calls inline away, so a monomorphized fabric pays no virtual dispatch
-// per packet).
-impl<P: Payload, L: SwitchLogic<P> + ?Sized> SwitchLogic<P> for Box<L> {
-    fn on_packet(&mut self, now: SimTime, pkt: Packet<P>, ctx: &mut SwitchCtx<P>) {
-        (**self).on_packet(now, pkt, ctx);
-    }
-    fn on_timer(&mut self, now: SimTime, key: u64, ctx: &mut SwitchCtx<P>) {
-        (**self).on_timer(now, key, ctx);
-    }
-    fn stats(&self) -> Vec<(String, f64)> {
-        (**self).stats()
-    }
-    fn audit_probe(&self, probe: &mut AuditProbe) {
-        (**self).audit_probe(probe);
-    }
-}
-
 /// The trivial switch logic: forward every packet to its destination GPU.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PureRouter;

@@ -293,7 +293,7 @@ mod tests {
         let mut prog = Program::new();
         let mut ids = IdAlloc::new(n);
         build(&mut prog, &mut ids, &c, &cost);
-        SystemSim::new(c, prog, Box::new(NvlsLogic::new(n)))
+        SystemSim::new(c, prog, NvlsLogic::new(n))
             .run()
             .expect("run completes")
     }
@@ -369,7 +369,7 @@ mod tests {
         let mut prog = Program::new();
         let mut ids = IdAlloc::new(n);
         crate::ring::ring_all_reduce(&mut prog, &mut ids, &c, &cost, "ar", bytes, &[], None);
-        let ring = SystemSim::new(c, prog, Box::new(noc_sim::PureRouter))
+        let ring = SystemSim::new(c, prog, noc_sim::PureRouter)
             .run()
             .expect("run completes");
         let speedup = ring.total.as_secs_f64() / nvls.total.as_secs_f64();

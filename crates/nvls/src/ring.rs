@@ -385,7 +385,7 @@ mod tests {
         let out = build(&mut prog, &mut ids, &c, &cost);
         let n_tiles: usize = out.out_tiles.iter().map(|v| v.len()).sum();
         (
-            SystemSim::new(c, prog, Box::new(PureRouter))
+            SystemSim::new(c, prog, PureRouter)
                 .run()
                 .expect("run completes"),
             n_tiles,

@@ -21,45 +21,25 @@
 //! # Gating
 //!
 //! Tallies are always compiled — they are a handful of integer adds on
-//! paths dominated by queue and hash work. The *checks* and the ring
-//! recording run only when auditing is enabled: at runtime via
-//! [`set_force_enabled`] (the harness `--audit` flag), or by default in
-//! builds with the `audit` cargo feature. Auditing observes and never
-//! feeds a value back into simulation state, so results are byte-identical
-//! with auditing off and on; CI pins this against the golden tables the
-//! same way it pins the profiler (the second documented observe-only
-//! exception — auditing is the third, see the crate docs).
+//! paths dominated by queue and hash work. The end-of-run quiescence
+//! check runs on every simulation, so a bookkeeping leak can never
+//! survive a passing run. [`AuditConfig::enabled`] is the one switch for
+//! the rest: cadence checks during the run and the event ring attached to
+//! forensic reports. Auditing observes and never feeds a value back into
+//! simulation state, so results are identical with it off and on; a
+//! harness test pins this on the golden-table jobs.
 
 use crate::time::SimTime;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide runtime switch flipped by the harness `--audit` flag.
-static FORCE_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Forces auditing on (or off) for subsequently constructed simulations,
-/// regardless of the `audit` cargo feature. Observe-only by contract, so
-/// flipping this mid-process can change which runs are *checked*, never
-/// what they compute.
-pub fn set_force_enabled(on: bool) {
-    FORCE_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether newly constructed simulations audit by default: true in builds
-/// with the `audit` cargo feature or after [`set_force_enabled`]`(true)`.
-pub fn default_enabled() -> bool {
-    cfg!(feature = "audit") || FORCE_ENABLED.load(Ordering::Relaxed)
-}
 
 /// Auditor configuration, carried by the engine's `SystemConfig`.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
-    /// Run ledger checks and record forensics. Defaults to
-    /// [`default_enabled`] at construction time.
+    /// Run cadence ledger checks and record the forensic event ring. Off
+    /// by default. End-of-run quiescence verification runs either way.
     pub enabled: bool,
     /// Run a cadence check after at least this many fabric events since
-    /// the previous check. Quiescence verification at end of run is
-    /// unconditional (when `enabled`).
+    /// the previous check (when `enabled`).
     pub cadence_events: u64,
     /// Capacity of the bounded event ring attached to forensic reports.
     pub ring_capacity: usize,
@@ -68,7 +48,7 @@ pub struct AuditConfig {
 impl Default for AuditConfig {
     fn default() -> AuditConfig {
         AuditConfig {
-            enabled: default_enabled(),
+            enabled: false,
             cadence_events: 8192,
             ring_capacity: 64,
         }

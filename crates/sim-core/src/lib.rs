@@ -15,11 +15,10 @@
 //!   allocation order.
 //! * No global state and no wall-clock access anywhere in simulation
 //!   paths; randomness is always an explicitly seeded [`rng::JitterRng`]
-//!   owned by the component that needs it. Three observe-only exceptions
-//!   are documented in place: the label interner ([`intern`]), the
-//!   feature-gated self-profiler ([`profile`]), and the conservation
-//!   auditor ([`audit`]). None of them can feed a value back into
-//!   simulation state.
+//!   owned by the component that needs it. Two observe-only exceptions
+//!   are documented in place: the label interner ([`intern`]) and the
+//!   feature-gated self-profiler ([`profile`]). Neither can feed a value
+//!   back into simulation state.
 //!
 //! # Example
 //!

@@ -36,9 +36,9 @@ fn run_collective(lower: Lower, bytes: u64, nvls: bool) -> SimDuration {
     lower(&mut prog, &mut ids, &cfg, &cost, "coll", bytes, &[], None);
     let n = cfg.n_gpus;
     let report = if nvls {
-        SystemSim::new(cfg, prog, Box::new(NvlsLogic::new(n))).run()
+        SystemSim::new(cfg, prog, NvlsLogic::new(n)).run()
     } else {
-        SystemSim::new(cfg, prog, Box::new(PureRouter)).run()
+        SystemSim::new(cfg, prog, PureRouter).run()
     };
     report.expect("run completes").total
 }

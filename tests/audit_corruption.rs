@@ -7,7 +7,7 @@ use cais::core::{CaisLogic, MergeConfig};
 use cais::engine::{IdAlloc, Program, SimError, SystemConfig, SystemSim};
 use cais::gpu_sim::{KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
 use cais::noc_sim::PureRouter;
-use cais::sim_core::{GpuId, SimDuration};
+use cais::sim_core::{AuditPhase, GpuId, SimDuration};
 
 fn quiet_cfg(n_gpus: usize) -> SystemConfig {
     let mut cfg = SystemConfig::dgx_h100();
@@ -75,6 +75,27 @@ fn corrupted_fabric_tally_yields_audit_violation_naming_fabric() {
             let text = err.to_string();
             assert!(text.contains("[fabric]"), "{text}");
             assert!(text.contains("pkt conservation"), "{text}");
+        }
+        other => panic!("expected AuditViolation, got {other:?}"),
+    }
+}
+
+/// The end-of-run quiescence check runs on every simulation, so a
+/// skewed tally is caught even with cadence auditing switched off.
+#[test]
+fn quiescence_catches_a_poked_fabric_tally_with_auditing_off() {
+    let mut cfg = quiet_cfg(2);
+    cfg.audit.enabled = false;
+    let mut ids = IdAlloc::new(2);
+    let mut sim = SystemSim::new(cfg, loader_program(&mut ids, false), PureRouter);
+    sim.fabric_mut().audit_poke_pkt_enqueued();
+    match sim.run() {
+        Err(SimError::AuditViolation(report)) => {
+            assert_eq!(report.phase, AuditPhase::Quiescence, "{report}");
+            assert!(
+                report.violations.iter().any(|v| v.subsystem == "fabric"),
+                "expected a fabric violation, got {report}"
+            );
         }
         other => panic!("expected AuditViolation, got {other:?}"),
     }

@@ -195,7 +195,7 @@ fn ring_collectives_move_algorithmic_volume() {
                 2
             }
         };
-        let report = SystemSim::new(cfg, prog, Box::new(PureRouter))
+        let report = SystemSim::new(cfg, prog, PureRouter)
             .run()
             .expect("run completes");
         let expect = mult * bytes / n_gpus as u64 * (n_gpus as u64 - 1) * n_gpus as u64;

@@ -176,3 +176,42 @@ fn base_variant_serializes_stages() {
         mid.end
     );
 }
+
+/// `run` depends only on its arguments: everything lowering hands to the
+/// switch travels in the `Program`, so a strategy that lowered other
+/// graphs in between runs an earlier program exactly like a fresh one.
+/// L1 and L2 of one model lower to the same sync-group sizes; a longer
+/// sequence lowers to more groups, with the owner-skipping `p - 1` groups
+/// at other ids.
+#[test]
+fn cais_run_ignores_later_lowerings_on_the_same_strategy() {
+    let (model, cfg) = (small_model(), cfg());
+    let longer = ModelConfig {
+        seq_len: 2 * model.seq_len,
+        ..model.clone()
+    };
+    let l1 = sublayer(&model, cfg.tp(), SubLayer::L1);
+    let fingerprint = |r: &ExecReport| {
+        format!(
+            "total={:?} events={} logic={:?} spans={}",
+            r.total,
+            r.events_processed,
+            r.logic_stats,
+            r.kernel_spans.len()
+        )
+    };
+    let fresh = execute(&CaisStrategy::full(), &l1, &cfg).expect("L1 run completes");
+
+    for later in [
+        sublayer(&model, cfg.tp(), SubLayer::L2),
+        sublayer(&longer, cfg.tp(), SubLayer::L1),
+    ] {
+        let reused = CaisStrategy::full();
+        let mut tuned = cfg.clone();
+        reused.tune(&mut tuned);
+        let program_l1 = reused.lower(&l1, &tuned);
+        let _ = reused.lower(&later, &tuned);
+        let report = reused.run(tuned, program_l1).expect("L1 run completes");
+        assert_eq!(fingerprint(&report), fingerprint(&fresh));
+    }
+}
