@@ -24,6 +24,7 @@ use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
 use noc_sim::PureRouter;
 use sim_core::{GpuId, KernelId, TileId};
+use std::sync::Arc;
 
 /// The LADM baseline strategy.
 #[derive(Debug)]
@@ -169,7 +170,7 @@ impl LadmStrategy {
                             phases: vec![
                                 Phase::Compute(sim_core::SimDuration::from_ns(200)),
                                 Phase::IssueMem {
-                                    ops: vec![op],
+                                    ops: Arc::new([op]),
                                     wait: false,
                                 },
                             ],
@@ -184,7 +185,7 @@ impl LadmStrategy {
                         pre_launch_sync: false,
                         phases: vec![Phase::Compute(sim_core::SimDuration::from_ns(100))],
                     });
-                    ctx.prog.tb_ready_deps.insert(wid, vec![tile]);
+                    ctx.prog.tb_ready_deps.insert(wid, Arc::new([tile]));
                     order.set(order.get() + 2);
                 }
             }
@@ -208,13 +209,13 @@ impl LadmStrategy {
                             group: None,
                             pre_launch_sync: false,
                             phases: vec![Phase::IssueMem {
-                                ops: vec![MemOp {
+                                ops: Arc::new([MemOp {
                                     kind: MemOpKind::RemoteLoad,
                                     addr,
                                     bytes: len,
                                     cais: false,
                                     tile,
-                                }],
+                                }]),
                                 wait: true,
                             }],
                         });

@@ -3,6 +3,7 @@
 use cais_engine::{lower::GemmLowering, IdAlloc, PlannedKernel, Program};
 use gpu_sim::{KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
 use sim_core::{Addr, GpuId, KernelId, SimDuration, TileId};
+use std::sync::Arc;
 
 /// A GEMM kernel lowered with per-output-tile completion signals, so
 /// chunk-overlapping collectives (CoCoNet/FuseLib) or per-tile triggers
@@ -70,7 +71,10 @@ pub fn lower_tiled_gemm(
                 if let Some(ep) = &opts.epilogue {
                     let ops = ep(mi, ni, g);
                     if !ops.is_empty() {
-                        phases.push(Phase::IssueMem { ops, wait: false });
+                        phases.push(Phase::IssueMem {
+                            ops: ops.into(),
+                            wait: false,
+                        });
                     }
                 }
                 tbs.push(TbDesc {
@@ -170,6 +174,9 @@ pub fn lower_gated_gemm(
         let mut tbs = Vec::with_capacity((n_mb * n_nb) as usize);
         for mi in 0..n_mb {
             let m_len = tile.min(m - mi * tile);
+            // Every TB of the band waits on the same tiles.
+            let band_gate: Option<Arc<[TileId]>> =
+                (!gates.is_empty()).then(|| gates[g][mi as usize][..].into());
             for ni in 0..n_nb {
                 let n_len = tile.min(n - ni * tile);
                 let id = ids.tb();
@@ -180,8 +187,8 @@ pub fn lower_gated_gemm(
                     pre_launch_sync: false,
                     phases: vec![Phase::Compute(low.gemm_tb_time(m_len, n_len, k))],
                 });
-                if !gates.is_empty() {
-                    prog.tb_ready_deps.insert(id, gates[g][mi as usize].clone());
+                if let Some(gate) = &band_gate {
+                    prog.tb_ready_deps.insert(id, Arc::clone(gate));
                 }
             }
         }
@@ -255,7 +262,7 @@ pub fn waiter_kernels(
             pre_launch_sync: false,
             phases: vec![Phase::Compute(SimDuration::from_ns(100))],
         };
-        prog.tb_ready_deps.insert(id, gate.clone());
+        prog.tb_ready_deps.insert(id, gate[..].into());
         let kid = ids.kernel();
         let mut desc = KernelDesc::new(kid, format!("{name}.wait"), vec![tb]);
         desc.tbs_auto_ready = false;

@@ -17,6 +17,7 @@ use nvls::{
     ring_reduce_scatter, CollOutput, InputTiles, NvlsLogic,
 };
 use sim_core::{GpuId, KernelId, TileId};
+use std::sync::Arc;
 
 /// How collectives travel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -502,14 +503,14 @@ impl BaselineStrategy {
                         phases: vec![
                             gpu_sim::Phase::Compute(sim_core::SimDuration::from_ns(100)),
                             gpu_sim::Phase::IssueMem {
-                                ops: ep(mi, ni, g),
+                                ops: ep(mi, ni, g).into(),
                                 wait: false,
                             },
                         ],
                     });
                     ctx.prog
                         .tb_ready_deps
-                        .insert(id, vec![tg.tiles[mi as usize][ni as usize]]);
+                        .insert(id, Arc::new([tg.tiles[mi as usize][ni as usize]]));
                 }
             }
             let kid = ctx.ids.kernel();

@@ -12,12 +12,15 @@
 //! cargo bench -p cais-bench --bench perf -- --check --bless # update after review
 //! ```
 //!
-//! `--check` re-measures and exits nonzero when any run's best-of-N
-//! events/sec falls more than 20% (override with the
-//! `CAIS_BENCH_CHECK_THRESHOLD` env var, a fraction) below the committed
-//! `BENCH_sim.json`. Comparing minima rather than means damps scheduler
-//! noise on both sides. `--check` never writes the baseline; pass
-//! `--bless` to update it after an intentional change.
+//! `--check` re-measures and exits nonzero when a run's deterministic
+//! results (`events`, `sim_total_us`) differ at all from the committed
+//! `BENCH_sim.json`, or when its best-of-N wall time (`min_ms`) is more
+//! than 20% slower (speed ratio below 0.8; override the fraction with the
+//! `CAIS_BENCH_CHECK_THRESHOLD` env var). Wall time is gated directly
+//! rather than as events/sec, which would reward a change that adds
+//! events; comparing minima rather than means damps scheduler noise on
+//! both sides. `--check` never writes the baseline; pass `--bless` to
+//! update it after an intentional change.
 //!
 //! Built with `--features profiler`, each run also records the
 //! per-subsystem wall-time/allocation breakdown from the simulator's
@@ -49,17 +52,6 @@ struct RunResult {
     /// Per-subsystem self-profiler rows; empty unless the `profiler`
     /// feature is enabled.
     profile: Vec<SubsystemReport>,
-}
-
-impl RunResult {
-    /// Best-of-N throughput: total events over the fastest iteration.
-    fn best_events_per_sec(&self) -> f64 {
-        if self.min_ms > 0.0 {
-            self.events as f64 / (self.min_ms / 1e3)
-        } else {
-            0.0
-        }
-    }
 }
 
 fn bench_run(
@@ -135,6 +127,7 @@ struct BaselineRun {
     name: String,
     events: u64,
     min_ms: f64,
+    sim_total_us: f64,
 }
 
 /// Extracts the first JSON number after `key` in `line`.
@@ -169,10 +162,11 @@ fn parse_baseline(text: &str) -> (Option<String>, Vec<BaselineRun>) {
         if !line.contains("\"name\"") {
             continue;
         }
-        let (Some(name), Some(events), Some(min_ms)) = (
+        let (Some(name), Some(events), Some(min_ms), Some(sim_total_us)) = (
             scan_string(line, "\"name\""),
             scan_number(line, "\"events\""),
             scan_number(line, "\"min_ms\""),
+            scan_number(line, "\"sim_total_us\""),
         ) else {
             continue;
         };
@@ -180,13 +174,15 @@ fn parse_baseline(text: &str) -> (Option<String>, Vec<BaselineRun>) {
             name,
             events: events as u64,
             min_ms,
+            sim_total_us,
         });
     }
     (scale, runs)
 }
 
-/// Compares fresh best-of-N throughput against the committed baseline.
-/// Returns `false` when any matched run regressed beyond the threshold.
+/// Compares each fresh run against the committed baseline: its
+/// deterministic results must match exactly, its best-of-N wall time
+/// within the threshold. Returns `false` when any matched run fails.
 fn check_runs(runs: &[RunResult], scale_label: &str, path: &str) -> bool {
     let Ok(text) = std::fs::read_to_string(path) else {
         println!("check: no baseline at {path}; nothing to compare (run --bless first)");
@@ -206,44 +202,57 @@ fn check_runs(runs: &[RunResult], scale_label: &str, path: &str) -> bool {
             return true;
         }
     }
-    let mut regressed: Vec<(&str, f64, f64, f64)> = Vec::new();
+    let mut failures: Vec<String> = Vec::new();
     for r in runs {
         let Some(base) = baseline.iter().find(|b| b.name == r.name) else {
             println!("check {:40} no baseline entry; skipped", r.name);
             continue;
         };
-        let base_eps = if base.min_ms > 0.0 {
-            base.events as f64 / (base.min_ms / 1e3)
-        } else {
-            continue;
-        };
-        let fresh_eps = r.best_events_per_sec();
-        let ratio = fresh_eps / base_eps;
-        let verdict = if ratio + threshold < 1.0 {
-            regressed.push((r.name, fresh_eps, base_eps, ratio));
-            "REGRESSED"
-        } else {
-            "ok"
-        };
+        // Deterministic results: any difference is a model change that
+        // needs a blessed baseline, however fast the run.
+        if r.events != base.events {
+            failures.push(format!(
+                "{}: events {} vs baseline {}",
+                r.name, r.events, base.events
+            ));
+        }
+        // The baseline stores `sim_total_us` to three decimals.
+        if format!("{:.3}", r.sim_total_us) != format!("{:.3}", base.sim_total_us) {
+            failures.push(format!(
+                "{}: sim_total_us {:.3} vs baseline {:.3}",
+                r.name, r.sim_total_us, base.sim_total_us
+            ));
+        }
+        // Speed ratio of the best iterations: above 1 is faster.
+        let ratio = base.min_ms / r.min_ms;
+        let slow = ratio + threshold < 1.0;
+        if slow {
+            failures.push(format!(
+                "{}: min_ms {:.3} vs baseline {:.3} = {ratio:.2}x speed (allowed >= {:.2}x)",
+                r.name,
+                r.min_ms,
+                base.min_ms,
+                1.0 - threshold
+            ));
+        }
         println!(
-            "check {:40} {:>12.0} ev/s vs baseline {:>12.0} ev/s  ({:.2}x)  {}",
-            r.name, fresh_eps, base_eps, ratio, verdict
+            "check {:40} {:>10.3} min_ms vs baseline {:>10.3}  ({ratio:.2}x)  {}",
+            r.name,
+            r.min_ms,
+            base.min_ms,
+            if slow { "REGRESSED" } else { "ok" }
         );
     }
-    if !regressed.is_empty() {
+    if !failures.is_empty() {
         println!(
-            "check: {} of {} run(s) regressed on events/sec beyond the {:.0}% \
-             threshold (CAIS_BENCH_CHECK_THRESHOLD, default 20%):",
-            regressed.len(),
-            runs.len(),
+            "check: {} failure(s); results must equal the baseline exactly and \
+             min_ms may be at most {:.0}% slower (CAIS_BENCH_CHECK_THRESHOLD, \
+             default 20%):",
+            failures.len(),
             threshold * 100.0
         );
-        for (name, fresh_eps, base_eps, ratio) in &regressed {
-            println!(
-                "check   {name}: measured {fresh_eps:.0} ev/s vs baseline \
-                 {base_eps:.0} ev/s = {ratio:.2}x (allowed >= {:.2}x)",
-                1.0 - threshold
-            );
+        for f in &failures {
+            println!("check   {f}");
         }
         println!(
             "check: baseline is {path}; run with --bless to accept an \
@@ -251,7 +260,7 @@ fn check_runs(runs: &[RunResult], scale_label: &str, path: &str) -> bool {
              noisy host"
         );
     }
-    regressed.is_empty()
+    failures.is_empty()
 }
 
 fn main() {

@@ -103,6 +103,9 @@ fn insert_pre_access(tb: &mut TbDesc) {
         if pos > 0 && matches!(tb.phases[pos - 1], Phase::SyncGroup(_)) {
             return;
         }
+        // Grow by exactly the one slot: the default doubling left a
+        // quarter of all phase slots empty at 32 GPUs.
+        tb.phases.reserve_exact(1);
         tb.phases
             .insert(pos, Phase::SyncGroup(gpu_sim::SyncKind::PreAccess));
     }
@@ -113,6 +116,7 @@ mod tests {
     use super::*;
     use gpu_sim::{MemOp, MemOpKind, SyncKind};
     use sim_core::{Addr, GpuId, SimDuration, TbId};
+    use std::sync::Arc;
 
     fn cais_tb(id: u64) -> TbDesc {
         TbDesc {
@@ -123,13 +127,13 @@ mod tests {
             phases: vec![
                 Phase::Compute(SimDuration::from_us(1)),
                 Phase::IssueMem {
-                    ops: vec![MemOp {
+                    ops: Arc::new([MemOp {
                         kind: MemOpKind::RemoteLoad,
                         addr: Addr::new(GpuId(1), 0),
                         bytes: 128,
                         cais: true,
                         tile: None,
-                    }],
+                    }]),
                     wait: true,
                 },
             ],
@@ -195,6 +199,15 @@ mod tests {
         coordinate_row(&mut ids, &opts, &mut [&mut a], &invariant_expr());
         assert!(a.group.is_some());
         assert!(!a.phases.iter().any(|p| matches!(p, Phase::SyncGroup(_))));
+    }
+
+    #[test]
+    fn sync_insertion_keeps_the_phase_list_exact() {
+        let mut a = cais_tb(0);
+        assert_eq!(a.phases.capacity(), 2);
+        insert_pre_access(&mut a);
+        assert_eq!(a.phases.len(), 3);
+        assert_eq!(a.phases.capacity(), 3);
     }
 
     #[test]

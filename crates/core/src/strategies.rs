@@ -40,6 +40,7 @@ use cais_engine::{
 use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, ReadyPolicy, TbDesc};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
 use sim_core::{GpuId, KernelId, SimDuration, TileId};
+use std::sync::Arc;
 
 /// Published CAIS variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -356,6 +357,15 @@ impl CaisStrategy {
                         let _ = off;
                         let tile = ctx.ids.tile();
                         ctx.prog.tile_expected.insert(tile, p as u32);
+                        // One `red.cais` list for the row: every GPU
+                        // reduces into the same address.
+                        let ops: Arc<[MemOp]> = Arc::new([MemOp {
+                            kind: MemOpKind::RemoteReduce,
+                            addr,
+                            bytes: len,
+                            cais: true,
+                            tile: Some(tile),
+                        }]);
                         let mut row: Vec<TbDesc> = (0..ctx.p())
                             .map(|_g| TbDesc {
                                 id: ctx.ids.tb(),
@@ -365,13 +375,7 @@ impl CaisStrategy {
                                 phases: vec![
                                     Phase::Compute(SimDuration::from_ns(200)),
                                     Phase::IssueMem {
-                                        ops: vec![MemOp {
-                                            kind: MemOpKind::RemoteReduce,
-                                            addr,
-                                            bytes: len,
-                                            cais: true,
-                                            tile: Some(tile),
-                                        }],
+                                        ops: Arc::clone(&ops),
                                         wait: false,
                                     },
                                 ],
@@ -401,7 +405,8 @@ impl CaisStrategy {
                             pre_launch_sync: false,
                             phases: vec![Phase::Compute(SimDuration::from_ns(100))],
                         });
-                        ctx.prog.tb_ready_deps.insert(wid, vec![tile]);
+                        let reduced: Arc<[TileId]> = Arc::new([tile]);
+                        ctx.prog.tb_ready_deps.insert(wid, Arc::clone(&reduced));
                         if kind == CollKind::AllReduce {
                             for (g, gpu_tbs) in per_gpu_tbs.iter_mut().enumerate() {
                                 if g == owner.index() {
@@ -415,17 +420,17 @@ impl CaisStrategy {
                                     group: None,
                                     pre_launch_sync: false,
                                     phases: vec![Phase::IssueMem {
-                                        ops: vec![MemOp {
+                                        ops: Arc::new([MemOp {
                                             kind: MemOpKind::RemoteLoad,
                                             addr,
                                             bytes: len,
                                             cais: true,
                                             tile: Some(gtile),
-                                        }],
+                                        }]),
                                         wait: true,
                                     }],
                                 });
-                                ctx.prog.tb_ready_deps.insert(lid, vec![tile]);
+                                ctx.prog.tb_ready_deps.insert(lid, Arc::clone(&reduced));
                             }
                         }
                     }
@@ -440,6 +445,14 @@ impl CaisStrategy {
                     {
                         let addr = ctx.ids.addr(owner, len);
                         let tile = ctx.ids.tile();
+                        // One `ld.cais` list for every non-owner.
+                        let ops: Arc<[MemOp]> = Arc::new([MemOp {
+                            kind: MemOpKind::RemoteLoad,
+                            addr,
+                            bytes: len,
+                            cais: true,
+                            tile: Some(tile),
+                        }]);
                         for (g, gpu_tbs) in per_gpu_tbs.iter_mut().enumerate() {
                             if g == owner.index() {
                                 continue;
@@ -451,17 +464,10 @@ impl CaisStrategy {
                                 group: None,
                                 pre_launch_sync: false,
                                 phases: vec![Phase::IssueMem {
-                                    ops: vec![MemOp {
-                                        kind: MemOpKind::RemoteLoad,
-                                        addr,
-                                        bytes: len,
-                                        cais: true,
-                                        tile: Some(tile),
-                                    }],
+                                    ops: Arc::clone(&ops),
                                     wait: true,
                                 }],
                             });
-                            ctx.prog.tb_ready_deps.insert(lid, vec![]);
                         }
                     }
                 }
@@ -557,7 +563,8 @@ impl CaisStrategy {
                 let t_compute = ctx.low.gemm_tb_time(m_len, n_len, pk);
                 let addr = red_addrs[mi as usize][ni as usize];
                 let rtile = red_tiles[mi as usize][ni as usize];
-                let ops: Vec<MemOp> = (0..n_sub)
+                // One `red.cais` list per (mi, ni) row, shared by all GPUs.
+                let ops: Arc<[MemOp]> = (0..n_sub)
                     .map(|si| {
                         let off = si * self.cais_packet_bytes;
                         let len = self.cais_packet_bytes.min(tile_bytes - off);
@@ -579,7 +586,7 @@ impl CaisStrategy {
                         phases: vec![
                             Phase::Compute(t_compute),
                             Phase::IssueMem {
-                                ops: ops.clone(),
+                                ops: Arc::clone(&ops),
                                 wait: false,
                             },
                         ],
@@ -637,6 +644,8 @@ impl CaisStrategy {
             let owner = self.shard_owner(mi, n_mb, p);
             owned_red_tiles[owner.index()].extend(red_tiles[mi as usize].iter().copied());
         }
+        let owned_red_tiles: Vec<Arc<[TileId]>> =
+            owned_red_tiles.into_iter().map(Arc::from).collect();
 
         let mut mid_tbs: Vec<Vec<TbDesc>> = (0..ctx.p()).map(|_| Vec::new()).collect();
         let has_middle_work = !middle.is_empty() || gather.is_some() || consumer.is_some();
@@ -644,7 +653,7 @@ impl CaisStrategy {
             for mi in 0..n_mb {
                 let owner = self.shard_owner(mi, n_mb, p);
                 let m_len = tile.min(rows - mi * tile);
-                let notify_ops: Vec<MemOp> = (0..ctx.p())
+                let notify_ops: Arc<[MemOp]> = (0..ctx.p())
                     .filter(|g| *g != owner.index())
                     .map(|g| MemOp {
                         kind: MemOpKind::RemoteWrite,
@@ -669,9 +678,9 @@ impl CaisStrategy {
                     ],
                 };
                 let deps = if self.fused {
-                    red_tiles[mi as usize].clone()
+                    red_tiles[mi as usize][..].into()
                 } else {
-                    owned_red_tiles[owner.index()].clone()
+                    Arc::clone(&owned_red_tiles[owner.index()])
                 };
                 ctx.prog.tb_ready_deps.insert(tb.id, deps);
                 mid_tbs[owner.index()].push(tb);
@@ -766,55 +775,66 @@ impl CaisStrategy {
             op_tiles.push(row);
         }
 
+        // Without fine-grained gating every band waits on all gate tiles.
+        let whole_gate: Arc<[TileId]> = band_gate.unwrap_or_default().into();
         let mut tbs: Vec<Vec<TbDesc>> = (0..ctx.p()).map(|_| Vec::new()).collect();
         for mi in 0..n_mb {
             let owner = self.shard_owner(mi, n_mb, p);
             let m_len = tile.min(m - mi * tile);
+            let band = &op_tiles[mi as usize];
+            // Built once per band and shared by every GPU's TBs: the
+            // fetchers' `ld.cais` list (GPU-invariant addresses), the
+            // band gate, and the band gate plus operand tiles.
+            let fetch_ops: Arc<[MemOp]> = band
+                .iter()
+                .map(|&(addr, t)| MemOp {
+                    kind: MemOpKind::RemoteLoad,
+                    addr,
+                    bytes: tile_bytes,
+                    cais: true,
+                    tile: Some(t),
+                })
+                .collect();
+            let gate_deps: Arc<[TileId]> = match band_gate {
+                Some(gate) if self.fused => Arc::new([gate[mi as usize]]),
+                _ => Arc::clone(&whole_gate),
+            };
+            let sibling_deps: Arc<[TileId]> = gate_deps
+                .iter()
+                .copied()
+                .chain(band.iter().map(|&(_, t)| t))
+                .collect();
             // Coordination row: the designated fetchers (nj == 0) of the
             // p - 1 non-owner GPUs.
-            let mut fetcher_row: Vec<TbDesc> = Vec::new();
+            let mut fetcher_row: Vec<TbDesc> = Vec::with_capacity(ctx.p() - 1);
             for ni in 0..n_nb {
                 let n_len = tile.min(n - ni * tile);
                 let t_compute = ctx.low.gemm_tb_time(m_len, n_len, k);
                 for (g, gpu_tbs) in tbs.iter_mut().enumerate() {
                     let id = ctx.ids.tb();
-                    let mut phases = Vec::new();
-                    let mut deps = match band_gate {
-                        Some(gate) => {
-                            if self.fused {
-                                vec![gate[mi as usize]]
-                            } else {
-                                gate.to_vec()
-                            }
-                        }
-                        None => vec![],
+                    let fetcher = g != owner.index() && ni == 0;
+                    let (phases, deps) = if g == owner.index() {
+                        (vec![Phase::Compute(t_compute)], &gate_deps)
+                    } else if fetcher {
+                        // Designated fetcher: issues the band's `ld.cais`
+                        // operand loads.
+                        let phases = vec![
+                            Phase::IssueMem {
+                                ops: Arc::clone(&fetch_ops),
+                                wait: true,
+                            },
+                            Phase::Compute(t_compute),
+                        ];
+                        (phases, &gate_deps)
+                    } else {
+                        // Siblings reuse the fetched band through the L2
+                        // (tile directory). Gate *dispatch* on the operand
+                        // tiles rather than blocking in-slot: a sibling
+                        // holding an SM slot while its band's fetcher is
+                        // still queued can starve the fetchers outright
+                        // at scale.
+                        (vec![Phase::Compute(t_compute)], &sibling_deps)
                     };
-                    if g != owner.index() {
-                        if ni == 0 {
-                            // Designated fetcher: issues the band's
-                            // `ld.cais` operand loads.
-                            let ops: Vec<MemOp> = op_tiles[mi as usize]
-                                .iter()
-                                .map(|(addr, t)| MemOp {
-                                    kind: MemOpKind::RemoteLoad,
-                                    addr: *addr,
-                                    bytes: tile_bytes,
-                                    cais: true,
-                                    tile: Some(*t),
-                                })
-                                .collect();
-                            phases.push(Phase::IssueMem { ops, wait: true });
-                        } else {
-                            // Siblings reuse the fetched band through the
-                            // L2 (tile directory). Gate *dispatch* on the
-                            // operand tiles rather than blocking in-slot:
-                            // a sibling holding an SM slot while its
-                            // band's fetcher is still queued can starve
-                            // the fetchers outright at scale.
-                            deps.extend(op_tiles[mi as usize].iter().map(|(_, t)| *t));
-                        }
-                    }
-                    phases.push(Phase::Compute(t_compute));
                     let tb = TbDesc {
                         id,
                         order_key: mi * n_nb + ni,
@@ -822,8 +842,8 @@ impl CaisStrategy {
                         pre_launch_sync: false,
                         phases,
                     };
-                    ctx.prog.tb_ready_deps.insert(id, deps);
-                    if ni == 0 && g != owner.index() {
+                    ctx.prog.tb_ready_deps.insert(id, Arc::clone(deps));
+                    if fetcher {
                         fetcher_row.push(tb);
                     } else {
                         gpu_tbs.push(tb);
@@ -867,6 +887,7 @@ mod tests {
     use super::*;
     use cais_engine::strategy::execute;
     use llm_workload::{sublayer, ModelConfig, SubLayer};
+    use std::collections::{HashMap, HashSet};
 
     fn small_cfg() -> SystemConfig {
         let mut cfg = SystemConfig::dgx_h100();
@@ -963,6 +984,69 @@ mod tests {
             report.stat("cais.degraded_ports").unwrap_or(0.0) > 0.0,
             "fault pressure degraded at least one port"
         );
+    }
+
+    #[test]
+    fn coordinated_rows_share_one_payload_across_gpus() {
+        let cfg = small_cfg();
+        let dfg = sublayer(&small_model(), 4, SubLayer::L1);
+        let prog = CaisStrategy::full().lower(&dfg, &cfg);
+        let cais_ops = |tb: &TbDesc, kind: MemOpKind| {
+            tb.phases.iter().find_map(|ph| match ph {
+                Phase::IssueMem { ops, .. } if ops.iter().any(|o| o.cais && o.kind == kind) => {
+                    Some(Arc::clone(ops))
+                }
+                _ => None,
+            })
+        };
+        // Payloads of one row, keyed by (kernel name, row's order key).
+        type Rows = HashMap<(String, u64), Vec<Arc<[MemOp]>>>;
+        let (mut producers, mut fetchers): (Rows, Rows) = Default::default();
+        for k in &prog.kernels {
+            for tb in &k.desc.tbs {
+                let row = (k.desc.name.to_string(), tb.order_key);
+                if let Some(ops) = cais_ops(tb, MemOpKind::RemoteReduce) {
+                    producers.entry(row.clone()).or_default().push(ops);
+                }
+                if let Some(ops) = cais_ops(tb, MemOpKind::RemoteLoad) {
+                    fetchers.entry(row).or_default().push(ops);
+                }
+            }
+        }
+        let all_shared = |lists: &[Arc<[MemOp]>]| lists.iter().all(|l| Arc::ptr_eq(l, &lists[0]));
+        assert!(!producers.is_empty() && !fetchers.is_empty());
+        for lists in producers.values() {
+            assert_eq!(lists.len(), 4, "one producer per GPU");
+            assert!(all_shared(lists), "a row's red.cais list is built once");
+        }
+        for lists in fetchers.values() {
+            assert_eq!(lists.len(), 3, "one fetcher per non-owner GPU");
+            assert!(all_shared(lists), "a band's ld.cais list is built once");
+        }
+
+        // Siblings: compute-only TBs gated on the tiles their band's
+        // fetcher loads. A row's non-owner siblings share one list.
+        let fetched: HashSet<TileId> = fetchers
+            .values()
+            .flat_map(|lists| lists[0].iter().filter_map(|o| o.tile))
+            .collect();
+        let mut siblings: HashMap<(String, u64), Vec<Arc<[TileId]>>> = HashMap::new();
+        for k in &prog.kernels {
+            for tb in &k.desc.tbs {
+                let Some(deps) = prog.tb_ready_deps.get(&tb.id) else {
+                    continue;
+                };
+                if deps.iter().any(|t| fetched.contains(t)) {
+                    let row = (k.desc.name.to_string(), tb.order_key);
+                    siblings.entry(row).or_default().push(Arc::clone(deps));
+                }
+            }
+        }
+        assert!(!siblings.is_empty());
+        for lists in siblings.values() {
+            assert_eq!(lists.len(), 3, "one sibling per non-owner GPU");
+            assert!(lists.iter().all(|l| Arc::ptr_eq(l, &lists[0])));
+        }
     }
 
     #[test]

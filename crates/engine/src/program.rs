@@ -1,8 +1,9 @@
 //! The lowered program representation executed by [`SystemSim`](crate::SystemSim).
 
 use gpu_sim::KernelDesc;
-use sim_core::{GpuId, GroupId, KernelId, TbId, TileId};
-use std::collections::{HashMap, HashSet};
+use sim_core::{DenseMap, DenseSet, GpuId, GroupId, KernelId, TbId, TileId};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A kernel instance scheduled on one GPU with launch dependencies.
 #[derive(Debug, Clone)]
@@ -24,8 +25,11 @@ pub struct Program {
     pub kernels: Vec<PlannedKernel>,
     /// Fine-grained readiness: a TB (in a kernel with
     /// `tbs_auto_ready = false`) becomes dispatchable only when these
-    /// tiles are present on its GPU.
-    pub tb_ready_deps: HashMap<TbId, Vec<TileId>>,
+    /// tiles are present on its GPU. Lists are shared: the TBs of one row
+    /// or band wait on the same tiles, so a lowering builds the list once
+    /// and clones the `Arc`. The engine groups gates by list content, so
+    /// how a lowering shares cannot change a result.
+    pub tb_ready_deps: HashMap<TbId, Arc<[TileId]>>,
     /// Reduction tiles needing more than one contribution before they
     /// count as present (e.g. `p` partial sums).
     pub tile_expected: HashMap<TileId, u32>,
@@ -85,10 +89,12 @@ impl Program {
     ///
     /// Returns the first [`ProgramError`] found.
     pub fn validate(&self) -> Result<(), ProgramError> {
-        let mut kids = HashSet::new();
-        let mut tbs = HashSet::new();
-        for k in &self.kernels {
-            if !kids.insert(k.desc.id) {
+        // IDs come densely from `IdAlloc`, so bitmaps and flat tables
+        // replace hashing over every TB and kernel.
+        let mut index: DenseMap<KernelId, usize> = DenseMap::with_capacity(self.kernels.len());
+        let mut tbs: DenseSet<TbId> = DenseSet::with_capacity(self.total_tbs());
+        for (i, k) in self.kernels.iter().enumerate() {
+            if index.insert(k.desc.id, i).is_some() {
                 return Err(ProgramError::DuplicateKernel(k.desc.id));
             }
             for tb in &k.desc.tbs {
@@ -97,25 +103,15 @@ impl Program {
                 }
             }
         }
-        for k in &self.kernels {
-            for dep in &k.after {
-                if !kids.contains(dep) {
-                    return Err(ProgramError::UnknownDep(*dep));
-                }
-            }
-        }
         // Kahn's algorithm over the `after` relation.
-        let index: HashMap<KernelId, usize> = self
-            .kernels
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.desc.id, i))
-            .collect();
         let mut indeg: Vec<usize> = self.kernels.iter().map(|k| k.after.len()).collect();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); self.kernels.len()];
         for (i, k) in self.kernels.iter().enumerate() {
             for dep in &k.after {
-                children[index[dep]].push(i);
+                let Some(&parent) = index.get(*dep) else {
+                    return Err(ProgramError::UnknownDep(*dep));
+                };
+                children[parent].push(i);
             }
         }
         let mut queue: Vec<usize> = indeg

@@ -5,7 +5,7 @@ use crate::error::{DeadlockDiag, SimError};
 use crate::msg::Msg;
 use crate::program::Program;
 use crate::report::{ExecReport, KernelSpan};
-use gpu_sim::{GpuConfig, GpuEffect, GpuSim, MemOp, MemOpKind, SyncKind};
+use gpu_sim::{GpuConfig, GpuEffect, GpuSim, MemOp, MemOpKind, Phase, SyncKind};
 use noc_sim::{Delivery, Fabric, SwitchLogic};
 use sim_core::profile::{prof_scope, Subsystem};
 use sim_core::{
@@ -32,6 +32,9 @@ struct TileEntry {
 }
 
 const _: () = assert!(std::mem::size_of::<Option<TileEntry>>() <= 40);
+// Every lowered TB holds a few phases; a shared `ops` list keeps each at
+// a fat pointer plus the `wait` flag.
+const _: () = assert!(std::mem::size_of::<Phase>() <= 24);
 
 /// TBs blocked on one tile, in arrival order. Most tiles have a single
 /// waiter, which is stored inline; only a second one allocates. The
@@ -226,7 +229,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             (0..cfg.n_gpus).map(|_| DenseMap::new()).collect();
         let mut ready_pending: DenseSet<TbId> = DenseSet::with_capacity(n_tbs);
         // Ascending TB order, so every gate's TB list is sorted.
-        let mut ready_deps: Vec<(&TbId, &Vec<TileId>)> = program.tb_ready_deps.iter().collect();
+        let mut ready_deps: Vec<(&TbId, &Arc<[TileId]>)> = program.tb_ready_deps.iter().collect();
         ready_deps.sort_by_key(|(tb, _)| **tb);
         let mut gates: Vec<ReadyGate> = Vec::new();
         let mut gate_of: HashMap<(GpuId, &[TileId]), u32, FastHash> = HashMap::default();
@@ -242,7 +245,9 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 ready_pending.insert(*tb);
                 continue;
             }
-            let gate = *gate_of.entry((gpu, dep_tiles)).or_insert_with(|| {
+            // Keyed by content, not by `Arc` identity: equal lists from
+            // separately built `Arc`s still share one gate.
+            let gate = *gate_of.entry((gpu, &dep_tiles[..])).or_insert_with(|| {
                 let id = gates.len() as u32;
                 gates.push(ReadyGate {
                     remaining: dep_tiles.len() as u32,
@@ -481,9 +486,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     }
 
     /// Builds the waits-for edge list attached to deadlock diagnostics:
-    /// which TB waits on which tile (and whether a fetch is outstanding),
-    /// which GPU/plane pairs have requests stuck behind throttle credits,
-    /// and which GPU/group pairs are blocked on pre-access sync.
+    /// which TB waits on which tile, either blocked in a slot (and whether
+    /// a fetch is outstanding) or held at a closed dispatch gate, which
+    /// GPU/plane pairs have requests stuck behind throttle credits, and
+    /// which GPU/group pairs are blocked on pre-access sync.
     fn waits_for_edges(&self) -> Vec<String> {
         const MAX_EDGES: usize = 16;
         let mut edges = Vec::new();
@@ -492,13 +498,24 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 if entry.present {
                     continue;
                 }
-                for &tb in entry.resume_waiters.as_slice() {
-                    let state = if entry.fetching {
-                        "fetch in flight"
-                    } else {
-                        "no fetch outstanding"
-                    };
-                    edges.push(format!("{tb} -> {tile}@g{gi} ({state})"));
+                let state = if entry.fetching {
+                    "fetch in flight"
+                } else {
+                    "no fetch outstanding"
+                };
+                let resumes = entry
+                    .resume_waiters
+                    .as_slice()
+                    .iter()
+                    .map(|tb| format!("{tb} -> {tile}@g{gi} ({state})"));
+                // A gate appears once per listing of the tile (adjacent,
+                // as the range is sorted); name its TBs once.
+                let gated = self.gate_index[entry.gates.start as usize..entry.gates.end as usize]
+                    .chunk_by(|a, b| a == b)
+                    .flat_map(|run| &self.gates[run[0] as usize].tbs)
+                    .map(|tb| format!("{tb} -> {tile}@g{gi} (dispatch gate)"));
+                for edge in resumes.chain(gated) {
+                    edges.push(edge);
                     if edges.len() >= MAX_EDGES {
                         break 'tiles;
                     }
@@ -748,21 +765,6 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                     },
                 );
             }
-            GpuEffect::NeedTiles { tb, tiles } => {
-                let mut missing = 0;
-                for tile in tiles {
-                    let entry = self.tile_entry(gpu, tile);
-                    if !entry.present {
-                        missing += 1;
-                        entry.resume_waiters.push(tb);
-                    }
-                }
-                if missing == 0 {
-                    self.gpus[gpu.index()].resume_tb(t, tb);
-                } else {
-                    *self.tb_blocked.get_or_default(tb) += missing;
-                }
-            }
             GpuEffect::TbCompleted { .. } => {}
             GpuEffect::KernelCompleted { kernel } => {
                 if let Some(span) = self.kernel_spans.get_mut(&kernel) {
@@ -786,11 +788,11 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         t: SimTime,
         gpu: GpuId,
         tb: TbId,
-        ops: Vec<MemOp>,
+        ops: Arc<[MemOp]>,
         blocking: bool,
     ) {
         let mut outstanding = 0usize;
-        for op in ops {
+        for &op in ops.iter() {
             let home = op.addr.home_gpu();
             match op.kind {
                 MemOpKind::RemoteLoad => {
@@ -1197,13 +1199,13 @@ mod tests {
             pre_launch_sync: false,
             phases: vec![
                 Phase::IssueMem {
-                    ops: vec![MemOp {
+                    ops: Arc::new([MemOp {
                         kind: MemOpKind::RemoteLoad,
                         addr,
                         bytes: 4096,
                         cais: false,
                         tile: None,
-                    }],
+                    }]),
                     wait: true,
                 },
                 Phase::Compute(SimDuration::from_us(1)),
@@ -1238,13 +1240,13 @@ mod tests {
             group: None,
             pre_launch_sync: false,
             phases: vec![Phase::IssueMem {
-                ops: vec![MemOp {
+                ops: Arc::new([MemOp {
                     kind: MemOpKind::RemoteLoad,
                     addr,
                     bytes: 4096,
                     cais: false,
                     tile: Some(tile),
-                }],
+                }]),
                 wait: true,
             }],
         };
@@ -1279,13 +1281,13 @@ mod tests {
                 phases: vec![
                     Phase::Compute(SimDuration::from_us(2)),
                     Phase::IssueMem {
-                        ops: vec![MemOp {
+                        ops: Arc::new([MemOp {
                             kind: MemOpKind::RemoteReduce,
                             addr,
                             bytes: 8192,
                             cais: false,
                             tile: Some(tile),
-                        }],
+                        }]),
                         wait: false,
                     },
                 ],
@@ -1314,7 +1316,7 @@ mod tests {
             desc,
             after: vec![],
         });
-        p.tb_ready_deps.insert(consumer_tb, vec![tile]);
+        p.tb_ready_deps.insert(consumer_tb, Arc::new([tile]));
         p.tile_expected.insert(tile, 3);
         let report = run(cfg, p);
         let span = report
@@ -1390,7 +1392,10 @@ mod tests {
                 order_key: 0,
                 group: None,
                 pre_launch_sync: false,
-                phases: vec![Phase::IssueMem { ops, wait: true }],
+                phases: vec![Phase::IssueMem {
+                    ops: ops.into(),
+                    wait: true,
+                }],
             };
             let mut p = Program::new();
             p.push(PlannedKernel {
@@ -1436,7 +1441,7 @@ mod tests {
             });
         }
         for (tb, tiles) in deps {
-            p.tb_ready_deps.insert(TbId(*tb), tiles.clone());
+            p.tb_ready_deps.insert(TbId(*tb), tiles[..].into());
         }
         p
     }
@@ -1501,22 +1506,24 @@ mod tests {
         assert_eq!(report.kernel_spans.len(), 1);
     }
 
-    /// A one-kernel program whose sole TB waits on a tile nobody produces.
+    /// A one-kernel program whose sole TB is gated on a tile nobody
+    /// produces, listed twice.
     fn deadlocking_program(ids: &mut IdAlloc) -> Program {
         let tile = ids.tile();
-        let tb = TbDesc {
-            id: ids.tb(),
-            order_key: 0,
-            group: None,
-            pre_launch_sync: false,
-            phases: vec![Phase::WaitTiles(vec![tile])],
-        };
+        let tb = ids.tb();
+        let mut desc = KernelDesc::new(
+            ids.kernel(),
+            "stuck",
+            vec![TbDesc::compute_only(tb, 0, SimDuration::from_us(1))],
+        );
+        desc.tbs_auto_ready = false;
         let mut p = Program::new();
         p.push(PlannedKernel {
             gpu: GpuId(0),
-            desc: KernelDesc::new(ids.kernel(), "stuck", vec![tb]),
+            desc,
             after: vec![],
         });
+        p.tb_ready_deps.insert(tb, Arc::new([tile, tile]));
         p
     }
 
@@ -1527,16 +1534,17 @@ mod tests {
         let p = deadlocking_program(&mut ids);
         let err = SystemSim::new(cfg, p, PureRouter)
             .run()
-            .expect_err("unsatisfiable tile wait must deadlock");
+            .expect_err("unsatisfiable tile gate must deadlock");
         match &err {
             SimError::Deadlock(d) => {
                 assert_eq!(d.kernels_remaining, 1);
-                assert_eq!(d.engine_blocked_tbs, 1);
+                // Held at its dispatch gate, not blocked in a slot.
+                assert_eq!(d.engine_blocked_tbs, 0);
                 assert!(d.kernels.iter().any(|k| k.contains("stuck")));
-                assert!(
-                    d.waits_for.iter().any(|e| e.starts_with("tb0 -> tile0@g0")),
-                    "waits-for edges must name the stuck TB: {:?}",
-                    d.waits_for
+                assert_eq!(
+                    d.waits_for,
+                    vec!["tb0 -> tile0@g0 (dispatch gate)".to_string()],
+                    "waits-for edges must name the gated TB, once"
                 );
             }
             other => panic!("expected Deadlock, got {other:?}"),
@@ -1587,13 +1595,13 @@ mod tests {
             group: None,
             pre_launch_sync: false,
             phases: vec![Phase::IssueMem {
-                ops: vec![MemOp {
+                ops: Arc::new([MemOp {
                     kind: MemOpKind::RemoteLoad,
                     addr,
                     bytes: 4096,
                     cais: false,
                     tile: None,
-                }],
+                }]),
                 wait: true,
             }],
         };
@@ -1637,7 +1645,10 @@ mod tests {
             order_key: 0,
             group: None,
             pre_launch_sync: false,
-            phases: vec![Phase::IssueMem { ops, wait: true }],
+            phases: vec![Phase::IssueMem {
+                ops: ops.into(),
+                wait: true,
+            }],
         };
         let mut p = Program::new();
         p.push(PlannedKernel {
@@ -1664,13 +1675,13 @@ mod tests {
                 pre_launch_sync: false,
                 phases: vec![
                     Phase::IssueMem {
-                        ops: vec![MemOp {
+                        ops: Arc::new([MemOp {
                             kind: MemOpKind::RemoteLoad,
                             addr,
                             bytes: 4096,
                             cais: false,
                             tile: None,
-                        }],
+                        }]),
                         wait: true,
                     },
                     Phase::Compute(SimDuration::from_us(1)),
@@ -1742,13 +1753,13 @@ mod tests {
             group: None,
             pre_launch_sync: false,
             phases: vec![Phase::IssueMem {
-                ops: vec![MemOp {
+                ops: Arc::new([MemOp {
                     kind: MemOpKind::RemoteWrite,
                     addr,
                     bytes: 1 << 20,
                     cais: false,
                     tile: Some(tile),
-                }],
+                }]),
                 wait: false,
             }],
         };
@@ -1774,7 +1785,7 @@ mod tests {
             desc,
             after: vec![],
         });
-        p.tb_ready_deps.insert(consumer_tb, vec![tile]);
+        p.tb_ready_deps.insert(consumer_tb, Arc::new([tile]));
         let report = run(cfg, p);
         let span = report
             .kernel_spans

@@ -17,8 +17,8 @@ pub enum GpuEffect {
     MemIssued {
         /// Issuing TB.
         tb: TbId,
-        /// The operations.
-        ops: Vec<MemOp>,
+        /// The operations: the phase's shared list, not a copy.
+        ops: Arc<[MemOp]>,
         /// Whether the TB blocked on completion.
         blocking: bool,
     },
@@ -37,14 +37,6 @@ pub enum GpuEffect {
         group: GroupId,
         /// Synchronization point.
         kind: SyncKind,
-    },
-    /// A TB is blocked until all `tiles` are present on this GPU; the
-    /// engine resumes it (immediately if they already are).
-    NeedTiles {
-        /// Blocked TB.
-        tb: TbId,
-        /// Tiles required.
-        tiles: Vec<TileId>,
     },
     /// A TB finished all phases.
     TbCompleted {
@@ -248,8 +240,7 @@ impl GpuSim {
         }
     }
 
-    /// Resumes a TB blocked on memory completion, pre-access sync or tile
-    /// availability.
+    /// Resumes a TB blocked on memory completion or pre-access sync.
     ///
     /// # Panics
     ///
@@ -494,21 +485,9 @@ impl GpuSim {
                 self.complete_tb(now, tb);
                 return;
             }
-            // End the borrow by lifting the phase out. Every phase runs
-            // exactly once (blocked/yielded TBs resume at the *next*
-            // phase index), so the heap payloads (`ops`, `tiles`) can be
-            // moved instead of deep-cloned on every step.
-            let phase = match &mut rt.desc.phases[phase_idx] {
-                Phase::Compute(d) => Phase::Compute(*d),
-                Phase::IssueMem { ops, wait } => Phase::IssueMem {
-                    ops: std::mem::take(ops),
-                    wait: *wait,
-                },
-                Phase::SyncGroup(kind) => Phase::SyncGroup(*kind),
-                Phase::SignalTile(tile) => Phase::SignalTile(*tile),
-                Phase::WaitTiles(tiles) => Phase::WaitTiles(std::mem::take(tiles)),
-            };
-            match phase {
+            // End the borrow by cloning the phase out: `ops` is a shared
+            // list, so the clone is a reference-count increment.
+            match rt.desc.phases[phase_idx].clone() {
                 Phase::Compute(d) => {
                     let d = if self.cfg.compute_scale == 1.0 {
                         d
@@ -555,11 +534,6 @@ impl GpuSim {
                         phase: phase_idx + 1,
                     };
                     self.effects.push((now, GpuEffect::TileReady { tile }));
-                }
-                Phase::WaitTiles(tiles) => {
-                    rt.state = TbState::Blocked { phase: phase_idx };
-                    self.effects.push((now, GpuEffect::NeedTiles { tb, tiles }));
-                    return;
                 }
             }
         }
@@ -635,8 +609,12 @@ mod tests {
     #[test]
     fn completed_tbs_leave_no_state() {
         let mut gpu = GpuSim::new(quiet_cfg(), 1);
+        // TB 0 blocks on a memory phase the engine never completes here.
         let blocker = TbDesc {
-            phases: vec![Phase::WaitTiles(vec![TileId(9)])],
+            phases: vec![Phase::IssueMem {
+                ops: Arc::from([]),
+                wait: true,
+            }],
             ..compute_tb(0, 1)
         };
         let tbs = vec![blocker, compute_tb(1, 10), compute_tb(2, 10)];
@@ -695,7 +673,7 @@ mod tests {
             pre_launch_sync: false,
             phases: vec![
                 Phase::IssueMem {
-                    ops: vec![],
+                    ops: Arc::from([]),
                     wait: true,
                 },
                 Phase::Compute(SimDuration::from_us(1)),
@@ -862,20 +840,15 @@ mod tests {
                 Phase::SignalTile(TileId(5)),
             ],
         };
-        let consumer = TbDesc {
-            id: TbId(1),
-            order_key: 1,
-            group: None,
-            pre_launch_sync: false,
-            phases: vec![
-                Phase::WaitTiles(vec![TileId(5)]),
-                Phase::Compute(SimDuration::from_us(1)),
-            ],
-        };
         gpu.launch_kernel(
             SimTime::ZERO,
-            KernelDesc::new(KernelId(0), "k", vec![producer, consumer]),
+            KernelDesc::new(KernelId(0), "producer", vec![producer]),
         );
+        // The consumer waits on the tile through its dispatch gate: a
+        // dependency-gated kernel the engine releases when the tile lands.
+        let mut consumer = KernelDesc::new(KernelId(1), "consumer", vec![compute_tb(1, 1)]);
+        consumer.tbs_auto_ready = false;
+        gpu.launch_kernel(SimTime::ZERO, consumer);
         while let Some(t) = gpu.next_time() {
             gpu.advance(t);
         }
@@ -886,15 +859,17 @@ mod tests {
             .map(|(t, _)| *t)
             .expect("tile signaled");
         assert_eq!(tile_ready_at, SimTime::from_us(4));
-        assert!(effects
-            .iter()
-            .any(|(_, e)| matches!(e, GpuEffect::NeedTiles { tb, .. } if *tb == TbId(1))));
-        // Engine would resume the consumer now.
-        gpu.resume_tb(tile_ready_at, TbId(1));
+        assert_eq!(gpu.stuck_tbs(), vec![TbId(1)], "consumer waits at its gate");
+        // Engine would open the consumer's gate now.
+        gpu.make_tb_ready(tile_ready_at, TbId(1));
         let effects = run_all(&mut gpu);
-        assert!(effects
+        let done = effects
             .iter()
-            .any(|(_, e)| matches!(e, GpuEffect::KernelCompleted { .. })));
+            .find(|(_, e)| matches!(e, GpuEffect::KernelCompleted { kernel } if *kernel == KernelId(1)))
+            .map(|(t, _)| *t)
+            .expect("consumer kernel completes");
+        assert_eq!(done, tile_ready_at + SimDuration::from_us(1));
+        assert!(gpu.is_idle());
     }
 
     #[test]

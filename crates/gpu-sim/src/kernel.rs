@@ -1,6 +1,7 @@
 //! Kernel and thread-block descriptors.
 
 use sim_core::{Addr, GroupId, KernelId, SimDuration, Symbol, TbId, TileId};
+use std::sync::Arc;
 
 /// The kind of a remote memory operation issued by a TB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,7 +26,7 @@ pub enum MemOpKind {
 }
 
 /// One remote memory operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct MemOp {
     /// Operation kind.
     pub kind: MemOpKind,
@@ -60,8 +61,10 @@ pub enum Phase {
     /// engine reports completion (loads returning data / acked writes);
     /// otherwise it proceeds immediately (fire-and-forget reductions).
     IssueMem {
-        /// The operations to issue.
-        ops: Vec<MemOp>,
+        /// The operations to issue. Shared: the TBs of one coordinated
+        /// row issue identical (GPU-invariant) operations, so a lowering
+        /// builds the list once and hands every GPU's TB a reference.
+        ops: Arc<[MemOp]>,
         /// Whether the TB blocks until the engine resumes it.
         wait: bool,
     },
@@ -69,8 +72,6 @@ pub enum Phase {
     SyncGroup(SyncKind),
     /// Publish a locally produced tile (fine-grained producer signal).
     SignalTile(TileId),
-    /// Block until all listed tiles are present on this GPU.
-    WaitTiles(Vec<TileId>),
 }
 
 /// A thread block.
@@ -184,13 +185,13 @@ mod tests {
             phases: vec![
                 Phase::Compute(SimDuration::from_us(2)),
                 Phase::IssueMem {
-                    ops: vec![MemOp {
+                    ops: Arc::new([MemOp {
                         kind: MemOpKind::RemoteLoad,
                         addr: Addr::new(GpuId(1), 0),
                         bytes: 4096,
                         cais: true,
                         tile: None,
-                    }],
+                    }]),
                     wait: true,
                 },
                 Phase::Compute(SimDuration::from_us(3)),

@@ -5,7 +5,8 @@
 //! arithmetic they perform. A GPU is an array of SMs with a bounded number
 //! of resident TB slots; kernels are grids of [`TbDesc`]s, each an explicit
 //! sequence of [`Phase`]s (compute intervals, memory-request issues,
-//! TB-group synchronizations, tile signals/waits).
+//! TB-group synchronizations, tile signals). Tile *waits* are dispatch
+//! gates the engine resolves before a TB becomes ready.
 //!
 //! Everything the paper's mechanisms key on is first-class here:
 //!

@@ -9,6 +9,7 @@ use crate::ring::{global_chunks, CollOutput, InputTiles};
 use cais_engine::{IdAlloc, PlannedKernel, Program, SystemConfig};
 use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
 use sim_core::{GpuId, KernelId, SimDuration, TileId};
+use std::sync::Arc;
 
 fn deps_for(input: Option<&InputTiles>, gpu: usize, gidx: usize) -> Vec<TileId> {
     input
@@ -79,22 +80,24 @@ pub fn nvls_all_gather(
             phases: vec![
                 Phase::Compute(SimDuration::from_ns(200)),
                 Phase::IssueMem {
-                    ops: vec![MemOp {
+                    ops: Arc::new([MemOp {
                         kind: MemOpKind::MulticastStore,
                         addr,
                         bytes: len,
                         cais: false,
                         tile: Some(tile),
-                    }],
+                    }]),
                     wait: false,
                 },
                 Phase::SignalTile(tile),
             ],
         });
         order[o] += 1;
-        prog.tb_ready_deps.insert(id, deps_for(input, o, gidx));
+        prog.tb_ready_deps
+            .insert(id, deps_for(input, o, gidx).into());
         // Waiter TBs on every other GPU so kernel completion means the
         // gathered data arrived there.
+        let arrived: Arc<[TileId]> = Arc::new([tile]);
         for (g, ord) in order.iter_mut().enumerate() {
             if g != o {
                 let wid = ids.tb();
@@ -106,7 +109,7 @@ pub fn nvls_all_gather(
                     phases: vec![Phase::Compute(SimDuration::from_ns(100))],
                 });
                 *ord += 1;
-                prog.tb_ready_deps.insert(wid, vec![tile]);
+                prog.tb_ready_deps.insert(wid, Arc::clone(&arrived));
             }
         }
     }
@@ -158,20 +161,21 @@ pub fn nvls_reduce_scatter(
                 // Pull the reduced remote partials, then fold in the local
                 // partial.
                 Phase::IssueMem {
-                    ops: vec![MemOp {
+                    ops: Arc::new([MemOp {
                         kind: MemOpKind::LoadReduce,
                         addr,
                         bytes: len,
                         cais: false,
                         tile: Some(tile),
-                    }],
+                    }]),
                     wait: true,
                 },
                 Phase::Compute(SimDuration::from_ns(400)),
             ],
         });
         order[g] += 1;
-        prog.tb_ready_deps.insert(id, deps_for(input, g, gidx));
+        prog.tb_ready_deps
+            .insert(id, deps_for(input, g, gidx).into());
     }
     let kernel_ids = finish_kernels(prog, ids, name, after, tbs);
     CollOutput {
@@ -218,6 +222,15 @@ pub fn nvls_all_reduce(
         chunk_arrivals.push(vec![Some(tile); p]);
         // A multimem address: contributions from all GPUs converge on it.
         let addr = ids.addr(GpuId((gidx % p) as u16), len);
+        // Every GPU pushes to the same address and waits on the same tile.
+        let push: Arc<[MemOp]> = Arc::new([MemOp {
+            kind: MemOpKind::RemoteReduce,
+            addr,
+            bytes: len,
+            cais: false,
+            tile: Some(tile),
+        }]);
+        let reduced: Arc<[TileId]> = Arc::new([tile]);
         for g in 0..p {
             // Push TB: contribute the local partial (fire-and-forget).
             let id = ids.tb();
@@ -229,19 +242,14 @@ pub fn nvls_all_reduce(
                 phases: vec![
                     Phase::Compute(SimDuration::from_ns(200)),
                     Phase::IssueMem {
-                        ops: vec![MemOp {
-                            kind: MemOpKind::RemoteReduce,
-                            addr,
-                            bytes: len,
-                            cais: false,
-                            tile: Some(tile),
-                        }],
+                        ops: Arc::clone(&push),
                         wait: false,
                     },
                 ],
             });
             order[g] += 1;
-            prog.tb_ready_deps.insert(id, deps_for(input, g, gidx));
+            prog.tb_ready_deps
+                .insert(id, deps_for(input, g, gidx).into());
             // Waiter TB: the reduced result has landed on this GPU.
             let wid = ids.tb();
             tbs[g].push(TbDesc {
@@ -252,7 +260,7 @@ pub fn nvls_all_reduce(
                 phases: vec![Phase::Compute(SimDuration::from_ns(100))],
             });
             order[g] += 1;
-            prog.tb_ready_deps.insert(wid, vec![tile]);
+            prog.tb_ready_deps.insert(wid, Arc::clone(&reduced));
         }
     }
     let kernel_ids = finish_kernels(prog, ids, name, after, tbs);

@@ -8,6 +8,7 @@
 use cais_engine::{IdAlloc, PlannedKernel, Program, SystemConfig};
 use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
 use sim_core::{GpuId, KernelId, SimDuration, TileId};
+use std::sync::Arc;
 
 /// Chunk-level input gating: `input[gpu][global_chunk]` lists the tiles
 /// that must be present on `gpu` before it contributes that chunk.
@@ -95,7 +96,7 @@ impl KernelBuilder {
             pre_launch_sync: false,
             phases,
         });
-        prog.tb_ready_deps.insert(id, deps);
+        prog.tb_ready_deps.insert(id, deps.into());
     }
 
     fn finish(
@@ -170,13 +171,13 @@ pub fn ring_all_gather(
                 vec![
                     Phase::Compute(copy_time(cost, len)),
                     Phase::IssueMem {
-                        ops: vec![MemOp {
+                        ops: Arc::new([MemOp {
                             kind: MemOpKind::RemoteWrite,
                             addr,
                             bytes: len,
                             cais: false,
                             tile: arrival[receiver],
-                        }],
+                        }]),
                         wait: false,
                     },
                 ],
@@ -249,13 +250,13 @@ pub fn ring_reduce_scatter(
                 vec![
                     Phase::Compute(add_time(cost, len)),
                     Phase::IssueMem {
-                        ops: vec![MemOp {
+                        ops: Arc::new([MemOp {
                             kind: MemOpKind::RemoteWrite,
                             addr,
                             bytes: len,
                             cais: false,
                             tile: Some(arr),
-                        }],
+                        }]),
                         wait: false,
                     },
                 ],

@@ -8,6 +8,7 @@ use cais::engine::{IdAlloc, Program, SimError, SystemConfig, SystemSim};
 use cais::gpu_sim::{KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
 use cais::noc_sim::PureRouter;
 use cais::sim_core::{AuditPhase, GpuId, SimDuration};
+use std::sync::Arc;
 
 fn quiet_cfg(n_gpus: usize) -> SystemConfig {
     let mut cfg = SystemConfig::dgx_h100();
@@ -30,13 +31,13 @@ fn loader_program(ids: &mut IdAlloc, cais: bool) -> Program {
         group: None,
         pre_launch_sync: false,
         phases: vec![Phase::IssueMem {
-            ops: vec![MemOp {
+            ops: Arc::new([MemOp {
                 kind: MemOpKind::RemoteLoad,
                 addr,
                 bytes: 4096,
                 cais,
                 tile: None,
-            }],
+            }]),
             wait: true,
         }],
     };
