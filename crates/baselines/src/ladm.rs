@@ -11,38 +11,36 @@
 //!   tensor in local HBM and the working set exceeds the L2, operand
 //!   rows are re-fetched across output-column waves. LADM's
 //!   locality-aware placement recovers part of that reuse — modeled by a
-//!   configurable hit rate on re-reads — but the remaining redundant
+//!   fixed hit rate on re-reads — but the remaining redundant
 //!   remote traffic dominates, which is why the paper reports it ~7.6x
 //!   behind CAIS;
 //! * operators stay strictly barriered.
 
 use cais_engine::{
-    lower::GemmLowering, ExecReport, IdAlloc, PlannedKernel, Program, SimError, Strategy,
-    SystemConfig, SystemSim,
+    lower::GemmLowering, ExecReport, IdAlloc, KernelBuilder, KernelSpec, Program, SimError,
+    Strategy, SystemConfig, SystemSim,
 };
-use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
+use gpu_sim::{KernelCost, MemOp, MemOpKind, Phase};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
 use noc_sim::PureRouter;
-use sim_core::{GpuId, KernelId, TileId};
+use sim_core::{GpuId, KernelId, SimDuration};
 use std::sync::Arc;
+
+/// Fraction of redundant re-reads LADM's placement turns into local
+/// hits. LADM's locality-centric placement targets *intra*-GPU reuse; for
+/// inter-GPU gathered operands that exceed the L2, most column-wave
+/// re-reads still go remote (this is why the paper places LADM ~7.6x
+/// behind CAIS).
+const LOCALITY_HIT_RATE: f64 = 0.25;
 
 /// The LADM baseline strategy.
 #[derive(Debug)]
-pub struct LadmStrategy {
-    /// Fraction of re-reads LADM's placement turns into local hits.
-    pub locality_hit_rate: f64,
-}
+pub struct LadmStrategy;
 
 impl LadmStrategy {
-    /// Default configuration: 25% of redundant re-reads captured locally.
-    /// LADM's locality-centric placement targets *intra*-GPU reuse; for
-    /// inter-GPU gathered operands that exceed the L2, most column-wave
-    /// re-reads still go remote (this is why the paper places LADM ~7.6x
-    /// behind CAIS).
+    /// The LADM baseline.
     pub fn new() -> LadmStrategy {
-        LadmStrategy {
-            locality_hit_rate: 0.25,
-        }
+        LadmStrategy
     }
 }
 
@@ -99,15 +97,14 @@ impl Strategy for LadmStrategy {
     }
 }
 
-impl LadmStrategy {
-    /// Effective redundancy multiplier for gathers feeding a GEMM with
-    /// `n_col_tiles` output column bands: each band wave re-reads the
-    /// gathered rows, and only `locality_hit_rate` of re-reads hit
-    /// locally.
-    fn redundancy(&self, n_col_tiles: u64) -> f64 {
-        1.0 + (n_col_tiles.saturating_sub(1) as f64) * (1.0 - self.locality_hit_rate)
-    }
+/// Effective redundancy multiplier for gathers feeding a GEMM with
+/// `n_col_tiles` output column bands: each band wave re-reads the
+/// gathered rows, and only `hit_rate` of re-reads hit locally.
+fn redundancy(n_col_tiles: u64, hit_rate: f64) -> f64 {
+    1.0 + (n_col_tiles.saturating_sub(1) as f64) * (1.0 - hit_rate)
+}
 
+impl LadmStrategy {
     fn lower_collective(
         &self,
         ctx: &mut Ctx,
@@ -133,124 +130,79 @@ impl LadmStrategy {
             })
             .unwrap_or(1);
 
-        let mut per_gpu_tbs: Vec<Vec<TbDesc>> = (0..ctx.cfg.n_gpus).map(|_| Vec::new()).collect();
-        let order = std::cell::Cell::new(0u64);
-        let add_reduce = |ctx: &mut Ctx, per_gpu_tbs: &mut Vec<Vec<TbDesc>>| {
+        let mut kb = KernelBuilder::new(ctx.cfg.n_gpus);
+        // Order key of the next step: corresponding steps share a key on
+        // every GPU.
+        let mut order = 0u64;
+        if matches!(kind, CollKind::ReduceScatter | CollKind::AllReduce) {
             // Direct partial writes: every GPU pushes each shard's chunk
             // to its owner; the owner's ingress link is the hotspot.
-            for s in 0..p {
+            for s in 0..ctx.cfg.n_gpus {
                 let owner = GpuId(s as u16);
                 for (_off, len) in cais_engine::lower::chunk_ranges(shard_bytes, chunk) {
                     let addr = ctx.ids.addr(owner, len);
                     let tile = ctx.ids.tile();
                     ctx.prog.tile_expected.insert(tile, p as u32);
-                    for (g, gpu_tbs) in per_gpu_tbs.iter_mut().enumerate() {
-                        let op = if g == owner.index() {
-                            MemOp {
-                                kind: MemOpKind::RemoteReduce,
-                                addr,
-                                bytes: len,
-                                cais: true, // local accumulate
-                                tile: Some(tile),
-                            }
-                        } else {
-                            MemOp {
-                                kind: MemOpKind::RemoteWrite,
-                                addr,
-                                bytes: len,
-                                cais: false,
-                                tile: Some(tile),
-                            }
+                    for g in 0..ctx.cfg.n_gpus {
+                        let local = g == s;
+                        let op = MemOp {
+                            // The owner accumulates locally (`cais`
+                            // gives local-accumulate semantics).
+                            kind: if local {
+                                MemOpKind::RemoteReduce
+                            } else {
+                                MemOpKind::RemoteWrite
+                            },
+                            addr,
+                            bytes: len,
+                            cais: local,
+                            tile: Some(tile),
                         };
-                        gpu_tbs.push(TbDesc {
-                            id: ctx.ids.tb(),
-                            order_key: order.get(),
-                            group: None,
-                            pre_launch_sync: false,
-                            phases: vec![
-                                Phase::Compute(sim_core::SimDuration::from_ns(200)),
-                                Phase::IssueMem {
-                                    ops: Arc::new([op]),
-                                    wait: false,
-                                },
-                            ],
-                        });
+                        let phases = vec![
+                            Phase::Compute(SimDuration::from_ns(200)),
+                            Phase::IssueMem {
+                                ops: Arc::new([op]),
+                                wait: false,
+                            },
+                        ];
+                        kb.push(&mut ctx.ids, g, order, phases);
                     }
                     // Owner-side waiter.
-                    let wid = ctx.ids.tb();
-                    per_gpu_tbs[owner.index()].push(TbDesc {
-                        id: wid,
-                        order_key: order.get() + 1,
-                        group: None,
-                        pre_launch_sync: false,
-                        phases: vec![Phase::Compute(sim_core::SimDuration::from_ns(100))],
-                    });
-                    ctx.prog.tb_ready_deps.insert(wid, Arc::new([tile]));
-                    order.set(order.get() + 2);
+                    let wait = vec![Phase::Compute(SimDuration::from_ns(100))];
+                    kb.push_gated(&mut ctx.ids, s, order + 1, wait, Arc::new([tile]));
+                    order += 2;
                 }
             }
-        };
-        let add_gather = |ctx: &mut Ctx, per_gpu_tbs: &mut Vec<Vec<TbDesc>>| {
-            // On-demand redundant remote reads of every foreign shard.
-            let redundancy = self.redundancy(consumer_cols);
-            for s in 0..p {
+        }
+        if matches!(kind, CollKind::AllGather | CollKind::AllReduce) {
+            // On-demand redundant remote reads of every foreign shard; no
+            // reuse capture, so the loads materialize no tile.
+            let total = (shard_bytes as f64 * redundancy(consumer_cols, LOCALITY_HIT_RATE)) as u64;
+            for s in 0..ctx.cfg.n_gpus {
                 let owner = GpuId(s as u16);
-                let total = (shard_bytes as f64 * redundancy) as u64;
                 for (_off, len) in cais_engine::lower::chunk_ranges(total, chunk) {
                     let addr = ctx.ids.addr(owner, len);
-                    for (g, gpu_tbs) in per_gpu_tbs.iter_mut().enumerate() {
-                        if g == owner.index() {
-                            continue;
-                        }
-                        let tile: Option<TileId> = None; // no reuse capture
-                        gpu_tbs.push(TbDesc {
-                            id: ctx.ids.tb(),
-                            order_key: order.get(),
-                            group: None,
-                            pre_launch_sync: false,
-                            phases: vec![Phase::IssueMem {
-                                ops: Arc::new([MemOp {
-                                    kind: MemOpKind::RemoteLoad,
-                                    addr,
-                                    bytes: len,
-                                    cais: false,
-                                    tile,
-                                }]),
-                                wait: true,
-                            }],
-                        });
+                    for g in (0..ctx.cfg.n_gpus).filter(|&g| g != s) {
+                        let load = MemOp {
+                            kind: MemOpKind::RemoteLoad,
+                            addr,
+                            bytes: len,
+                            cais: false,
+                            tile: None,
+                        };
+                        let phases = vec![Phase::IssueMem {
+                            ops: Arc::new([load]),
+                            wait: true,
+                        }];
+                        kb.push(&mut ctx.ids, g, order, phases);
                     }
-                    order.set(order.get() + 1);
+                    order += 1;
                 }
             }
-        };
-
-        match kind {
-            CollKind::ReduceScatter => add_reduce(ctx, &mut per_gpu_tbs),
-            CollKind::AllGather => add_gather(ctx, &mut per_gpu_tbs),
-            CollKind::AllReduce => {
-                add_reduce(ctx, &mut per_gpu_tbs);
-                add_gather(ctx, &mut per_gpu_tbs);
-            }
         }
-
-        let mut kids = Vec::with_capacity(ctx.cfg.n_gpus);
-        let after = ctx.prev.clone();
-        for (g, tbs) in per_gpu_tbs.into_iter().enumerate() {
-            for tb in &tbs {
-                ctx.prog.tb_ready_deps.entry(tb.id).or_default();
-            }
-            let kid = ctx.ids.kernel();
-            let mut desc = KernelDesc::new(kid, format!("ladm.{name}"), tbs);
-            desc.tbs_auto_ready = false;
-            ctx.prog.push(PlannedKernel {
-                gpu: GpuId(g as u16),
-                desc,
-                after: after.clone(),
-            });
-            kids.push(kid);
-        }
-        ctx.prev = kids;
+        ctx.prev = kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
+            KernelSpec::new(format!("ladm.{name}"), ctx.prev.clone()).gated()
+        });
     }
 }
 
@@ -298,10 +250,7 @@ mod tests {
 
     #[test]
     fn redundancy_model() {
-        let s = LadmStrategy {
-            locality_hit_rate: 0.5,
-        };
-        assert!((s.redundancy(1) - 1.0).abs() < 1e-12);
-        assert!((s.redundancy(11) - 6.0).abs() < 1e-12);
+        assert!((redundancy(1, 0.5) - 1.0).abs() < 1e-12);
+        assert!((redundancy(11, 0.5) - 6.0).abs() < 1e-12);
     }
 }

@@ -1,8 +1,8 @@
 //! Shared producer/consumer lowering helpers for the baselines.
 
-use cais_engine::{lower::GemmLowering, IdAlloc, PlannedKernel, Program};
-use gpu_sim::{KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
-use sim_core::{Addr, GpuId, KernelId, SimDuration, TileId};
+use cais_engine::{lower::GemmLowering, IdAlloc, KernelBuilder, KernelSpec, Program};
+use gpu_sim::Phase;
+use sim_core::{KernelId, SimDuration, TileId};
 use std::sync::Arc;
 
 /// A GEMM kernel lowered with per-output-tile completion signals, so
@@ -16,8 +16,6 @@ pub struct TiledGemm {
     pub kernel_ids: Vec<KernelId>,
     /// Output tile signals `[m_band][n_band]`.
     pub tiles: Vec<Vec<TileId>>,
-    /// Band geometry: `(m_tiles, n_tiles)`.
-    pub grid: (u64, u64),
 }
 
 /// Options for [`lower_tiled_gemm`].
@@ -34,11 +32,6 @@ pub struct TiledGemmOpts<'a> {
     pub after: Vec<KernelId>,
     /// Skip launch overhead (FuseLib-style megakernel member).
     pub fused_launch: bool,
-    /// Per-tile epilogue: given `(mi, ni, owner-of-band)` returns extra
-    /// memory ops the TB issues after computing (T3's track-&-trigger
-    /// stores; `None` for plain producers).
-    #[allow(clippy::type_complexity)]
-    pub epilogue: Option<Box<dyn Fn(u64, u64, usize) -> Vec<MemOp> + 'a>>,
 }
 
 /// Lowers a GEMM into one kernel per GPU with tile signals.
@@ -52,55 +45,28 @@ pub fn lower_tiled_gemm(
     let tile = low.tiling.tile;
     let n_mb = opts.m.div_ceil(tile);
     let n_nb = opts.n.div_ceil(tile);
-    let mut tiles = Vec::with_capacity(n_mb as usize);
-    for _ in 0..n_mb {
-        let row: Vec<TileId> = (0..n_nb).map(|_| ids.tile()).collect();
-        tiles.push(row);
-    }
-    let mut kernel_ids = Vec::with_capacity(n_gpus);
+    let tiles: Vec<Vec<TileId>> = (0..n_mb)
+        .map(|_| (0..n_nb).map(|_| ids.tile()).collect())
+        .collect();
+    let mut kb = KernelBuilder::new(n_gpus);
     for g in 0..n_gpus {
-        let mut tbs = Vec::with_capacity((n_mb * n_nb) as usize);
         for mi in 0..n_mb {
             let m_len = tile.min(opts.m - mi * tile);
             for ni in 0..n_nb {
                 let n_len = tile.min(opts.n - ni * tile);
-                let mut phases = vec![
+                let phases = vec![
                     Phase::Compute(low.gemm_tb_time(m_len, n_len, opts.k)),
                     Phase::SignalTile(tiles[mi as usize][ni as usize]),
                 ];
-                if let Some(ep) = &opts.epilogue {
-                    let ops = ep(mi, ni, g);
-                    if !ops.is_empty() {
-                        phases.push(Phase::IssueMem {
-                            ops: ops.into(),
-                            wait: false,
-                        });
-                    }
-                }
-                tbs.push(TbDesc {
-                    id: ids.tb(),
-                    order_key: mi * n_nb + ni,
-                    group: None,
-                    pre_launch_sync: false,
-                    phases,
-                });
+                kb.push(ids, g, mi * n_nb + ni, phases);
             }
         }
-        let kid = ids.kernel();
-        let mut desc = KernelDesc::new(kid, opts.name.to_string(), tbs);
-        desc.fused_launch = opts.fused_launch;
-        prog.push(PlannedKernel {
-            gpu: GpuId(g as u16),
-            desc,
-            after: opts.after.clone(),
-        });
-        kernel_ids.push(kid);
     }
-    TiledGemm {
-        kernel_ids,
-        tiles,
-        grid: (n_mb, n_nb),
-    }
+    let kernel_ids = kb.finish(prog, ids, |_| KernelSpec {
+        fused_launch: opts.fused_launch,
+        ..KernelSpec::new(opts.name, opts.after.clone())
+    });
+    TiledGemm { kernel_ids, tiles }
 }
 
 /// Maps a collective chunk (`shard`, byte offset, byte len over a
@@ -169,9 +135,8 @@ pub fn lower_gated_gemm(
     let tile = low.tiling.tile;
     let n_mb = m.div_ceil(tile);
     let n_nb = n.div_ceil(tile);
-    let mut kernel_ids = Vec::with_capacity(n_gpus);
+    let mut kb = KernelBuilder::new(n_gpus);
     for g in 0..n_gpus {
-        let mut tbs = Vec::with_capacity((n_mb * n_nb) as usize);
         for mi in 0..n_mb {
             let m_len = tile.min(m - mi * tile);
             // Every TB of the band waits on the same tiles.
@@ -179,66 +144,19 @@ pub fn lower_gated_gemm(
                 (!gates.is_empty()).then(|| gates[g][mi as usize][..].into());
             for ni in 0..n_nb {
                 let n_len = tile.min(n - ni * tile);
-                let id = ids.tb();
-                tbs.push(TbDesc {
-                    id,
-                    order_key: mi * n_nb + ni,
-                    group: None,
-                    pre_launch_sync: false,
-                    phases: vec![Phase::Compute(low.gemm_tb_time(m_len, n_len, k))],
-                });
-                if let Some(gate) = &band_gate {
-                    prog.tb_ready_deps.insert(id, Arc::clone(gate));
+                let phases = vec![Phase::Compute(low.gemm_tb_time(m_len, n_len, k))];
+                let key = mi * n_nb + ni;
+                match &band_gate {
+                    Some(gate) => kb.push_gated(ids, g, key, phases, Arc::clone(gate)),
+                    None => kb.push(ids, g, key, phases),
                 }
             }
         }
-        let kid = ids.kernel();
-        let mut desc = KernelDesc::new(kid, name.to_string(), tbs);
-        desc.tbs_auto_ready = gates.is_empty();
-        prog.push(PlannedKernel {
-            gpu: GpuId(g as u16),
-            desc,
-            after: after.clone(),
-        });
-        kernel_ids.push(kid);
     }
-    kernel_ids
-}
-
-/// Convenience: a direct reduction epilogue for T3-style track & trigger.
-/// Each output tile is pushed to its row-shard owner: remote GPUs write
-/// a counted contribution, the owner accumulates locally.
-#[allow(clippy::too_many_arguments)]
-pub fn t3_epilogue(
-    addrs: Vec<Vec<Addr>>,
-    red_tiles: Vec<Vec<TileId>>,
-    tile_bytes: u64,
-    n_mb: u64,
-    p: u64,
-) -> impl Fn(u64, u64, usize) -> Vec<MemOp> {
-    move |mi, ni, g| {
-        let owner = ((mi * p) / n_mb) as usize;
-        let addr = addrs[mi as usize][ni as usize];
-        let rtile = red_tiles[mi as usize][ni as usize];
-        if g == owner {
-            // Local accumulate (no fabric traffic).
-            vec![MemOp {
-                kind: MemOpKind::RemoteReduce,
-                addr,
-                bytes: tile_bytes,
-                cais: true, // local-accumulate semantics in the engine
-                tile: Some(rtile),
-            }]
-        } else {
-            vec![MemOp {
-                kind: MemOpKind::RemoteWrite,
-                addr,
-                bytes: tile_bytes,
-                cais: false,
-                tile: Some(rtile),
-            }]
-        }
-    }
+    kb.finish(prog, ids, |_| KernelSpec {
+        tbs_auto_ready: gates.is_empty(),
+        ..KernelSpec::new(name, after.clone())
+    })
 }
 
 /// Small waiter kernel per GPU gated on `gates[g]` — gives barriered
@@ -247,34 +165,20 @@ pub fn t3_epilogue(
 pub fn waiter_kernels(
     prog: &mut Program,
     ids: &mut IdAlloc,
-    n_gpus: usize,
     name: &str,
     gates: &[Vec<TileId>],
     after: Vec<KernelId>,
 ) -> Vec<KernelId> {
-    let mut out = Vec::with_capacity(n_gpus);
-    for (g, gate) in gates.iter().enumerate().take(n_gpus) {
-        let id = ids.tb();
-        let tb = TbDesc {
-            id,
-            order_key: 0,
-            group: None,
-            pre_launch_sync: false,
-            phases: vec![Phase::Compute(SimDuration::from_ns(100))],
-        };
-        prog.tb_ready_deps.insert(id, gate[..].into());
-        let kid = ids.kernel();
-        let mut desc = KernelDesc::new(kid, format!("{name}.wait"), vec![tb]);
-        desc.tbs_auto_ready = false;
-        desc.fused_launch = true;
-        prog.push(PlannedKernel {
-            gpu: GpuId(g as u16),
-            desc,
-            after: after.clone(),
-        });
-        out.push(kid);
+    let mut kb = KernelBuilder::new(gates.len());
+    for (g, gate) in gates.iter().enumerate() {
+        let wait = vec![Phase::Compute(SimDuration::from_ns(100))];
+        kb.push_gated(ids, g, 0, wait, gate[..].into());
     }
-    out
+    kb.finish(prog, ids, |_| {
+        KernelSpec::new(format!("{name}.wait"), after.clone())
+            .gated()
+            .fused()
+    })
 }
 
 #[cfg(test)]
@@ -304,10 +208,8 @@ mod tests {
                 k: 512,
                 after: vec![],
                 fused_launch: false,
-                epilogue: None,
             },
         );
-        assert_eq!(g.grid, (2, 3));
         assert_eq!(g.tiles.len(), 2);
         assert_eq!(g.tiles[0].len(), 3);
         assert_eq!(prog.kernels.len(), 2);

@@ -2,21 +2,22 @@
 //! CoCoNet, FuseLib, T3 and their NVLS-enhanced variants.
 
 use crate::producers::{
-    chunk_input_tiles, lower_gated_gemm, lower_tiled_gemm, t3_epilogue, waiter_kernels, TiledGemm,
-    TiledGemmOpts,
+    bands_for_chunk, chunk_input_tiles, lower_gated_gemm, lower_tiled_gemm, waiter_kernels,
+    TiledGemm, TiledGemmOpts,
 };
+use cais_engine::lower::{shard_owner, GemmLowering};
 use cais_engine::{
-    lower::GemmLowering, ExecReport, IdAlloc, PlannedKernel, Program, SimError, Strategy,
-    SystemConfig, SystemSim,
+    ExecReport, IdAlloc, KernelBuilder, KernelSpec, Program, SimError, Strategy, SystemConfig,
+    SystemSim,
 };
-use gpu_sim::KernelCost;
+use gpu_sim::{KernelCost, MemOp, MemOpKind, Phase};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
 use noc_sim::PureRouter;
 use nvls::{
     nvls_all_gather, nvls_all_reduce, nvls_reduce_scatter, ring_all_gather, ring_all_reduce,
-    ring_reduce_scatter, CollOutput, InputTiles, NvlsLogic,
+    ring_reduce_scatter, CollOutput, Collective, InputTiles, NvlsLogic,
 };
-use sim_core::{GpuId, KernelId, TileId};
+use sim_core::{KernelId, SimDuration, TileId};
 use std::sync::Arc;
 
 /// How collectives travel.
@@ -143,7 +144,6 @@ impl BaselineStrategy {
 
 struct Ctx<'a> {
     cfg: &'a SystemConfig,
-    cost: KernelCost,
     low: GemmLowering,
     ids: IdAlloc,
     prog: Program,
@@ -156,8 +156,8 @@ struct Ctx<'a> {
     prev_gemm: Option<(TiledGemm, u64, u64)>,
     prev_gemm_after: Vec<KernelId>,
     /// Output tiles of the previous collective (gates the consumer for
-    /// T3-style AG-GEMM overlap): `gates[gpu][band]` over `rows`.
-    prev_coll_gates: Option<(Vec<Vec<Vec<TileId>>>, u64)>,
+    /// T3-style AG-GEMM overlap): `gates[gpu][band]`.
+    prev_coll_gates: Option<Vec<Vec<Vec<TileId>>>>,
 }
 
 impl Strategy for BaselineStrategy {
@@ -166,11 +166,9 @@ impl Strategy for BaselineStrategy {
     }
 
     fn lower(&self, dfg: &Dfg, cfg: &SystemConfig) -> Program {
-        let cost = KernelCost::new(&cfg.gpu);
         let mut ctx = Ctx {
             cfg,
             low: GemmLowering::new(KernelCost::new(&cfg.gpu), cfg.tile, dfg.elem_bytes),
-            cost,
             ids: IdAlloc::new(cfg.n_gpus),
             prog: Program::new(),
             prev: Vec::new(),
@@ -217,7 +215,7 @@ impl BaselineStrategy {
                 // Is this GEMM consuming a just-gathered tensor (T3
                 // AG-GEMM overlap)?
                 let gates = ctx.prev_coll_gates.take();
-                if let Some((gates, _rows)) = gates.filter(|_| self.overlap == Overlap::Tile) {
+                if let Some(gates) = gates.filter(|_| self.overlap == Overlap::Tile) {
                     // Band gating carries the true data dependencies; an
                     // empty `after` lets early bands start while the tail
                     // of the gather is still in flight.
@@ -254,7 +252,6 @@ impl BaselineStrategy {
                             k: *k,
                             after,
                             fused_launch: fused,
-                            epilogue: None,
                         },
                     );
                     ctx.prev = tg.kernel_ids.clone();
@@ -277,7 +274,6 @@ impl BaselineStrategy {
         ctx.prev_coll_gates = None;
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn lower_collective(
         &self,
         ctx: &mut Ctx,
@@ -326,73 +322,27 @@ impl BaselineStrategy {
         } else {
             ctx.prev.clone()
         };
-        let out: CollOutput = match (self.transport, kind) {
-            (Transport::Ring, CollKind::AllGather) => ring_all_gather(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
-            (Transport::Ring, CollKind::ReduceScatter) => ring_reduce_scatter(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
-            (Transport::Ring, CollKind::AllReduce) => ring_all_reduce(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
-            (Transport::Nvls, CollKind::AllGather) => nvls_all_gather(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
-            (Transport::Nvls, CollKind::ReduceScatter) => nvls_reduce_scatter(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
-            (Transport::Nvls, CollKind::AllReduce) => nvls_all_reduce(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
+        let lower: Collective = match (self.transport, kind) {
+            (Transport::Ring, CollKind::AllGather) => ring_all_gather,
+            (Transport::Ring, CollKind::ReduceScatter) => ring_reduce_scatter,
+            (Transport::Ring, CollKind::AllReduce) => ring_all_reduce,
+            (Transport::Nvls, CollKind::AllGather) => nvls_all_gather,
+            (Transport::Nvls, CollKind::ReduceScatter) => nvls_reduce_scatter,
+            (Transport::Nvls, CollKind::AllReduce) => nvls_all_reduce,
         };
+        let out = lower(
+            &mut ctx.prog,
+            &mut ctx.ids,
+            ctx.cfg,
+            &name,
+            bytes_full,
+            &after,
+            input.as_ref(),
+        );
 
         // T3 consumes AllGather output per band; everyone else barriers.
         if self.overlap == Overlap::Tile && kind == CollKind::AllGather {
-            let gates = self.band_gates_from_chunks(ctx, &out, rows, cols, elem);
-            ctx.prev_coll_gates = Some((gates, rows));
+            ctx.prev_coll_gates = Some(self.band_gates_from_chunks(ctx, &out, rows, cols, elem));
         } else {
             ctx.prev_coll_gates = None;
         }
@@ -420,18 +370,12 @@ impl BaselineStrategy {
         cols: u64,
         elem: u64,
     ) -> Vec<Vec<Vec<TileId>>> {
-        let p = ctx.cfg.n_gpus as u64;
-        let tile = ctx.cfg.tile;
-        let n_mb = rows.div_ceil(tile);
-        let row_bytes = cols * elem;
-        let mut gates: Vec<Vec<Vec<TileId>>> =
-            vec![vec![Vec::new(); n_mb as usize]; ctx.cfg.n_gpus];
-        for (gidx, &(shard, off, len)) in out.chunks.iter().enumerate() {
-            let shard_row0 = shard as u64 * rows / p;
-            let start = shard_row0 + off / row_bytes;
-            let end = shard_row0 + (off + len).div_ceil(row_bytes);
-            for mi in (start / tile)..(end.div_ceil(tile)).min(n_mb) {
-                for (g, arrival) in out.chunk_arrivals[gidx].iter().enumerate() {
+        let (p, tile) = (ctx.cfg.n_gpus, ctx.cfg.tile);
+        let n_mb = rows.div_ceil(tile) as usize;
+        let mut gates: Vec<Vec<Vec<TileId>>> = vec![vec![Vec::new(); n_mb]; p];
+        for (&(shard, off, len), arrivals) in out.chunks.iter().zip(&out.chunk_arrivals) {
+            for mi in bands_for_chunk(rows, cols, elem, p as u64, tile, shard, off, len) {
+                for (g, arrival) in arrivals.iter().enumerate() {
                     if let Some(t) = arrival {
                         gates[g][mi as usize].push(*t);
                     }
@@ -447,6 +391,9 @@ impl BaselineStrategy {
         gates
     }
 
+    /// T3 track & trigger: each producer output tile is stored to its
+    /// row-shard owner as soon as the producer signals it. Remote GPUs
+    /// write a counted contribution, the owner accumulates locally.
     fn lower_t3_reduce(
         &self,
         ctx: &mut Ctx,
@@ -456,87 +403,77 @@ impl BaselineStrategy {
         elem: u64,
         name: &str,
     ) {
-        let p = ctx.cfg.n_gpus as u64;
+        let p = ctx.cfg.n_gpus;
         let tile = ctx.cfg.tile;
         let n_mb = rows.div_ceil(tile);
         let n_nb = cols.div_ceil(tile);
         let tile_bytes = tile * tile * elem;
-        let (tg, m, n) = ctx.prev_gemm.take().expect("caller checked");
-        // Re-lower the producer with a track-&-trigger epilogue: remove is
-        // impossible, so instead we *replace* by noting the producer was
-        // already emitted without an epilogue... To keep lowering
-        // single-pass, the producer GEMM feeding a T3 reduction is
-        // re-emitted here with its epilogue, and the original tiled GEMM
-        // kernels double as the "trigger tracking" producer. In practice
-        // the paper's T3 writes tiles as they complete; we model that by
-        // attaching per-tile writes gated on the producer's tile signals.
-        let _ = (m, n);
-        let mut addrs = Vec::with_capacity(n_mb as usize);
-        let mut red_tiles = Vec::with_capacity(n_mb as usize);
-        for mi in 0..n_mb {
-            let owner = GpuId(((mi * p) / n_mb) as u16);
-            let mut arow = Vec::with_capacity(n_nb as usize);
-            let mut trow = Vec::with_capacity(n_nb as usize);
-            for _ni in 0..n_nb {
-                arow.push(ctx.ids.addr(owner, tile_bytes));
-                let t = ctx.ids.tile();
-                ctx.prog.tile_expected.insert(t, p as u32);
-                trow.push(t);
-            }
-            addrs.push(arow);
-            red_tiles.push(trow);
-        }
+        let (tg, _, _) = ctx.prev_gemm.take().expect("caller checked");
+        // One reduction target (owner address + tile) per output tile.
+        let targets: Vec<Vec<_>> = (0..n_mb)
+            .map(|mi| {
+                let owner = shard_owner(mi, n_mb, p);
+                (0..n_nb)
+                    .map(|_| {
+                        let addr = ctx.ids.addr(owner, tile_bytes);
+                        let t = ctx.ids.tile();
+                        ctx.prog.tile_expected.insert(t, p as u32);
+                        (addr, t)
+                    })
+                    .collect()
+            })
+            .collect();
         // Trigger kernel per GPU: one TB per output tile, gated on the
         // producer's tile signal, firing the direct store.
-        let ep = t3_epilogue(addrs, red_tiles.clone(), tile_bytes, n_mb, p);
-        let mut trigger_kids = Vec::with_capacity(ctx.cfg.n_gpus);
-        for g in 0..ctx.cfg.n_gpus {
-            let mut tbs = Vec::new();
+        let mut kb = KernelBuilder::new(p);
+        for g in 0..p {
             for mi in 0..n_mb {
+                let local = shard_owner(mi, n_mb, p).index() == g;
                 for ni in 0..n_nb {
-                    let id = ctx.ids.tb();
-                    tbs.push(gpu_sim::TbDesc {
-                        id,
-                        order_key: mi * n_nb + ni,
-                        group: None,
-                        pre_launch_sync: false,
-                        phases: vec![
-                            gpu_sim::Phase::Compute(sim_core::SimDuration::from_ns(100)),
-                            gpu_sim::Phase::IssueMem {
-                                ops: ep(mi, ni, g).into(),
-                                wait: false,
-                            },
-                        ],
-                    });
-                    ctx.prog
-                        .tb_ready_deps
-                        .insert(id, Arc::new([tg.tiles[mi as usize][ni as usize]]));
+                    let (addr, rtile) = targets[mi as usize][ni as usize];
+                    let store = MemOp {
+                        // The owner accumulates locally (no fabric
+                        // traffic; `cais` gives local-accumulate
+                        // semantics in the engine).
+                        kind: if local {
+                            MemOpKind::RemoteReduce
+                        } else {
+                            MemOpKind::RemoteWrite
+                        },
+                        addr,
+                        bytes: tile_bytes,
+                        cais: local,
+                        tile: Some(rtile),
+                    };
+                    let phases = vec![
+                        Phase::Compute(SimDuration::from_ns(100)),
+                        Phase::IssueMem {
+                            ops: Arc::new([store]),
+                            wait: false,
+                        },
+                    ];
+                    let produced = Arc::new([tg.tiles[mi as usize][ni as usize]]);
+                    kb.push_gated(&mut ctx.ids, g, mi * n_nb + ni, phases, produced);
                 }
             }
-            let kid = ctx.ids.kernel();
-            let mut desc = gpu_sim::KernelDesc::new(kid, format!("t3.{name}"), tbs);
-            desc.tbs_auto_ready = false;
-            desc.fused_launch = true;
-            ctx.prog.push(PlannedKernel {
-                gpu: GpuId(g as u16),
-                desc,
-                after: ctx.prev.clone(),
-            });
-            trigger_kids.push(kid);
         }
+        let trigger_kids = kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
+            KernelSpec::new(format!("t3.{name}"), ctx.prev.clone())
+                .gated()
+                .fused()
+        });
         // Waiters: the reduced shard is ready at its owner.
-        let mut owner_gates: Vec<Vec<TileId>> = vec![Vec::new(); ctx.cfg.n_gpus];
-        for mi in 0..n_mb {
-            let owner = ((mi * p) / n_mb) as usize;
-            owner_gates[owner].extend(red_tiles[mi as usize].iter().copied());
+        let mut owner_gates: Vec<Vec<TileId>> = vec![Vec::new(); p];
+        for (mi, row) in targets.iter().enumerate() {
+            let owner = shard_owner(mi as u64, n_mb, p).index();
+            owner_gates[owner].extend(row.iter().map(|&(_, t)| t));
         }
         let wait_kids = waiter_kernels(
             &mut ctx.prog,
             &mut ctx.ids,
-            ctx.cfg.n_gpus,
             &format!("t3.{name}"),
             &owner_gates,
-            trigger_kids.clone(),
+            trigger_kids,
         );
         // AllReduce under T3: the gather half still runs as a ring AG.
         if kind == CollKind::AllReduce {
@@ -544,7 +481,6 @@ impl BaselineStrategy {
                 &mut ctx.prog,
                 &mut ctx.ids,
                 ctx.cfg,
-                &ctx.cost,
                 &format!("{name}_ag"),
                 rows * cols * elem,
                 &wait_kids,

@@ -71,17 +71,17 @@ impl CoordinationOpts {
 /// Returns the assigned group, or `None` when grouping is disabled or the
 /// address expression is GPU-variant (not mergeable, per the static index
 /// analysis).
-pub fn coordinate_row(
+pub fn coordinate_row<'a>(
     ids: &mut IdAlloc,
     opts: &CoordinationOpts,
-    row: &mut [&mut TbDesc],
+    row: impl IntoIterator<Item = &'a mut TbDesc>,
     addr_expr: &Expr,
 ) -> Option<GroupId> {
     if !opts.grouping || !addr_expr.is_gpu_invariant() {
         return None;
     }
     let group = ids.group();
-    for tb in row.iter_mut() {
+    for tb in row {
         tb.group = Some(group);
         tb.pre_launch_sync = opts.pre_launch;
         if opts.pre_access {
@@ -152,7 +152,7 @@ mod tests {
         let group = coordinate_row(
             &mut ids,
             &CoordinationOpts::full(),
-            &mut [&mut a, &mut b],
+            [&mut a, &mut b],
             &invariant_expr(),
         );
         assert!(group.is_some());
@@ -171,7 +171,7 @@ mod tests {
         let group = coordinate_row(
             &mut ids,
             &CoordinationOpts::none(),
-            &mut [&mut a],
+            [&mut a],
             &invariant_expr(),
         );
         assert!(group.is_none());
@@ -184,7 +184,7 @@ mod tests {
         let mut ids = IdAlloc::new(2);
         let mut a = cais_tb(0);
         let variant = Expr::add(Expr::GpuId, Expr::BlockIdx);
-        let group = coordinate_row(&mut ids, &CoordinationOpts::full(), &mut [&mut a], &variant);
+        let group = coordinate_row(&mut ids, &CoordinationOpts::full(), [&mut a], &variant);
         assert!(group.is_none());
     }
 
@@ -196,7 +196,7 @@ mod tests {
             pre_access: false,
             ..CoordinationOpts::full()
         };
-        coordinate_row(&mut ids, &opts, &mut [&mut a], &invariant_expr());
+        coordinate_row(&mut ids, &opts, [&mut a], &invariant_expr());
         assert!(a.group.is_some());
         assert!(!a.phases.iter().any(|p| matches!(p, Phase::SyncGroup(_))));
     }

@@ -33,11 +33,12 @@ use crate::dataflow::{self, Stage};
 use crate::index::Expr;
 use crate::logic::CaisLogic;
 use crate::merge::MergeConfig;
+use cais_engine::lower::{shard_owner, GemmLowering};
 use cais_engine::{
-    lower::GemmLowering, ExecReport, IdAlloc, PlannedKernel, Program, SimError, Strategy,
-    SystemConfig, SystemSim,
+    ExecReport, IdAlloc, KernelBuilder, KernelSpec, Program, SimError, Strategy, SystemConfig,
+    SystemSim,
 };
-use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, ReadyPolicy, TbDesc};
+use gpu_sim::{KernelCost, MemOp, MemOpKind, Phase, ReadyPolicy, TbDesc};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
 use sim_core::{GpuId, KernelId, SimDuration, TileId};
 use std::sync::Arc;
@@ -178,10 +179,6 @@ impl CaisStrategy {
         self.credits_override = Some(credits);
         self
     }
-
-    fn shard_owner(&self, mi: u64, n_mb: u64, p: u64) -> GpuId {
-        GpuId(((mi * p) / n_mb) as u16)
-    }
 }
 
 /// Mutable lowering state threaded through the per-stage routines.
@@ -201,31 +198,19 @@ impl<'a> LowerCtx<'a> {
         self.cfg.n_gpus
     }
 
-    fn after_for(&self, gpu: usize, fused: bool) -> Vec<KernelId> {
-        if fused {
-            self.prev_local[gpu].into_iter().collect()
-        } else {
-            self.prev_all.clone()
-        }
-    }
-
-    fn push_kernel(
-        &mut self,
-        gpu: usize,
-        name: &str,
-        tbs: Vec<TbDesc>,
-        after: Vec<KernelId>,
-        auto_ready: bool,
-    ) -> KernelId {
-        let kid = self.ids.kernel();
-        let mut desc = KernelDesc::new(kid, name.to_string(), tbs);
-        desc.tbs_auto_ready = auto_ready;
-        self.prog.push(PlannedKernel {
-            gpu: GpuId(gpu as u16),
-            desc,
-            after,
-        });
-        kid
+    /// Per-GPU launch dependencies of the next stage: each GPU's
+    /// previous-stage kernel when `local`, else the previous stage on
+    /// every GPU (a global barrier).
+    fn stage_after(&self, local: bool) -> Vec<Vec<KernelId>> {
+        (0..self.p())
+            .map(|g| {
+                if local {
+                    self.prev_local[g].into_iter().collect()
+                } else {
+                    self.prev_all.clone()
+                }
+            })
+            .collect()
     }
 
     fn set_stage_output(&mut self, per_gpu: Vec<KernelId>) {
@@ -310,6 +295,22 @@ impl Strategy for CaisStrategy {
 }
 
 impl CaisStrategy {
+    /// Applies the grouping pass to `row`, corresponding TBs whose CAIS
+    /// accesses advance `stride` bytes per block, and records the
+    /// group's `members` for the switch's sync table.
+    fn group_row<'r>(
+        &self,
+        ctx: &mut LowerCtx,
+        row: impl IntoIterator<Item = &'r mut TbDesc>,
+        stride: u64,
+        members: usize,
+    ) {
+        let addr_expr = Expr::mul(Expr::BlockIdx, Expr::Const(stride as i64));
+        if let Some(grp) = coordinate_row(&mut ctx.ids, &self.coordination, row, &addr_expr) {
+            ctx.prog.group_expected.insert(grp, members as u32);
+        }
+    }
+
     /// A plain (non-fused) node: one kernel per GPU.
     fn lower_node(&self, ctx: &mut LowerCtx, dfg: &Dfg, id: NodeId) {
         let node = dfg.node(id);
@@ -317,7 +318,7 @@ impl CaisStrategy {
             self.lower_standalone_collective(ctx, dfg, &node.name, *kind, *rows, *cols);
             return;
         }
-        let mut after: Vec<_> = (0..ctx.p()).map(|g| ctx.after_for(g, self.fused)).collect();
+        let mut after = ctx.stage_after(self.fused);
         let out = ctx
             .low
             .plain_stage(&mut ctx.prog, &mut ctx.ids, ctx.cfg, node, |g| {
@@ -337,26 +338,28 @@ impl CaisStrategy {
         rows: u64,
         cols: u64,
     ) {
-        let p = ctx.p() as u64;
+        let np = ctx.p();
+        let p = np as u64;
         let elem = dfg.elem_bytes;
         let bytes_full = rows * cols * elem;
         let shard = bytes_full / p;
         let pkt = self.cais_packet_bytes;
-        let mut per_gpu_tbs: Vec<Vec<TbDesc>> = (0..ctx.p()).map(|_| Vec::new()).collect();
-        match kind {
-            CollKind::ReduceScatter | CollKind::AllReduce => {
-                // Every GPU pushes its partial of every shard via red.cais;
-                // for AllReduce each GPU then ld.cais-gathers the rest.
-                for s in 0..p {
-                    let owner = GpuId(s as u16);
-                    for (ci, (off, len)) in cais_engine::lower::chunk_ranges(shard, pkt)
-                        .into_iter()
-                        .enumerate()
-                    {
-                        let addr = ctx.ids.addr(owner, len);
-                        let _ = off;
+        let mut kb = KernelBuilder::new(np);
+        for s in 0..np {
+            let owner = GpuId(s as u16);
+            for (ci, (_off, len)) in cais_engine::lower::chunk_ranges(shard, pkt)
+                .into_iter()
+                .enumerate()
+            {
+                let addr = ctx.ids.addr(owner, len);
+                let key = s as u64 * 4096 + ci as u64;
+                match kind {
+                    CollKind::ReduceScatter | CollKind::AllReduce => {
+                        // Every GPU pushes its partial of every shard via
+                        // red.cais; for AllReduce each GPU then
+                        // ld.cais-gathers the rest.
                         let tile = ctx.ids.tile();
-                        ctx.prog.tile_expected.insert(tile, p as u32);
+                        ctx.prog.tile_expected.insert(tile, np as u32);
                         // One `red.cais` list for the row: every GPU
                         // reduces into the same address.
                         let ops: Arc<[MemOp]> = Arc::new([MemOp {
@@ -366,84 +369,62 @@ impl CaisStrategy {
                             cais: true,
                             tile: Some(tile),
                         }]);
-                        let mut row: Vec<TbDesc> = (0..ctx.p())
-                            .map(|_g| TbDesc {
-                                id: ctx.ids.tb(),
-                                order_key: (s * 4096 + ci as u64) * 4,
-                                group: None,
-                                pre_launch_sync: false,
-                                phases: vec![
-                                    Phase::Compute(SimDuration::from_ns(200)),
-                                    Phase::IssueMem {
-                                        ops: Arc::clone(&ops),
-                                        wait: false,
-                                    },
-                                ],
-                            })
-                            .collect();
-                        {
-                            let mut refs: Vec<&mut TbDesc> = row.iter_mut().collect();
-                            if let Some(grp) = coordinate_row(
-                                &mut ctx.ids,
-                                &self.coordination,
-                                &mut refs,
-                                &Expr::mul(Expr::BlockIdx, Expr::Const(pkt as i64)),
-                            ) {
-                                ctx.prog.group_expected.insert(grp, ctx.p() as u32);
-                            }
+                        for g in 0..np {
+                            let phases = vec![
+                                Phase::Compute(SimDuration::from_ns(200)),
+                                Phase::IssueMem {
+                                    ops: Arc::clone(&ops),
+                                    wait: false,
+                                },
+                            ];
+                            kb.push(&mut ctx.ids, g, key * 4, phases);
                         }
-                        for (g, tb) in row.into_iter().enumerate() {
-                            per_gpu_tbs[g].push(tb);
-                        }
+                        self.group_row(ctx, kb.last_row().map(|(_, tb)| tb), pkt, np);
                         // Owner-side waiter so the kernel completes when
-                        // the reduction lands; gatherers for AllReduce.
-                        let wid = ctx.ids.tb();
-                        per_gpu_tbs[owner.index()].push(TbDesc {
-                            id: wid,
-                            order_key: (s * 4096 + ci as u64) * 4 + 1,
-                            group: None,
-                            pre_launch_sync: false,
-                            phases: vec![Phase::Compute(SimDuration::from_ns(100))],
+                        // the reduction lands.
+                        let mut wait = vec![Phase::Compute(SimDuration::from_ns(100))];
+                        // AllReduce: the reduced chunk is present only at
+                        // its owner, so the waiter also notifies the other
+                        // GPUs (as the pipeline's middle stage does), and
+                        // their gatherers `ld.cais` it once notified.
+                        let notified = (kind == CollKind::AllReduce).then(|| {
+                            let t = ctx.ids.tile();
+                            let notify: Arc<[MemOp]> = (0..np)
+                                .filter(|&g| g != s)
+                                .map(|g| MemOp {
+                                    kind: MemOpKind::RemoteWrite,
+                                    addr: ctx.ids.addr(GpuId(g as u16), 8),
+                                    bytes: 8,
+                                    cais: false,
+                                    tile: Some(t),
+                                })
+                                .collect();
+                            wait.push(Phase::IssueMem {
+                                ops: notify,
+                                wait: false,
+                            });
+                            Arc::<[TileId]>::from([t])
                         });
-                        let reduced: Arc<[TileId]> = Arc::new([tile]);
-                        ctx.prog.tb_ready_deps.insert(wid, Arc::clone(&reduced));
-                        if kind == CollKind::AllReduce {
-                            for (g, gpu_tbs) in per_gpu_tbs.iter_mut().enumerate() {
-                                if g == owner.index() {
-                                    continue;
-                                }
-                                let lid = ctx.ids.tb();
-                                let gtile = ctx.ids.tile();
-                                gpu_tbs.push(TbDesc {
-                                    id: lid,
-                                    order_key: (s * 4096 + ci as u64) * 4 + 2,
-                                    group: None,
-                                    pre_launch_sync: false,
-                                    phases: vec![Phase::IssueMem {
-                                        ops: Arc::new([MemOp {
-                                            kind: MemOpKind::RemoteLoad,
-                                            addr,
-                                            bytes: len,
-                                            cais: true,
-                                            tile: Some(gtile),
-                                        }]),
-                                        wait: true,
-                                    }],
-                                });
-                                ctx.prog.tb_ready_deps.insert(lid, Arc::clone(&reduced));
+                        kb.push_gated(&mut ctx.ids, s, key * 4 + 1, wait, Arc::new([tile]));
+                        if let Some(notified) = &notified {
+                            for g in (0..np).filter(|&g| g != s) {
+                                let load = MemOp {
+                                    kind: MemOpKind::RemoteLoad,
+                                    addr,
+                                    bytes: len,
+                                    cais: true,
+                                    tile: Some(ctx.ids.tile()),
+                                };
+                                let phases = vec![Phase::IssueMem {
+                                    ops: Arc::new([load]),
+                                    wait: true,
+                                }];
+                                let deps = Arc::clone(notified);
+                                kb.push_gated(&mut ctx.ids, g, key * 4 + 2, phases, deps);
                             }
                         }
                     }
-                }
-            }
-            CollKind::AllGather => {
-                for s in 0..p {
-                    let owner = GpuId(s as u16);
-                    for (ci, (_off, len)) in cais_engine::lower::chunk_ranges(shard, pkt)
-                        .into_iter()
-                        .enumerate()
-                    {
-                        let addr = ctx.ids.addr(owner, len);
+                    CollKind::AllGather => {
                         let tile = ctx.ids.tile();
                         // One `ld.cais` list for every non-owner.
                         let ops: Arc<[MemOp]> = Arc::new([MemOp {
@@ -453,37 +434,21 @@ impl CaisStrategy {
                             cais: true,
                             tile: Some(tile),
                         }]);
-                        for (g, gpu_tbs) in per_gpu_tbs.iter_mut().enumerate() {
-                            if g == owner.index() {
-                                continue;
-                            }
-                            let lid = ctx.ids.tb();
-                            gpu_tbs.push(TbDesc {
-                                id: lid,
-                                order_key: s * 4096 + ci as u64,
-                                group: None,
-                                pre_launch_sync: false,
-                                phases: vec![Phase::IssueMem {
-                                    ops: Arc::clone(&ops),
-                                    wait: true,
-                                }],
-                            });
+                        for g in (0..np).filter(|&g| g != s) {
+                            let phases = vec![Phase::IssueMem {
+                                ops: Arc::clone(&ops),
+                                wait: true,
+                            }];
+                            kb.push(&mut ctx.ids, g, key, phases);
                         }
                     }
                 }
             }
         }
-        let mut out = Vec::with_capacity(ctx.p());
-        for (g, tbs) in per_gpu_tbs.into_iter().enumerate() {
-            let after = ctx.after_for(g, false);
-            // Dependency-gated kernels need every TB in the ready map
-            // (an absent entry would never become dispatchable).
-            for tb in &tbs {
-                ctx.prog.tb_ready_deps.entry(tb.id).or_default();
-            }
-            let kid = ctx.push_kernel(g, &format!("coll.{name}"), tbs, after, false);
-            out.push(kid);
-        }
+        let after = ctx.prev_all.clone();
+        let out = kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
+            KernelSpec::new(format!("coll.{name}"), after.clone()).gated()
+        });
         ctx.set_stage_output(out);
     }
 
@@ -515,7 +480,7 @@ impl CaisStrategy {
         gather: Option<NodeId>,
         consumer: Option<NodeId>,
     ) {
-        let p = ctx.p() as u64;
+        let np = ctx.p();
         let elem = dfg.elem_bytes;
         let tile = ctx.cfg.tile;
         let NodeKind::Gemm {
@@ -542,12 +507,12 @@ impl CaisStrategy {
         let mut red_tiles: Vec<Vec<TileId>> = Vec::with_capacity(n_mb as usize);
         let mut red_addrs = Vec::with_capacity(n_mb as usize);
         for mi in 0..n_mb {
-            let owner = self.shard_owner(mi, n_mb, p);
+            let owner = shard_owner(mi, n_mb, np);
             let mut row_tiles = Vec::with_capacity(n_nb as usize);
             let mut row_addrs = Vec::with_capacity(n_nb as usize);
             for _ni in 0..n_nb {
                 let t = ctx.ids.tile();
-                ctx.prog.tile_expected.insert(t, (n_sub * p) as u32);
+                ctx.prog.tile_expected.insert(t, (n_sub * np as u64) as u32);
                 row_tiles.push(t);
                 row_addrs.push(ctx.ids.addr(owner, tile_bytes));
             }
@@ -555,7 +520,7 @@ impl CaisStrategy {
             red_addrs.push(row_addrs);
         }
 
-        let mut producer_tbs: Vec<Vec<TbDesc>> = (0..ctx.p()).map(|_| Vec::new()).collect();
+        let mut producers = KernelBuilder::new(np);
         for mi in 0..n_mb {
             let m_len = tile.min(rows - mi * tile);
             for ni in 0..n_nb {
@@ -577,43 +542,24 @@ impl CaisStrategy {
                         }
                     })
                     .collect();
-                let mut row: Vec<TbDesc> = (0..ctx.p())
-                    .map(|_g| TbDesc {
-                        id: ctx.ids.tb(),
-                        order_key: mi * n_nb + ni,
-                        group: None,
-                        pre_launch_sync: false,
-                        phases: vec![
-                            Phase::Compute(t_compute),
-                            Phase::IssueMem {
-                                ops: Arc::clone(&ops),
-                                wait: false,
-                            },
-                        ],
-                    })
-                    .collect();
-                {
-                    let mut refs: Vec<&mut TbDesc> = row.iter_mut().collect();
-                    if let Some(grp) = coordinate_row(
-                        &mut ctx.ids,
-                        &self.coordination,
-                        &mut refs,
-                        &Expr::mul(Expr::BlockIdx, Expr::Const(tile_bytes as i64)),
-                    ) {
-                        ctx.prog.group_expected.insert(grp, ctx.p() as u32);
-                    }
+                for g in 0..np {
+                    let phases = vec![
+                        Phase::Compute(t_compute),
+                        Phase::IssueMem {
+                            ops: Arc::clone(&ops),
+                            wait: false,
+                        },
+                    ];
+                    producers.push(&mut ctx.ids, g, mi * n_nb + ni, phases);
                 }
-                for (g, tb) in row.into_iter().enumerate() {
-                    producer_tbs[g].push(tb);
-                }
+                self.group_row(ctx, producers.last_row().map(|(_, tb)| tb), tile_bytes, np);
             }
         }
         let producer_name = format!("gemm.{}", dfg.node(producer).name);
-        let mut producer_kids = Vec::with_capacity(ctx.p());
-        for (g, tbs) in producer_tbs.into_iter().enumerate() {
-            let after = ctx.after_for(g, self.fused);
-            producer_kids.push(ctx.push_kernel(g, &producer_name, tbs, after, true));
-        }
+        let mut after = ctx.stage_after(self.fused);
+        let producer_kids = producers.finish(&mut ctx.prog, &mut ctx.ids, |g| {
+            KernelSpec::new(&producer_name, std::mem::take(&mut after[g]))
+        });
 
         // ---- middle (shard-local LN / elementwise) -------------------
         // One fused kernel per GPU over its row bands; per-band tiles
@@ -639,21 +585,21 @@ impl CaisStrategy {
         // Coarse (CAIS-Base) gating: a GPU's middle TBs wait for every
         // reduction tile of the bands *it owns* (reduction tiles only
         // materialize at their owner).
-        let mut owned_red_tiles: Vec<Vec<TileId>> = vec![Vec::new(); ctx.p()];
+        let mut owned_red_tiles: Vec<Vec<TileId>> = vec![Vec::new(); np];
         for mi in 0..n_mb {
-            let owner = self.shard_owner(mi, n_mb, p);
+            let owner = shard_owner(mi, n_mb, np);
             owned_red_tiles[owner.index()].extend(red_tiles[mi as usize].iter().copied());
         }
         let owned_red_tiles: Vec<Arc<[TileId]>> =
             owned_red_tiles.into_iter().map(Arc::from).collect();
 
-        let mut mid_tbs: Vec<Vec<TbDesc>> = (0..ctx.p()).map(|_| Vec::new()).collect();
+        let mut mids = KernelBuilder::new(np);
         let has_middle_work = !middle.is_empty() || gather.is_some() || consumer.is_some();
         if has_middle_work {
             for mi in 0..n_mb {
-                let owner = self.shard_owner(mi, n_mb, p);
+                let owner = shard_owner(mi, n_mb, np);
                 let m_len = tile.min(rows - mi * tile);
-                let notify_ops: Arc<[MemOp]> = (0..ctx.p())
+                let notify_ops: Arc<[MemOp]> = (0..np)
                     .filter(|g| *g != owner.index())
                     .map(|g| MemOp {
                         kind: MemOpKind::RemoteWrite,
@@ -663,27 +609,20 @@ impl CaisStrategy {
                         tile: Some(mid_tiles[mi as usize]),
                     })
                     .collect();
-                let tb = TbDesc {
-                    id: ctx.ids.tb(),
-                    order_key: mi,
-                    group: None,
-                    pre_launch_sync: false,
-                    phases: vec![
-                        Phase::Compute(mid_time_per_row * m_len),
-                        Phase::SignalTile(mid_tiles[mi as usize]),
-                        Phase::IssueMem {
-                            ops: notify_ops,
-                            wait: false,
-                        },
-                    ],
-                };
+                let phases = vec![
+                    Phase::Compute(mid_time_per_row * m_len),
+                    Phase::SignalTile(mid_tiles[mi as usize]),
+                    Phase::IssueMem {
+                        ops: notify_ops,
+                        wait: false,
+                    },
+                ];
                 let deps = if self.fused {
                     red_tiles[mi as usize][..].into()
                 } else {
                     Arc::clone(&owned_red_tiles[owner.index()])
                 };
-                ctx.prog.tb_ready_deps.insert(tb.id, deps);
-                mid_tbs[owner.index()].push(tb);
+                mids.push_gated(&mut ctx.ids, owner.index(), mi, phases, deps);
             }
         }
         let mid_name = if middle.is_empty() {
@@ -698,34 +637,30 @@ impl CaisStrategy {
                     .join("+")
             )
         };
-        let mut mid_kids = Vec::with_capacity(ctx.p());
-        if has_middle_work {
-            for (g, tbs) in mid_tbs.into_iter().enumerate() {
-                let after = if self.fused {
-                    // Launched alongside the producer; tiles gate TBs.
-                    ctx.prev_local[g].into_iter().collect()
-                } else {
-                    // Coarse phase boundary: all producers done everywhere.
-                    producer_kids.clone()
-                };
-                mid_kids.push(ctx.push_kernel(g, &mid_name, tbs, after, false));
-            }
-        }
+        let mid_kids = if has_middle_work {
+            // Fused: launched alongside the producer; tiles gate TBs.
+            // Otherwise a coarse phase boundary: all producers done
+            // everywhere.
+            let mut after = if self.fused {
+                ctx.stage_after(true)
+            } else {
+                vec![producer_kids.clone(); np]
+            };
+            mids.finish(&mut ctx.prog, &mut ctx.ids, |g| {
+                KernelSpec::new(&mid_name, std::mem::take(&mut after[g])).gated()
+            })
+        } else {
+            Vec::new()
+        };
 
         // ---- consumer GEMM (AG side) ---------------------------------
         if let Some(consumer) = consumer {
             let NodeKind::Gemm { m, n, k } = dfg.node(consumer).kind else {
                 panic!("pipeline consumer must be a GEMM");
             };
-            let _ = gather;
             let name = dfg.node(consumer).name.clone();
             let after = if self.fused {
-                (0..ctx.p())
-                    .map(|g| ctx.prev_local[g])
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .flatten()
-                    .collect()
+                ctx.prev_local.iter().flatten().copied().collect()
             } else {
                 mid_kids.clone()
             };
@@ -754,7 +689,7 @@ impl CaisStrategy {
         band_gate: Option<&[TileId]>,
         after: Vec<KernelId>,
     ) -> Vec<KernelId> {
-        let p = ctx.p() as u64;
+        let np = ctx.p();
         let tile = ctx.cfg.tile;
         let elem = ctx.low.elem;
         let n_mb = m.div_ceil(tile);
@@ -767,7 +702,7 @@ impl CaisStrategy {
         // presence per GPU; the merge unit sees identical addresses).
         let mut op_tiles: Vec<Vec<(sim_core::Addr, TileId)>> = Vec::with_capacity(n_mb as usize);
         for mi in 0..n_mb {
-            let owner = self.shard_owner(mi, n_mb, p);
+            let owner = shard_owner(mi, n_mb, np);
             let mut row = Vec::with_capacity(n_kb as usize);
             for _kt in 0..n_kb {
                 row.push((ctx.ids.addr(owner, tile_bytes), ctx.ids.tile()));
@@ -777,9 +712,9 @@ impl CaisStrategy {
 
         // Without fine-grained gating every band waits on all gate tiles.
         let whole_gate: Arc<[TileId]> = band_gate.unwrap_or_default().into();
-        let mut tbs: Vec<Vec<TbDesc>> = (0..ctx.p()).map(|_| Vec::new()).collect();
+        let mut kb = KernelBuilder::new(np);
         for mi in 0..n_mb {
-            let owner = self.shard_owner(mi, n_mb, p);
+            let owner = shard_owner(mi, n_mb, np).index();
             let m_len = tile.min(m - mi * tile);
             let band = &op_tiles[mi as usize];
             // Built once per band and shared by every GPU's TBs: the
@@ -804,18 +739,14 @@ impl CaisStrategy {
                 .copied()
                 .chain(band.iter().map(|&(_, t)| t))
                 .collect();
-            // Coordination row: the designated fetchers (nj == 0) of the
-            // p - 1 non-owner GPUs.
-            let mut fetcher_row: Vec<TbDesc> = Vec::with_capacity(ctx.p() - 1);
             for ni in 0..n_nb {
                 let n_len = tile.min(n - ni * tile);
                 let t_compute = ctx.low.gemm_tb_time(m_len, n_len, k);
-                for (g, gpu_tbs) in tbs.iter_mut().enumerate() {
-                    let id = ctx.ids.tb();
-                    let fetcher = g != owner.index() && ni == 0;
-                    let (phases, deps) = if g == owner.index() {
+                let key = mi * n_nb + ni;
+                for g in 0..np {
+                    let (phases, deps) = if g == owner {
                         (vec![Phase::Compute(t_compute)], &gate_deps)
-                    } else if fetcher {
+                    } else if ni == 0 {
                         // Designated fetcher: issues the band's `ld.cais`
                         // operand loads.
                         let phases = vec![
@@ -835,50 +766,20 @@ impl CaisStrategy {
                         // at scale.
                         (vec![Phase::Compute(t_compute)], &sibling_deps)
                     };
-                    let tb = TbDesc {
-                        id,
-                        order_key: mi * n_nb + ni,
-                        group: None,
-                        pre_launch_sync: false,
-                        phases,
-                    };
-                    ctx.prog.tb_ready_deps.insert(id, Arc::clone(deps));
-                    if fetcher {
-                        fetcher_row.push(tb);
-                    } else {
-                        gpu_tbs.push(tb);
-                    }
+                    kb.push_gated(&mut ctx.ids, g, key, phases, Arc::clone(deps));
                 }
-            }
-            if !fetcher_row.is_empty() {
-                {
-                    let mut refs: Vec<&mut TbDesc> = fetcher_row.iter_mut().collect();
-                    if let Some(grp) = coordinate_row(
-                        &mut ctx.ids,
-                        &self.coordination,
-                        &mut refs,
-                        &Expr::mul(Expr::BlockIdx, Expr::Const(tile_bytes as i64)),
-                    ) {
-                        // The owner reads locally and never syncs.
-                        ctx.prog.group_expected.insert(grp, (ctx.p() - 1) as u32);
-                    }
-                }
-                // Distribute the fetcher TBs back to their GPUs (they were
-                // built in GPU order, owner skipped).
-                let mut it = fetcher_row.into_iter();
-                for (g, gpu_tbs) in tbs.iter_mut().enumerate() {
-                    if g != owner.index() {
-                        gpu_tbs.push(it.next().expect("one fetcher per non-owner"));
-                    }
+                if ni == 0 && np > 1 {
+                    // Coordination row: the designated fetchers of the
+                    // p - 1 non-owner GPUs (the owner reads locally and
+                    // never syncs).
+                    let fetchers = kb.last_row().filter(|&(g, _)| g != owner);
+                    self.group_row(ctx, fetchers.map(|(_, tb)| tb), tile_bytes, np - 1);
                 }
             }
         }
-        let mut out = Vec::with_capacity(ctx.p());
-        for (g, mut kernel_tbs) in tbs.into_iter().enumerate() {
-            kernel_tbs.sort_by_key(|tb| tb.order_key);
-            out.push(ctx.push_kernel(g, &format!("gemm.{name}"), kernel_tbs, after.clone(), false));
-        }
-        out
+        kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
+            KernelSpec::new(format!("gemm.{name}"), after.clone()).gated()
+        })
     }
 }
 
@@ -1046,6 +947,39 @@ mod tests {
         for lists in siblings.values() {
             assert_eq!(lists.len(), 3, "one sibling per non-owner GPU");
             assert!(lists.iter().all(|l| Arc::ptr_eq(l, &lists[0])));
+        }
+    }
+
+    /// `LayerNorm -> kind` with no fusable neighbours: lowered by the
+    /// standalone-collective path, which transformer layers never reach.
+    fn bare_collective(kind: CollKind) -> Dfg {
+        let (rows, cols) = (2048, 1024);
+        let mut g = Dfg::new(2);
+        let ln = g.add("ln", NodeKind::LayerNorm { rows, cols }, vec![]);
+        g.add("coll", NodeKind::Collective { kind, rows, cols }, vec![ln]);
+        g
+    }
+
+    #[test]
+    fn standalone_collectives_complete() {
+        let cfg = small_cfg();
+        for strategy in [CaisStrategy::base(), CaisStrategy::full()] {
+            for kind in [
+                CollKind::ReduceScatter,
+                CollKind::AllReduce,
+                CollKind::AllGather,
+            ] {
+                let run = format!("{} {kind:?}", strategy.name());
+                let report = execute(&strategy, &bare_collective(kind), &cfg)
+                    .unwrap_or_else(|e| panic!("{run}: {e}"));
+                if kind != CollKind::ReduceScatter {
+                    let merged = report.stat("cais.loads_merged").unwrap_or(0.0);
+                    assert!(merged > 0.0, "{run}: gathers merge in the switch");
+                }
+                if kind != CollKind::AllGather {
+                    assert!(report.semantic_contribs > 0, "{run}: reductions land");
+                }
+            }
         }
     }
 

@@ -37,7 +37,7 @@ pub mod system;
 pub use config::SystemConfig;
 pub use error::{DeadlockDiag, SimError};
 pub use ids::IdAlloc;
-pub use lower::{GemmLowering, Tiling};
+pub use lower::{GemmLowering, KernelBuilder, KernelSpec, Tiling};
 pub use msg::Msg;
 pub use program::{PlannedKernel, Program};
 pub use report::ExecReport;

@@ -1075,15 +1075,13 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 .iter()
                 .flatten()
                 .map(|k| format!("unlaunched {} on {}", k.desc.name, k.gpu))
-                .chain(self.kernel_spans.iter().filter_map(|(id, s)| {
-                    // Spans whose end never moved past start and whose
-                    // kernel still has live TBs are the stuck ones.
-                    let live = self.gpus[s.gpu.index()]
-                        .stuck_tbs()
+                // Launched kernels that never completed are the stuck ones.
+                .chain(
+                    self.kernel_spans
                         .iter()
-                        .any(|tb| self.tb_gpu.get(*tb) == Some(&s.gpu));
-                    (live).then(|| format!("incomplete {id} {} on {}", s.name, s.gpu))
-                }))
+                        .filter(|&(id, s)| self.gpus[s.gpu.index()].kernel_pending(*id))
+                        .map(|(id, s)| format!("incomplete {id} {} on {}", s.name, s.gpu)),
+                )
                 .take(12)
                 .collect();
             let n_groups = self.n_groups.max(1);
@@ -1531,7 +1529,18 @@ mod tests {
     fn missing_tile_returns_deadlock_with_diagnostics() {
         let cfg = quiet_cfg(2);
         let mut ids = IdAlloc::new(2);
-        let p = deadlocking_program(&mut ids);
+        let mut p = deadlocking_program(&mut ids);
+        // A kernel on the stuck kernel's GPU that completes first: the
+        // report must not name it.
+        p.push(PlannedKernel {
+            gpu: GpuId(0),
+            desc: KernelDesc::new(
+                ids.kernel(),
+                "done",
+                vec![TbDesc::compute_only(ids.tb(), 0, SimDuration::from_us(1))],
+            ),
+            after: vec![],
+        });
         let err = SystemSim::new(cfg, p, PureRouter)
             .run()
             .expect_err("unsatisfiable tile gate must deadlock");
@@ -1540,7 +1549,7 @@ mod tests {
                 assert_eq!(d.kernels_remaining, 1);
                 // Held at its dispatch gate, not blocked in a slot.
                 assert_eq!(d.engine_blocked_tbs, 0);
-                assert!(d.kernels.iter().any(|k| k.contains("stuck")));
+                assert_eq!(d.kernels, vec!["incomplete k0 stuck on gpu0".to_string()]);
                 assert_eq!(
                     d.waits_for,
                     vec!["tb0 -> tile0@g0 (dispatch gate)".to_string()],

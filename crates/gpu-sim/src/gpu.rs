@@ -328,6 +328,12 @@ impl GpuSim {
         tbs
     }
 
+    /// Whether `kernel` was launched here and still has TBs that have not
+    /// completed (diagnostics for deadlock reports).
+    pub fn kernel_pending(&self, kernel: KernelId) -> bool {
+        self.kernels.get(&kernel).is_some_and(|k| k.remaining > 0)
+    }
+
     /// Total internal events processed so far (perf accounting).
     pub fn events_processed(&self) -> u64 {
         self.queue.pops()

@@ -92,15 +92,20 @@ pub struct TbDesc {
 }
 
 impl TbDesc {
-    /// Creates a plain compute TB with no communication.
-    pub fn compute_only(id: TbId, order_key: u64, dur: SimDuration) -> TbDesc {
+    /// Creates an ungrouped TB that runs `phases`.
+    pub fn new(id: TbId, order_key: u64, phases: Vec<Phase>) -> TbDesc {
         TbDesc {
             id,
             order_key,
             group: None,
             pre_launch_sync: false,
-            phases: vec![Phase::Compute(dur)],
+            phases,
         }
+    }
+
+    /// Creates a plain compute TB with no communication.
+    pub fn compute_only(id: TbId, order_key: u64, dur: SimDuration) -> TbDesc {
+        TbDesc::new(id, order_key, vec![Phase::Compute(dur)])
     }
 
     /// Sum of declared compute time (ignores jitter and blocking).

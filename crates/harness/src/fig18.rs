@@ -12,7 +12,6 @@
 use crate::runner::{Scale, Table};
 use crate::sweep::{self, SweepJob};
 use cais_engine::{IdAlloc, Program, SystemConfig, SystemSim};
-use gpu_sim::KernelCost;
 use nvls::{nvls_all_reduce, NvlsLogic};
 
 /// Analytic reference: NCCL NVLS AllReduce time for `bytes` on 8 GPUs.
@@ -53,10 +52,9 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
                 cfg.gpu.launch_skew = sim_core::SimDuration::ZERO;
                 cfg.gpu.dispatch_jitter = sim_core::SimDuration::ZERO;
                 cfg.gpu.compute_jitter = sim_core::SimDuration::ZERO;
-                let cost = KernelCost::new(&cfg.gpu);
                 let mut prog = Program::new();
                 let mut ids = IdAlloc::new(cfg.n_gpus);
-                nvls_all_reduce(&mut prog, &mut ids, &cfg, &cost, "ar", bytes, &[], None);
+                nvls_all_reduce(&mut prog, &mut ids, &cfg, "ar", bytes, &[], None);
                 let n = cfg.n_gpus;
                 SystemSim::new(cfg, prog, NvlsLogic::new(n)).run()
             })

@@ -13,15 +13,12 @@
 //!   ReduceScatter / AllReduce used by the non-NVLS baselines) and
 //!   [`push`] (NVLS collective kernels built on `multimem` operations).
 //!
-//! Both lowerings expose *output tiles* so overlap-capable strategies
+//! Every collective lowering shares one signature ([`Collective`]) and
+//! exposes per-chunk *arrival tiles*, so overlap-capable strategies
 //! (CoCoNet chunking, T3 fusion) can consume collective results at chunk
 //! granularity instead of waiting for kernel completion.
 
 #![warn(missing_docs)]
-// The lowering entry points mirror kernel-launch parameter lists
-// (program, ids, gpu, buffers, chunking, deps); a bundling struct would
-// only rename the launch signature.
-#![allow(clippy::too_many_arguments)]
 
 pub mod logic;
 pub mod push;
@@ -29,4 +26,6 @@ pub mod ring;
 
 pub use logic::NvlsLogic;
 pub use push::{nvls_all_gather, nvls_all_reduce, nvls_reduce_scatter};
-pub use ring::{ring_all_gather, ring_all_reduce, ring_reduce_scatter, CollOutput, InputTiles};
+pub use ring::{
+    ring_all_gather, ring_all_reduce, ring_reduce_scatter, CollOutput, Collective, InputTiles,
+};

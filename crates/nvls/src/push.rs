@@ -5,40 +5,11 @@
 //! kernel-level (global) barriers, which is exactly the isolation CAIS
 //! removes.
 
-use crate::ring::{global_chunks, CollOutput, InputTiles};
-use cais_engine::{IdAlloc, PlannedKernel, Program, SystemConfig};
-use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
+use crate::ring::{finish_coll, global_chunks, input_deps, push_step, CollOutput, InputTiles};
+use cais_engine::{IdAlloc, KernelBuilder, Program, SystemConfig};
+use gpu_sim::{MemOp, MemOpKind, Phase};
 use sim_core::{GpuId, KernelId, SimDuration, TileId};
 use std::sync::Arc;
-
-fn deps_for(input: Option<&InputTiles>, gpu: usize, gidx: usize) -> Vec<TileId> {
-    input
-        .map(|i| i[gpu].get(gidx).cloned().unwrap_or_default())
-        .unwrap_or_default()
-}
-
-fn finish_kernels(
-    prog: &mut Program,
-    ids: &mut IdAlloc,
-    name: &str,
-    after: &[KernelId],
-    tbs: Vec<Vec<TbDesc>>,
-) -> Vec<KernelId> {
-    let mut kernel_ids = Vec::new();
-    for (gpu, tbs) in tbs.into_iter().enumerate() {
-        let kid = ids.kernel();
-        kernel_ids.push(kid);
-        let mut desc = KernelDesc::new(kid, format!("coll.{name}.g{gpu}"), tbs);
-        desc.tbs_auto_ready = false;
-        desc.ordered = true;
-        prog.push(PlannedKernel {
-            gpu: GpuId(gpu as u16),
-            desc,
-            after: after.to_vec(),
-        });
-    }
-    kernel_ids
-}
 
 /// NVLS AllGather via `multimem.st` push multicast.
 ///
@@ -49,7 +20,6 @@ pub fn nvls_all_gather(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    _cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -57,27 +27,20 @@ pub fn nvls_all_gather(
 ) -> CollOutput {
     let p = cfg.n_gpus;
     let chunks = global_chunks(bytes_full, p, cfg.coll_chunk_bytes);
-    let mut tbs: Vec<Vec<TbDesc>> = (0..p).map(|_| Vec::new()).collect();
-    let mut order = vec![0u64; p];
-    let mut out_tiles: Vec<Vec<TileId>> = (0..p).map(|_| Vec::new()).collect();
+    let mut kb = KernelBuilder::new(p);
     let mut chunk_arrivals: Vec<Vec<Option<TileId>>> = Vec::with_capacity(chunks.len());
 
     for (gidx, &(o, _off, len)) in chunks.iter().enumerate() {
         let tile = ids.tile();
-        for t in out_tiles.iter_mut() {
-            t.push(tile);
-        }
         chunk_arrivals.push(vec![Some(tile); p]);
         let addr = ids.addr(GpuId(o as u16), len);
         // Pusher TB on the origin: read the chunk, push it once, publish
         // the local copy.
-        let id = ids.tb();
-        tbs[o].push(TbDesc {
-            id,
-            order_key: order[o],
-            group: None,
-            pre_launch_sync: false,
-            phases: vec![
+        push_step(
+            &mut kb,
+            ids,
+            o,
+            vec![
                 Phase::Compute(SimDuration::from_ns(200)),
                 Phase::IssueMem {
                     ops: Arc::new([MemOp {
@@ -91,32 +54,18 @@ pub fn nvls_all_gather(
                 },
                 Phase::SignalTile(tile),
             ],
-        });
-        order[o] += 1;
-        prog.tb_ready_deps
-            .insert(id, deps_for(input, o, gidx).into());
+            input_deps(input, o, gidx).into(),
+        );
         // Waiter TBs on every other GPU so kernel completion means the
         // gathered data arrived there.
         let arrived: Arc<[TileId]> = Arc::new([tile]);
-        for (g, ord) in order.iter_mut().enumerate() {
-            if g != o {
-                let wid = ids.tb();
-                tbs[g].push(TbDesc {
-                    id: wid,
-                    order_key: *ord,
-                    group: None,
-                    pre_launch_sync: false,
-                    phases: vec![Phase::Compute(SimDuration::from_ns(100))],
-                });
-                *ord += 1;
-                prog.tb_ready_deps.insert(wid, Arc::clone(&arrived));
-            }
+        for g in (0..p).filter(|&g| g != o) {
+            let wait = vec![Phase::Compute(SimDuration::from_ns(100))];
+            push_step(&mut kb, ids, g, wait, Arc::clone(&arrived));
         }
     }
-    let kernel_ids = finish_kernels(prog, ids, name, after, tbs);
     CollOutput {
-        kernel_ids,
-        out_tiles,
+        kernel_ids: finish_coll(kb, prog, ids, name, after),
         chunks,
         chunk_arrivals,
     }
@@ -131,7 +80,6 @@ pub fn nvls_reduce_scatter(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    _cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -139,25 +87,19 @@ pub fn nvls_reduce_scatter(
 ) -> CollOutput {
     let p = cfg.n_gpus;
     let chunks = global_chunks(bytes_full, p, cfg.coll_chunk_bytes);
-    let mut tbs: Vec<Vec<TbDesc>> = (0..p).map(|_| Vec::new()).collect();
-    let mut order = vec![0u64; p];
-    let mut out_tiles: Vec<Vec<TileId>> = (0..p).map(|_| Vec::new()).collect();
-
+    let mut kb = KernelBuilder::new(p);
     let mut chunk_arrivals: Vec<Vec<Option<TileId>>> = Vec::with_capacity(chunks.len());
     for (gidx, &(g, _off, len)) in chunks.iter().enumerate() {
         let tile = ids.tile();
-        out_tiles[g].push(tile);
         let mut arr: Vec<Option<TileId>> = vec![None; p];
         arr[g] = Some(tile);
         chunk_arrivals.push(arr);
         let addr = ids.addr(GpuId(g as u16), len);
-        let id = ids.tb();
-        tbs[g].push(TbDesc {
-            id,
-            order_key: order[g],
-            group: None,
-            pre_launch_sync: false,
-            phases: vec![
+        push_step(
+            &mut kb,
+            ids,
+            g,
+            vec![
                 // Pull the reduced remote partials, then fold in the local
                 // partial.
                 Phase::IssueMem {
@@ -172,15 +114,11 @@ pub fn nvls_reduce_scatter(
                 },
                 Phase::Compute(SimDuration::from_ns(400)),
             ],
-        });
-        order[g] += 1;
-        prog.tb_ready_deps
-            .insert(id, deps_for(input, g, gidx).into());
+            input_deps(input, g, gidx).into(),
+        );
     }
-    let kernel_ids = finish_kernels(prog, ids, name, after, tbs);
     CollOutput {
-        kernel_ids,
-        out_tiles,
+        kernel_ids: finish_coll(kb, prog, ids, name, after),
         chunks,
         chunk_arrivals,
     }
@@ -195,7 +133,6 @@ pub fn nvls_all_reduce(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    _cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -209,16 +146,10 @@ pub fn nvls_all_reduce(
             .into_iter()
             .map(|(off, len)| (0usize, off, len))
             .collect();
-    let mut tbs: Vec<Vec<TbDesc>> = (0..p).map(|_| Vec::new()).collect();
-    let mut order = vec![0u64; p];
-    let mut out_tiles: Vec<Vec<TileId>> = (0..p).map(|_| Vec::new()).collect();
-
+    let mut kb = KernelBuilder::new(p);
     let mut chunk_arrivals: Vec<Vec<Option<TileId>>> = Vec::with_capacity(chunks.len());
     for (gidx, &(_, _off, len)) in chunks.iter().enumerate() {
         let tile = ids.tile();
-        for t in out_tiles.iter_mut() {
-            t.push(tile);
-        }
         chunk_arrivals.push(vec![Some(tile); p]);
         // A multimem address: contributions from all GPUs converge on it.
         let addr = ids.addr(GpuId((gidx % p) as u16), len);
@@ -233,40 +164,26 @@ pub fn nvls_all_reduce(
         let reduced: Arc<[TileId]> = Arc::new([tile]);
         for g in 0..p {
             // Push TB: contribute the local partial (fire-and-forget).
-            let id = ids.tb();
-            tbs[g].push(TbDesc {
-                id,
-                order_key: order[g],
-                group: None,
-                pre_launch_sync: false,
-                phases: vec![
+            push_step(
+                &mut kb,
+                ids,
+                g,
+                vec![
                     Phase::Compute(SimDuration::from_ns(200)),
                     Phase::IssueMem {
                         ops: Arc::clone(&push),
                         wait: false,
                     },
                 ],
-            });
-            order[g] += 1;
-            prog.tb_ready_deps
-                .insert(id, deps_for(input, g, gidx).into());
+                input_deps(input, g, gidx).into(),
+            );
             // Waiter TB: the reduced result has landed on this GPU.
-            let wid = ids.tb();
-            tbs[g].push(TbDesc {
-                id: wid,
-                order_key: order[g],
-                group: None,
-                pre_launch_sync: false,
-                phases: vec![Phase::Compute(SimDuration::from_ns(100))],
-            });
-            order[g] += 1;
-            prog.tb_ready_deps.insert(wid, Arc::clone(&reduced));
+            let wait = vec![Phase::Compute(SimDuration::from_ns(100))];
+            push_step(&mut kb, ids, g, wait, Arc::clone(&reduced));
         }
     }
-    let kernel_ids = finish_kernels(prog, ids, name, after, tbs);
     CollOutput {
-        kernel_ids,
-        out_tiles,
+        kernel_ids: finish_coll(kb, prog, ids, name, after),
         chunks,
         chunk_arrivals,
     }
@@ -276,8 +193,8 @@ pub fn nvls_all_reduce(
 mod tests {
     use super::*;
     use crate::logic::NvlsLogic;
+    use crate::ring::Collective;
     use cais_engine::{ExecReport, SystemSim};
-    use gpu_sim::GpuConfig;
     use noc_sim::Direction;
 
     fn cfg(n: usize) -> SystemConfig {
@@ -292,15 +209,11 @@ mod tests {
         c
     }
 
-    fn run_coll(
-        build: impl Fn(&mut Program, &mut IdAlloc, &SystemConfig, &KernelCost) -> CollOutput,
-        n: usize,
-    ) -> ExecReport {
+    fn run_coll(coll: Collective, bytes: u64, n: usize) -> ExecReport {
         let c = cfg(n);
-        let cost = KernelCost::new(&GpuConfig::h100_half());
         let mut prog = Program::new();
         let mut ids = IdAlloc::new(n);
-        build(&mut prog, &mut ids, &c, &cost);
+        coll(&mut prog, &mut ids, &c, "coll", bytes, &[], None);
         SystemSim::new(c, prog, NvlsLogic::new(n))
             .run()
             .expect("run completes")
@@ -310,10 +223,7 @@ mod tests {
     fn nvls_ag_pushes_each_shard_once() {
         let n = 4;
         let bytes = 4 * 256 * 1024u64;
-        let report = run_coll(
-            |p, ids, c, cost| nvls_all_gather(p, ids, c, cost, "ag", bytes, &[], None),
-            n,
-        );
+        let report = run_coll(nvls_all_gather, bytes, n);
         // Upstream: each shard crosses its origin's up-link exactly once.
         let up = report.fabric.bytes_dir(Direction::Up);
         let down = report.fabric.bytes_dir(Direction::Down);
@@ -332,10 +242,7 @@ mod tests {
     fn nvls_rs_is_upstream_heavy() {
         let n = 4;
         let bytes = 4 * 256 * 1024u64;
-        let report = run_coll(
-            |p, ids, c, cost| nvls_reduce_scatter(p, ids, c, cost, "rs", bytes, &[], None),
-            n,
-        );
+        let report = run_coll(nvls_reduce_scatter, bytes, n);
         let up = report.fabric.bytes_dir(Direction::Up);
         let down = report.fabric.bytes_dir(Direction::Down);
         // Up: (p-1) fetched contributions per shard; down: the reduced
@@ -350,10 +257,7 @@ mod tests {
     fn nvls_ar_halves_ring_traffic() {
         let n = 4;
         let bytes = 4 * 256 * 1024u64;
-        let report = run_coll(
-            |p, ids, c, cost| nvls_all_reduce(p, ids, c, cost, "ar", bytes, &[], None),
-            n,
-        );
+        let report = run_coll(nvls_all_reduce, bytes, n);
         let up = report.fabric.bytes_dir(Direction::Up);
         // Each GPU pushes the full tensor once: total up = p * bytes.
         let expect = bytes * n as u64;
@@ -368,15 +272,11 @@ mod tests {
     fn nvls_ar_is_faster_than_ring_ar() {
         let n = 4;
         let bytes = 16 * 1024 * 1024u64;
-        let nvls = run_coll(
-            |p, ids, c, cost| nvls_all_reduce(p, ids, c, cost, "ar", bytes, &[], None),
-            n,
-        );
+        let nvls = run_coll(nvls_all_reduce, bytes, n);
         let c = cfg(n);
-        let cost = KernelCost::new(&GpuConfig::h100_half());
         let mut prog = Program::new();
         let mut ids = IdAlloc::new(n);
-        crate::ring::ring_all_reduce(&mut prog, &mut ids, &c, &cost, "ar", bytes, &[], None);
+        crate::ring::ring_all_reduce(&mut prog, &mut ids, &c, "ar", bytes, &[], None);
         let ring = SystemSim::new(c, prog, noc_sim::PureRouter)
             .run()
             .expect("run completes");

@@ -5,8 +5,8 @@
 //! per-chunk dependencies so chunks pipeline across ring steps. Used by
 //! the CoCoNet / FuseLib / T3 / LADM baselines.
 
-use cais_engine::{IdAlloc, PlannedKernel, Program, SystemConfig};
-use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
+use cais_engine::{IdAlloc, KernelBuilder, KernelSpec, Program, SystemConfig};
+use gpu_sim::{MemOp, MemOpKind, Phase};
 use sim_core::{GpuId, KernelId, SimDuration, TileId};
 use std::sync::Arc;
 
@@ -14,13 +14,25 @@ use std::sync::Arc;
 /// that must be present on `gpu` before it contributes that chunk.
 pub type InputTiles = Vec<Vec<Vec<TileId>>>;
 
+/// The signature every ring and NVLS collective lowering shares:
+/// `(prog, ids, cfg, name, bytes_full, after, input)`. `after` adds
+/// kernel-level launch dependencies; `input` gates each GPU's
+/// contribution of each chunk (chunk-level producer overlap).
+pub type Collective = fn(
+    &mut Program,
+    &mut IdAlloc,
+    &SystemConfig,
+    &str,
+    u64,
+    &[KernelId],
+    Option<&InputTiles>,
+) -> CollOutput;
+
 /// Result of lowering one collective.
 #[derive(Debug, Clone)]
 pub struct CollOutput {
     /// One kernel per GPU (sender + waiter TBs).
     pub kernel_ids: Vec<KernelId>,
-    /// Per GPU: tiles that mark that GPU's share of the output complete.
-    pub out_tiles: Vec<Vec<TileId>>,
     /// Chunk geometry used: `(shard, offset_in_shard, len)` per global
     /// chunk, shared with producers that want chunk-level overlap.
     pub chunks: Vec<(usize, u64, u64)>,
@@ -49,78 +61,45 @@ pub fn global_chunks(bytes_full: u64, p: usize, chunk: u64) -> Vec<(usize, u64, 
 /// Per-hop copy cost for a comm TB. The wire serialization already
 /// accounts for moving the bytes; this only models kernel-side staging,
 /// so it is a small fixed cost (NCCL-style persistent-kernel step).
-fn copy_time(_cost: &KernelCost, _len: u64) -> SimDuration {
-    SimDuration::from_ns(200)
-}
+const COPY_TIME: SimDuration = SimDuration::from_ns(200);
 
 /// Per-hop accumulate cost (elementwise add at HBM speed is trivially
 /// fast relative to the link; keep a small fixed charge).
-fn add_time(_cost: &KernelCost, _len: u64) -> SimDuration {
-    SimDuration::from_ns(400)
-}
+const ADD_TIME: SimDuration = SimDuration::from_ns(400);
 
-fn deps_for(input: Option<&InputTiles>, gpu: usize, gidx: usize) -> Vec<TileId> {
+/// The tiles gating `gpu`'s contribution of chunk `gidx`.
+pub(crate) fn input_deps(input: Option<&InputTiles>, gpu: usize, gidx: usize) -> &[TileId] {
     input
-        .map(|i| i[gpu].get(gidx).cloned().unwrap_or_default())
-        .unwrap_or_default()
+        .and_then(|i| i[gpu].get(gidx))
+        .map_or(&[], Vec::as_slice)
 }
 
-struct KernelBuilder {
-    tbs: Vec<Vec<TbDesc>>,
-    order: Vec<u64>,
+/// Appends a step to `gpu`'s persistent communication kernel: steps run
+/// in push order.
+pub(crate) fn push_step(
+    kb: &mut KernelBuilder,
+    ids: &mut IdAlloc,
+    gpu: usize,
+    phases: Vec<Phase>,
+    deps: Arc<[TileId]>,
+) {
+    let key = kb.next_key(gpu);
+    kb.push_gated(ids, gpu, key, phases, deps);
 }
 
-impl KernelBuilder {
-    fn new(p: usize) -> KernelBuilder {
-        KernelBuilder {
-            tbs: (0..p).map(|_| Vec::new()).collect(),
-            order: vec![0; p],
-        }
-    }
-
-    fn push(
-        &mut self,
-        prog: &mut Program,
-        ids: &mut IdAlloc,
-        gpu: usize,
-        phases: Vec<Phase>,
-        deps: Vec<TileId>,
-    ) {
-        let id = ids.tb();
-        let order_key = self.order[gpu];
-        self.order[gpu] += 1;
-        self.tbs[gpu].push(TbDesc {
-            id,
-            order_key,
-            group: None,
-            pre_launch_sync: false,
-            phases,
-        });
-        prog.tb_ready_deps.insert(id, deps.into());
-    }
-
-    fn finish(
-        self,
-        prog: &mut Program,
-        ids: &mut IdAlloc,
-        name: &str,
-        after: &[KernelId],
-    ) -> Vec<KernelId> {
-        let mut kernel_ids = Vec::new();
-        for (gpu, tbs) in self.tbs.into_iter().enumerate() {
-            let kid = ids.kernel();
-            kernel_ids.push(kid);
-            let mut desc = KernelDesc::new(kid, format!("coll.{name}.g{gpu}"), tbs);
-            desc.tbs_auto_ready = false;
-            desc.ordered = true;
-            prog.push(PlannedKernel {
-                gpu: GpuId(gpu as u16),
-                desc,
-                after: after.to_vec(),
-            });
-        }
-        kernel_ids
-    }
+/// Emits the per-GPU communication kernels `coll.{name}.g{gpu}`.
+pub(crate) fn finish_coll(
+    kb: KernelBuilder,
+    prog: &mut Program,
+    ids: &mut IdAlloc,
+    name: &str,
+    after: &[KernelId],
+) -> Vec<KernelId> {
+    kb.finish(prog, ids, |g| {
+        KernelSpec::new(format!("coll.{name}.g{g}"), after.to_vec())
+            .gated()
+            .ordered()
+    })
 }
 
 /// Lowers a ring AllGather of a `bytes_full` tensor.
@@ -133,7 +112,6 @@ pub fn ring_all_gather(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -142,34 +120,26 @@ pub fn ring_all_gather(
     let p = cfg.n_gpus;
     let chunks = global_chunks(bytes_full, p, cfg.coll_chunk_bytes);
     let mut kb = KernelBuilder::new(p);
-    let mut out_tiles: Vec<Vec<TileId>> = (0..p).map(|_| Vec::new()).collect();
     let mut chunk_arrivals: Vec<Vec<Option<TileId>>> = Vec::with_capacity(chunks.len());
 
     for (gidx, &(o, _off, len)) in chunks.iter().enumerate() {
         // Arrival tile at each holder other than the origin.
-        let mut arrival: Vec<Option<TileId>> = vec![None; p];
-        for (g, slot) in arrival.iter_mut().enumerate() {
-            if g != o {
-                let t = ids.tile();
-                *slot = Some(t);
-                out_tiles[g].push(t);
-            }
-        }
+        let arrival: Vec<Option<TileId>> = (0..p).map(|g| (g != o).then(|| ids.tile())).collect();
         for s in 0..p - 1 {
             let sender = (o + s) % p;
             let receiver = (o + s + 1) % p;
-            let deps = if s == 0 {
-                deps_for(input, o, gidx)
+            let deps: Arc<[TileId]> = if s == 0 {
+                input_deps(input, o, gidx).into()
             } else {
-                vec![arrival[sender].expect("non-origin holder has arrival tile")]
+                Arc::new([arrival[sender].expect("non-origin holder has arrival tile")])
             };
             let addr = ids.addr(GpuId(receiver as u16), len);
-            kb.push(
-                prog,
+            push_step(
+                &mut kb,
                 ids,
                 sender,
                 vec![
-                    Phase::Compute(copy_time(cost, len)),
+                    Phase::Compute(COPY_TIME),
                     Phase::IssueMem {
                         ops: Arc::new([MemOp {
                             kind: MemOpKind::RemoteWrite,
@@ -188,21 +158,19 @@ pub fn ring_all_gather(
         // data actually arrived, not merely that its sends were issued.
         for (g, t) in arrival.iter().enumerate() {
             if let Some(t) = t {
-                kb.push(
-                    prog,
+                push_step(
+                    &mut kb,
                     ids,
                     g,
                     vec![Phase::Compute(SimDuration::from_ns(100))],
-                    vec![*t],
+                    Arc::new([*t]),
                 );
             }
         }
         chunk_arrivals.push(arrival);
     }
-    let kernel_ids = kb.finish(prog, ids, name, after);
     CollOutput {
-        kernel_ids,
-        out_tiles,
+        kernel_ids: finish_coll(kb, prog, ids, name, after),
         chunks,
         chunk_arrivals,
     }
@@ -216,7 +184,6 @@ pub fn ring_reduce_scatter(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -225,7 +192,6 @@ pub fn ring_reduce_scatter(
     let p = cfg.n_gpus;
     let chunks = global_chunks(bytes_full, p, cfg.coll_chunk_bytes);
     let mut kb = KernelBuilder::new(p);
-    let mut out_tiles: Vec<Vec<TileId>> = (0..p).map(|_| Vec::new()).collect();
     let mut chunk_arrivals: Vec<Vec<Option<TileId>>> = Vec::with_capacity(chunks.len());
 
     for (gidx, &(t, _off, len)) in chunks.iter().enumerate() {
@@ -238,17 +204,19 @@ pub fn ring_reduce_scatter(
             let receiver = (sender + 1) % p;
             let arr = ids.tile();
             arrival[receiver] = Some(arr);
-            let mut deps = deps_for(input, sender, gidx);
-            if h > 0 {
-                deps.push(arrival[sender].expect("mid-ring sender has arrival"));
-            }
+            let carried = (h > 0).then(|| arrival[sender].expect("mid-ring sender has arrival"));
+            let deps: Arc<[TileId]> = input_deps(input, sender, gidx)
+                .iter()
+                .copied()
+                .chain(carried)
+                .collect();
             let addr = ids.addr(GpuId(receiver as u16), len);
-            kb.push(
-                prog,
+            push_step(
+                &mut kb,
                 ids,
                 sender,
                 vec![
-                    Phase::Compute(add_time(cost, len)),
+                    Phase::Compute(ADD_TIME),
                     Phase::IssueMem {
                         ops: Arc::new([MemOp {
                             kind: MemOpKind::RemoteWrite,
@@ -265,24 +233,24 @@ pub fn ring_reduce_scatter(
         }
         // Final accumulation at the shard owner.
         let out = ids.tile();
-        out_tiles[t].push(out);
-        let mut deps = deps_for(input, t, gidx);
-        deps.push(arrival[t].expect("owner receives the running partial"));
-        kb.push(
-            prog,
+        let deps: Arc<[TileId]> = input_deps(input, t, gidx)
+            .iter()
+            .copied()
+            .chain([arrival[t].expect("owner receives the running partial")])
+            .collect();
+        push_step(
+            &mut kb,
             ids,
             t,
-            vec![Phase::Compute(add_time(cost, len)), Phase::SignalTile(out)],
+            vec![Phase::Compute(ADD_TIME), Phase::SignalTile(out)],
             deps,
         );
         let mut arr: Vec<Option<TileId>> = vec![None; p];
         arr[t] = Some(out);
         chunk_arrivals.push(arr);
     }
-    let kernel_ids = kb.finish(prog, ids, name, after);
     CollOutput {
-        kernel_ids,
-        out_tiles,
+        kernel_ids: finish_coll(kb, prog, ids, name, after),
         chunks,
         chunk_arrivals,
     }
@@ -294,7 +262,6 @@ pub fn ring_all_reduce(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -305,7 +272,6 @@ pub fn ring_all_reduce(
         prog,
         ids,
         cfg,
-        cost,
         &format!("{name}.rs"),
         bytes_full,
         after,
@@ -313,26 +279,19 @@ pub fn ring_all_reduce(
     );
     // Gate AG injection of shard o's chunks on the RS output at GPU o.
     let mut ag_input: InputTiles = (0..p).map(|_| vec![Vec::new(); rs.chunks.len()]).collect();
-    let mut per_shard_seen = vec![0usize; p];
     for (gidx, &(shard, _, _)) in rs.chunks.iter().enumerate() {
-        let tile = rs.out_tiles[shard][per_shard_seen[shard]];
-        per_shard_seen[shard] += 1;
-        ag_input[shard][gidx] = vec![tile];
+        let out = rs.chunk_arrivals[gidx][shard].expect("RS output lands at the shard owner");
+        ag_input[shard][gidx] = vec![out];
     }
     let ag = ring_all_gather(
         prog,
         ids,
         cfg,
-        cost,
         &format!("{name}.ag"),
         bytes_full,
         after,
         Some(&ag_input),
     );
-    let mut out_tiles = rs.out_tiles;
-    for (g, tiles) in ag.out_tiles.into_iter().enumerate() {
-        out_tiles[g].extend(tiles);
-    }
     let mut kernel_ids = rs.kernel_ids;
     kernel_ids.extend(ag.kernel_ids);
     // After AllReduce every GPU holds every chunk: the shard owner via
@@ -350,7 +309,6 @@ pub fn ring_all_reduce(
         .collect();
     CollOutput {
         kernel_ids,
-        out_tiles,
         chunks: rs.chunks,
         chunk_arrivals,
     }
@@ -360,7 +318,6 @@ pub fn ring_all_reduce(
 mod tests {
     use super::*;
     use cais_engine::SystemSim;
-    use gpu_sim::GpuConfig;
     use noc_sim::{Direction, PureRouter};
 
     fn cfg(n: usize) -> SystemConfig {
@@ -375,16 +332,14 @@ mod tests {
         c
     }
 
-    fn run_coll(
-        build: impl Fn(&mut Program, &mut IdAlloc, &SystemConfig, &KernelCost) -> CollOutput,
-        n: usize,
-    ) -> (cais_engine::ExecReport, usize) {
+    /// Runs one collective; also returns how many (chunk, GPU) outputs
+    /// it materializes.
+    fn run_coll(coll: Collective, bytes: u64, n: usize) -> (cais_engine::ExecReport, usize) {
         let c = cfg(n);
-        let cost = KernelCost::new(&GpuConfig::h100_half());
         let mut prog = Program::new();
         let mut ids = IdAlloc::new(n);
-        let out = build(&mut prog, &mut ids, &c, &cost);
-        let n_tiles: usize = out.out_tiles.iter().map(|v| v.len()).sum();
+        let out = coll(&mut prog, &mut ids, &c, "coll", bytes, &[], None);
+        let n_tiles = out.chunk_arrivals.iter().flatten().flatten().count();
         (
             SystemSim::new(c, prog, PureRouter)
                 .run()
@@ -407,10 +362,7 @@ mod tests {
     fn all_gather_completes_and_moves_expected_bytes() {
         let n = 4;
         let bytes = 4 * 256 * 1024u64;
-        let (report, tiles) = run_coll(
-            |p, ids, c, cost| ring_all_gather(p, ids, c, cost, "ag", bytes, &[], None),
-            n,
-        );
+        let (report, tiles) = run_coll(ring_all_gather, bytes, n);
         // Each GPU receives p-1 shards, 4 chunks each (256KiB/64KiB).
         assert_eq!(tiles, n * (n - 1) * 4);
         // Ring AG payload: every chunk crosses p-1 up-links.
@@ -427,10 +379,7 @@ mod tests {
     fn reduce_scatter_completes_with_own_shard_output() {
         let n = 4;
         let bytes = 4 * 300 * 1024u64;
-        let (report, tiles) = run_coll(
-            |p, ids, c, cost| ring_reduce_scatter(p, ids, c, cost, "rs", bytes, &[], None),
-            n,
-        );
+        let (report, tiles) = run_coll(ring_reduce_scatter, bytes, n);
         // Each GPU ends with its own shard's chunks: 300KiB / 64KiB = 5.
         assert_eq!(tiles, n * 5);
         let expect = bytes / n as u64 * (n as u64 - 1) * n as u64;
@@ -446,10 +395,7 @@ mod tests {
     fn all_reduce_moves_double_the_volume() {
         let n = 4;
         let bytes = 4 * 256 * 1024u64;
-        let (report, _) = run_coll(
-            |p, ids, c, cost| ring_all_reduce(p, ids, c, cost, "ar", bytes, &[], None),
-            n,
-        );
+        let (report, _) = run_coll(ring_all_reduce, bytes, n);
         let expect = 2 * bytes / n as u64 * (n as u64 - 1) * n as u64;
         let got = report.fabric.bytes_dir(Direction::Up);
         let ratio = got as f64 / expect as f64;

@@ -7,33 +7,20 @@
 //! ```
 
 use cais::engine::{IdAlloc, Program, SystemConfig, SystemSim};
-use cais::gpu_sim::KernelCost;
 use cais::noc_sim::PureRouter;
 use cais::nvls::{
     nvls_all_gather, nvls_all_reduce, nvls_reduce_scatter, ring_all_gather, ring_all_reduce,
-    ring_reduce_scatter, NvlsLogic,
+    ring_reduce_scatter, Collective, NvlsLogic,
 };
 use cais::sim_core::SimDuration;
 
-type Lower = fn(
-    &mut Program,
-    &mut IdAlloc,
-    &SystemConfig,
-    &KernelCost,
-    &str,
-    u64,
-    &[sim_core::KernelId],
-    Option<&cais::nvls::InputTiles>,
-) -> cais::nvls::CollOutput;
-
-fn run_collective(lower: Lower, bytes: u64, nvls: bool) -> SimDuration {
+fn run_collective(lower: Collective, bytes: u64, nvls: bool) -> SimDuration {
     let mut cfg = SystemConfig::dgx_h100();
     cfg.gpu.dispatch_jitter = SimDuration::from_us(1);
     cfg.gpu.launch_skew = SimDuration::from_us(2);
-    let cost = KernelCost::new(&cfg.gpu);
     let mut prog = Program::new();
     let mut ids = IdAlloc::new(cfg.n_gpus);
-    lower(&mut prog, &mut ids, &cfg, &cost, "coll", bytes, &[], None);
+    lower(&mut prog, &mut ids, &cfg, "coll", bytes, &[], None);
     let n = cfg.n_gpus;
     let report = if nvls {
         SystemSim::new(cfg, prog, NvlsLogic::new(n)).run()
@@ -49,7 +36,7 @@ fn main() {
         "{:>8} {:>14} {:>12} {:>12} {:>9}",
         "size", "collective", "ring", "NVLS", "speedup"
     );
-    let cases: Vec<(&str, Lower, Lower)> = vec![
+    let cases: Vec<(&str, Collective, Collective)> = vec![
         ("AllReduce", ring_all_reduce, nvls_all_reduce),
         ("AllGather", ring_all_gather, nvls_all_gather),
         ("ReduceScatter", ring_reduce_scatter, nvls_reduce_scatter),

@@ -10,7 +10,6 @@ use cais::baselines::BaselineStrategy;
 use cais::core::{merge::Waiter, CaisStrategy, MergeConfig, MergeUnit};
 use cais::engine::strategy::execute;
 use cais::engine::{IdAlloc, Program, SystemConfig, SystemSim};
-use cais::gpu_sim::KernelCost;
 use cais::harness::runner::Scale;
 use cais::llm_workload::{sublayer, ModelConfig, SubLayer};
 use cais::noc_sim::{Direction, Fabric, FabricConfig, FlowClass, Payload, PureRouter};
@@ -178,20 +177,19 @@ fn ring_collectives_move_algorithmic_volume() {
         cfg.gpu.compute_jitter = SimDuration::ZERO;
         cfg.gpu.launch_skew = SimDuration::ZERO;
         cfg.coll_chunk_bytes = 64 * 1024;
-        let cost = KernelCost::new(&cfg.gpu);
         let mut prog = Program::new();
         let mut ids = IdAlloc::new(n_gpus);
         let mult = match which {
             0 => {
-                ring_all_gather(&mut prog, &mut ids, &cfg, &cost, "x", bytes, &[], None);
+                ring_all_gather(&mut prog, &mut ids, &cfg, "x", bytes, &[], None);
                 1
             }
             1 => {
-                ring_reduce_scatter(&mut prog, &mut ids, &cfg, &cost, "x", bytes, &[], None);
+                ring_reduce_scatter(&mut prog, &mut ids, &cfg, "x", bytes, &[], None);
                 1
             }
             _ => {
-                ring_all_reduce(&mut prog, &mut ids, &cfg, &cost, "x", bytes, &[], None);
+                ring_all_reduce(&mut prog, &mut ids, &cfg, "x", bytes, &[], None);
                 2
             }
         };
