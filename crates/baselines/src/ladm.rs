@@ -200,8 +200,9 @@ impl LadmStrategy {
                 }
             }
         }
+        let kname: Arc<str> = format!("ladm.{name}").into();
         ctx.prev = kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
-            KernelSpec::new(format!("ladm.{name}"), ctx.prev.clone()).gated()
+            KernelSpec::new(Arc::clone(&kname), ctx.prev.clone()).gated()
         });
     }
 }

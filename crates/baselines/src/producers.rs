@@ -62,9 +62,10 @@ pub fn lower_tiled_gemm(
             }
         }
     }
+    let name: Arc<str> = opts.name.into();
     let kernel_ids = kb.finish(prog, ids, |_| KernelSpec {
         fused_launch: opts.fused_launch,
-        ..KernelSpec::new(opts.name, opts.after.clone())
+        ..KernelSpec::new(Arc::clone(&name), opts.after.clone())
     });
     TiledGemm { kernel_ids, tiles }
 }
@@ -153,9 +154,10 @@ pub fn lower_gated_gemm(
             }
         }
     }
+    let name: Arc<str> = name.into();
     kb.finish(prog, ids, |_| KernelSpec {
         tbs_auto_ready: gates.is_empty(),
-        ..KernelSpec::new(name, after.clone())
+        ..KernelSpec::new(Arc::clone(&name), after.clone())
     })
 }
 
@@ -174,8 +176,9 @@ pub fn waiter_kernels(
         let wait = vec![Phase::Compute(SimDuration::from_ns(100))];
         kb.push_gated(ids, g, 0, wait, gate[..].into());
     }
+    let name: Arc<str> = format!("{name}.wait").into();
     kb.finish(prog, ids, |_| {
-        KernelSpec::new(format!("{name}.wait"), after.clone())
+        KernelSpec::new(Arc::clone(&name), after.clone())
             .gated()
             .fused()
     })

@@ -457,8 +457,9 @@ impl BaselineStrategy {
                 }
             }
         }
+        let kname: Arc<str> = format!("t3.{name}").into();
         let trigger_kids = kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
-            KernelSpec::new(format!("t3.{name}"), ctx.prev.clone())
+            KernelSpec::new(Arc::clone(&kname), ctx.prev.clone())
                 .gated()
                 .fused()
         });

@@ -9,9 +9,7 @@
 //! timeout-based forward-progress mechanism bound the table.
 
 use sim_core::rng::JitterRng;
-use sim_core::{
-    Addr, FastHash, GpuId, PlaneId, SimDuration, SimTime, Slab, SlotHandle, SmallVec, TbId, TileId,
-};
+use sim_core::{Addr, FastHash, GpuId, PlaneId, SimDuration, SimTime, TbId, TileId};
 use std::collections::{BTreeMap, HashMap};
 
 /// A queued load requester.
@@ -64,7 +62,7 @@ impl MergeConfig {
 }
 
 /// Counters exposed after a run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MergeStats {
     /// CAIS load requests observed.
     pub load_requests: u64,
@@ -118,7 +116,7 @@ impl MergeStats {
 }
 
 /// Effects the caller (the CAIS switch logic) must apply.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MergeAction {
     /// Forward the (first or bypassed) load request to the home GPU.
     ForwardLoad {
@@ -157,27 +155,16 @@ pub enum MergeAction {
     },
 }
 
-/// Inline capacity for waiter/contributor lists: a full session on the
-/// paper's 8-GPU node has at most `n_gpus - 1 = 7` participants, so the
-/// common case never heap-allocates.
-const INLINE_PARTICIPANTS: usize = 8;
-
-// The size gap between variants is the inline waiter buffer — the whole
-// point of the SmallVec. Entries live in a contiguous slab sized by the
-// merge-table capacity model, so the fixed footprint is intended; boxing
-// the large variant would put the hot path back on the heap.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum SessionKind {
     LoadWait {
-        waiters: SmallVec<Waiter, INLINE_PARTICIPANTS>,
+        /// The opener first: its fetch is the one in flight.
+        waiters: Vec<Waiter>,
     },
-    LoadReady {
-        served: u32,
-    },
+    LoadReady,
     Reduction {
         contribs: u32,
-        contributors: SmallVec<GpuId, INLINE_PARTICIPANTS>,
+        contributors: Vec<GpuId>,
         tile: Option<TileId>,
     },
 }
@@ -195,12 +182,10 @@ struct Entry {
 
 #[derive(Debug, Default)]
 struct Port {
-    /// Address → live session, with the session records themselves in a
-    /// recycled [`Slab`] arena so steady-state open/close touches the
-    /// heap only when the table grows past its high-water mark. Handles
-    /// in the index are always live (index and slab mutate together).
-    index: HashMap<Addr, SlotHandle, FastHash>,
-    sessions: Slab<Entry>,
+    /// Live sessions by address. Their iteration order never reaches a
+    /// result: every walk that emits actions or draws random numbers
+    /// sorts its addresses first, and LRU picks on `(last_access, addr)`.
+    sessions: HashMap<Addr, Entry, FastHash>,
     occupancy: u64,
     reduce_occ: u64,
     load_occ: u64,
@@ -210,6 +195,13 @@ struct Port {
     /// stalling until the timeout). Metadata-only (a few bytes per
     /// address); removed once the address completes.
     history: HashMap<Addr, u32, FastHash>,
+    /// Fetches in flight per address that no live Load-Wait session
+    /// owns (bypasses, and the fetches of faulted sessions). A response
+    /// matches a session by address only, so while such a fetch is in
+    /// flight no session opens for its address: that session would
+    /// consume the stray response and its requester would never be
+    /// answered.
+    unowned: HashMap<Addr, u32, FastHash>,
     /// Cumulative injected entry faults on this port.
     faults: u32,
     /// Fault pressure crossed the configured threshold: the port stops
@@ -260,7 +252,7 @@ impl MergeUnit {
 
     /// True if any session is open (drives timer scheduling).
     pub fn has_entries(&self) -> bool {
-        self.ports.values().any(|p| !p.index.is_empty())
+        self.ports.values().any(|p| !p.sessions.is_empty())
     }
 
     fn full_load_count(&self) -> u32 {
@@ -273,6 +265,24 @@ impl MergeUnit {
             stats.peak_reduce_bytes = port.reduce_occ;
             stats.peak_load_bytes = port.load_occ;
         }
+    }
+
+    /// Forwards a load whose fetch no session will own.
+    fn forward_unowned(
+        stats: &mut MergeStats,
+        port: &mut Port,
+        waiter: Waiter,
+        addr: Addr,
+        bytes: u64,
+        out: &mut Vec<MergeAction>,
+    ) {
+        stats.loads_forwarded += 1;
+        *port.unowned.entry(addr).or_insert(0) += 1;
+        out.push(MergeAction::ForwardLoad {
+            waiter,
+            addr,
+            bytes,
+        });
     }
 
     /// Handles an incoming `ld.cais` request.
@@ -291,8 +301,7 @@ impl MergeUnit {
         let port = self.ports.entry(port_key).or_default();
         let prior = port.history.get(&addr).copied().unwrap_or(0);
 
-        if let Some(&h) = port.index.get(&addr) {
-            let entry = port.sessions.get_mut(h).expect("indexed session is live");
+        if let Some(entry) = port.sessions.get_mut(&addr) {
             entry.count += 1;
             entry.last_request = now;
             entry.last_access = now;
@@ -301,8 +310,7 @@ impl MergeUnit {
                     waiters.push(waiter);
                     self.stats.loads_merged += 1;
                 }
-                SessionKind::LoadReady { served } => {
-                    *served += 1;
+                SessionKind::LoadReady => {
                     self.stats.loads_merged += 1;
                     out.push(MergeAction::RespondLoad {
                         waiter,
@@ -310,19 +318,14 @@ impl MergeUnit {
                         bytes,
                     });
                     if entry.count + prior >= full {
-                        Self::release(&mut self.stats, port, addr, full);
+                        Self::release(&mut self.stats, port, addr);
                     }
                 }
                 SessionKind::Reduction { .. } => {
                     // Type mismatch (CAM matches on address AND type):
                     // treat as unmergeable.
                     self.stats.bypasses += 1;
-                    self.stats.loads_forwarded += 1;
-                    out.push(MergeAction::ForwardLoad {
-                        waiter,
-                        addr,
-                        bytes,
-                    });
+                    Self::forward_unowned(&mut self.stats, port, waiter, addr, bytes, out);
                 }
             }
             return;
@@ -332,42 +335,37 @@ impl MergeUnit {
         // never open a session (existing sessions drain normally above).
         if port.degraded {
             self.stats.degraded_bypasses += 1;
-            self.stats.loads_forwarded += 1;
-            out.push(MergeAction::ForwardLoad {
-                waiter,
-                addr,
-                bytes,
-            });
+            Self::forward_unowned(&mut self.stats, port, waiter, addr, bytes, out);
             return;
         }
 
-        // New session: needs table space for metadata now (data later).
+        // New session: needs table space for metadata now (data later),
+        // and no stray fetch for the address in flight.
         let need = self.cfg.entry_overhead_bytes;
-        if !Self::make_room(&self.cfg, &mut self.stats, port, need, out) {
+        if port.unowned.contains_key(&addr)
+            || !Self::make_room(&self.cfg, &mut self.stats, port, need, out)
+        {
             self.stats.bypasses += 1;
-            self.stats.loads_forwarded += 1;
-            out.push(MergeAction::ForwardLoad {
-                waiter,
-                addr,
-                bytes,
-            });
+            Self::forward_unowned(&mut self.stats, port, waiter, addr, bytes, out);
             return;
         }
         port.occupancy += need;
         port.load_occ += need;
         Self::note_peak(&mut self.stats, port);
-        let h = port.sessions.insert(Entry {
-            kind: SessionKind::LoadWait {
-                waiters: std::iter::once(waiter).collect(),
+        port.sessions.insert(
+            addr,
+            Entry {
+                kind: SessionKind::LoadWait {
+                    waiters: vec![waiter],
+                },
+                bytes,
+                occupancy: need,
+                count: 1,
+                first_request: now,
+                last_request: now,
+                last_access: now,
             },
-            bytes,
-            occupancy: need,
-            count: 1,
-            first_request: now,
-            last_request: now,
-            last_access: now,
-        });
-        port.index.insert(addr, h);
+        );
         self.stats.sessions_opened += 1;
         self.stats.loads_forwarded += 1;
         out.push(MergeAction::ForwardLoad {
@@ -394,44 +392,55 @@ impl MergeUnit {
             return false;
         };
         let prior = port.history.get(&addr).copied().unwrap_or(0);
-        let Some(&h) = port.index.get(&addr) else {
+        let Some(Entry {
+            kind: SessionKind::LoadWait { waiters },
+            count,
+            last_access,
+            ..
+        }) = port.sessions.get_mut(&addr)
+        else {
+            // No Load-Wait session owns this fetch (a bypass, or the
+            // fetch of a faulted session): let it through to its own
+            // requester.
+            if let Some(n) = port.unowned.get_mut(&addr) {
+                *n -= 1;
+                if *n == 0 {
+                    port.unowned.remove(&addr);
+                }
+            }
             return false;
         };
-        let entry = port.sessions.get_mut(h).expect("indexed session is live");
-        let SessionKind::LoadWait { waiters } = &mut entry.kind else {
-            // A bypassed request's response while data is already cached:
-            // let it through unchanged.
-            return false;
-        };
-        let waiters = std::mem::take(waiters);
-        for w in &waiters {
+        for w in std::mem::take(waiters) {
             out.push(MergeAction::RespondLoad {
-                waiter: *w,
+                waiter: w,
                 addr,
                 bytes,
             });
         }
-        entry.last_access = now;
-        if entry.count + prior >= full {
-            Self::release(&mut self.stats, port, addr, full);
+        *last_access = now;
+        if *count + prior >= full {
+            Self::release(&mut self.stats, port, addr);
+            return true;
+        }
+        // Cache the data for the stragglers — if it fits. Caching is
+        // subject to the same table capacity; when it does not fit, the
+        // session retires with its progress recorded and later
+        // requesters trigger a fresh fetch. Room is made while the
+        // session is still Load-Wait, so it cannot be its own victim.
+        let fits = Self::make_room(&self.cfg, &mut self.stats, port, bytes, out);
+        let entry = port
+            .sessions
+            .get_mut(&addr)
+            .expect("Load-Wait sessions are never evicted for room");
+        entry.kind = SessionKind::LoadReady;
+        if fits {
+            entry.occupancy += bytes;
+            port.occupancy += bytes;
+            port.load_occ += bytes;
+            Self::note_peak(&mut self.stats, port);
         } else {
-            // Cache the data for the stragglers — if it fits. Caching is
-            // subject to the same table capacity; when it does not fit,
-            // the session retires with its progress recorded and later
-            // requesters trigger a fresh fetch.
-            let served = waiters.len() as u32;
-            entry.kind = SessionKind::LoadReady { served };
-            if Self::make_room(&self.cfg, &mut self.stats, port, bytes, out) {
-                let entry = port.sessions.get_mut(h).expect("still resident");
-                entry.occupancy += bytes;
-                port.occupancy += bytes;
-                port.load_occ += bytes;
-                Self::note_peak(&mut self.stats, port);
-            } else {
-                self.stats.evictions_lru += 1;
-                // Retire with progress recorded: stragglers refetch.
-                Self::evict_one(&mut self.stats, port, addr, out);
-            }
+            self.stats.evictions_lru += 1;
+            Self::evict_one(&mut self.stats, port, addr, out);
         }
         true
     }
@@ -457,8 +466,7 @@ impl MergeUnit {
         let port = self.ports.entry(port_key).or_default();
         let prior = port.history.get(&addr).copied().unwrap_or(0);
 
-        if let Some(&h) = port.index.get(&addr) {
-            let entry = port.sessions.get_mut(h).expect("indexed session is live");
+        if let Some(entry) = port.sessions.get_mut(&addr) {
             if let SessionKind::Reduction {
                 contribs: acc,
                 contributors,
@@ -471,22 +479,17 @@ impl MergeUnit {
                 entry.last_request = now;
                 entry.last_access = now;
                 if *acc + prior >= full {
-                    let total = *acc;
-                    let tile = *tile;
-                    // The session is released below, so its contributor
-                    // list can be moved out instead of cloned.
-                    let who = std::mem::take(contributors);
                     out.push(MergeAction::FlushReduce {
                         addr,
                         bytes: entry.bytes,
-                        contribs: total,
-                        tile,
+                        contribs: *acc,
+                        tile: *tile,
                     });
                     self.stats.reduce_flushes += 1;
-                    for gpu in &who {
+                    for gpu in contributors.iter() {
                         out.push(MergeAction::GrantCredit { gpu: *gpu });
                     }
-                    Self::release(&mut self.stats, port, addr, full);
+                    Self::release(&mut self.stats, port, addr);
                 }
                 return;
             }
@@ -534,20 +537,22 @@ impl MergeUnit {
         port.occupancy += need;
         port.reduce_occ += need;
         Self::note_peak(&mut self.stats, port);
-        let h = port.sessions.insert(Entry {
-            kind: SessionKind::Reduction {
-                contribs,
-                contributors: std::iter::once(src).collect(),
-                tile,
+        port.sessions.insert(
+            addr,
+            Entry {
+                kind: SessionKind::Reduction {
+                    contribs,
+                    contributors: vec![src],
+                    tile,
+                },
+                bytes,
+                occupancy: need,
+                count: 1,
+                first_request: now,
+                last_request: now,
+                last_access: now,
             },
-            bytes,
-            occupancy: need,
-            count: 1,
-            first_request: now,
-            last_request: now,
-            last_access: now,
-        });
-        port.index.insert(addr, h);
+        );
         self.stats.sessions_opened += 1;
         if contribs + prior >= full {
             // A successor session of an evicted one just completed.
@@ -559,7 +564,7 @@ impl MergeUnit {
             });
             self.stats.reduce_flushes += 1;
             out.push(MergeAction::GrantCredit { gpu: src });
-            Self::release(&mut self.stats, port, addr, full);
+            Self::release(&mut self.stats, port, addr);
         }
     }
 
@@ -567,7 +572,7 @@ impl MergeUnit {
     pub fn has_entries_on(&self, plane: PlaneId) -> bool {
         self.ports
             .iter()
-            .any(|((pl, _), p)| *pl == plane && !p.index.is_empty())
+            .any(|((pl, _), p)| *pl == plane && !p.sessions.is_empty())
     }
 
     /// Timeout sweep over one plane's ports: evicts sessions idle longer
@@ -582,12 +587,10 @@ impl MergeUnit {
             .filter(|((pl, _), _)| *pl == plane)
             .map(|(_, p)| p)
         {
-            let sessions = &port.sessions;
             let mut expired: Vec<Addr> = port
-                .index
+                .sessions
                 .iter()
-                .filter(|(_, h)| {
-                    let e = sessions.get(**h).expect("indexed session is live");
+                .filter(|(_, e)| {
                     now.saturating_since(e.last_access) > timeout
                         && !matches!(e.kind, SessionKind::LoadWait { .. })
                 })
@@ -608,11 +611,7 @@ impl MergeUnit {
         self.ports
             .iter()
             .filter(|((pl, _), _)| *pl == plane)
-            .flat_map(|(_, p)| {
-                p.index
-                    .values()
-                    .map(|h| p.sessions.get(*h).expect("indexed session is live"))
-            })
+            .flat_map(|(_, p)| p.sessions.values())
             .any(|e| {
                 !matches!(e.kind, SessionKind::LoadWait { .. })
                     || now.saturating_since(e.last_access) <= timeout
@@ -627,9 +626,10 @@ impl MergeUnit {
     ///
     /// A faulted entry takes the normal eviction path (partial reductions
     /// flush, credits return, progress is recorded). A faulted Load-Wait
-    /// session additionally re-forwards every queued waiter first — the
-    /// in-flight fetch can no longer be matched to the lost entry, so each
-    /// waiter refetches and the passthrough responses retire the address.
+    /// session loses its queued waiters: the opener's fetch is still in
+    /// flight and now passes through to the opener, and every other
+    /// waiter refetches. Until those fetches return, no session opens
+    /// for the address.
     ///
     /// When a port's cumulative fault count reaches
     /// `cfg.degrade_threshold`, the port permanently degrades to the
@@ -652,7 +652,7 @@ impl MergeUnit {
             .filter(|((pl, _), _)| *pl == plane)
             .map(|(_, p)| p)
         {
-            let mut addrs: Vec<Addr> = port.index.keys().copied().collect();
+            let mut addrs: Vec<Addr> = port.sessions.keys().copied().collect();
             addrs.sort_unstable();
             for addr in addrs {
                 if rng.next_f64() >= rate {
@@ -660,17 +660,12 @@ impl MergeUnit {
                 }
                 self.stats.entry_faults += 1;
                 port.faults += 1;
-                let h = *port.index.get(&addr).expect("resident entry");
-                let entry = port.sessions.get_mut(h).expect("indexed session is live");
+                let entry = port.sessions.get_mut(&addr).expect("resident entry");
                 if let SessionKind::LoadWait { waiters } = &mut entry.kind {
-                    let bytes = entry.bytes;
-                    for &w in &std::mem::take(waiters) {
-                        self.stats.loads_forwarded += 1;
-                        out.push(MergeAction::ForwardLoad {
-                            waiter: w,
-                            addr,
-                            bytes,
-                        });
+                    let (waiters, bytes) = (std::mem::take(waiters), entry.bytes);
+                    *port.unowned.entry(addr).or_insert(0) += 1;
+                    for &w in &waiters[1..] {
+                        Self::forward_unowned(&mut self.stats, port, w, addr, bytes, out);
                     }
                 }
                 Self::evict_one(&mut self.stats, port, addr, out);
@@ -700,13 +695,11 @@ impl MergeUnit {
         while port.occupancy + need > cap {
             // LRU among evictable sessions (Load-Wait must stay until its
             // response arrives).
-            let sessions = &port.sessions;
             let victim = port
-                .index
+                .sessions
                 .iter()
-                .map(|(a, h)| (a, sessions.get(*h).expect("indexed session is live")))
                 .filter(|(_, e)| !matches!(e.kind, SessionKind::LoadWait { .. }))
-                .min_by_key(|(a, e)| (e.last_access, a.0))
+                .min_by_key(|(a, e)| (e.last_access, **a))
                 .map(|(a, _)| *a);
             let Some(addr) = victim else {
                 return false;
@@ -719,8 +712,7 @@ impl MergeUnit {
 
     fn evict_one(stats: &mut MergeStats, port: &mut Port, addr: Addr, out: &mut Vec<MergeAction>) {
         stats.sessions_evicted += 1;
-        let h = port.index.remove(&addr).expect("victim exists");
-        let entry = port.sessions.remove(h).expect("releasing live entry");
+        let entry = port.sessions.remove(&addr).expect("victim exists");
         if let SessionKind::Reduction {
             contribs,
             contributors,
@@ -742,18 +734,17 @@ impl MergeUnit {
         // address knows how many participants remain.
         let progress = match &entry.kind {
             SessionKind::Reduction { contribs, .. } => *contribs,
-            SessionKind::LoadReady { .. } | SessionKind::LoadWait { .. } => entry.count,
+            SessionKind::LoadReady | SessionKind::LoadWait { .. } => entry.count,
         };
         *port.history.entry(addr).or_insert(0) += progress;
         Self::retire(stats, port, entry);
     }
 
     /// Releases a *completed* session (full participation reached).
-    fn release(stats: &mut MergeStats, port: &mut Port, addr: Addr, _full: u32) {
+    fn release(stats: &mut MergeStats, port: &mut Port, addr: Addr) {
         stats.sessions_closed += 1;
         port.history.remove(&addr);
-        let h = port.index.remove(&addr).expect("releasing live entry");
-        let entry = port.sessions.remove(h).expect("releasing live entry");
+        let entry = port.sessions.remove(&addr).expect("releasing live entry");
         Self::retire(stats, port, entry);
     }
 
@@ -762,17 +753,15 @@ impl MergeUnit {
     ///
     /// * session conservation — every session ever opened was either
     ///   released complete, evicted, or is still live;
-    /// * per-port index/slab sync — the address index and the session
-    ///   slab always hold exactly the same sessions;
     /// * per-port occupancy conservation — the incrementally tracked
     ///   occupancy equals the sum over live entries, and splits exactly
     ///   into the reduce/load sub-tallies;
     /// * participant accounting — a Load-Wait session has exactly one
     ///   queued waiter per counted request.
     ///
-    /// At quiescence additionally: zero live sessions (the `history`
-    /// progress map is byte-counted metadata and may legitimately
-    /// outlive its sessions).
+    /// At quiescence additionally: zero live sessions and no unowned
+    /// fetch in flight (the `history` progress map is byte-counted
+    /// metadata and may legitimately outlive its sessions).
     pub fn audit_probe(&self, probe: &mut sim_core::AuditProbe) {
         let s = &self.stats;
         let live: u64 = self.ports.values().map(|p| p.sessions.len() as u64).sum();
@@ -791,23 +780,7 @@ impl MergeUnit {
             || format!("{} port(s) instantiated", self.ports.len()),
         );
         for ((plane, gpu), port) in &self.ports {
-            probe.ledger_with(
-                "merge",
-                "index/slab sync: indexed addresses == live sessions",
-                port.index.len() as u64,
-                port.sessions.len() as u64,
-                || format!("port ({plane:?}, {gpu:?})"),
-            );
-            let entry_occ: u64 = port
-                .index
-                .values()
-                .map(|h| {
-                    port.sessions
-                        .get(*h)
-                        .expect("indexed session is live")
-                        .occupancy
-                })
-                .sum();
+            let entry_occ: u64 = port.sessions.values().map(|e| e.occupancy).sum();
             probe.ledger_with(
                 "merge",
                 "occupancy conservation: tracked == sum over live entries",
@@ -822,8 +795,7 @@ impl MergeUnit {
                 port.reduce_occ + port.load_occ,
                 || format!("port ({plane:?}, {gpu:?})"),
             );
-            for (addr, h) in &port.index {
-                let e = port.sessions.get(*h).expect("indexed session is live");
+            for (addr, e) in &port.sessions {
                 if let SessionKind::LoadWait { waiters } = &e.kind {
                     probe.ledger_with(
                         "merge",
@@ -837,6 +809,13 @@ impl MergeUnit {
         }
         if probe.is_quiescence() {
             probe.require_zero("merge", "quiescence: zero live sessions", live);
+            let unowned: u64 = self
+                .ports
+                .values()
+                .flat_map(|p| p.unowned.values())
+                .map(|&n| u64::from(n))
+                .sum();
+            probe.require_zero("merge", "quiescence: no unowned fetch in flight", unowned);
         }
     }
 
@@ -865,6 +844,7 @@ impl MergeUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn unit(n: usize, cap: Option<u64>) -> MergeUnit {
         MergeUnit::new(MergeConfig {
@@ -1198,9 +1178,10 @@ mod tests {
 
     #[test]
     fn entry_fault_refetches_load_waiters() {
-        // Two queued waiters lose their session to an SRAM fault: both are
-        // re-forwarded, the entry is gone, and the recorded progress lets
-        // the third requester finish the address.
+        // Two queued waiters lose their session to an SRAM fault: the
+        // opener's fetch is still in flight and passes through to it, the
+        // other waiter refetches, the entry is gone, and the recorded
+        // progress lets the third requester finish the address.
         let mut m = faulty_unit(4, 1.0, 100);
         let addr = Addr::new(GpuId(3), 0x1000);
         let mut out = Vec::new();
@@ -1210,21 +1191,71 @@ mod tests {
         let mut rng = JitterRng::seed_from(7);
         m.inject_entry_faults(t(3), PLANE, &mut rng, &mut out);
         assert_eq!(m.stats().entry_faults, 1);
-        assert_eq!(
-            out.iter()
-                .filter(|a| matches!(a, MergeAction::ForwardLoad { .. }))
-                .count(),
-            2,
-            "both waiters refetch"
-        );
+        let refetched: Vec<Waiter> = out
+            .iter()
+            .filter_map(|a| match a {
+                MergeAction::ForwardLoad { waiter, .. } => Some(*waiter),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(refetched, vec![waiter(1)], "the non-opener refetches");
         assert!(!m.has_entries(), "faulted entry evicted");
-        // The in-flight (now orphaned) response passes through untouched.
+        // Both fetches in flight (the opener's and the refetch) pass
+        // through untouched.
         out.clear();
         assert!(!m.on_load_resp(t(4), PLANE, addr, 4096, &mut out));
+        assert!(!m.on_load_resp(t(5), PLANE, addr, 4096, &mut out));
+        assert!(out.is_empty());
         // The last requester completes the address via the history record.
-        m.on_load_req(t(5), PLANE, addr, 4096, waiter(2), &mut out);
-        assert!(m.on_load_resp(t(6), PLANE, addr, 4096, &mut out));
+        m.on_load_req(t(6), PLANE, addr, 4096, waiter(2), &mut out);
+        assert!(m.on_load_resp(t(7), PLANE, addr, 4096, &mut out));
         assert!(!m.has_entries(), "address fully retired");
+    }
+
+    #[test]
+    fn successor_session_never_consumes_a_refetch() {
+        // The lost-requester ordering: a fault re-forwards waiter 1, then
+        // waiter 2 asks for the same address, then waiter 1's refetch
+        // returns first. Matching on the address alone, a session opened
+        // for waiter 2 would consume that response and drop waiter 1's
+        // packet. Every requester must be answered exactly once.
+        let mut m = faulty_unit(4, 1.0, 100);
+        let addr = Addr::new(GpuId(3), 0x1000);
+        let mut out = Vec::new();
+        let mut fetches: Vec<Waiter> = Vec::new();
+        let mut answers: HashMap<TbId, u32> = HashMap::new();
+        let mut settle = |out: &mut Vec<MergeAction>, fetches: &mut Vec<Waiter>| {
+            for a in out.drain(..) {
+                match a {
+                    MergeAction::ForwardLoad { waiter, .. } => fetches.push(waiter),
+                    MergeAction::RespondLoad { waiter, .. } => {
+                        *answers.entry(waiter.tb).or_default() += 1
+                    }
+                    _ => {}
+                }
+            }
+        };
+        m.on_load_req(t(1), PLANE, addr, 4096, waiter(0), &mut out);
+        m.on_load_req(t(2), PLANE, addr, 4096, waiter(1), &mut out);
+        m.inject_entry_faults(t(3), PLANE, &mut JitterRng::seed_from(7), &mut out);
+        m.on_load_req(t(4), PLANE, addr, 4096, waiter(2), &mut out);
+        settle(&mut out, &mut fetches);
+        // Deliver waiter 1's refetch first, then the rest in order.
+        let first = fetches.iter().rposition(|w| *w == waiter(1)).unwrap();
+        let order = std::iter::once(first).chain((0..fetches.len()).filter(|&i| i != first));
+        let mut passed = Vec::new();
+        for (k, i) in order.enumerate() {
+            if !m.on_load_resp(t(5 + k as u64), PLANE, addr, 4096, &mut out) {
+                passed.push(fetches[i]);
+            }
+            settle(&mut out, &mut Vec::new());
+        }
+        for w in passed {
+            *answers.entry(w.tb).or_default() += 1;
+        }
+        let once: HashMap<TbId, u32> = (0..3).map(|g| (TbId(g), 1)).collect();
+        assert_eq!(answers, once, "answers per waiter");
+        assert!(!m.has_entries());
     }
 
     #[test]

@@ -446,8 +446,9 @@ impl CaisStrategy {
             }
         }
         let after = ctx.prev_all.clone();
+        let kname: Arc<str> = format!("coll.{name}").into();
         let out = kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
-            KernelSpec::new(format!("coll.{name}"), after.clone()).gated()
+            KernelSpec::new(Arc::clone(&kname), after.clone()).gated()
         });
         ctx.set_stage_output(out);
     }
@@ -555,10 +556,10 @@ impl CaisStrategy {
                 self.group_row(ctx, producers.last_row().map(|(_, tb)| tb), tile_bytes, np);
             }
         }
-        let producer_name = format!("gemm.{}", dfg.node(producer).name);
+        let producer_name: Arc<str> = format!("gemm.{}", dfg.node(producer).name).into();
         let mut after = ctx.stage_after(self.fused);
         let producer_kids = producers.finish(&mut ctx.prog, &mut ctx.ids, |g| {
-            KernelSpec::new(&producer_name, std::mem::take(&mut after[g]))
+            KernelSpec::new(Arc::clone(&producer_name), std::mem::take(&mut after[g]))
         });
 
         // ---- middle (shard-local LN / elementwise) -------------------
@@ -625,8 +626,8 @@ impl CaisStrategy {
                 mids.push_gated(&mut ctx.ids, owner.index(), mi, phases, deps);
             }
         }
-        let mid_name = if middle.is_empty() {
-            "fused.mid".to_string()
+        let mid_name: Arc<str> = if middle.is_empty() {
+            "fused.mid".into()
         } else {
             format!(
                 "fused.mid.{}",
@@ -636,6 +637,7 @@ impl CaisStrategy {
                     .collect::<Vec<_>>()
                     .join("+")
             )
+            .into()
         };
         let mid_kids = if has_middle_work {
             // Fused: launched alongside the producer; tiles gate TBs.
@@ -647,7 +649,7 @@ impl CaisStrategy {
                 vec![producer_kids.clone(); np]
             };
             mids.finish(&mut ctx.prog, &mut ctx.ids, |g| {
-                KernelSpec::new(&mid_name, std::mem::take(&mut after[g])).gated()
+                KernelSpec::new(Arc::clone(&mid_name), std::mem::take(&mut after[g])).gated()
             })
         } else {
             Vec::new()
@@ -777,8 +779,9 @@ impl CaisStrategy {
                 }
             }
         }
+        let kname: Arc<str> = format!("gemm.{name}").into();
         kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
-            KernelSpec::new(format!("gemm.{name}"), after.clone()).gated()
+            KernelSpec::new(Arc::clone(&kname), after.clone()).gated()
         })
     }
 }

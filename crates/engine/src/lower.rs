@@ -12,7 +12,7 @@ use crate::ids::IdAlloc;
 use crate::program::{PlannedKernel, Program};
 use gpu_sim::{KernelCost, KernelDesc, Phase, TbDesc};
 use llm_workload::{Node, NodeKind};
-use sim_core::{GpuId, KernelId, SimDuration, Symbol, TbId, TileId};
+use sim_core::{GpuId, KernelId, SimDuration, TbId, TileId};
 use std::sync::Arc;
 
 /// Square output-tile geometry used to decompose GEMMs into TBs.
@@ -108,7 +108,8 @@ impl GemmLowering {
                 kb.push(ids, g, key as u64, vec![Phase::Compute(t)]);
             }
         }
-        kb.finish(prog, ids, |g| KernelSpec::new(&node.name, after(g)))
+        let name: Arc<str> = node.name.as_str().into();
+        kb.finish(prog, ids, |g| KernelSpec::new(Arc::clone(&name), after(g)))
     }
 
     /// Per-TB durations of a communication-free compute node: one
@@ -168,7 +169,7 @@ pub fn shard_owner(band: u64, n_bands: u64, p: usize) -> GpuId {
 #[derive(Debug, Clone)]
 pub struct KernelSpec {
     /// Kernel name.
-    pub name: Symbol,
+    pub name: Arc<str>,
     /// Kernels that must complete before launch.
     pub after: Vec<KernelId>,
     /// Every TB is ready at launch; when false each TB waits for its
@@ -182,7 +183,7 @@ pub struct KernelSpec {
 
 impl KernelSpec {
     /// An auto-ready, separately launched, unordered kernel.
-    pub fn new(name: impl Into<Symbol>, after: Vec<KernelId>) -> KernelSpec {
+    pub fn new(name: impl Into<Arc<str>>, after: Vec<KernelId>) -> KernelSpec {
         KernelSpec {
             name: name.into(),
             after,
@@ -413,7 +414,7 @@ mod tests {
         assert_eq!(prog.kernels[1].gpu, GpuId(1));
         assert_eq!(tbs(1), vec![(TbId(0), 0), (TbId(2), 1)]);
         let d = &prog.kernels[1].desc;
-        assert_eq!(d.name, "k1");
+        assert_eq!(&*d.name, "k1");
         assert!(d.tbs_auto_ready && d.fused_launch && !d.ordered);
         assert_eq!(prog.kernels[1].after, vec![KernelId(0)]);
         assert!(

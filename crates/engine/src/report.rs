@@ -1,15 +1,15 @@
 //! Execution reports.
 
 use noc_sim::FabricReport;
-use sim_core::{GpuId, KernelId, SimDuration, SimTime, Symbol};
+use sim_core::{GpuId, KernelId, SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Recorded lifetime of one kernel instance.
 #[derive(Debug, Clone)]
 pub struct KernelSpan {
-    /// Kernel name from lowering (interned: copying a span copies a
-    /// 4-byte symbol, not a heap string).
-    pub name: Symbol,
+    /// Kernel name from lowering.
+    pub name: Arc<str>,
     /// GPU it ran on.
     pub gpu: GpuId,
     /// Launch time.
@@ -79,7 +79,7 @@ impl ExecReport {
     pub fn kernel_time_with_prefix(&self, prefix: &str) -> SimDuration {
         self.kernel_spans
             .values()
-            .filter(|s| s.gpu == GpuId(0) && s.name.as_str().starts_with(prefix))
+            .filter(|s| s.gpu == GpuId(0) && s.name.starts_with(prefix))
             .map(|s| s.duration())
             .sum()
     }

@@ -587,8 +587,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         self.kernel_spans.insert(
             kid,
             KernelSpan {
-                // Interned symbol: a Copy, not a per-launch heap clone.
-                name: planned.desc.name,
+                name: Arc::clone(&planned.desc.name),
                 gpu: planned.gpu,
                 start: now,
                 end: now,
@@ -1126,9 +1125,9 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             })));
         }
         // Mandatory end-of-run quiescence verification: every queue
-        // drained, every slab empty, no orphaned retransmission state.
-        // Runs on the success path of every run, audited or not, so that
-        // silent bookkeeping leaks cannot survive a "passing" run.
+        // drained and every table empty. Runs on the success path of
+        // every run, audited or not, so that silent bookkeeping leaks
+        // cannot survive a "passing" run.
         self.audit_check(AuditPhase::Quiescence)?;
         let total = self.now.since(SimTime::ZERO);
         let logic_stats = self.fabric.logic().stats();
@@ -1320,7 +1319,7 @@ mod tests {
         let span = report
             .kernel_spans
             .values()
-            .find(|s| s.name == "consumer")
+            .find(|s| &*s.name == "consumer")
             .unwrap();
         // Consumer can only finish after remote contributions arrived
         // (launch 3us + produce 2us + wire time), then 1us compute.
@@ -1799,7 +1798,7 @@ mod tests {
         let span = report
             .kernel_spans
             .values()
-            .find(|s| s.name == "reader")
+            .find(|s| &*s.name == "reader")
             .unwrap();
         // 1 MB at 450 GB/s per link ~ 2.3us per hop + latency.
         assert!(span.end > SimTime::from_us(7), "end {}", span.end);

@@ -1,6 +1,6 @@
 //! Kernel and thread-block descriptors.
 
-use sim_core::{Addr, GroupId, KernelId, SimDuration, Symbol, TbId, TileId};
+use sim_core::{Addr, GroupId, KernelId, SimDuration, TbId, TileId};
 use std::sync::Arc;
 
 /// The kind of a remote memory operation issued by a TB.
@@ -137,9 +137,8 @@ pub struct KernelDesc {
     /// Globally unique kernel id.
     pub id: KernelId,
     /// Human-readable name for reports ("qkv_gemm", "allgather", ...),
-    /// interned so per-launch bookkeeping copies a 4-byte symbol instead
-    /// of cloning a heap string.
-    pub name: Symbol,
+    /// shared by every GPU's copy of the kernel and by its spans.
+    pub name: Arc<str>,
     /// The grid.
     pub tbs: Vec<TbDesc>,
     /// When false, TBs additionally wait for the engine to mark them ready
@@ -158,7 +157,7 @@ pub struct KernelDesc {
 
 impl KernelDesc {
     /// Creates a kernel whose TBs are all immediately ready at launch.
-    pub fn new(id: KernelId, name: impl Into<Symbol>, tbs: Vec<TbDesc>) -> KernelDesc {
+    pub fn new(id: KernelId, name: impl Into<Arc<str>>, tbs: Vec<TbDesc>) -> KernelDesc {
         KernelDesc {
             id,
             name: name.into(),

@@ -90,16 +90,19 @@ fn audited_cfg(scale: Scale, faults: FaultPlan) -> SystemConfig {
     cfg
 }
 
+/// Runs one cell: the L2 sub-layer under CAIS or TP-NVLS.
+fn run_cell(cais: bool, model: &ModelConfig, cfg: &SystemConfig) -> Result<ExecReport, SimError> {
+    let dfg = sublayer(model, cfg.tp(), SubLayer::L2);
+    if cais {
+        execute(&CaisStrategy::full(), &dfg, cfg)
+    } else {
+        execute(&BaselineStrategy::tp_nvls(), &dfg, cfg)
+    }
+}
+
 fn job(label: String, cais: bool, model: &ModelConfig, cfg: &SystemConfig) -> SweepJob {
     let (model, cfg) = (model.clone(), cfg.clone());
-    SweepJob::new(label, move || -> Result<ExecReport, SimError> {
-        let dfg = sublayer(&model, cfg.tp(), SubLayer::L2);
-        if cais {
-            execute(&CaisStrategy::full(), &dfg, &cfg)
-        } else {
-            execute(&BaselineStrategy::tp_nvls(), &dfg, &cfg)
-        }
-    })
+    SweepJob::new(label, move || run_cell(cais, &model, &cfg))
 }
 
 fn stat(r: &ExecReport, key: &str) -> f64 {
@@ -270,6 +273,20 @@ mod tests {
         for (label, row) in &t.rows {
             assert_eq!(*row.last().expect("cells"), 0.0, "{label} oracle fails");
             assert!(row[..5].iter().all(|v| *v > 0.0), "{label} has empty cells");
+        }
+    }
+
+    /// The paper-scale cell `seed=0x863a8f6f3/CAIS/merge-faults` once
+    /// deadlocked: a merge session opened while a faulted session's
+    /// refetch was in flight, consumed that response, and its requester
+    /// was never answered. It must now finish clean under full audit.
+    #[test]
+    fn paper_scale_merge_fault_cell_drains() {
+        let scale = Scale::Paper;
+        let model = scale.model(&ModelConfig::llama_7b());
+        let cfg = audited_cfg(scale, plan("merge-faults", 0x8_63a8_f6f3));
+        if let Err(e) = run_cell(true, &model, &cfg) {
+            panic!("{e}");
         }
     }
 }

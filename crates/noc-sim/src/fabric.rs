@@ -7,8 +7,7 @@ use sim_core::audit::{AuditProbe, EventRing};
 use sim_core::profile::{prof_scope, Subsystem};
 use sim_core::rng::JitterRng;
 use sim_core::{
-    Bandwidth, EventQueue, FaultPlan, GpuId, PlaneId, SimDuration, SimTime, Slab, SlotHandle,
-    WindowSchedule,
+    Bandwidth, EventQueue, FaultPlan, GpuId, PlaneId, SimDuration, SimTime, WindowSchedule,
 };
 
 /// Static fabric parameters (Sec. IV-A of the paper).
@@ -160,12 +159,6 @@ struct FabricFaults {
     degrade_factor: f64,
     retx: sim_core::RetxConfig,
     links: Vec<LinkFault>,
-    /// Per-packet drop counts, held in a generation-tagged slab arena.
-    /// A packet stores its [`SlotHandle`] (allocated lazily at the first
-    /// drop) and the slot is recycled on delivery or budget exhaustion;
-    /// the arena is never iterated, so slot order cannot leak into
-    /// results, and stale handles resolve to `None` by construction.
-    attempts: Slab<u32>,
     counters: ResilienceCounters,
 }
 
@@ -192,7 +185,6 @@ impl FabricFaults {
             degrade_factor: plan.degrade.as_ref().map_or(1.0, |d| d.factor),
             retx: plan.retx.clone(),
             links,
-            attempts: Slab::new(),
             counters: ResilienceCounters::default(),
         }
     }
@@ -201,34 +193,24 @@ impl FabricFaults {
     /// `li`: `None` delivers it, `Some(backoff)` drops it and asks the
     /// caller to retransmit after `backoff`. One RNG draw per departure.
     ///
-    /// A packet that exhausts its retransmit budget is force-delivered so
-    /// the simulation always terminates; the exhaustion is counted and the
-    /// engine turns it into a typed error at the end of the run.
-    fn departure_fate(&mut self, li: usize, retx: &mut Option<SlotHandle>) -> Option<SimDuration> {
+    /// `retx` is the packet's drop count on its current hop; it resets
+    /// when the packet gets through. A packet that exhausts its
+    /// retransmit budget is force-delivered so the simulation always
+    /// terminates; the exhaustion is counted and the engine turns it into
+    /// a typed error at the end of the run.
+    fn departure_fate(&mut self, li: usize, retx: &mut u32) -> Option<SimDuration> {
         if self.drop_rate == 0.0 && self.corrupt_rate == 0.0 {
             return None;
         }
         let r = self.links[li].rng.next_f64();
         if r >= self.drop_rate + self.corrupt_rate {
-            if let Some(h) = retx.take() {
-                self.attempts.remove(h);
-            }
+            *retx = 0;
             return None;
         }
-        let h = match *retx {
-            Some(h) => h,
-            None => {
-                let h = self.attempts.insert(0);
-                *retx = Some(h);
-                h
-            }
-        };
-        let slot = self.attempts.get_mut(h).expect("live retransmit slot");
-        *slot += 1;
-        let attempt = *slot;
+        *retx += 1;
+        let attempt = *retx;
         if attempt > self.retx.max_retries {
-            self.attempts.remove(h);
-            *retx = None;
+            *retx = 0;
             self.counters.budget_exhausted += 1;
             return None;
         }
@@ -389,7 +371,7 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
             dst,
             plane,
             hop: Hop::ToSwitch,
-            retx: None,
+            retx: 0,
             payload,
         };
         // Callers inject either at the fabric's settled time (every link
@@ -553,7 +535,7 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
                         dst,
                         plane,
                         hop: Hop::ToGpu,
-                        retx: None,
+                        retx: 0,
                         payload,
                     };
                     self.enqueue_on_link(now, pkt, false);
@@ -718,8 +700,8 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
     /// * the fabric clock never ran backwards.
     ///
     /// At quiescence additionally: event queue empty, no packet left on
-    /// any link, every scheduled arrival dispatched, deliveries drained,
-    /// and no orphaned retransmission slots.
+    /// any link, every scheduled arrival dispatched, and deliveries
+    /// drained.
     pub fn audit_probe(&self, probe: &mut AuditProbe) {
         let t = &self.audit;
         let queued: u64 = self.links.iter().map(|l| l.queue_len() as u64).sum();
@@ -771,13 +753,6 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
                 t.arrivals_scheduled,
                 t.arrivals_done,
             );
-            if let Some(f) = &self.faults {
-                probe.require_zero(
-                    "fabric",
-                    "quiescence: no orphaned retransmission entries",
-                    f.attempts.len() as u64,
-                );
-            }
         }
         self.logic.audit_probe(probe);
     }

@@ -450,7 +450,7 @@ mod tests {
             dst: GpuId(1),
             plane: PlaneId(0),
             hop: Hop::ToSwitch,
-            retx: None,
+            retx: 0,
             payload: id,
         }
     }

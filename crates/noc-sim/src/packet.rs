@@ -1,6 +1,6 @@
 //! Packets, payloads and flow classes.
 
-use sim_core::{GpuId, PlaneId, SimTime, SlotHandle};
+use sim_core::{GpuId, PlaneId, SimTime};
 use std::fmt;
 
 /// Traffic class of a packet; determines its virtual channel.
@@ -98,10 +98,10 @@ pub struct Packet<P> {
     pub plane: PlaneId,
     /// Which half of the route the packet is currently on.
     pub hop: Hop,
-    /// Retransmission-state handle into the fabric's fault arena; `None`
-    /// until the packet's first drop/corruption, so fault-free traffic
-    /// carries no retransmission state at all.
-    pub retx: Option<SlotHandle>,
+    /// Times this packet was dropped or corrupted on its current hop
+    /// (the fabric's retransmission budget counts against it); zero in
+    /// fault-free traffic.
+    pub retx: u32,
     /// Domain payload.
     pub payload: P,
 }

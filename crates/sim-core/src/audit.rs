@@ -92,8 +92,8 @@ pub enum AuditPhase {
     /// Mid-run check at the configured event cadence: only invariants
     /// that hold at *any* event boundary are asserted.
     Cadence,
-    /// End-of-run verification: every queue drained, every slab empty,
-    /// no orphaned retransmission state. Runs on the success path too.
+    /// End-of-run verification: every queue drained and every table
+    /// empty. Runs on the success path too.
     Quiescence,
 }
 

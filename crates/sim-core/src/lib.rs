@@ -15,10 +15,9 @@
 //!   allocation order.
 //! * No global state and no wall-clock access anywhere in simulation
 //!   paths; randomness is always an explicitly seeded [`rng::JitterRng`]
-//!   owned by the component that needs it. Two observe-only exceptions
-//!   are documented in place: the label interner ([`intern`]) and the
-//!   feature-gated self-profiler ([`profile`]). Neither can feed a value
-//!   back into simulation state.
+//!   owned by the component that needs it. One observe-only exception is
+//!   documented in place: the feature-gated self-profiler ([`profile`]),
+//!   which cannot feed a value back into simulation state.
 //!
 //! # Example
 //!
@@ -38,12 +37,9 @@ pub mod audit;
 pub mod bandwidth;
 pub mod fault;
 pub mod ids;
-pub mod intern;
 pub mod profile;
 pub mod queue;
 pub mod rng;
-pub mod slab;
-pub mod smallvec;
 pub mod stats;
 pub mod time;
 
@@ -55,9 +51,6 @@ pub use fault::{
 pub use ids::{
     Addr, DenseMap, DenseSet, FastHash, GpuId, GroupId, IdIndex, KernelId, PlaneId, TbId, TileId,
 };
-pub use intern::Symbol;
 pub use profile::{prof_scope, Subsystem};
 pub use queue::EventQueue;
-pub use slab::{Slab, SlotHandle};
-pub use smallvec::SmallVec;
 pub use time::{SimDuration, SimTime};

@@ -23,11 +23,11 @@
 //!
 //! # Determinism
 //!
-//! This is one of two deliberate exceptions to the crate's "no global
-//! state, no wall clock" rule (the other is [`crate::intern`]). The
-//! profiler only *observes* the simulation — it never feeds a value back
-//! into simulation state — so enabling it cannot change any result. A
-//! golden-table test in `cais-harness` pins that property.
+//! This is the one deliberate exception to the crate's "no global
+//! state, no wall clock" rule. The profiler only *observes* the
+//! simulation — it never feeds a value back into simulation state — so
+//! enabling it cannot change any result. A golden-table test in
+//! `cais-harness` pins that property.
 //!
 //! Counters are **per thread**. A parallel sweep reports whichever worker
 //! thread calls [`report`]; the intended use is the single-threaded

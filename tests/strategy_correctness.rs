@@ -143,7 +143,7 @@ fn fused_pipeline_overlaps_kernels_in_time() {
     let span = |prefix: &str| {
         r.kernel_spans
             .values()
-            .find(|s| s.gpu == cais::sim_core::GpuId(0) && s.name.as_str().starts_with(prefix))
+            .find(|s| s.gpu == cais::sim_core::GpuId(0) && s.name.starts_with(prefix))
             .unwrap_or_else(|| panic!("kernel {prefix} missing"))
     };
     let producer = span("gemm.attn.proj");
@@ -164,7 +164,7 @@ fn base_variant_serializes_stages() {
     let span = |prefix: &str| {
         r.kernel_spans
             .values()
-            .find(|s| s.gpu == cais::sim_core::GpuId(0) && s.name.as_str().starts_with(prefix))
+            .find(|s| s.gpu == cais::sim_core::GpuId(0) && s.name.starts_with(prefix))
             .unwrap_or_else(|| panic!("kernel {prefix} missing"))
     };
     let mid = span("fused.mid");
