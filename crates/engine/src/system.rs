@@ -114,15 +114,17 @@ pub struct SystemSim<L: SwitchLogic<Msg>> {
     tiles: Vec<DenseMap<TileId, TileEntry>>,
     tile_expected: DenseMap<TileId, u32>,
 
-    /// Pre-access-blocked TBs, flat-indexed `gpu * n_groups + group`.
-    preaccess_blocked: Vec<Vec<TbId>>,
+    /// Pre-access-blocked TBs of the (GPU, group) pairs that have any,
+    /// in (GPU, group) order; a pair's entry goes at its release.
+    preaccess_blocked: BTreeMap<(GpuId, GroupId), Vec<TbId>>,
     /// Running total of `preaccess_blocked`, so cadence audits need not
-    /// sum every (GPU, group) slot.
+    /// sum every waiter list.
     preaccess_waiting: usize,
-    n_groups: usize,
 
     /// Per-plane CAIS credit state, flat-indexed `gpu * n_planes + plane`.
     throttle: Vec<ThrottleState>,
+    /// Credits returned beyond those outstanding on their plane.
+    credits_over_returned: u64,
     inflight_cais_loads: HashSet<(GpuId, Addr), FastHash>,
 
     deduped_fetches: u64,
@@ -194,14 +196,6 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             .kernels
             .iter()
             .map(|k| k.desc.id.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let n_groups = program
-            .kernels
-            .iter()
-            .flat_map(|k| k.desc.tbs.iter())
-            .filter_map(|tb| tb.group)
-            .map(|g| g.index() + 1)
             .max()
             .unwrap_or(0);
 
@@ -296,10 +290,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             launched_tbs: DenseSet::with_capacity(n_tbs),
             tiles,
             tile_expected,
-            preaccess_blocked: vec![Vec::new(); cfg.n_gpus * n_groups],
+            preaccess_blocked: BTreeMap::new(),
             preaccess_waiting: 0,
-            n_groups,
             throttle,
+            credits_over_returned: 0,
             inflight_cais_loads: HashSet::default(),
             deduped_fetches: 0,
             semantic_contribs: 0,
@@ -445,6 +439,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         );
         probe.counter("engine.throttle_outstanding", outstanding as u64);
         probe.counter("engine.throttle_queued", queued as u64);
+        probe.counter("engine.credits_over_returned", self.credits_over_returned);
         probe.counter("engine.preaccess_blocked", self.preaccess_waiting as u64);
         probe.counter("engine.kernels_remaining", self.kernels_remaining as u64);
         probe.counter("engine.semantic_contribs", self.semantic_contribs);
@@ -469,8 +464,13 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 "quiescence: no outstanding throttle credits",
                 outstanding as u64,
             );
+            probe.require_zero(
+                "engine",
+                "quiescence: no credits returned beyond those outstanding",
+                self.credits_over_returned,
+            );
             // The one full recount of every (GPU, group) waiter list.
-            let preaccess: usize = self.preaccess_blocked.iter().map(|v| v.len()).sum();
+            let preaccess: usize = self.preaccess_blocked.values().map(Vec::len).sum();
             probe.ledger(
                 "engine",
                 "pre-access tally matches the waiter lists",
@@ -534,15 +534,14 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 st.outstanding
             ));
         }
-        let n_groups = self.n_groups.max(1);
-        for (i, tbs) in self.preaccess_blocked.iter().enumerate() {
-            if tbs.is_empty() || edges.len() >= MAX_EDGES {
-                continue;
+        for ((g, grp), tbs) in &self.preaccess_blocked {
+            if edges.len() >= MAX_EDGES {
+                break;
             }
-            let g = i / n_groups;
-            let grp = i % n_groups;
             edges.push(format!(
-                "g{g} -> group{grp} ({} TBs awaiting pre-access release)",
+                "g{} -> group{} ({} TBs awaiting pre-access release)",
+                g.index(),
+                grp.index(),
                 tbs.len()
             ));
         }
@@ -723,7 +722,9 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         let limit = self.cfg.cais_credits_per_plane.expect("checked");
         loop {
             let st = &mut self.throttle[gpu.index() * self.cfg.n_planes + plane.index()];
-            st.outstanding = st.outstanding.saturating_sub(n as usize);
+            let returned = (n as usize).min(st.outstanding);
+            self.credits_over_returned += (n as usize - returned) as u64;
+            st.outstanding -= returned;
             n = 0;
             if st.outstanding >= limit {
                 break;
@@ -731,6 +732,11 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             let Some((src, dst, msg)) = st.queue.pop_front() else {
                 break;
             };
+            // A burst can queue far more requests than the plane has
+            // credits; once it drains, drop the buffer it grew.
+            if st.queue.is_empty() && st.queue.capacity() > limit {
+                st.queue = VecDeque::new();
+            }
             st.outstanding += 1;
             self.fabric.inject(now, src, dst, plane, msg);
         }
@@ -750,7 +756,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                     SyncKind::PreAccess => 1,
                 };
                 if kind == SyncKind::PreAccess {
-                    self.preaccess_blocked[gpu.index() * self.n_groups + group.index()].push(tb);
+                    self.preaccess_blocked
+                        .entry((gpu, group))
+                        .or_default()
+                        .push(tb);
                     self.preaccess_waiting += 1;
                 }
                 self.inject(
@@ -1035,11 +1044,9 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             Msg::SyncRel { group, kind } => match kind {
                 0 => self.gpus[gpu.index()].release_group(t, group),
                 _ => {
-                    let slot = gpu.index() * self.n_groups + group.index();
                     let waiters = self
                         .preaccess_blocked
-                        .get_mut(slot)
-                        .map(std::mem::take)
+                        .remove(&(gpu, group))
                         .unwrap_or_default();
                     self.preaccess_waiting -= waiters.len();
                     for tb in waiters {
@@ -1083,17 +1090,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 )
                 .take(12)
                 .collect();
-            let n_groups = self.n_groups.max(1);
             let preaccess: Vec<String> = self
                 .preaccess_blocked
                 .iter()
-                .enumerate()
-                .filter(|(_, tbs)| !tbs.is_empty())
-                .map(|(i, tbs)| {
-                    let g = GpuId((i / n_groups) as u16);
-                    let grp = GroupId((i % n_groups) as u32);
-                    format!("{g}/{grp}:{}", tbs.len())
-                })
+                .map(|((g, grp), tbs)| format!("{g}/{grp}:{}", tbs.len()))
                 .take(8)
                 .collect();
             return Err(SimError::Deadlock(Box::new(DeadlockDiag {
@@ -1416,6 +1416,128 @@ mod tests {
             "throttled {} vs unthrottled {}",
             slow.total,
             fast.total
+        );
+    }
+
+    /// A system whose GPU 0 has queued `burst` CAIS loads on plane 0
+    /// behind `limit` credits, none of them returned yet.
+    fn credit_burst(limit: usize, burst: usize) -> SystemSim<PureRouter> {
+        let mut cfg = quiet_cfg(2);
+        cfg.cais_credits_per_plane = Some(limit);
+        let mut sim = SystemSim::new(cfg, Program::new(), PureRouter);
+        let mut ids = IdAlloc::new(2);
+        for _ in 0..burst {
+            let msg = Msg::LoadReq {
+                addr: ids.addr(GpuId(1), 4096),
+                bytes: 4096,
+                requester: GpuId(0),
+                tb: TbId(0),
+                tile: None,
+                cais: true,
+            };
+            sim.inject_cais(SimTime::ZERO, GpuId(0), GpuId(1), msg);
+        }
+        sim
+    }
+
+    #[test]
+    fn drained_credit_queue_releases_its_buffer() {
+        let (limit, burst) = (4, 256);
+        let mut sim = credit_burst(limit, burst);
+        assert_eq!(sim.throttle[0].queue.len(), burst - limit);
+        assert!(sim.throttle[0].queue.capacity() >= burst - limit);
+        // One credit back per response: each admits one queued request
+        // until the queue drains, then the last `limit` return idle.
+        for i in 0..burst {
+            sim.return_credits(SimTime::from_us(1), GpuId(0), PlaneId(0), 1);
+            assert_eq!(
+                sim.throttle[0].queue.len(),
+                (burst - limit).saturating_sub(i + 1)
+            );
+        }
+        assert_eq!(sim.throttle[0].outstanding, 0);
+        assert!(
+            sim.throttle[0].queue.capacity() <= limit,
+            "drained queue kept {} slots",
+            sim.throttle[0].queue.capacity()
+        );
+    }
+
+    #[test]
+    fn over_returned_credits_break_the_quiescence_ledger() {
+        let mut sim = credit_burst(4, 2);
+        // Two credits outstanding; three come back.
+        sim.return_credits(SimTime::from_us(1), GpuId(0), PlaneId(0), 3);
+        assert_eq!(sim.throttle[0].outstanding, 0);
+        assert_eq!(sim.credits_over_returned, 1);
+        let mut probe = AuditProbe::new(AuditPhase::Quiescence);
+        sim.engine_audit_probe(&mut probe);
+        let broken: Vec<&str> = probe.violations().iter().map(|v| v.ledger).collect();
+        assert_eq!(
+            broken,
+            ["quiescence: no credits returned beyond those outstanding"]
+        );
+    }
+
+    /// Forwards every packet except pre-access sync requests, which it
+    /// swallows: the groups they belong to are never released.
+    struct SyncSink;
+
+    impl SwitchLogic<Msg> for SyncSink {
+        fn on_packet(
+            &mut self,
+            _now: SimTime,
+            pkt: noc_sim::Packet<Msg>,
+            ctx: &mut noc_sim::SwitchCtx<Msg>,
+        ) {
+            if !matches!(pkt.payload, Msg::SyncReq { kind: 1, .. }) {
+                ctx.forward(pkt);
+            }
+        }
+    }
+
+    #[test]
+    fn unreleased_preaccess_groups_are_named_in_gpu_then_group_order() {
+        // Waiters on (g0, group5), (g1, group0) x2 and (g1, group2): the
+        // diagnostics list the pairs in (GPU, group) order, each once.
+        let cfg = quiet_cfg(2);
+        let mut ids = IdAlloc::new(2);
+        let syncer = |ids: &mut IdAlloc, group: u32| TbDesc {
+            id: ids.tb(),
+            order_key: 0,
+            group: Some(GroupId(group)),
+            pre_launch_sync: false,
+            phases: vec![
+                Phase::SyncGroup(SyncKind::PreAccess),
+                Phase::Compute(SimDuration::from_us(1)),
+            ],
+        };
+        let mut p = Program::new();
+        for (gpu, groups) in [(0u16, vec![5u32]), (1, vec![2, 0, 0])] {
+            let tbs = groups.iter().map(|&g| syncer(&mut ids, g)).collect();
+            p.push(PlannedKernel {
+                gpu: GpuId(gpu),
+                desc: KernelDesc::new(ids.kernel(), "syncers", tbs),
+                after: vec![],
+            });
+        }
+        let err = SystemSim::new(cfg, p, SyncSink)
+            .run()
+            .expect_err("unreleased pre-access groups must deadlock");
+        let SimError::Deadlock(diag) = err else {
+            panic!("expected a deadlock, got {err}");
+        };
+        assert_eq!(
+            diag.preaccess_waiters,
+            ["gpu0/grp5:1", "gpu1/grp0:2", "gpu1/grp2:1"]
+        );
+        assert_eq!(
+            diag.waits_for,
+            [
+                "g0 -> group5 (1 TBs awaiting pre-access release)",
+                "g1 -> group0 (2 TBs awaiting pre-access release)",
+                "g1 -> group2 (1 TBs awaiting pre-access release)",
+            ]
         );
     }
 

@@ -27,8 +27,9 @@
 use cais_harness::{runner::Scale, sweep, Table};
 use std::time::{Duration, Instant};
 
-/// Per-thread allocation counters for `--profile` runs; a transparent
-/// pass-through to the system allocator without the `profiler` feature.
+/// Per-thread allocation counters and the live-heap peak for `--profile`
+/// runs; a transparent pass-through to the system allocator without the
+/// `profiler` feature.
 #[cfg(feature = "profiler")]
 #[global_allocator]
 static COUNTING_ALLOC: sim_core::profile::CountingAllocator = sim_core::profile::CountingAllocator;

@@ -2,7 +2,8 @@
 //!
 //! Runs one end-to-end simulation per representative workload shape on
 //! the calling thread and prints the simulator's self-profiler report
-//! (self wall time, scope entries, allocation counters) for each. The
+//! (self wall time, scope entries, allocation counters, and the peak of
+//! live heap bytes over the run) for each. The
 //! numbers come from [`sim_core::profile`], which is compiled out by
 //! default — build with `--features profiler` to populate the table:
 //!
@@ -29,6 +30,8 @@ struct ProfiledRun {
     wall_ms: f64,
     events: u64,
     rows: Vec<SubsystemReport>,
+    /// High-water mark of live heap bytes from set-up to report.
+    peak_live_bytes: u64,
 }
 
 fn profiled_run(
@@ -48,6 +51,7 @@ fn profiled_run(
         wall_ms,
         events: report.events_processed,
         rows: profile::report(),
+        peak_live_bytes: profile::peak_live_bytes(),
     }
 }
 
@@ -77,6 +81,12 @@ fn render(run: &ProfiledRun) -> String {
         );
     }
     let _ = writeln!(out, "  instrumented total: {:.3} ms", total as f64 / 1e6);
+    let _ = writeln!(
+        out,
+        "  peak live heap: {} B ({:.1} MB)",
+        run.peak_live_bytes,
+        run.peak_live_bytes as f64 / 1e6
+    );
     out
 }
 

@@ -23,6 +23,13 @@ use cais_harness::sweep::{self, JobResult, SweepJob};
 use cais_harness::Table;
 use llm_workload::{sublayer, ModelConfig, Pass, SubLayer};
 
+/// With the profiler compiled in, every allocation of this test binary is
+/// counted, so the profiler-preservation test below also runs the
+/// live-heap accounting.
+#[cfg(feature = "profiler")]
+#[global_allocator]
+static COUNTING_ALLOC: sim_core::profile::CountingAllocator = sim_core::profile::CountingAllocator;
+
 /// Renders tables exactly as `cais-experiments` prints them to stdout:
 /// each table's `render()` followed by a newline.
 fn rendered(tables: Vec<Table>) -> String {
@@ -54,16 +61,24 @@ fn fig11_smoke_matches_golden() {
 /// CI runs this test both with and without `--features profiler`, and
 /// the rendered tables must match the same golden bytes in both builds.
 /// A single-threaded sweep keeps the profiler's thread-local counters on
-/// one thread, the configuration the profiler is specified for.
+/// one thread, the configuration the profiler is specified for. The
+/// live-heap count observes too: it must have seen the sweep's heap while
+/// the tables stay byte-identical.
 #[test]
 fn profiler_feature_preserves_results() {
     let golden = include_str!("golden/fig11_smoke.txt");
+    sim_core::profile::reset();
     let got = rendered(cais_harness::fig11::run(Scale::Smoke, 1));
     assert_eq!(
         got,
         golden,
         "experiment output drifted with profiler enabled={}",
         sim_core::profile::enabled()
+    );
+    assert_eq!(
+        sim_core::profile::peak_live_bytes() > 0,
+        sim_core::profile::enabled(),
+        "the live-heap peak is counted exactly when the profiler is compiled in"
     );
 }
 

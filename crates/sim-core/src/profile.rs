@@ -31,7 +31,10 @@
 //!
 //! Counters are **per thread**. A parallel sweep reports whichever worker
 //! thread calls [`report`]; the intended use is the single-threaded
-//! `cais-bench` / `cais-experiments --profile` paths.
+//! `cais-bench` / `cais-experiments --profile` paths. The one exception is
+//! the live-heap count ([`live_bytes`], [`peak_live_bytes`]): memory freed
+//! on another thread than allocated it must still balance, so it is kept
+//! process-wide.
 
 use std::fmt;
 
@@ -120,8 +123,9 @@ pub fn enabled() -> bool {
 }
 
 /// Global allocator wrapper that maintains per-thread allocation counters
-/// for the profiler. A transparent pass-through to [`std::alloc::System`]
-/// when the `profiler` feature is off.
+/// and the process-wide live-heap count for the profiler. A transparent
+/// pass-through to [`std::alloc::System`] when the `profiler` feature is
+/// off.
 ///
 /// Install in the profiling binary:
 ///
@@ -155,6 +159,10 @@ mod imp {
 
     pub(super) fn reset_rows() {}
 
+    pub(super) fn live() -> (u64, u64) {
+        (0, 0)
+    }
+
     // SAFETY: pure pass-through to the system allocator.
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -177,6 +185,7 @@ mod imp {
     use super::{CountingAllocator, Subsystem, SubsystemReport};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::{Cell, RefCell};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
     use std::time::Instant;
 
     const N: usize = Subsystem::ALL.len();
@@ -285,7 +294,17 @@ mod imp {
             st.epoch = st.epoch.map(|_| now);
             st.alloc_mark = (ALLOCS.get(), ALLOC_BYTES.get());
         });
+        PEAK_LIVE.store(LIVE.load(Relaxed), Relaxed);
     }
+
+    pub(super) fn live() -> (u64, u64) {
+        (LIVE.load(Relaxed), PEAK_LIVE.load(Relaxed))
+    }
+
+    /// Bytes allocated and not yet freed, process-wide, and their
+    /// high-water mark since the last [`reset_rows`].
+    static LIVE: AtomicU64 = AtomicU64::new(0);
+    static PEAK_LIVE: AtomicU64 = AtomicU64::new(0);
 
     #[inline]
     fn count(bytes: usize) {
@@ -294,24 +313,52 @@ mod imp {
         let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
     }
 
+    #[inline]
+    fn grow(bytes: usize) {
+        let live = LIVE.fetch_add(bytes as u64, Relaxed) + bytes as u64;
+        PEAK_LIVE.fetch_max(live, Relaxed);
+    }
+
+    #[inline]
+    fn shrink(bytes: usize) {
+        LIVE.fetch_sub(bytes as u64, Relaxed);
+    }
+
     // SAFETY: defers all allocation to the system allocator; the counter
-    // updates touch only const-initialized thread-local `Cell`s, which
-    // never allocate.
+    // updates touch only const-initialized thread-local `Cell`s and
+    // static atomics, which never allocate.
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             count(layout.size());
-            unsafe { System.alloc(layout) }
+            let ptr = unsafe { System.alloc(layout) };
+            if !ptr.is_null() {
+                grow(layout.size());
+            }
+            ptr
         }
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            shrink(layout.size());
             unsafe { System.dealloc(ptr, layout) }
         }
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
             count(layout.size());
-            unsafe { System.alloc_zeroed(layout) }
+            let ptr = unsafe { System.alloc_zeroed(layout) };
+            if !ptr.is_null() {
+                grow(layout.size());
+            }
+            ptr
         }
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             count(new_size);
-            unsafe { System.realloc(ptr, layout, new_size) }
+            let new = unsafe { System.realloc(ptr, layout, new_size) };
+            if !new.is_null() {
+                if new_size >= layout.size() {
+                    grow(new_size - layout.size());
+                } else {
+                    shrink(layout.size() - new_size);
+                }
+            }
+            new
         }
     }
 }
@@ -332,14 +379,34 @@ pub fn report() -> Vec<SubsystemReport> {
 }
 
 /// Clears the calling thread's counters (for between-iteration resets in
-/// benchmarks). A no-op when the profiler is compiled out.
+/// benchmarks) and restarts the live-heap high-water mark from the bytes
+/// live now. A no-op when the profiler is compiled out.
 pub fn reset() {
     imp::reset_rows()
+}
+
+/// Heap bytes allocated and not yet freed, process-wide. Zero unless the
+/// profiler is compiled in and the [`CountingAllocator`] is installed.
+pub fn live_bytes() -> u64 {
+    imp::live().0
+}
+
+/// High-water mark of [`live_bytes`] since the last [`reset`]. Unlike
+/// resident memory it counts only the bytes the program asked for, so it
+/// does not depend on the host's allocator or page size. It repeats to
+/// within a fraction of a percent between runs of the same shape; the
+/// allocation counts of [`report`] repeat exactly.
+pub fn peak_live_bytes() -> u64 {
+    imp::live().1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[cfg(feature = "profiler")]
+    #[global_allocator]
+    static COUNTING_ALLOC: CountingAllocator = CountingAllocator;
 
     #[test]
     fn disabled_profiler_reports_nothing() {
@@ -347,7 +414,23 @@ mod tests {
             let _guard = prof_scope(Subsystem::EngineLoop);
             assert!(report().is_empty());
             reset();
+            assert_eq!((live_bytes(), peak_live_bytes()), (0, 0));
         }
+    }
+
+    #[cfg(feature = "profiler")]
+    #[test]
+    fn live_heap_peak_follows_allocations() {
+        const MB: u64 = 1 << 20;
+        reset();
+        let block = std::hint::black_box(vec![0u8; MB as usize]);
+        assert!(live_bytes() >= MB);
+        let mut grown = block;
+        grown.reserve_exact(MB as usize);
+        assert!(peak_live_bytes() >= 2 * MB);
+        drop(grown);
+        // Other test threads allocate too, so only the ordering is exact.
+        assert!(peak_live_bytes() >= live_bytes());
     }
 
     #[cfg(feature = "profiler")]
