@@ -1,7 +1,7 @@
 //! The CAIS switch logic: merge unit + Group Sync Table wired into the
 //! fabric's [`SwitchLogic`] hook.
 
-use crate::merge::{MergeAction, MergeConfig, MergeStats, MergeUnit, Waiter};
+use crate::merge::{MergeAction, MergeConfig, MergeUnit, Waiter};
 use crate::sync::GroupSyncTable;
 use cais_engine::Msg;
 use noc_sim::{Packet, SwitchCtx, SwitchLogic};
@@ -70,11 +70,6 @@ impl CaisLogic {
     pub fn with_group_expected(mut self, expected: HashMap<GroupId, u32>) -> CaisLogic {
         self.sync = GroupSyncTable::new(self.n_gpus, expected);
         self
-    }
-
-    /// Merge-unit statistics.
-    pub fn merge_stats(&self) -> &MergeStats {
-        self.merge.stats()
     }
 
     /// Test-only ledger corruption: skews the merge unit's session-open
@@ -244,8 +239,9 @@ impl SwitchLogic<Msg> for CaisLogic {
 
     fn audit_probe(&self, probe: &mut sim_core::AuditProbe) {
         self.merge.audit_probe(probe);
-        probe.counter("cais.sync_open_groups", self.sync.open_groups() as u64);
-        probe.counter("cais.sync_releases", self.sync.releases());
+        probe.counter("cais.sync_releases", self.sync.releases() as f64);
+        probe.counter("cais.sync_mean_wait_us", self.sync.mean_wait().as_us_f64());
+        probe.counter("cais.sync_open_groups", self.sync.open_groups() as f64);
         if probe.is_quiescence() {
             probe.require_zero(
                 "sync",
@@ -254,35 +250,6 @@ impl SwitchLogic<Msg> for CaisLogic {
             );
         }
     }
-
-    fn stats(&self) -> Vec<(String, f64)> {
-        let m = self.merge.stats();
-        vec![
-            ("cais.load_requests".into(), m.load_requests as f64),
-            ("cais.loads_merged".into(), m.loads_merged as f64),
-            ("cais.loads_forwarded".into(), m.loads_forwarded as f64),
-            ("cais.reduce_contribs".into(), m.reduce_contribs as f64),
-            ("cais.reduce_flushes".into(), m.reduce_flushes as f64),
-            ("cais.evictions_lru".into(), m.evictions_lru as f64),
-            ("cais.evictions_timeout".into(), m.evictions_timeout as f64),
-            ("cais.bypasses".into(), m.bypasses as f64),
-            (
-                "cais.peak_port_occupancy".into(),
-                m.peak_port_occupancy as f64,
-            ),
-            ("cais.peak_reduce_bytes".into(), m.peak_reduce_bytes as f64),
-            ("cais.peak_load_bytes".into(), m.peak_load_bytes as f64),
-            ("cais.mean_spread_us".into(), m.mean_spread().as_us_f64()),
-            ("cais.entry_faults".into(), m.entry_faults as f64),
-            ("cais.degraded_ports".into(), m.degraded_ports as f64),
-            ("cais.degraded_bypasses".into(), m.degraded_bypasses as f64),
-            ("cais.sync_releases".into(), self.sync.releases() as f64),
-            (
-                "cais.sync_mean_wait_us".into(),
-                self.sync.mean_wait().as_us_f64(),
-            ),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -290,6 +257,14 @@ mod tests {
     use super::*;
     use noc_sim::{Fabric, FabricConfig};
     use sim_core::{Addr, TbId, TileId};
+
+    /// The logic's listed counters, looked up by name.
+    fn counter(f: &Fabric<Msg, CaisLogic>, name: &str) -> f64 {
+        let mut probe = sim_core::AuditProbe::new(sim_core::AuditPhase::Cadence);
+        f.logic().audit_probe(&mut probe);
+        let found = probe.counters().iter().find(|(k, _)| *k == name);
+        found.unwrap_or_else(|| panic!("no counter {name}")).1
+    }
 
     fn fabric(n: usize) -> Fabric<Msg, CaisLogic> {
         Fabric::new(
@@ -350,13 +325,7 @@ mod tests {
             .filter(|x| matches!(x.payload, Msg::LoadResp { .. }))
             .collect();
         assert_eq!(resps.len(), 3, "all three requesters served");
-        let stats = f.logic().stats();
-        let merged = stats
-            .iter()
-            .find(|(k, _)| k == "cais.loads_merged")
-            .unwrap()
-            .1;
-        assert_eq!(merged, 2.0);
+        assert_eq!(counter(&f, "cais.loads_merged"), 2.0);
     }
 
     #[test]
@@ -486,10 +455,8 @@ mod tests {
                 .any(|x| matches!(x.payload, Msg::Reduce { contribs: 1, .. })),
             "fault eviction flushed the partial"
         );
-        let stats = f.logic().stats();
-        let get = |k: &str| stats.iter().find(|(name, _)| name == k).unwrap().1;
-        assert!(get("cais.entry_faults") >= 1.0);
-        assert_eq!(get("cais.degraded_ports"), 1.0);
+        assert!(counter(&f, "cais.entry_faults") >= 1.0);
+        assert_eq!(counter(&f, "cais.degraded_ports"), 1.0);
         // The degraded port now forwards contributions unmerged.
         f.inject(
             f.now(),
@@ -512,9 +479,7 @@ mod tests {
                 .any(|x| matches!(x.payload, Msg::Reduce { contribs: 1, .. })),
             "bypassed contribution still reaches the home GPU"
         );
-        let stats = f.logic().stats();
-        let get = |k: &str| stats.iter().find(|(name, _)| name == k).unwrap().1;
-        assert!(get("cais.degraded_bypasses") >= 1.0);
+        assert!(counter(&f, "cais.degraded_bypasses") >= 1.0);
     }
 
     #[test]

@@ -748,8 +748,9 @@ impl MergeUnit {
         Self::retire(stats, port, entry);
     }
 
-    /// Reports the merge table's conservation ledgers to the auditor
-    /// (see `DESIGN.md` §11):
+    /// Lists the merge table's counters (the `cais.` statistics of
+    /// [`MergeStats`]) and reports its conservation ledgers to the
+    /// auditor (see `DESIGN.md` §11):
     ///
     /// * session conservation — every session ever opened was either
     ///   released complete, evicted, or is still live;
@@ -765,13 +766,25 @@ impl MergeUnit {
     pub fn audit_probe(&self, probe: &mut sim_core::AuditProbe) {
         let s = &self.stats;
         let live: u64 = self.ports.values().map(|p| p.sessions.len() as u64).sum();
-        probe.counter("merge.sessions_opened", s.sessions_opened);
-        probe.counter("merge.sessions_closed", s.sessions_closed);
-        probe.counter("merge.sessions_evicted", s.sessions_evicted);
-        probe.counter("merge.sessions_live", live);
-        probe.counter("merge.entry_faults", s.entry_faults);
-        probe.counter("merge.reduce_contribs", s.reduce_contribs);
-        probe.counter("merge.load_requests", s.load_requests);
+        probe.counter("cais.load_requests", s.load_requests as f64);
+        probe.counter("cais.loads_merged", s.loads_merged as f64);
+        probe.counter("cais.loads_forwarded", s.loads_forwarded as f64);
+        probe.counter("cais.reduce_contribs", s.reduce_contribs as f64);
+        probe.counter("cais.reduce_flushes", s.reduce_flushes as f64);
+        probe.counter("cais.evictions_lru", s.evictions_lru as f64);
+        probe.counter("cais.evictions_timeout", s.evictions_timeout as f64);
+        probe.counter("cais.bypasses", s.bypasses as f64);
+        probe.counter("cais.peak_port_occupancy", s.peak_port_occupancy as f64);
+        probe.counter("cais.peak_reduce_bytes", s.peak_reduce_bytes as f64);
+        probe.counter("cais.peak_load_bytes", s.peak_load_bytes as f64);
+        probe.counter("cais.mean_spread_us", s.mean_spread().as_us_f64());
+        probe.counter("cais.entry_faults", s.entry_faults as f64);
+        probe.counter("cais.degraded_ports", s.degraded_ports as f64);
+        probe.counter("cais.degraded_bypasses", s.degraded_bypasses as f64);
+        probe.counter("cais.sessions_opened", s.sessions_opened as f64);
+        probe.counter("cais.sessions_closed", s.sessions_closed as f64);
+        probe.counter("cais.sessions_evicted", s.sessions_evicted as f64);
+        probe.counter("cais.sessions_live", live as f64);
         probe.ledger_with(
             "merge",
             "session conservation: opened == closed + evicted + live",

@@ -827,6 +827,36 @@ mod tests {
     }
 
     #[test]
+    fn idle_gpus_past_64_leave_an_eight_gpu_run_unchanged() {
+        // One CAIS sub-layer lowered for GPUs 0-7 and run on 8 and on 72
+        // GPUs with the same fabric parameters: the 64 idle GPUs must not
+        // move a single event.
+        let strategy = CaisStrategy::full();
+        let mut base = small_cfg();
+        base.n_gpus = 8;
+        base.fabric.n_gpus = 8;
+        strategy.tune(&mut base);
+        let dfg = sublayer(&small_model(), 8, SubLayer::L1);
+        let run = |n_gpus: usize| {
+            let mut program = strategy.lower(&dfg, &base);
+            let logic = CaisLogic::new(8, MergeConfig::paper_default(8))
+                .with_group_expected(std::mem::take(&mut program.group_expected));
+            let mut cfg = base.clone();
+            cfg.n_gpus = n_gpus;
+            cfg.fabric.n_gpus = n_gpus;
+            SystemSim::new(cfg, program, logic)
+                .run()
+                .expect("run completes")
+        };
+        let (eight, wide) = (run(8), run(72));
+        assert_eq!(wide.gpu_occupancy.len(), 72);
+        assert_eq!(eight.total, wide.total);
+        assert_eq!(eight.events_processed, wide.events_processed);
+        assert_eq!(eight.logic_stats, wide.logic_stats);
+        assert!(eight.stat("cais.loads_merged").unwrap() > 0.0);
+    }
+
+    #[test]
     fn base_is_slower_than_full() {
         let cfg = small_cfg();
         let dfg = sublayer(&small_model(), 4, SubLayer::L1);
@@ -848,8 +878,10 @@ mod tests {
             .expect("run completes");
         let uncoord = execute(&CaisStrategy::base().with_merge_table(None), &dfg, &cfg)
             .expect("run completes");
-        let s_coord = coord.mean_request_spread.expect("spread recorded");
-        let s_uncoord = uncoord.mean_request_spread.expect("spread recorded");
+        let s_coord = coord.stat("cais.mean_spread_us").expect("spread recorded");
+        let s_uncoord = uncoord
+            .stat("cais.mean_spread_us")
+            .expect("spread recorded");
         assert!(
             s_coord < s_uncoord,
             "coordinated spread {s_coord} must beat uncoordinated {s_uncoord}"

@@ -12,26 +12,33 @@ use std::fmt;
 /// Diagnostics packaged with a deadlock: what was stuck and where.
 #[derive(Debug, Clone, Default)]
 pub struct DeadlockDiag {
-    /// Kernels that never completed.
-    pub kernels_remaining: usize,
-    /// TBs blocked in the engine's tile/load wait tables.
-    pub engine_blocked_tbs: usize,
+    /// Every subsystem's counters when the run stalled, the same list an
+    /// [`AuditReport`] prints: `engine.kernels_remaining`,
+    /// `engine.blocked_tbs`, `engine.throttle_queued`, ...
+    pub counters: Vec<(&'static str, f64)>,
     /// Per-(GPU, group) pre-access sync waiters, as `gpu/group:count`.
     pub preaccess_waiters: Vec<String>,
-    /// CAIS requests still queued behind throttle credits.
-    pub throttle_queued: usize,
     /// Unlaunched / incomplete kernels (truncated).
     pub kernels: Vec<String>,
-    /// Blocked TBs still registered at quiescence (truncated; only set for
-    /// the all-kernels-done-but-TBs-blocked variant).
+    /// TBs still blocked in the engine's tile/load wait tables
+    /// (truncated).
     pub blocked_tbs: Vec<String>,
     /// Waits-for edges (`waiter -> resource it is stuck on`) across GPUs,
-    /// switch ports and sync groups, truncated. Populated when the audit
-    /// ring is enabled so deadlocks stop being opaque.
+    /// switch ports and sync groups, truncated. Built on every deadlock.
     pub waits_for: Vec<String>,
     /// Rendered tail of the fabric event ring, oldest first. Empty unless
     /// auditing was enabled for the run.
     pub recent_events: Vec<String>,
+}
+
+impl DeadlockDiag {
+    /// The value of a listed counter, if listed.
+    pub fn counter(&self, name: &str) -> Option<f64> {
+        self.counters
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| *v)
+    }
 }
 
 /// Why a simulation run failed.
@@ -43,7 +50,7 @@ pub enum SimError {
     DeadlineExceeded {
         /// The configured hard wall.
         deadline: SimTime,
-        /// Simulation time when the wall was hit.
+        /// Time of the first pending event past the deadline.
         now: SimTime,
         /// Kernels that had not completed yet.
         kernels_remaining: usize,
@@ -69,16 +76,13 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::Deadlock(d) => {
-                if d.kernels_remaining > 0 {
+                let kernels = d.counter("engine.kernels_remaining").unwrap_or(0.0);
+                if kernels > 0.0 {
                     write!(
                         f,
-                        "deadlock: {} kernels never completed; engine-blocked TBs {}, \
-                         pre-access waiters {:?}, throttle-queued {}; kernels: {:?}",
-                        d.kernels_remaining,
-                        d.engine_blocked_tbs,
-                        d.preaccess_waiters,
-                        d.throttle_queued,
-                        d.kernels,
+                        "deadlock: {kernels} kernels never completed; pre-access waiters \
+                         {:?}; kernels: {:?}",
+                        d.preaccess_waiters, d.kernels,
                     )?;
                 } else {
                     write!(
@@ -86,6 +90,10 @@ impl fmt::Display for SimError {
                         "deadlock: TBs still blocked at quiescence: {:?}",
                         d.blocked_tbs
                     )?;
+                }
+                write!(f, "; nonzero counters:")?;
+                for (k, v) in d.counters.iter().filter(|(_, v)| *v != 0.0) {
+                    write!(f, " {k}={v}")?;
                 }
                 if !d.waits_for.is_empty() {
                     write!(f, "; waits-for: {:?}", d.waits_for)?;
@@ -129,10 +137,12 @@ mod tests {
     #[test]
     fn display_distinguishes_variants() {
         let dl = SimError::Deadlock(Box::new(DeadlockDiag {
-            kernels_remaining: 2,
-            engine_blocked_tbs: 5,
+            counters: vec![
+                ("engine.blocked_tbs", 5.0),
+                ("engine.throttle_queued", 0.0),
+                ("engine.kernels_remaining", 2.0),
+            ],
             preaccess_waiters: vec!["g0/grp1:3".into()],
-            throttle_queued: 1,
             kernels: vec!["incomplete k0".into()],
             blocked_tbs: vec![],
             waits_for: vec!["tb4@g0 -> tile t7@g1".into()],
@@ -142,6 +152,11 @@ mod tests {
         assert!(s.contains("deadlock"));
         assert!(s.contains("2 kernels"));
         assert!(s.contains("g0/grp1:3"));
+        assert!(s.contains("engine.blocked_tbs=5"), "{s}");
+        assert!(
+            !s.contains("throttle_queued"),
+            "zero counters are omitted: {s}"
+        );
         assert!(s.contains("waits-for"));
         assert!(s.contains("tb4@g0 -> tile t7@g1"));
         assert!(s.contains("arrive.gpu"));

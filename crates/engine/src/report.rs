@@ -37,7 +37,13 @@ pub struct ExecReport {
     /// Per-kernel lifetimes, ordered by [`KernelId`] so every iteration
     /// (report rows, prefix sums, golden comparisons) is deterministic.
     pub kernel_spans: BTreeMap<KernelId, KernelSpan>,
-    /// Free-form counters exposed by the switch logic (merge statistics).
+    /// Every subsystem's counters from the end-of-run audit probe, in
+    /// listing order: the fabric's, the engine's, then the switch
+    /// logic's. Each name is listed once, under its owner's prefix
+    /// (`fabric.`, `engine.`, `cais.`, `nvls.`).
+    pub counters: Vec<(&'static str, f64)>,
+    /// The switch logic's counters (merge statistics, sync releases, NVLS
+    /// counts): the tail of [`ExecReport::counters`], in listing order.
     pub logic_stats: Vec<(String, f64)>,
     /// Remote fetches avoided by the per-GPU tile directory (L2 capture).
     pub deduped_fetches: u64,
@@ -47,9 +53,6 @@ pub struct ExecReport {
     /// lowering strategies and fault plans — the chaos soak's
     /// semantic-reduction equivalence oracle.
     pub semantic_contribs: u64,
-    /// Spread between the first and last request observed per merged
-    /// address, averaged (reported by CAIS logic; `None` otherwise).
-    pub mean_request_spread: Option<SimDuration>,
     /// Discrete events processed across all GPU queues and the fabric
     /// queue (perf accounting; drives `BENCH_sim.json`).
     pub events_processed: u64,
@@ -66,11 +69,11 @@ impl ExecReport {
         self.gpu_occupancy.iter().sum::<f64>() / self.gpu_occupancy.len() as f64
     }
 
-    /// Looks up a logic counter by key.
+    /// Looks up a counter by name.
     pub fn stat(&self, key: &str) -> Option<f64> {
-        self.logic_stats
+        self.counters
             .iter()
-            .find(|(k, _)| k == key)
+            .find(|(k, _)| *k == key)
             .map(|(_, v)| *v)
     }
 
@@ -102,10 +105,10 @@ mod tests {
             gpu_occupancy: vec![0.5, 0.7],
             fabric: FabricReport::new(SimDuration::from_us(total_us), vec![]),
             kernel_spans: BTreeMap::new(),
-            logic_stats: vec![("merge.hits".into(), 42.0)],
+            counters: vec![("cais.loads_merged", 42.0)],
+            logic_stats: vec![("cais.loads_merged".into(), 42.0)],
             deduped_fetches: 0,
             semantic_contribs: 0,
-            mean_request_spread: None,
             events_processed: 0,
             queue_peak: 0,
         }
@@ -115,7 +118,7 @@ mod tests {
     fn aggregates() {
         let r = report(100);
         assert!((r.mean_occupancy() - 0.6).abs() < 1e-12);
-        assert_eq!(r.stat("merge.hits"), Some(42.0));
+        assert_eq!(r.stat("cais.loads_merged"), Some(42.0));
         assert_eq!(r.stat("nope"), None);
     }
 

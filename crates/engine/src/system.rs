@@ -10,7 +10,7 @@ use noc_sim::{Delivery, Fabric, SwitchLogic};
 use sim_core::profile::{prof_scope, Subsystem};
 use sim_core::{
     Addr, AuditPhase, AuditProbe, DenseMap, DenseSet, FastHash, GpuId, GroupId, KernelId, PlaneId,
-    SimDuration, SimTime, TbId, TileId,
+    SimTime, TbId, TileId,
 };
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::Range;
@@ -132,6 +132,10 @@ pub struct SystemSim<L: SwitchLogic<Msg>> {
 
     /// Fabric event count at the last cadence audit check.
     last_audit_events: u64,
+
+    /// GPUs whose next event is at the current step's time, ascending;
+    /// refilled by every engine-loop iteration.
+    due: Vec<usize>,
 
     /// Recycled drain buffers: effects/deliveries are swapped out of the
     /// producers into these instead of `mem::take`-ing a fresh `Vec`
@@ -298,6 +302,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             deduped_fetches: 0,
             semantic_contribs: 0,
             last_audit_events: 0,
+            due: Vec::new(),
             scratch_effects: Vec::new(),
             scratch_deliveries: Vec::new(),
             cfg,
@@ -347,18 +352,18 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             // components mid-advance (cross-component traffic flows
             // through drained effects), so skipping the rest is exact.
             let mut t: Option<SimTime> = None;
-            let mut gpu_due: u64 = 0;
-            let masked = self.gpus.len() <= 64;
+            self.due.clear();
             for (i, gpu) in self.gpus.iter().enumerate() {
                 let Some(gt) = gpu.next_time() else { continue };
                 match t {
-                    Some(cur) if gt > cur => {}
-                    Some(cur) if gt == cur => gpu_due |= 1u64.checked_shl(i as u32).unwrap_or(0),
+                    Some(cur) if gt > cur => continue,
+                    Some(cur) if gt == cur => {}
                     _ => {
                         t = Some(gt);
-                        gpu_due = 1u64.checked_shl(i as u32).unwrap_or(0);
+                        self.due.clear();
                     }
                 }
+                self.due.push(i);
             }
             let mut fabric_due = false;
             if let Some(ft) = self.fabric.next_time() {
@@ -367,7 +372,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                     Some(cur) if ft == cur => fabric_due = true,
                     _ => {
                         t = Some(ft);
-                        gpu_due = 0;
+                        self.due.clear();
                         fabric_due = true;
                     }
                 }
@@ -376,28 +381,17 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             if t > self.cfg.deadline {
                 return Err(SimError::DeadlineExceeded {
                     deadline: self.cfg.deadline,
-                    now: self.now,
+                    now: t,
                     kernels_remaining: self.kernels_remaining,
                 });
             }
             {
                 let _p = prof_scope(Subsystem::GpuAdvance);
-                if masked {
-                    let mut mask = gpu_due;
-                    while mask != 0 {
-                        let i = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        self.gpus[i].advance(t);
-                    }
-                } else {
-                    // >64 GPUs overflows the due bitmask; fall back to
-                    // advancing everyone (correct, just does idle peeks).
-                    for gpu in &mut self.gpus {
-                        gpu.advance(t);
-                    }
+                for &i in &self.due {
+                    self.gpus[i].advance(t);
                 }
             }
-            if fabric_due || !masked {
+            if fabric_due {
                 let _p = prof_scope(Subsystem::FabricAdvance);
                 self.fabric.advance(t);
             }
@@ -413,36 +407,49 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         self.finish()
     }
 
-    /// Runs one audit pass over every subsystem; a violated ledger becomes
-    /// [`SimError::AuditViolation`] with the full forensic report.
-    fn audit_check(&self, phase: AuditPhase) -> Result<(), SimError> {
+    /// Lists every subsystem into one probe: the fabric, the engine, then
+    /// the switch logic, whose counters close the list. Returns the probe
+    /// and the index of the logic's first counter.
+    fn probe(&self, phase: AuditPhase) -> (AuditProbe, usize) {
         let mut probe = AuditProbe::new(phase);
         self.fabric.audit_probe(&mut probe);
         self.engine_audit_probe(&mut probe);
+        let logic_start = probe.counters().len();
+        self.fabric.logic().audit_probe(&mut probe);
+        (probe, logic_start)
+    }
+
+    /// Runs one audit pass over every subsystem; a violated ledger becomes
+    /// [`SimError::AuditViolation`] with the full forensic report.
+    fn audit_check(&self, phase: AuditPhase) -> Result<(AuditProbe, usize), SimError> {
+        let (probe, logic_start) = self.probe(phase);
         if probe.has_violations() {
             return Err(SimError::AuditViolation(Box::new(
                 probe.into_report(self.now, self.fabric.audit_recent_events()),
             )));
         }
-        Ok(())
+        Ok((probe, logic_start))
     }
 
     /// Engine-owned counters and quiescence requirements: blocked TBs,
-    /// in-flight CAIS loads, throttle credit state, pre-access waiters.
+    /// in-flight CAIS loads, throttle credit state, pre-access waiters,
+    /// kernels left, and the tile contribution and fetch tallies.
     fn engine_audit_probe(&self, probe: &mut AuditProbe) {
         let outstanding: usize = self.throttle.iter().map(|t| t.outstanding).sum();
         let queued: usize = self.throttle.iter().map(|t| t.queue.len()).sum();
-        probe.counter("engine.blocked_tbs", self.tb_blocked.len() as u64);
+        let inflight = self.inflight_cais_loads.len();
+        probe.counter("engine.blocked_tbs", self.tb_blocked.len() as f64);
+        probe.counter("engine.inflight_cais_loads", inflight as f64);
+        probe.counter("engine.throttle_outstanding", outstanding as f64);
+        probe.counter("engine.throttle_queued", queued as f64);
         probe.counter(
-            "engine.inflight_cais_loads",
-            self.inflight_cais_loads.len() as u64,
+            "engine.credits_over_returned",
+            self.credits_over_returned as f64,
         );
-        probe.counter("engine.throttle_outstanding", outstanding as u64);
-        probe.counter("engine.throttle_queued", queued as u64);
-        probe.counter("engine.credits_over_returned", self.credits_over_returned);
-        probe.counter("engine.preaccess_blocked", self.preaccess_waiting as u64);
-        probe.counter("engine.kernels_remaining", self.kernels_remaining as u64);
-        probe.counter("engine.semantic_contribs", self.semantic_contribs);
+        probe.counter("engine.preaccess_blocked", self.preaccess_waiting as f64);
+        probe.counter("engine.kernels_remaining", self.kernels_remaining as f64);
+        probe.counter("engine.semantic_contribs", self.semantic_contribs as f64);
+        probe.counter("engine.deduped_fetches", self.deduped_fetches as f64);
         if probe.is_quiescence() {
             probe.require_zero(
                 "engine",
@@ -452,7 +459,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             probe.require_zero(
                 "engine",
                 "quiescence: no CAIS loads still in flight",
-                self.inflight_cais_loads.len() as u64,
+                inflight as u64,
             );
             probe.require_zero(
                 "engine",
@@ -1062,6 +1069,45 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
 
     // ---- teardown --------------------------------------------------------
 
+    /// What a stalled run left behind: every subsystem's counters, the
+    /// unlaunched and incomplete kernels, pre-access waiters, blocked
+    /// TBs and the waits-for edges.
+    fn deadlock_diag(&self) -> DeadlockDiag {
+        let kernels = self
+            .pending_kernels
+            .iter()
+            .flatten()
+            .map(|k| format!("unlaunched {} on {}", k.desc.name, k.gpu))
+            // Launched kernels that never completed are the stuck ones.
+            .chain(
+                self.kernel_spans
+                    .iter()
+                    .filter(|&(id, s)| self.gpus[s.gpu.index()].kernel_pending(*id))
+                    .map(|(id, s)| format!("incomplete {id} {} on {}", s.name, s.gpu)),
+            )
+            .take(12)
+            .collect();
+        let preaccess_waiters = self
+            .preaccess_blocked
+            .iter()
+            .map(|((g, grp), tbs)| format!("{g}/{grp}:{}", tbs.len()))
+            .take(8)
+            .collect();
+        DeadlockDiag {
+            counters: self.probe(AuditPhase::Cadence).0.counters().to_vec(),
+            preaccess_waiters,
+            kernels,
+            blocked_tbs: self
+                .tb_blocked
+                .keys()
+                .take(16)
+                .map(|tb| tb.to_string())
+                .collect(),
+            waits_for: self.waits_for_edges(),
+            recent_events: self.fabric.audit_recent_events(),
+        }
+    }
+
     fn finish(self) -> Result<ExecReport, SimError> {
         // Fault pressure first: a run that only completed because packets
         // were force-delivered past their retransmit budget is not a valid
@@ -1075,66 +1121,20 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 });
             }
         }
-        if self.kernels_remaining > 0 {
-            let incomplete: Vec<String> = self
-                .pending_kernels
-                .iter()
-                .flatten()
-                .map(|k| format!("unlaunched {} on {}", k.desc.name, k.gpu))
-                // Launched kernels that never completed are the stuck ones.
-                .chain(
-                    self.kernel_spans
-                        .iter()
-                        .filter(|&(id, s)| self.gpus[s.gpu.index()].kernel_pending(*id))
-                        .map(|(id, s)| format!("incomplete {id} {} on {}", s.name, s.gpu)),
-                )
-                .take(12)
-                .collect();
-            let preaccess: Vec<String> = self
-                .preaccess_blocked
-                .iter()
-                .map(|((g, grp), tbs)| format!("{g}/{grp}:{}", tbs.len()))
-                .take(8)
-                .collect();
-            return Err(SimError::Deadlock(Box::new(DeadlockDiag {
-                kernels_remaining: self.kernels_remaining,
-                engine_blocked_tbs: self.tb_blocked.len(),
-                preaccess_waiters: preaccess,
-                throttle_queued: self.throttle.iter().map(|t| t.queue.len()).sum(),
-                kernels: incomplete,
-                blocked_tbs: Vec::new(),
-                waits_for: self.waits_for_edges(),
-                recent_events: self.fabric.audit_recent_events(),
-            })));
-        }
-        if !self.tb_blocked.is_empty() {
-            return Err(SimError::Deadlock(Box::new(DeadlockDiag {
-                kernels_remaining: 0,
-                engine_blocked_tbs: self.tb_blocked.len(),
-                preaccess_waiters: Vec::new(),
-                throttle_queued: self.throttle.iter().map(|t| t.queue.len()).sum(),
-                kernels: Vec::new(),
-                blocked_tbs: self
-                    .tb_blocked
-                    .keys()
-                    .take(16)
-                    .map(|tb| tb.to_string())
-                    .collect(),
-                waits_for: self.waits_for_edges(),
-                recent_events: self.fabric.audit_recent_events(),
-            })));
+        if self.kernels_remaining > 0 || !self.tb_blocked.is_empty() {
+            return Err(SimError::Deadlock(Box::new(self.deadlock_diag())));
         }
         // Mandatory end-of-run quiescence verification: every queue
         // drained and every table empty. Runs on the success path of
         // every run, audited or not, so that silent bookkeeping leaks
         // cannot survive a "passing" run.
-        self.audit_check(AuditPhase::Quiescence)?;
-        let total = self.now.since(SimTime::ZERO);
-        let logic_stats = self.fabric.logic().stats();
-        let mean_request_spread = logic_stats
+        let (probe, logic_start) = self.audit_check(AuditPhase::Quiescence)?;
+        let counters = probe.counters().to_vec();
+        let logic_stats = counters[logic_start..]
             .iter()
-            .find(|(k, _)| k == "cais.mean_spread_us")
-            .map(|(_, v)| SimDuration::from_ps((*v * 1e6) as u64));
+            .map(|&(k, v)| (k.to_owned(), v))
+            .collect();
+        let total = self.now.since(SimTime::ZERO);
         let events_processed = self.gpus.iter().map(|g| g.events_processed()).sum::<u64>()
             + self.fabric.events_processed();
         let queue_peak = self
@@ -1149,10 +1149,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             gpu_occupancy: self.gpus.iter().map(|g| g.occupancy(total)).collect(),
             fabric: self.fabric.report(total),
             kernel_spans: self.kernel_spans,
+            counters,
             logic_stats,
             deduped_fetches: self.deduped_fetches,
             semantic_contribs: self.semantic_contribs,
-            mean_request_spread,
             events_processed,
             queue_peak,
         })
@@ -1166,6 +1166,7 @@ mod tests {
     use crate::program::PlannedKernel;
     use gpu_sim::{KernelDesc, Phase, TbDesc};
     use noc_sim::PureRouter;
+    use sim_core::SimDuration;
 
     fn quiet_cfg(n_gpus: usize) -> SystemConfig {
         let mut cfg = SystemConfig::dgx_h100();
@@ -1667,9 +1668,10 @@ mod tests {
             .expect_err("unsatisfiable tile gate must deadlock");
         match &err {
             SimError::Deadlock(d) => {
-                assert_eq!(d.kernels_remaining, 1);
+                assert_eq!(d.counter("engine.kernels_remaining"), Some(1.0));
                 // Held at its dispatch gate, not blocked in a slot.
-                assert_eq!(d.engine_blocked_tbs, 0);
+                assert_eq!(d.counter("engine.blocked_tbs"), Some(0.0));
+                assert!(d.blocked_tbs.is_empty());
                 assert_eq!(d.kernels, vec!["incomplete k0 stuck on gpu0".to_string()]);
                 assert_eq!(
                     d.waits_for,
@@ -1703,10 +1705,11 @@ mod tests {
         match &err {
             SimError::DeadlineExceeded {
                 deadline,
+                now,
                 kernels_remaining,
-                ..
             } => {
                 assert_eq!(*deadline, SimTime::from_ns(1));
+                assert!(now > deadline, "reported {now}, deadline {deadline}");
                 assert_eq!(*kernels_remaining, 1);
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),

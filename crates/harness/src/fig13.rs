@@ -133,7 +133,7 @@ pub fn run_ablation(scale: Scale, jobs: usize) -> Table {
     for (res, (name, _)) in results.iter().zip(&ladder) {
         let spread = res
             .report()
-            .map(|r| r.mean_request_spread.map(|d| d.as_us_f64()).unwrap_or(0.0))
+            .map(|r| r.stat("cais.mean_spread_us").unwrap_or(0.0))
             .unwrap_or(f64::NAN);
         table.push(*name, vec![spread]);
     }

@@ -117,15 +117,12 @@ pub trait SwitchLogic<P: Payload> {
     /// Called when a timer set via [`SwitchCtx::set_timer`] fires.
     fn on_timer(&mut self, _now: SimTime, _key: u64, _ctx: &mut SwitchCtx<P>) {}
 
-    /// Named counters this logic exposes after a run (merge hits,
-    /// evictions, peak table occupancy, ...). Keys are free-form.
-    fn stats(&self) -> Vec<(String, f64)> {
-        Vec::new()
-    }
-
-    /// Reports this logic's conservation ledgers and quiescence
-    /// requirements to the auditor (see [`sim_core::audit`]). Stateless
-    /// logics have nothing to report.
+    /// Lists this logic's counters (merge hits, evictions, peak table
+    /// occupancy, ...) once each, and reports its conservation ledgers
+    /// and quiescence requirements to the auditor (see
+    /// [`sim_core::audit`]). The engine's run report hands these counters
+    /// out as its switch-logic statistics. Stateless logics have nothing
+    /// to report.
     fn audit_probe(&self, _probe: &mut AuditProbe) {}
 }
 
@@ -663,14 +660,18 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
                 }
             }
         }
-        let saved = self.links.iter().map(Link::events_saved).sum();
-        let mut report = FabricReport::new(horizon, usages)
-            .with_events_saved(saved)
-            .with_early_departures(self.early_departures());
-        if let Some(f) = &self.faults {
-            report = report.with_resilience(f.counters.clone());
+        FabricReport {
+            horizon,
+            usages,
+            events_saved: self.events_saved(),
+            early_departures: self.early_departures(),
+            resilience: self.resilience_counters().cloned().unwrap_or_default(),
         }
-        report
+    }
+
+    /// Link events avoided by segment coalescing, summed over all links.
+    fn events_saved(&self) -> u64 {
+        self.links.iter().map(Link::events_saved).sum()
     }
 
     /// Packets whose link serialization started before the time they were
@@ -686,8 +687,9 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
         self.faults.as_ref().map(|f| &f.counters)
     }
 
-    /// Reports the fabric's conservation ledgers to the auditor and
-    /// forwards the probe to the installed switch logic.
+    /// Lists the fabric's counters and reports its conservation ledgers
+    /// to the auditor. The installed switch logic has a probe of its own
+    /// ([`SwitchLogic::audit_probe`]).
     ///
     /// Ledgers (see `DESIGN.md` §11):
     ///
@@ -705,14 +707,23 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
     pub fn audit_probe(&self, probe: &mut AuditProbe) {
         let t = &self.audit;
         let queued: u64 = self.links.iter().map(|l| l.queue_len() as u64).sum();
-        probe.counter("fabric.pkt_enqueued", t.pkt_enqueued);
-        probe.counter("fabric.pkt_served", t.pkt_served);
-        probe.counter("fabric.arrivals_scheduled", t.arrivals_scheduled);
-        probe.counter("fabric.arrivals_done", t.arrivals_done);
-        probe.counter("fabric.retx_requeued", t.retx_requeued);
-        probe.counter("fabric.queued_now", queued);
-        probe.counter("fabric.events_processed", self.queue.pops());
-        probe.counter("fabric.early_departures", self.early_departures());
+        probe.counter("fabric.pkt_enqueued", t.pkt_enqueued as f64);
+        probe.counter("fabric.pkt_served", t.pkt_served as f64);
+        probe.counter("fabric.arrivals_scheduled", t.arrivals_scheduled as f64);
+        probe.counter("fabric.arrivals_done", t.arrivals_done as f64);
+        probe.counter("fabric.retx_requeued", t.retx_requeued as f64);
+        probe.counter("fabric.queued_now", queued as f64);
+        probe.counter("fabric.events_processed", self.queue.pops() as f64);
+        probe.counter("fabric.early_departures", self.early_departures() as f64);
+        probe.counter("fabric.events_saved", self.events_saved() as f64);
+        let r = self.resilience_counters().cloned().unwrap_or_default();
+        probe.counter("fabric.drops", r.drops as f64);
+        probe.counter("fabric.corruptions", r.corruptions as f64);
+        probe.counter("fabric.retries", r.retries as f64);
+        probe.counter("fabric.backoff_us", r.backoff_time.as_us_f64());
+        probe.counter("fabric.budget_exhausted", r.budget_exhausted as f64);
+        probe.counter("fabric.down_stalls", r.down_stalls as f64);
+        probe.counter("fabric.degraded_serves", r.degraded_serves as f64);
         probe.ledger_with(
             "fabric",
             "pkt conservation: enqueued == served + queued",
@@ -754,7 +765,6 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
                 t.arrivals_done,
             );
         }
-        self.logic.audit_probe(probe);
     }
 
     /// Test-only corruption hook: bumps the enqueued-packet tally without
@@ -1172,7 +1182,7 @@ mod tests {
         let mut probe = AuditProbe::new(sim_core::AuditPhase::Cadence);
         f.audit_probe(&mut probe);
         let report = probe.into_report(f.now(), Vec::new());
-        assert!(report.counters.contains(&("fabric.early_departures", 1)));
+        assert!(report.counters.contains(&("fabric.early_departures", 1.0)));
     }
 
     #[test]

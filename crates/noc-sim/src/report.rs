@@ -62,15 +62,16 @@ impl ResilienceCounters {
 /// links and two directions for each link" — that is [`FabricReport::mean_utilization`].
 #[derive(Debug, Clone)]
 pub struct FabricReport {
-    horizon: SimDuration,
-    usages: Vec<LinkUsage>,
-    events_saved: u64,
-    early_departures: u64,
-    resilience: ResilienceCounters,
+    pub(crate) horizon: SimDuration,
+    pub(crate) usages: Vec<LinkUsage>,
+    pub(crate) events_saved: u64,
+    pub(crate) early_departures: u64,
+    pub(crate) resilience: ResilienceCounters,
 }
 
 impl FabricReport {
-    /// Builds a report from per-link usages.
+    /// Builds a report from per-link usages, with every scalar counter
+    /// zero. The fabric fills those in itself (see `Fabric::report`).
     pub fn new(horizon: SimDuration, usages: Vec<LinkUsage>) -> FabricReport {
         FabricReport {
             horizon,
@@ -81,22 +82,10 @@ impl FabricReport {
         }
     }
 
-    /// Attaches the fault-injection counters.
-    pub fn with_resilience(mut self, resilience: ResilienceCounters) -> FabricReport {
-        self.resilience = resilience;
-        self
-    }
-
     /// Fault-injection and retransmission counters; all zero when fault
     /// injection is disabled.
     pub fn resilience(&self) -> &ResilienceCounters {
         &self.resilience
-    }
-
-    /// Attaches the segment-coalescing event savings counter.
-    pub fn with_events_saved(mut self, events_saved: u64) -> FabricReport {
-        self.events_saved = events_saved;
-        self
     }
 
     /// Link events avoided by segment coalescing across all links: the
@@ -104,12 +93,6 @@ impl FabricReport {
     /// minus the single burst event that replaced each run of them.
     pub fn events_saved(&self) -> u64 {
         self.events_saved
-    }
-
-    /// Attaches the early-departure counter.
-    pub fn with_early_departures(mut self, early_departures: u64) -> FabricReport {
-        self.early_departures = early_departures;
-        self
     }
 
     /// Packets whose link serialization started before the time they were

@@ -61,11 +61,6 @@ impl NvlsLogic {
             pulls: 0,
         }
     }
-
-    /// Number of completed in-switch reductions.
-    pub fn reductions(&self) -> u64 {
-        self.reductions
-    }
 }
 
 impl SwitchLogic<Msg> for NvlsLogic {
@@ -193,14 +188,13 @@ impl SwitchLogic<Msg> for NvlsLogic {
     }
 
     fn audit_probe(&self, probe: &mut sim_core::AuditProbe) {
-        probe.counter("nvls.multicasts", self.multicasts);
-        probe.counter("nvls.reductions", self.reductions);
-        probe.counter("nvls.pulls", self.pulls);
+        probe.counter("nvls.multicasts", self.multicasts as f64);
+        probe.counter("nvls.reductions", self.reductions as f64);
+        probe.counter("nvls.pulls", self.pulls as f64);
         probe.counter(
-            "nvls.reduce_sessions_open",
-            self.reduce_sessions.len() as u64,
+            "nvls.open_sessions",
+            (self.reduce_sessions.len() + self.pull_sessions.len()) as f64,
         );
-        probe.counter("nvls.pull_sessions_open", self.pull_sessions.len() as u64);
         if probe.is_quiescence() {
             probe.require_zero(
                 "nvls",
@@ -213,18 +207,6 @@ impl SwitchLogic<Msg> for NvlsLogic {
                 self.pull_sessions.len() as u64,
             );
         }
-    }
-
-    fn stats(&self) -> Vec<(String, f64)> {
-        vec![
-            ("nvls.multicasts".into(), self.multicasts as f64),
-            ("nvls.reductions".into(), self.reductions as f64),
-            ("nvls.pulls".into(), self.pulls as f64),
-            (
-                "nvls.open_sessions".into(),
-                (self.reduce_sessions.len() + self.pull_sessions.len()) as f64,
-            ),
-        ]
     }
 }
 
@@ -294,12 +276,11 @@ mod tests {
         let d = f.drain_deliveries();
         // The reduced result is multicast to all four GPUs.
         assert_eq!(d.len(), 4);
-        assert_eq!(f.logic().reductions(), 1);
-        assert!(f
-            .logic()
-            .stats()
-            .iter()
-            .any(|(k, v)| k == "nvls.open_sessions" && *v == 0.0));
+        let mut probe = sim_core::AuditProbe::new(sim_core::AuditPhase::Quiescence);
+        f.logic().audit_probe(&mut probe);
+        assert!(probe.counters().contains(&("nvls.reductions", 1.0)));
+        assert!(probe.counters().contains(&("nvls.open_sessions", 0.0)));
+        assert!(!probe.has_violations());
     }
 
     #[test]

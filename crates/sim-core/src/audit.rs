@@ -8,9 +8,10 @@
 //! that *checks* those tallies:
 //!
 //! * [`AuditProbe`] — a visitor each subsystem fills in: conservation
-//!   ledgers (`expected` vs `actual`), raw counters for the forensic
-//!   report, and quiescence requirements (values that must be zero once
-//!   a run has drained).
+//!   ledgers (`expected` vs `actual`), every counter the subsystem owns
+//!   (listed once, under its owner's prefix; run reports and deadlock
+//!   diagnostics read the same list), and quiescence requirements (values
+//!   that must be zero once a run has drained).
 //! * [`AuditReport`] — the forensic report built from a failed probe:
 //!   every violated ledger with expected/actual, the full counter set,
 //!   and the last N events from a bounded [`EventRing`].
@@ -112,7 +113,7 @@ impl AuditPhase {
 pub struct AuditProbe {
     phase: AuditPhase,
     violations: Vec<LedgerViolation>,
-    counters: Vec<(&'static str, u64)>,
+    counters: Vec<(&'static str, f64)>,
 }
 
 impl AuditProbe {
@@ -131,10 +132,16 @@ impl AuditProbe {
         self.phase == AuditPhase::Quiescence
     }
 
-    /// Records a raw counter for the forensic report (always recorded,
-    /// violation or not).
-    pub fn counter(&mut self, name: &'static str, value: u64) {
+    /// Lists one counter (always recorded, violation or not). Each
+    /// subsystem lists every counter it owns exactly once, named
+    /// `owner.what`; an integral value prints like an integer.
+    pub fn counter(&mut self, name: &'static str, value: f64) {
         self.counters.push((name, value));
+    }
+
+    /// The counters listed so far, in listing order.
+    pub fn counters(&self) -> &[(&'static str, f64)] {
+        &self.counters
     }
 
     /// Checks a conservation ledger; a mismatch becomes a violation.
@@ -209,7 +216,7 @@ pub struct AuditReport {
     /// Every violated ledger, in subsystem visit order.
     pub violations: Vec<LedgerViolation>,
     /// All counters reported during the probe, violated or not.
-    pub counters: Vec<(&'static str, u64)>,
+    pub counters: Vec<(&'static str, f64)>,
     /// Rendered tail of the event ring, oldest first.
     pub recent_events: Vec<String>,
 }
@@ -325,7 +332,7 @@ mod tests {
     #[test]
     fn probe_accumulates_only_mismatches() {
         let mut p = AuditProbe::new(AuditPhase::Cadence);
-        p.counter("x.total", 7);
+        p.counter("x.total", 7.0);
         p.ledger("fabric", "balanced", 3, 3);
         assert!(!p.has_violations());
         p.ledger_with("merge", "sessions", 5, 4, || "port (0,1)".into());
@@ -350,7 +357,7 @@ mod tests {
     #[test]
     fn report_names_subsystem_and_ledger() {
         let mut p = AuditProbe::new(AuditPhase::Quiescence);
-        p.counter("fabric.pkt_enqueued", 10);
+        p.counter("fabric.pkt_enqueued", 10.0);
         p.ledger("fabric", "enqueued == served + queued", 10, 9);
         let report = p.into_report(SimTime::from_ns(42), vec!["e1".into()]);
         let text = report.to_string();

@@ -54,8 +54,8 @@ fn main() {
         cais.stat("cais.reduce_contribs").unwrap_or(0.0),
         cais.stat("cais.reduce_flushes").unwrap_or(0.0),
     );
-    if let Some(spread) = cais.mean_request_spread {
-        println!("  request spread  {spread} (TB coordination at work)");
+    if let Some(spread) = cais.stat("cais.mean_spread_us") {
+        println!("  request spread  {spread:.3}us (TB coordination at work)");
     }
 
     println!(
