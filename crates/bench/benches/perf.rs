@@ -22,22 +22,28 @@
 //! both sides. `--check` never writes the baseline; pass `--bless` to
 //! update it after an intentional change.
 //!
-//! Built with `--features profiler`, each run also records the
-//! per-subsystem wall-time/allocation breakdown from the simulator's
-//! self-profiler in a `"profile"` array.
+//! Built with `--features sim-core/profiler`, the bench is also the
+//! simulator's self-profiler report. It prints each shape's
+//! per-subsystem table (scope entries, self time, allocations) and the
+//! live-heap peak, and records them in a `"profile"` object per run. The
+//! rows describe the last timed run alone, so `calls` and `allocs`
+//! repeat exactly between invocations:
+//!
+//! ```text
+//! cargo bench -p cais-bench --bench perf --features sim-core/profiler -- --quick
+//! ```
 
 use cais_baselines::BaselineStrategy;
-use cais_bench::{timeit, Scale};
+use cais_bench::{profiled, timeit, RunProfile, Scale};
 use cais_core::CaisStrategy;
 use cais_engine::{strategy::execute, ExecReport, Strategy, SystemConfig};
 use llm_workload::{transformer_layer, ModelConfig, Pass, TpMode};
-use sim_core::profile::{self, SubsystemReport};
+use sim_core::profile;
 use std::fmt::Write as _;
 
 /// Route every heap allocation through the counting front-end so the
-/// profiler's per-subsystem allocation counters see them. Pass-through
-/// (and compiled out of the count path) without the `profiler` feature.
-#[cfg(feature = "profiler")]
+/// profiler's per-subsystem allocation counters see them. A plain
+/// pass-through to the system allocator without the profiler.
 #[global_allocator]
 static COUNTING_ALLOC: profile::CountingAllocator = profile::CountingAllocator;
 
@@ -49,9 +55,8 @@ struct RunResult {
     events_per_sec: f64,
     queue_peak: u64,
     sim_total_us: f64,
-    /// Per-subsystem self-profiler rows; empty unless the `profiler`
-    /// feature is enabled.
-    profile: Vec<SubsystemReport>,
+    /// The self-profiler's account of the last timed run.
+    profile: RunProfile,
 }
 
 fn bench_run(
@@ -63,13 +68,16 @@ fn bench_run(
     iters: u32,
 ) -> RunResult {
     let dfg = transformer_layer(model, cfg.tp(), mode, Pass::Forward);
-    let mut report: Option<ExecReport> = None;
-    profile::reset();
+    let mut last: Option<(ExecReport, RunProfile)> = None;
     let stats = timeit(name, iters, || {
-        report = Some(execute(strategy, &dfg, cfg).expect("bench run completes"));
+        // Free the previous run's report before the capture restarts the
+        // live-heap peak, so the peak sees this run alone.
+        last = None;
+        last = Some(profiled(|| {
+            execute(strategy, &dfg, cfg).expect("bench run completes")
+        }));
     });
-    let profile = profile::report();
-    let report = report.expect("at least one timed iteration");
+    let (report, profile) = last.expect("at least one timed iteration");
     let wall = stats.mean.as_secs_f64();
     RunResult {
         name,
@@ -87,6 +95,38 @@ fn bench_run(
     }
 }
 
+/// The profiler's table for one run: a row per subsystem, then the
+/// instrumented total and the live-heap peak.
+fn render_profile(r: &RunResult) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "profile {} ({} events)", r.name, r.events);
+    let _ = writeln!(
+        out,
+        "  {:<16} {:>10} {:>12} {:>12} {:>14}",
+        "subsystem", "calls", "self_ms", "allocs", "alloc_bytes"
+    );
+    for row in &r.profile.rows {
+        let _ = writeln!(
+            out,
+            "  {:<16} {:>10} {:>12.3} {:>12} {:>14}",
+            row.subsystem.label(),
+            row.calls,
+            row.wall_ns as f64 / 1e6,
+            row.allocs,
+            row.alloc_bytes
+        );
+    }
+    let total: u64 = r.profile.rows.iter().map(|row| row.wall_ns).sum();
+    let _ = writeln!(out, "  instrumented total: {:.3} ms", total as f64 / 1e6);
+    let peak = r.profile.peak_live_bytes;
+    let _ = writeln!(
+        out,
+        "  peak live heap: {peak} B ({:.1} MB)",
+        peak as f64 / 1e6
+    );
+    out
+}
+
 fn render_json(scale_label: &str, runs: &[RunResult]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{\n  \"scale\": \"{scale_label}\",\n  \"runs\": [");
@@ -98,9 +138,13 @@ fn render_json(scale_label: &str, runs: &[RunResult]) -> String {
              \"sim_total_us\": {:.3}",
             r.name, r.wall_ms, r.min_ms, r.events, r.events_per_sec, r.queue_peak, r.sim_total_us
         );
-        if !r.profile.is_empty() {
-            out.push_str(",\n     \"profile\": [");
-            for (j, row) in r.profile.iter().enumerate() {
+        if !r.profile.rows.is_empty() {
+            let _ = write!(
+                out,
+                ",\n     \"profile\": {{\"peak_live_bytes\": {}, \"rows\": [",
+                r.profile.peak_live_bytes
+            );
+            for (j, row) in r.profile.rows.iter().enumerate() {
                 let _ = write!(
                     out,
                     "{}{{\"subsystem\": \"{}\", \"calls\": {}, \"wall_ms\": {:.3}, \
@@ -113,7 +157,7 @@ fn render_json(scale_label: &str, runs: &[RunResult]) -> String {
                     row.alloc_bytes
                 );
             }
-            out.push(']');
+            out.push_str("]}");
         }
         out.push('}');
         let _ = writeln!(out, "{}", if i + 1 < runs.len() { "," } else { "" });
@@ -303,6 +347,10 @@ fn main() {
             iters,
         ),
     ];
+
+    for r in runs.iter().filter(|r| !r.profile.rows.is_empty()) {
+        println!("{}", render_profile(r));
+    }
 
     // Always land at the workspace root regardless of bench CWD.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");

@@ -183,7 +183,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             .collect();
         let mut fabric = Fabric::new(cfg.fabric_config(), logic);
         if cfg.audit.enabled {
-            fabric.enable_audit_ring(cfg.audit.ring_capacity);
+            fabric.enable_audit_ring();
         }
 
         // Size the dense tables from one program scan; IDs are allocated

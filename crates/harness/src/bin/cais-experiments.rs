@@ -3,7 +3,6 @@
 //! ```text
 //! cais-experiments [fig2|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|table2|area|ablations|sensitivity|resilience|chaos|all]
 //!                  [--smoke] [--jobs N] [--timeout-secs N]
-//! cais-experiments --profile [--smoke]
 //! ```
 //!
 //! `--jobs N` bounds the sweep worker pool (default: the host's
@@ -18,21 +17,9 @@
 //! [`sim_core::audit`]); a violation fails the run with a forensic
 //! report. The `chaos` experiment also runs cadence checks during its
 //! own runs. An unknown `--flag` exits with status 2.
-//!
-//! `--profile` runs the representative workload shapes single-threaded
-//! and prints the simulator's per-subsystem self-profiler breakdown;
-//! build with `--features profiler` to populate it (see
-//! [`cais_harness::profile`]).
 
 use cais_harness::{runner::Scale, sweep, Table};
 use std::time::{Duration, Instant};
-
-/// Per-thread allocation counters and the live-heap peak for `--profile`
-/// runs; a transparent pass-through to the system allocator without the
-/// `profiler` feature.
-#[cfg(feature = "profiler")]
-#[global_allocator]
-static COUNTING_ALLOC: sim_core::profile::CountingAllocator = sim_core::profile::CountingAllocator;
 
 /// Extracts the value of `--<name> N` / `--<name>=N` as a positive
 /// integer, exiting with status 2 on a malformed value.
@@ -59,7 +46,7 @@ fn parse_flag(args: &[String], name: &str) -> Option<u64> {
 }
 
 /// Flags that stand alone.
-const SWITCHES: [&str; 2] = ["--smoke", "--profile"];
+const SWITCHES: [&str; 1] = ["--smoke"];
 /// Flags that take a value, as `--name N` or `--name=N`.
 const VALUED: [&str; 2] = ["--jobs", "--timeout-secs"];
 
@@ -84,10 +71,6 @@ fn main() {
     reject_unknown_flags(&args);
     let smoke = args.iter().any(|a| a == "--smoke");
     let scale = if smoke { Scale::Smoke } else { Scale::Paper };
-    if args.iter().any(|a| a == "--profile") {
-        cais_harness::profile::run(scale);
-        return;
-    }
     let jobs = parse_flag(&args, "jobs")
         .map(|n| n as usize)
         .unwrap_or_else(sweep::default_jobs);

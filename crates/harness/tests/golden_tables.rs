@@ -25,8 +25,7 @@ use llm_workload::{sublayer, ModelConfig, Pass, SubLayer};
 
 /// With the profiler compiled in, every allocation of this test binary is
 /// counted, so the profiler-preservation test below also runs the
-/// live-heap accounting.
-#[cfg(feature = "profiler")]
+/// live-heap accounting. Without it the allocator passes straight through.
 #[global_allocator]
 static COUNTING_ALLOC: sim_core::profile::CountingAllocator = sim_core::profile::CountingAllocator;
 
@@ -58,8 +57,9 @@ fn fig11_smoke_matches_golden() {
 }
 
 /// The self-profiler observes the simulation but must never perturb it:
-/// CI runs this test both with and without `--features profiler`, and
-/// the rendered tables must match the same golden bytes in both builds.
+/// CI runs this test both with and without `--features sim-core/profiler`,
+/// and the rendered tables must match the same golden bytes in both
+/// builds.
 /// A single-threaded sweep keeps the profiler's thread-local counters on
 /// one thread, the configuration the profiler is specified for. The
 /// live-heap count observes too: it must have seen the sweep's heap while

@@ -3,7 +3,7 @@
 use crate::link::{Direction, EnqueueEffect, Link};
 use crate::packet::{Delivery, FlowClass, Hop, Packet, Payload};
 use crate::report::{FabricReport, LinkUsage, ResilienceCounters};
-use sim_core::audit::{AuditProbe, EventRing};
+use sim_core::audit::{AuditProbe, EventRing, AUDIT_RING_CAPACITY};
 use sim_core::profile::{prof_scope, Subsystem};
 use sim_core::rng::JitterRng;
 use sim_core::{
@@ -52,11 +52,6 @@ impl FabricConfig {
             series_bucket: None,
             faults: FaultPlan::default(),
         }
-    }
-
-    /// Aggregate per-GPU bandwidth in one direction (all planes).
-    pub fn per_gpu_bw(&self) -> Bandwidth {
-        Bandwidth::bytes_per_sec(self.link_bw.as_bytes_per_sec() * self.n_planes as f64)
     }
 }
 
@@ -316,11 +311,12 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
         }
     }
 
-    /// Enables the bounded forensic event ring (recorded per dispatched
-    /// event; rendered into audit and deadlock reports). Observe-only:
+    /// Enables the bounded forensic event ring, holding the last
+    /// [`AUDIT_RING_CAPACITY`] dispatched events (rendered into audit and
+    /// deadlock reports). Observe-only:
     /// the ring never influences event processing.
-    pub fn enable_audit_ring(&mut self, capacity: usize) {
-        self.ring = Some(EventRing::new(capacity));
+    pub fn enable_audit_ring(&mut self) {
+        self.ring = Some(EventRing::new(AUDIT_RING_CAPACITY));
     }
 
     /// Renders the retained tail of the forensic event ring, oldest

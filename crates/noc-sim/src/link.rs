@@ -288,11 +288,6 @@ impl<P> Link<P> {
         });
     }
 
-    /// True if a serve event is already pending.
-    pub fn is_serving(&self) -> bool {
-        self.serving
-    }
-
     /// Marks that a serve event has been scheduled (or completed).
     pub fn set_serving(&mut self, serving: bool) {
         self.serving = serving;

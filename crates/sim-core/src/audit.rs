@@ -42,8 +42,6 @@ pub struct AuditConfig {
     /// Run a cadence check after at least this many fabric events since
     /// the previous check (when `enabled`).
     pub cadence_events: u64,
-    /// Capacity of the bounded event ring attached to forensic reports.
-    pub ring_capacity: usize,
 }
 
 impl Default for AuditConfig {
@@ -51,7 +49,6 @@ impl Default for AuditConfig {
         AuditConfig {
             enabled: false,
             cadence_events: 8192,
-            ring_capacity: 64,
         }
     }
 }
@@ -267,6 +264,10 @@ pub struct RingEntry {
     /// Second operand.
     pub b: u64,
 }
+
+/// Events the forensic [`EventRing`] keeps: the tail attached to audit and
+/// deadlock reports.
+pub const AUDIT_RING_CAPACITY: usize = 64;
 
 /// Fixed-capacity ring buffer of [`RingEntry`]s. The auditor keeps one
 /// per fabric; deadlock and audit reports render its tail.

@@ -183,12 +183,6 @@ impl FaultPlan {
         self.merge_faults = Some(spec);
         self
     }
-
-    /// Sets the retransmission parameters.
-    pub fn with_retx(mut self, retx: RetxConfig) -> Self {
-        self.retx = retx;
-        self
-    }
 }
 
 /// A periodic window schedule in raw picoseconds, with a per-instance

@@ -3,9 +3,11 @@
 //!
 //! # Zero cost when off
 //!
-//! The whole module is driven by the `profiler` cargo feature. When the
-//! feature is **off** (the default), [`prof_scope`] returns a zero-sized
-//! guard with no `Drop` impl, [`report`] returns an empty vector and the
+//! The whole module is driven by this crate's `profiler` cargo feature,
+//! the self-profiler's one switch: pass `--features sim-core/profiler` to
+//! any workspace package's cargo command. When the feature is **off**
+//! (the default), [`prof_scope`] returns a zero-sized guard with no
+//! `Drop` impl, [`report`] returns an empty vector and the
 //! [`CountingAllocator`] is a transparent pass-through — the optimizer
 //! erases every call site. When the feature is **on**, each guard stamps
 //! a monotonic clock and the thread's allocation counters at scope entry
@@ -19,7 +21,8 @@
 //! counts scope entries. Allocation deltas are attributed the same way,
 //! from the thread-local counters maintained by [`CountingAllocator`]
 //! (install it with `#[global_allocator]` in the profiling binary;
-//! without it the allocation columns read zero).
+//! without it the allocation columns read zero). Install it
+//! unconditionally: with the feature off it passes straight through.
 //!
 //! # Determinism
 //!
@@ -30,11 +33,11 @@
 //! `cais-harness` pins that property.
 //!
 //! Counters are **per thread**. A parallel sweep reports whichever worker
-//! thread calls [`report`]; the intended use is the single-threaded
-//! `cais-bench` / `cais-experiments --profile` paths. The one exception is
-//! the live-heap count ([`live_bytes`], [`peak_live_bytes`]): memory freed
-//! on another thread than allocated it must still balance, so it is kept
-//! process-wide.
+//! thread calls [`report`]; the intended reader is the single-threaded
+//! report of `cargo bench -p cais-bench --bench perf`, which prints one
+//! run's rows per shape. The one exception is the live-heap count
+//! ([`live_bytes`], [`peak_live_bytes`]): memory freed on another thread
+//! than allocated it must still balance, so it is kept process-wide.
 
 use std::fmt;
 
@@ -130,7 +133,6 @@ pub fn enabled() -> bool {
 /// Install in the profiling binary:
 ///
 /// ```ignore
-/// #[cfg(feature = "profiler")]
 /// #[global_allocator]
 /// static ALLOC: sim_core::profile::CountingAllocator =
 ///     sim_core::profile::CountingAllocator;
@@ -290,6 +292,9 @@ mod imp {
     pub(super) fn reset_rows() {
         STATE.with_borrow_mut(|st| {
             st.rows = [Row::default(); N];
+            // Grow the scope stack here, outside every scope, so the first
+            // run after a reset counts no profiler allocation.
+            st.stack.reserve(N);
             let now = Instant::now();
             st.epoch = st.epoch.map(|_| now);
             st.alloc_mark = (ALLOCS.get(), ALLOC_BYTES.get());
@@ -404,7 +409,6 @@ pub fn peak_live_bytes() -> u64 {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "profiler")]
     #[global_allocator]
     static COUNTING_ALLOC: CountingAllocator = CountingAllocator;
 

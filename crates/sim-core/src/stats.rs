@@ -2,81 +2,6 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// Running scalar summary: count, sum, min, max, mean.
-///
-/// ```
-/// use sim_core::stats::Accumulator;
-/// let mut acc = Accumulator::new();
-/// acc.add(1.0);
-/// acc.add(3.0);
-/// assert_eq!(acc.mean(), 2.0);
-/// assert_eq!(acc.max(), 3.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Accumulator {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Accumulator {
-        Accumulator {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn add(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of samples; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample; 0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample; 0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
 /// Tracks the busy time of a serial resource (a link direction, an SM slot)
 /// so utilization can be reported over any observation window.
 ///
@@ -150,11 +75,6 @@ impl UtilizationSeries {
         }
     }
 
-    /// Bucket width.
-    pub fn bucket_width(&self) -> SimDuration {
-        self.bucket
-    }
-
     /// Records a busy interval `[start, end)`.
     pub fn record(&mut self, start: SimTime, end: SimTime) {
         if end <= start {
@@ -211,20 +131,6 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulator_summary() {
-        let mut a = Accumulator::new();
-        assert_eq!(a.mean(), 0.0);
-        a.add(2.0);
-        a.add(4.0);
-        a.add(6.0);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 12.0);
-        assert_eq!(a.mean(), 4.0);
-        assert_eq!(a.min(), 2.0);
-        assert_eq!(a.max(), 6.0);
-    }
 
     #[test]
     fn busy_tracker_utilization() {
