@@ -2,9 +2,10 @@
 //!
 //! The paper's contribution, reproduced as four cooperating mechanisms:
 //!
-//! 1. **Compute-aware ISA + switch microarchitecture** ([`isa`],
-//!    [`merge`]): `ld.cais` / `red.cais` instructions carry a 1-bit merge
-//!    eligibility flag; the switch's merge unit (CAM lookup table +
+//! 1. **Compute-aware ISA + switch microarchitecture** ([`merge`]):
+//!    `ld.cais` / `red.cais` instructions carry a 1-bit merge eligibility
+//!    flag (`MemOp::cais` in the lowered program, the `cais` field of the
+//!    request messages); the switch's merge unit (CAM lookup table +
 //!    Merging Table with Load-Wait / Load-Ready / Reduction sessions,
 //!    LRU eviction, timeout forward-progress) turns `p - 1` identical
 //!    remote loads into one fetch plus `p - 1` replies, and `p - 1`
@@ -31,7 +32,6 @@ pub mod area;
 pub mod coordination;
 pub mod dataflow;
 pub mod index;
-pub mod isa;
 pub mod logic;
 pub mod merge;
 pub mod strategies;
@@ -39,7 +39,6 @@ pub mod sync;
 
 pub use coordination::CoordinationOpts;
 pub use dataflow::FusionPlan;
-pub use isa::CaisInstr;
 pub use logic::CaisLogic;
 pub use merge::{MergeConfig, MergeStats, MergeUnit};
 pub use strategies::{CaisStrategy, CaisVariant};

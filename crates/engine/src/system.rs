@@ -9,32 +9,35 @@ use gpu_sim::{GpuConfig, GpuEffect, GpuSim, MemOp, MemOpKind, Phase, SyncKind};
 use noc_sim::{Delivery, Fabric, SwitchLogic};
 use sim_core::profile::{prof_scope, Subsystem};
 use sim_core::{
-    Addr, AuditPhase, AuditProbe, DenseMap, DenseSet, FastHash, GpuId, GroupId, KernelId, PlaneId,
-    SimTime, TbId, TileId,
+    shrink_sparse, Addr, AuditPhase, AuditProbe, DenseMap, DenseSet, FastHash, GpuId, GroupId,
+    KernelId, PlaneId, SimTime, TbId, TileId,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
 /// One GPU's view of one tile. Every GPU holds a slot per tile id it
 /// touches, so the entry stays small: what is only needed while a tile is
-/// awaited lives on the heap or in [`SystemSim::gate_index`].
+/// awaited lives in [`SystemSim::waiters`] or [`SystemSim::gate_index`].
 #[derive(Debug, Default)]
 struct TileEntry {
     contribs: u32,
     present: bool,
     fetching: bool,
+    /// Whether [`SystemSim::waiters`] holds TBs blocked on this tile, so
+    /// a landing tile that nobody awaits skips the lookup.
+    waited: bool,
     /// The ready gates this tile counts toward, as a range of
     /// [`SystemSim::gate_index`]; a gate appears once per listing.
     gates: Range<u32>,
-    /// TBs blocked until this tile lands.
-    resume_waiters: Waiters,
 }
 
-const _: () = assert!(std::mem::size_of::<Option<TileEntry>>() <= 40);
+const _: () = assert!(std::mem::size_of::<Option<TileEntry>>() <= 16);
 // Every lowered TB holds a few phases; a shared `ops` list keeps each at
 // a fat pointer plus the `wait` flag.
 const _: () = assert!(std::mem::size_of::<Phase>() <= 24);
+const _: () = assert!(std::mem::size_of::<ParkedReq>() <= 32);
 
 /// TBs blocked on one tile, in arrival order. Most tiles have a single
 /// waiter, which is stored inline; only a second one allocates. The
@@ -68,6 +71,93 @@ impl Waiters {
     }
 }
 
+/// Capacity the waiter and in-flight load tables never shrink below:
+/// entries come and go with every awaited tile and CAIS load, and bursts
+/// below this size do not rehash the tables.
+const MIN_TABLE_CAPACITY: usize = 1024;
+
+/// A CAIS request parked behind its plane's credits. Only `ld.cais` loads
+/// and single-contribution `red.cais` pushes are throttled, so the source
+/// is the queue's GPU, the destination is the address's home, and the
+/// rest fits in 32 bytes instead of a full `(src, dst, Msg)`.
+#[derive(Debug, Clone, Copy)]
+struct ParkedReq {
+    addr: Addr,
+    /// The tile the request completes, or [`ParkedReq::NONE`].
+    tile: u64,
+    /// The loading TB, or [`ParkedReq::NONE`] for a reduction.
+    tb: u64,
+    bytes: u32,
+}
+
+impl ParkedReq {
+    const NONE: u64 = u64::MAX;
+
+    /// Packs a throttled request sent by `src` to `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request is not one the record can rebuild exactly.
+    fn park(src: GpuId, dst: GpuId, msg: &Msg) -> ParkedReq {
+        let (addr, bytes, tile, tb) = match *msg {
+            Msg::LoadReq {
+                addr,
+                bytes,
+                requester,
+                tb,
+                tile,
+                cais: true,
+            } if requester == src && tb.0 != Self::NONE => (addr, bytes, tile, tb.0),
+            Msg::Reduce {
+                addr,
+                bytes,
+                src: from,
+                contribs: 1,
+                tile,
+                cais: true,
+            } if from == src => (addr, bytes, tile, Self::NONE),
+            ref other => panic!("{src} cannot park {other:?} behind CAIS credits"),
+        };
+        assert_eq!(addr.home_gpu(), dst, "parked request must go home");
+        let tile = tile.map_or(Self::NONE, |t| {
+            assert_ne!(t.0, Self::NONE, "tile id collides with the sentinel");
+            t.0
+        });
+        ParkedReq {
+            addr,
+            tile,
+            tb,
+            bytes: u32::try_from(bytes).expect("parked request exceeds 4 GiB"),
+        }
+    }
+
+    /// The destination and message of a request parked by `src`.
+    fn unpark(self, src: GpuId) -> (GpuId, Msg) {
+        let tile = (self.tile != Self::NONE).then_some(TileId(self.tile));
+        let bytes = u64::from(self.bytes);
+        let msg = if self.tb == Self::NONE {
+            Msg::Reduce {
+                addr: self.addr,
+                bytes,
+                src,
+                contribs: 1,
+                tile,
+                cais: true,
+            }
+        } else {
+            Msg::LoadReq {
+                addr: self.addr,
+                bytes,
+                requester: src,
+                tb: TbId(self.tb),
+                tile,
+                cais: true,
+            }
+        };
+        (self.addr.home_gpu(), msg)
+    }
+}
+
 /// TBs of one GPU that wait on the same tile list before their kernel may
 /// dispatch them share one counter: the list's length, decremented once
 /// per listed tile as it lands.
@@ -81,7 +171,7 @@ struct ReadyGate {
 #[derive(Debug, Default)]
 struct ThrottleState {
     outstanding: usize,
-    queue: VecDeque<(GpuId, GpuId, Msg)>,
+    queue: VecDeque<ParkedReq>,
 }
 
 /// Executes a [`Program`] on a configured system with a given switch logic.
@@ -105,13 +195,17 @@ pub struct SystemSim<L: SwitchLogic<Msg>> {
     kernel_spans: BTreeMap<KernelId, KernelSpan>,
 
     tb_gpu: DenseMap<TbId, GpuId>,
-    tb_blocked: DenseMap<TbId, usize>,
+    tb_blocked: DenseMap<TbId, u32>,
     gates: Vec<ReadyGate>,
     /// Gate ids grouped by (GPU, tile); [`TileEntry::gates`] indexes it.
     gate_index: Vec<u32>,
     ready_pending: DenseSet<TbId>,
     launched_tbs: DenseSet<TbId>,
     tiles: Vec<DenseMap<TileId, TileEntry>>,
+    /// TBs blocked until a tile lands, only for the (GPU, tile) pairs
+    /// that have any; an entry goes when its tile lands, and the table
+    /// shrinks after a burst instead of keeping its busiest capacity.
+    waiters: HashMap<(GpuId, TileId), Waiters, FastHash>,
     tile_expected: DenseMap<TileId, u32>,
 
     /// Pre-access-blocked TBs of the (GPU, group) pairs that have any,
@@ -125,7 +219,10 @@ pub struct SystemSim<L: SwitchLogic<Msg>> {
     throttle: Vec<ThrottleState>,
     /// Credits returned beyond those outstanding on their plane.
     credits_over_returned: u64,
-    inflight_cais_loads: HashSet<(GpuId, Addr), FastHash>,
+    /// CAIS loads in flight per (requester, address); each response
+    /// returns one credit while its pair's count is nonzero. Holds only
+    /// pairs with loads in flight, and shrinks after a burst.
+    inflight_cais_loads: HashMap<(GpuId, Addr), u32, FastHash>,
 
     deduped_fetches: u64,
     semantic_contribs: u64,
@@ -293,12 +390,13 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             ready_pending,
             launched_tbs: DenseSet::with_capacity(n_tbs),
             tiles,
+            waiters: HashMap::default(),
             tile_expected,
             preaccess_blocked: BTreeMap::new(),
             preaccess_waiting: 0,
             throttle,
             credits_over_returned: 0,
-            inflight_cais_loads: HashSet::default(),
+            inflight_cais_loads: HashMap::default(),
             deduped_fetches: 0,
             semantic_contribs: 0,
             last_audit_events: 0,
@@ -329,6 +427,12 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     /// makes, or at a cadence check when `cfg.audit.enabled`.
     pub fn run(mut self) -> Result<ExecReport, SimError> {
         let _prof = prof_scope(Subsystem::EngineLoop);
+        self.step_to_end()?;
+        self.finish()
+    }
+
+    /// Launches the root kernels and processes events until none remain.
+    fn step_to_end(&mut self) -> Result<(), SimError> {
         let roots: Vec<usize> = self
             .dep_remaining
             .iter()
@@ -404,7 +508,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 }
             }
         }
-        self.finish()
+        Ok(())
     }
 
     /// Lists every subsystem into one probe: the fabric, the engine, then
@@ -437,7 +541,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     fn engine_audit_probe(&self, probe: &mut AuditProbe) {
         let outstanding: usize = self.throttle.iter().map(|t| t.outstanding).sum();
         let queued: usize = self.throttle.iter().map(|t| t.queue.len()).sum();
-        let inflight = self.inflight_cais_loads.len();
+        let inflight: u32 = self.inflight_cais_loads.values().sum();
         probe.counter("engine.blocked_tbs", self.tb_blocked.len() as f64);
         probe.counter("engine.inflight_cais_loads", inflight as f64);
         probe.counter("engine.throttle_outstanding", outstanding as f64);
@@ -510,9 +614,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 } else {
                     "no fetch outstanding"
                 };
-                let resumes = entry
-                    .resume_waiters
-                    .as_slice()
+                let resumes = self
+                    .waiters
+                    .get(&(GpuId(gi as u16), tile))
+                    .map_or(&[][..], Waiters::as_slice)
                     .iter()
                     .map(|tb| format!("{tb} -> {tile}@g{gi} ({state})"));
                 // A gate appears once per listing of the tile (adjacent,
@@ -628,10 +733,14 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             return;
         }
         entry.present = true;
-        let waiters = std::mem::take(&mut entry.resume_waiters);
+        let waited = std::mem::take(&mut entry.waited);
         let gates = entry.gates.clone();
-        for &tb in waiters.as_slice() {
-            self.dec_blocked(now, tb);
+        if waited {
+            let waiters = self.waiters.remove(&(gpu, tile)).unwrap_or_default();
+            shrink_sparse(&mut self.waiters, MIN_TABLE_CAPACITY);
+            for &tb in waiters.as_slice() {
+                self.dec_blocked(now, tb);
+            }
         }
         for tb in self.open_gates(gates) {
             if self.launched_tbs.contains(tb) {
@@ -718,7 +827,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             st.outstanding += 1;
             self.fabric.inject(now, src, dst, plane, msg);
         } else {
-            st.queue.push_back((src, dst, msg));
+            st.queue.push_back(ParkedReq::park(src, dst, &msg));
         }
     }
 
@@ -736,7 +845,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             if st.outstanding >= limit {
                 break;
             }
-            let Some((src, dst, msg)) = st.queue.pop_front() else {
+            let Some(req) = st.queue.pop_front() else {
                 break;
             };
             // A burst can queue far more requests than the plane has
@@ -745,7 +854,8 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 st.queue = VecDeque::new();
             }
             st.outstanding += 1;
-            self.fabric.inject(now, src, dst, plane, msg);
+            let (dst, msg) = req.unpark(gpu);
+            self.fabric.inject(now, gpu, dst, plane, msg);
         }
     }
 
@@ -806,7 +916,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         ops: Arc<[MemOp]>,
         blocking: bool,
     ) {
-        let mut outstanding = 0usize;
+        let mut outstanding = 0u32;
         for &op in ops.iter() {
             let home = op.addr.home_gpu();
             match op.kind {
@@ -820,13 +930,14 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                         continue;
                     }
                     if let Some(tile) = op.tile {
-                        let entry = self.tile_entry(gpu, tile);
+                        let entry = self.tiles[gpu.index()].get_or_default(tile);
                         if entry.present {
                             continue;
                         }
                         if blocking {
                             outstanding += 1;
-                            entry.resume_waiters.push(tb);
+                            entry.waited = true;
+                            self.waiters.entry((gpu, tile)).or_default().push(tb);
                         }
                         if entry.fetching {
                             // L2 capture: another TB already fetching.
@@ -843,7 +954,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                             cais: op.cais,
                         };
                         if op.cais {
-                            self.inflight_cais_loads.insert((gpu, op.addr));
+                            *self.inflight_cais_loads.entry((gpu, op.addr)).or_default() += 1;
                             self.inject_cais(t, gpu, home, msg);
                         } else {
                             self.inject(t, gpu, home, msg);
@@ -861,7 +972,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                             cais: op.cais,
                         };
                         if op.cais {
-                            self.inflight_cais_loads.insert((gpu, op.addr));
+                            *self.inflight_cais_loads.entry((gpu, op.addr)).or_default() += 1;
                             self.inject_cais(t, gpu, home, msg);
                         } else {
                             self.inject(t, gpu, home, msg);
@@ -935,7 +1046,8 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                         // tile-less ops the LoadResp credits the TB
                         // directly in `handle_delivery`.
                         if let Some(tile) = op.tile {
-                            self.tile_entry(gpu, tile).resume_waiters.push(tb);
+                            self.tile_entry(gpu, tile).waited = true;
+                            self.waiters.entry((gpu, tile)).or_default().push(tb);
                         }
                     }
                     self.inject(
@@ -994,7 +1106,12 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 self.fabric.inject(at, gpu, requester, plane, resp);
             }
             Msg::LoadResp { addr, tb, tile, .. } => {
-                if self.inflight_cais_loads.remove(&(gpu, addr)) {
+                if let Entry::Occupied(mut loads) = self.inflight_cais_loads.entry((gpu, addr)) {
+                    *loads.get_mut() -= 1;
+                    if *loads.get() == 0 {
+                        loads.remove();
+                        shrink_sparse(&mut self.inflight_cais_loads, MIN_TABLE_CAPACITY);
+                    }
                     self.return_credits(t, gpu, plane, 1);
                 }
                 match tile {
@@ -1420,31 +1537,98 @@ mod tests {
         );
     }
 
-    /// A system whose GPU 0 has queued `burst` CAIS loads on plane 0
-    /// behind `limit` credits, none of them returned yet.
-    fn credit_burst(limit: usize, burst: usize) -> SystemSim<PureRouter> {
+    /// The `i`th request of a credit burst from GPU 0 to GPU 1: tile-less
+    /// and tiled `ld.cais` loads and `red.cais` pushes in turn, each with
+    /// its own address, TB and tile.
+    fn burst_msg(ids: &mut IdAlloc, i: usize) -> Msg {
+        let (addr, tb, tile) = (ids.addr(GpuId(1), 4096), ids.tb(), ids.tile());
+        let bytes = 4096 + i as u64;
+        match i % 4 {
+            0 => Msg::LoadReq {
+                addr,
+                bytes,
+                requester: GpuId(0),
+                tb,
+                tile: None,
+                cais: true,
+            },
+            1 => Msg::LoadReq {
+                addr,
+                bytes,
+                requester: GpuId(0),
+                tb,
+                tile: Some(tile),
+                cais: true,
+            },
+            2 => Msg::Reduce {
+                addr,
+                bytes,
+                src: GpuId(0),
+                contribs: 1,
+                tile: Some(tile),
+                cais: true,
+            },
+            _ => Msg::Reduce {
+                addr,
+                bytes,
+                src: GpuId(0),
+                contribs: 1,
+                tile: None,
+                cais: true,
+            },
+        }
+    }
+
+    /// A system whose GPU 0 has queued `burst` CAIS requests on plane 0
+    /// behind `limit` credits, none of them returned yet, and the
+    /// requests in the order they were sent.
+    fn credit_burst(limit: usize, burst: usize) -> (SystemSim<PureRouter>, Vec<Msg>) {
         let mut cfg = quiet_cfg(2);
         cfg.cais_credits_per_plane = Some(limit);
         let mut sim = SystemSim::new(cfg, Program::new(), PureRouter);
         let mut ids = IdAlloc::new(2);
-        for _ in 0..burst {
-            let msg = Msg::LoadReq {
-                addr: ids.addr(GpuId(1), 4096),
-                bytes: 4096,
-                requester: GpuId(0),
-                tb: TbId(0),
-                tile: None,
-                cais: true,
-            };
-            sim.inject_cais(SimTime::ZERO, GpuId(0), GpuId(1), msg);
+        let sent: Vec<Msg> = (0..burst).map(|i| burst_msg(&mut ids, i)).collect();
+        for msg in &sent {
+            sim.inject_cais(SimTime::ZERO, GpuId(0), GpuId(1), msg.clone());
         }
-        sim
+        (sim, sent)
+    }
+
+    #[test]
+    fn parked_requests_leave_the_credit_queue_unchanged() {
+        let (limit, burst) = (4, 64);
+        let (sim, sent) = credit_burst(limit, burst);
+        let parked: Vec<String> = sim.throttle[0]
+            .queue
+            .iter()
+            .map(|req| {
+                let (dst, msg) = req.unpark(GpuId(0));
+                assert_eq!(dst, GpuId(1));
+                format!("{msg:?}")
+            })
+            .collect();
+        let queued: Vec<String> = sent[limit..].iter().map(|m| format!("{m:?}")).collect();
+        assert_eq!(parked, queued);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot park")]
+    fn merged_reductions_are_never_parked() {
+        let msg = Msg::Reduce {
+            addr: Addr::new(GpuId(1), 0),
+            bytes: 4096,
+            src: GpuId(0),
+            contribs: 2,
+            tile: None,
+            cais: true,
+        };
+        ParkedReq::park(GpuId(0), GpuId(1), &msg);
     }
 
     #[test]
     fn drained_credit_queue_releases_its_buffer() {
         let (limit, burst) = (4, 256);
-        let mut sim = credit_burst(limit, burst);
+        let (mut sim, _) = credit_burst(limit, burst);
         assert_eq!(sim.throttle[0].queue.len(), burst - limit);
         assert!(sim.throttle[0].queue.capacity() >= burst - limit);
         // One credit back per response: each admits one queued request
@@ -1466,7 +1650,7 @@ mod tests {
 
     #[test]
     fn over_returned_credits_break_the_quiescence_ledger() {
-        let mut sim = credit_burst(4, 2);
+        let (mut sim, _) = credit_burst(4, 2);
         // Two credits outstanding; three come back.
         sim.return_credits(SimTime::from_us(1), GpuId(0), PlaneId(0), 3);
         assert_eq!(sim.throttle[0].outstanding, 0);
@@ -1478,6 +1662,77 @@ mod tests {
             broken,
             ["quiescence: no credits returned beyond those outstanding"]
         );
+    }
+
+    /// A one-kernel program on GPU 0 whose TBs each issue one blocking
+    /// load from GPU 1, built by `op` from the TB's index.
+    fn loaders(n: u64, op: impl Fn(&mut IdAlloc, u64) -> MemOp) -> Program {
+        let mut ids = IdAlloc::new(2);
+        let tbs = (0..n)
+            .map(|i| TbDesc {
+                id: ids.tb(),
+                order_key: i,
+                group: None,
+                pre_launch_sync: false,
+                phases: vec![Phase::IssueMem {
+                    ops: Arc::new([op(&mut ids, i)]),
+                    wait: true,
+                }],
+            })
+            .collect();
+        let mut p = Program::new();
+        p.push(PlannedKernel {
+            gpu: GpuId(0),
+            desc: KernelDesc::new(ids.kernel(), "loaders", tbs),
+            after: vec![],
+        });
+        p
+    }
+
+    #[test]
+    fn every_inflight_cais_load_returns_its_credit() {
+        // Two tile-less `ld.cais` loads of one address from one GPU are
+        // in flight together; each response must return its credit.
+        let mut cfg = quiet_cfg(2);
+        cfg.cais_credits_per_plane = Some(4);
+        let addr = Addr::new(GpuId(1), 4096);
+        let p = loaders(2, |_, _| MemOp {
+            kind: MemOpKind::RemoteLoad,
+            addr,
+            bytes: 4096,
+            cais: true,
+            tile: None,
+        });
+        let report = run(cfg, p);
+        assert_eq!(report.stat("engine.throttle_outstanding"), Some(0.0));
+    }
+
+    #[test]
+    fn landed_tiles_leave_the_waiter_table_small() {
+        // Every slot of GPU 0 holds a TB blocked on its own remote tile,
+        // so more (GPU, tile) pairs are awaited at once than the table's
+        // floor capacity keeps.
+        let mut cfg = quiet_cfg(2);
+        cfg.gpu.tb_slots_per_sm = 32;
+        let slots = cfg.gpu.total_slots() as u64;
+        assert!(slots > 2 * MIN_TABLE_CAPACITY as u64);
+        let p = loaders(slots, |ids, _| MemOp {
+            kind: MemOpKind::RemoteLoad,
+            addr: ids.addr(GpuId(1), 4096),
+            bytes: 4096,
+            cais: false,
+            tile: Some(ids.tile()),
+        });
+        let mut sim = SystemSim::new(cfg, p, PureRouter);
+        sim.step_to_end().expect("every load is answered");
+        assert!(sim.waiters.is_empty());
+        assert!(
+            sim.waiters.capacity() <= 2 * MIN_TABLE_CAPACITY,
+            "the landed burst left {} slots",
+            sim.waiters.capacity()
+        );
+        assert!(sim.tiles[0].iter().all(|(_, e)| e.present && !e.waited));
+        sim.finish().expect("the run is quiescent");
     }
 
     /// Forwards every packet except pre-access sync requests, which it

@@ -3,7 +3,9 @@
 use crate::config::{GpuConfig, ReadyPolicy};
 use crate::kernel::{KernelDesc, MemOp, Phase, SyncKind, TbDesc};
 use sim_core::rng::JitterRng;
-use sim_core::{EventQueue, FastHash, GroupId, KernelId, SimDuration, SimTime, TbId, TileId};
+use sim_core::{
+    shrink_sparse, EventQueue, FastHash, GroupId, KernelId, SimDuration, SimTime, TbId, TileId,
+};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
@@ -113,7 +115,8 @@ pub struct GpuSim {
     now: SimTime,
     queue: EventQueue<GpuEvent>,
     /// Live TBs only: a TB enters at its kernel's launch and is dropped,
-    /// phases and all, the moment it completes.
+    /// phases and all, the moment it completes. The table shrinks as TBs
+    /// retire, so it does not keep the capacity of the largest kernel.
     tbs: HashMap<TbId, TbRuntime, FastHash>,
     kernels: HashMap<KernelId, KernelRuntime, FastHash>,
     ready: BinaryHeap<Reverse<(u64, u64, TbId)>>,
@@ -135,6 +138,9 @@ pub struct GpuSim {
 }
 
 impl GpuSim {
+    /// Capacity the live-TB table never shrinks below.
+    const MIN_TB_CAPACITY: usize = 32;
+
     /// Creates an idle GPU with a deterministic jitter stream. Accepts an
     /// owned config or a shared `Arc<GpuConfig>` (preferred when many
     /// GPUs share one config).
@@ -196,6 +202,9 @@ impl GpuSim {
                 ordered: kernel.ordered,
             },
         );
+        // One rehash for the whole grid, not one per doubling: the table
+        // shrinks as the previous kernels' TBs retire.
+        self.tbs.reserve(kernel.tbs.len());
         if kernel.tbs.is_empty() {
             // Degenerate but legal: completes right after arming.
             self.effects.push((
@@ -551,6 +560,10 @@ impl GpuSim {
             .remove(&tb)
             .expect("complete_tb: unknown TB")
             .kernel;
+        // Shrinking changes the table's iteration order, which nothing
+        // observes: arming sorts the TBs it collects, and so does
+        // `stuck_tbs`.
+        shrink_sparse(&mut self.tbs, Self::MIN_TB_CAPACITY);
         self.slots_free += 1;
         self.note_occupancy_change(now, -1);
         self.effects
@@ -639,6 +652,27 @@ mod tests {
         // A late readiness signal for a retired TB is harmless.
         gpu.make_tb_ready(SimTime::from_us(60), TbId(1));
         assert!(gpu.is_idle());
+    }
+
+    #[test]
+    fn tb_table_gives_back_a_large_kernels_capacity() {
+        let mut gpu = GpuSim::new(quiet_cfg(), 1);
+        let big = (0..4096).map(|i| compute_tb(i, 1)).collect();
+        gpu.launch_kernel(SimTime::ZERO, KernelDesc::new(KernelId(0), "big", big));
+        assert!(gpu.tbs.capacity() >= 4096);
+        run_all(&mut gpu);
+        assert!(gpu.is_idle());
+        assert!(
+            gpu.tbs.capacity() <= 2 * GpuSim::MIN_TB_CAPACITY,
+            "the retired kernel left {} slots",
+            gpu.tbs.capacity()
+        );
+        // A small kernel afterwards runs in the floor capacity.
+        let small = (4096..4100).map(|i| compute_tb(i, 1)).collect();
+        gpu.launch_kernel(gpu.now(), KernelDesc::new(KernelId(1), "small", small));
+        run_all(&mut gpu);
+        assert!(gpu.is_idle());
+        assert!(gpu.tbs.capacity() <= 2 * GpuSim::MIN_TB_CAPACITY);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! deterministic index-order iteration — no hashing, no iteration-order
 //! hazards.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
 
 macro_rules! id_type {
@@ -426,6 +427,33 @@ impl Hasher for FastHasher {
 /// [`std::hash::BuildHasher`] for [`FastHasher`]; use as the `S` type
 /// parameter of `HashMap`/`HashSet`.
 pub type FastHash = BuildHasherDefault<FastHasher>;
+
+/// Gives back a hash map's spare capacity once it is under a quarter
+/// full: the map shrinks to half full, but never below `min_capacity`,
+/// so bursts smaller than that never rehash it. Each shrink at least
+/// halves the table, so calling this after every removal amortizes the
+/// rehash over the removals in between, and a map that grew for a burst
+/// holds only live entries once the burst is over.
+///
+/// ```
+/// use sim_core::{shrink_sparse, FastHash};
+/// use std::collections::HashMap;
+/// let mut m: HashMap<u64, u64, FastHash> = (0..4096).map(|i| (i, i)).collect();
+/// for i in 0..4096 {
+///     m.remove(&i);
+///     shrink_sparse(&mut m, 32);
+/// }
+/// assert!(m.capacity() <= 64);
+/// ```
+pub fn shrink_sparse<K: Eq + Hash, V, S: BuildHasher>(
+    map: &mut HashMap<K, V, S>,
+    min_capacity: usize,
+) {
+    let floor = map.len().max(min_capacity / 2);
+    if map.capacity() > 4 * floor {
+        map.shrink_to(2 * floor);
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -49,7 +49,8 @@ pub use fault::{
     DegradeSpec, DownSpec, FaultPlan, MergeFaultSpec, RetxConfig, StragglerSpec, WindowSchedule,
 };
 pub use ids::{
-    Addr, DenseMap, DenseSet, FastHash, GpuId, GroupId, IdIndex, KernelId, PlaneId, TbId, TileId,
+    shrink_sparse, Addr, DenseMap, DenseSet, FastHash, GpuId, GroupId, IdIndex, KernelId, PlaneId,
+    TbId, TileId,
 };
 pub use profile::{prof_scope, Subsystem};
 pub use queue::EventQueue;
