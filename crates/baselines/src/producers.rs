@@ -48,18 +48,22 @@ pub fn lower_tiled_gemm(
     let tiles: Vec<Vec<TileId>> = (0..n_mb)
         .map(|_| (0..n_nb).map(|_| ids.tile()).collect())
         .collect();
+    // One phase list per output tile, shared by every GPU.
+    let rows: Vec<Arc<[Phase]>> = (0..n_mb)
+        .flat_map(|mi| (0..n_nb).map(move |ni| (mi, ni)))
+        .map(|(mi, ni)| {
+            let m_len = tile.min(opts.m - mi * tile);
+            let n_len = tile.min(opts.n - ni * tile);
+            Arc::from([
+                Phase::Compute(low.gemm_tb_time(m_len, n_len, opts.k)),
+                Phase::SignalTile(tiles[mi as usize][ni as usize]),
+            ])
+        })
+        .collect();
     let mut kb = KernelBuilder::new(n_gpus);
     for g in 0..n_gpus {
-        for mi in 0..n_mb {
-            let m_len = tile.min(opts.m - mi * tile);
-            for ni in 0..n_nb {
-                let n_len = tile.min(opts.n - ni * tile);
-                let phases = vec![
-                    Phase::Compute(low.gemm_tb_time(m_len, n_len, opts.k)),
-                    Phase::SignalTile(tiles[mi as usize][ni as usize]),
-                ];
-                kb.push(ids, g, mi * n_nb + ni, phases);
-            }
+        for (key, phases) in rows.iter().enumerate() {
+            kb.push(ids, g, key as u64, Arc::clone(phases));
         }
     }
     let name: Arc<str> = opts.name.into();
@@ -136,17 +140,24 @@ pub fn lower_gated_gemm(
     let tile = low.tiling.tile;
     let n_mb = m.div_ceil(tile);
     let n_nb = n.div_ceil(tile);
+    // One phase list per output tile, shared by every GPU.
+    let rows: Vec<Arc<[Phase]>> = (0..n_mb)
+        .flat_map(|mi| (0..n_nb).map(move |ni| (mi, ni)))
+        .map(|(mi, ni)| {
+            let m_len = tile.min(m - mi * tile);
+            let n_len = tile.min(n - ni * tile);
+            Arc::from([Phase::Compute(low.gemm_tb_time(m_len, n_len, k))])
+        })
+        .collect();
     let mut kb = KernelBuilder::new(n_gpus);
     for g in 0..n_gpus {
         for mi in 0..n_mb {
-            let m_len = tile.min(m - mi * tile);
             // Every TB of the band waits on the same tiles.
             let band_gate: Option<Arc<[TileId]>> =
                 (!gates.is_empty()).then(|| gates[g][mi as usize][..].into());
             for ni in 0..n_nb {
-                let n_len = tile.min(n - ni * tile);
-                let phases = vec![Phase::Compute(low.gemm_tb_time(m_len, n_len, k))];
                 let key = mi * n_nb + ni;
+                let phases = Arc::clone(&rows[key as usize]);
                 match &band_gate {
                     Some(gate) => kb.push_gated(ids, g, key, phases, Arc::clone(gate)),
                     None => kb.push(ids, g, key, phases),
@@ -216,8 +227,13 @@ mod tests {
         assert_eq!(g.tiles.len(), 2);
         assert_eq!(g.tiles[0].len(), 3);
         assert_eq!(prog.kernels.len(), 2);
-        assert_eq!(prog.kernels[0].desc.tbs.len(), 6);
+        assert_eq!(prog.kernels[0].desc.tb_ids.len(), 6);
         assert!(prog.validate().is_ok());
+        // Every GPU runs the same grid: one body.
+        assert!(Arc::ptr_eq(
+            &prog.kernels[0].desc.body,
+            &prog.kernels[1].desc.body
+        ));
     }
 
     #[test]
@@ -263,7 +279,12 @@ mod tests {
             &gates,
         );
         assert_eq!(kids.len(), 2);
-        assert!(!prog.kernels[0].desc.tbs_auto_ready);
+        assert!(!prog.kernels[0].desc.body.tbs_auto_ready);
         assert_eq!(prog.tb_ready_deps.len(), 2 * 2);
+        // The gates differ per GPU, but they are ready entries, not body.
+        assert!(Arc::ptr_eq(
+            &prog.kernels[0].desc.body,
+            &prog.kernels[1].desc.body
+        ));
     }
 }

@@ -586,6 +586,47 @@ mod tests {
     }
 
     #[test]
+    fn t3_per_gpu_ops_get_a_body_per_gpu() {
+        let cfg = small_cfg();
+        let dfg = sublayer(&small_model(), 4, SubLayer::L1);
+        let prog = BaselineStrategy::t3().lower(&dfg, &cfg);
+        let mut by_name: std::collections::BTreeMap<&str, Vec<&Arc<gpu_sim::KernelBody>>> =
+            Default::default();
+        for k in &prog.kernels {
+            by_name
+                .entry(&*k.desc.body.name)
+                .or_default()
+                .push(&k.desc.body);
+        }
+        let distinct = |bodies: &[&Arc<gpu_sim::KernelBody>]| {
+            let mut seen: Vec<&Arc<gpu_sim::KernelBody>> = Vec::new();
+            for b in bodies {
+                if !seen.iter().any(|s| Arc::ptr_eq(s, b)) {
+                    seen.push(b);
+                }
+            }
+            seen.len()
+        };
+        // Each GPU accumulates its own shard locally and stores the rest:
+        // every trigger kernel differs, so none shares a body.
+        let triggers: Vec<_> = by_name
+            .iter()
+            .filter(|(n, _)| n.starts_with("t3.") && !n.ends_with(".wait"))
+            .collect();
+        assert!(!triggers.is_empty());
+        for (name, bodies) in triggers {
+            assert_eq!(bodies.len(), 4, "{name}");
+            assert_eq!(distinct(bodies), 4, "{name}: one body per GPU");
+        }
+        // The producer GEMM is the same grid everywhere: one body.
+        let shared = by_name
+            .values()
+            .filter(|bodies| bodies.len() == 4 && distinct(bodies) == 1)
+            .count();
+        assert!(shared > 0, "some kernel shares one body across GPUs");
+    }
+
+    #[test]
     fn overlap_beats_no_overlap() {
         let cfg = small_cfg();
         let dfg = transformer_layer(&small_model(), 4, TpMode::BasicTp, Pass::Forward);

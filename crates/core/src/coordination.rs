@@ -1,16 +1,19 @@
 //! Merging-aware TB coordination (paper Sec. III-B).
 //!
 //! The compiler pass: thread blocks on different GPUs whose CAIS-tagged
-//! accesses are GPU-invariant (per [`crate::index`] analysis) form a
-//! **TB group**. Group members are tagged for pre-launch gating and get a
-//! pre-access synchronization point before their first `*.cais`
-//! instruction. The runtime half (synchronizers + Group Sync Table) lives
-//! in `gpu-sim` and [`crate::sync`].
+//! accesses are GPU-invariant form a **TB group**. The CAIS lowering
+//! builds every coordinated row from GPU-invariant addresses (one shared
+//! `MemOp` list per row), so the paper's static index analysis always
+//! finds a row mergeable and grouping reduces to
+//! [`CoordinationOpts::grouping`]. Group members are tagged for
+//! pre-launch gating and get a pre-access synchronization point before
+//! their first `*.cais` instruction. The runtime half (synchronizers +
+//! Group Sync Table) lives in `gpu-sim` and [`crate::sync`].
 
-use crate::index::Expr;
 use cais_engine::IdAlloc;
-use gpu_sim::{Phase, TbDesc};
+use gpu_sim::{Phase, SyncKind, TbBody};
 use sim_core::GroupId;
+use std::sync::Arc;
 
 /// Which coordination mechanisms are enabled (the Fig. 13b ablation
 /// toggles these cumulatively).
@@ -66,82 +69,82 @@ impl CoordinationOpts {
 }
 
 /// Applies the grouping pass to one *row* of corresponding TBs (one per
-/// GPU, same logical block index) whose CAIS accesses follow `addr_expr`.
+/// GPU, same logical block index).
 ///
-/// Returns the assigned group, or `None` when grouping is disabled or the
-/// address expression is GPU-variant (not mergeable, per the static index
-/// analysis).
+/// Returns the assigned group, or `None` when grouping is disabled.
+/// TBs of the row that share a phase list keep sharing one: the
+/// pre-access rewrite builds a new list once per distinct list, not once
+/// per GPU.
 pub fn coordinate_row<'a>(
     ids: &mut IdAlloc,
     opts: &CoordinationOpts,
-    row: impl IntoIterator<Item = &'a mut TbDesc>,
-    addr_expr: &Expr,
+    row: impl IntoIterator<Item = &'a mut TbBody>,
 ) -> Option<GroupId> {
-    if !opts.grouping || !addr_expr.is_gpu_invariant() {
+    if !opts.grouping {
         return None;
     }
     let group = ids.group();
+    // The last list rewritten, and its rewrite.
+    let mut plain: Option<Arc<[Phase]>> = None;
+    let mut synced: Option<Arc<[Phase]>> = None;
     for tb in row {
         tb.group = Some(group);
         tb.pre_launch_sync = opts.pre_launch;
-        if opts.pre_access {
-            insert_pre_access(tb);
+        if !opts.pre_access {
+            continue;
         }
+        if !plain.as_ref().is_some_and(|p| Arc::ptr_eq(p, &tb.phases)) {
+            synced = Some(with_pre_access(&tb.phases));
+            plain = Some(Arc::clone(&tb.phases));
+        }
+        tb.phases = synced.clone().expect("set with `plain`");
     }
     Some(group)
 }
 
-/// Inserts a pre-access sync point before the first CAIS-tagged memory
-/// phase (the paper's "first `*.cais` instruction of a warp").
-fn insert_pre_access(tb: &mut TbDesc) {
-    let pos = tb
-        .phases
+/// `phases` with a pre-access sync point before the first CAIS-tagged
+/// memory phase (the paper's "first `*.cais` instruction of a warp"),
+/// allocated at exactly its length. Returns `phases` itself when it has
+/// no CAIS access or a sync already sits right before it.
+fn with_pre_access(phases: &Arc<[Phase]>) -> Arc<[Phase]> {
+    let pos = phases
         .iter()
         .position(|p| matches!(p, Phase::IssueMem { ops, .. } if ops.iter().any(|o| o.cais)));
-    if let Some(pos) = pos {
-        // Idempotence: skip if a sync already sits right before it.
-        if pos > 0 && matches!(tb.phases[pos - 1], Phase::SyncGroup(_)) {
-            return;
-        }
-        // Grow by exactly the one slot: the default doubling left a
-        // quarter of all phase slots empty at 32 GPUs.
-        tb.phases.reserve_exact(1);
-        tb.phases
-            .insert(pos, Phase::SyncGroup(gpu_sim::SyncKind::PreAccess));
+    match pos {
+        Some(pos) if pos == 0 || !matches!(phases[pos - 1], Phase::SyncGroup(_)) => phases[..pos]
+            .iter()
+            .cloned()
+            .chain([Phase::SyncGroup(SyncKind::PreAccess)])
+            .chain(phases[pos..].iter().cloned())
+            .collect(),
+        _ => Arc::clone(phases),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{MemOp, MemOpKind, SyncKind};
-    use sim_core::{Addr, GpuId, SimDuration, TbId};
-    use std::sync::Arc;
+    use gpu_sim::{MemOp, MemOpKind};
+    use sim_core::{Addr, GpuId, SimDuration};
 
-    fn cais_tb(id: u64) -> TbDesc {
-        TbDesc {
-            id: TbId(id),
-            order_key: id,
-            group: None,
-            pre_launch_sync: false,
-            phases: vec![
-                Phase::Compute(SimDuration::from_us(1)),
-                Phase::IssueMem {
-                    ops: Arc::new([MemOp {
-                        kind: MemOpKind::RemoteLoad,
-                        addr: Addr::new(GpuId(1), 0),
-                        bytes: 128,
-                        cais: true,
-                        tile: None,
-                    }]),
-                    wait: true,
-                },
-            ],
-        }
+    fn cais_phases() -> Arc<[Phase]> {
+        Arc::new([
+            Phase::Compute(SimDuration::from_us(1)),
+            Phase::IssueMem {
+                ops: Arc::new([MemOp {
+                    kind: MemOpKind::RemoteLoad,
+                    addr: Addr::new(GpuId(1), 0),
+                    bytes: 128,
+                    cais: true,
+                    tile: None,
+                }]),
+                wait: true,
+            },
+        ])
     }
 
-    fn invariant_expr() -> Expr {
-        Expr::mul(Expr::BlockIdx, Expr::Const(128))
+    fn cais_tb(id: u64) -> TbBody {
+        TbBody::new(id, cais_phases())
     }
 
     #[test]
@@ -149,12 +152,7 @@ mod tests {
         let mut ids = IdAlloc::new(2);
         let mut a = cais_tb(0);
         let mut b = cais_tb(1);
-        let group = coordinate_row(
-            &mut ids,
-            &CoordinationOpts::full(),
-            [&mut a, &mut b],
-            &invariant_expr(),
-        );
+        let group = coordinate_row(&mut ids, &CoordinationOpts::full(), [&mut a, &mut b]);
         assert!(group.is_some());
         assert_eq!(a.group, group);
         assert_eq!(b.group, group);
@@ -168,24 +166,10 @@ mod tests {
     fn disabled_grouping_is_a_no_op() {
         let mut ids = IdAlloc::new(2);
         let mut a = cais_tb(0);
-        let group = coordinate_row(
-            &mut ids,
-            &CoordinationOpts::none(),
-            [&mut a],
-            &invariant_expr(),
-        );
+        let group = coordinate_row(&mut ids, &CoordinationOpts::none(), [&mut a]);
         assert!(group.is_none());
         assert!(a.group.is_none());
         assert_eq!(a.phases.len(), 2);
-    }
-
-    #[test]
-    fn gpu_variant_addresses_are_not_grouped() {
-        let mut ids = IdAlloc::new(2);
-        let mut a = cais_tb(0);
-        let variant = Expr::add(Expr::GpuId, Expr::BlockIdx);
-        let group = coordinate_row(&mut ids, &CoordinationOpts::full(), [&mut a], &variant);
-        assert!(group.is_none());
     }
 
     #[test]
@@ -196,27 +180,46 @@ mod tests {
             pre_access: false,
             ..CoordinationOpts::full()
         };
-        coordinate_row(&mut ids, &opts, [&mut a], &invariant_expr());
+        coordinate_row(&mut ids, &opts, [&mut a]);
         assert!(a.group.is_some());
         assert!(!a.phases.iter().any(|p| matches!(p, Phase::SyncGroup(_))));
     }
 
     #[test]
     fn sync_insertion_keeps_the_phase_list_exact() {
-        let mut a = cais_tb(0);
-        assert_eq!(a.phases.capacity(), 2);
-        insert_pre_access(&mut a);
-        assert_eq!(a.phases.len(), 3);
-        assert_eq!(a.phases.capacity(), 3);
+        let plain = cais_phases();
+        let synced = with_pre_access(&plain);
+        assert_eq!(synced.len(), 3, "exactly one phase more");
+        assert!(matches!(synced[1], Phase::SyncGroup(SyncKind::PreAccess)));
+        assert_eq!(plain.len(), 2, "the shared original is left as it was");
+    }
+
+    #[test]
+    fn pre_access_on_a_shared_row_allocates_one_list() {
+        let mut ids = IdAlloc::new(32);
+        let shared = cais_phases();
+        let mut row: Vec<TbBody> = (0..32)
+            .map(|_| TbBody::new(0, Arc::clone(&shared)))
+            .collect();
+        coordinate_row(&mut ids, &CoordinationOpts::full(), row.iter_mut());
+        let synced = &row[0].phases;
+        assert_eq!(synced.len(), 3);
+        assert!(row.iter().all(|tb| Arc::ptr_eq(&tb.phases, synced)));
+        // Held by the row alone: no per-GPU copy was made and kept.
+        assert_eq!(Arc::strong_count(synced), 32);
+        assert_eq!(
+            Arc::strong_count(&shared),
+            1,
+            "the row let go of the original"
+        );
     }
 
     #[test]
     fn idempotent_insertion() {
-        let mut a = cais_tb(0);
-        insert_pre_access(&mut a);
-        insert_pre_access(&mut a);
-        let syncs = a
-            .phases
+        let once = with_pre_access(&cais_phases());
+        let twice = with_pre_access(&once);
+        assert!(Arc::ptr_eq(&once, &twice), "no second sync, no new list");
+        let syncs = twice
             .iter()
             .filter(|p| matches!(p, Phase::SyncGroup(_)))
             .count();

@@ -11,8 +11,9 @@
 //!    remote loads into one fetch plus `p - 1` replies, and `p - 1`
 //!    reduction pushes into one accumulated write.
 //! 2. **Merging-aware TB coordination** ([`coordination`], [`sync`]):
-//!    a compiler pass (GPU-invariant index analysis, [`index`]) groups
-//!    corresponding thread blocks across GPUs; pre-launch and pre-access
+//!    a compiler pass groups corresponding thread blocks across GPUs
+//!    (their CAIS addresses are GPU-invariant by construction, so every
+//!    row is mergeable and grouping is on or off); pre-launch and pre-access
 //!    synchronization through the switch's Group Sync Table aligns their
 //!    request timing from ~35 µs of drift down to ~3 µs.
 //! 3. **Graph-level dataflow optimizer** ([`dataflow`]): fuses
@@ -31,7 +32,6 @@
 pub mod area;
 pub mod coordination;
 pub mod dataflow;
-pub mod index;
 pub mod logic;
 pub mod merge;
 pub mod strategies;

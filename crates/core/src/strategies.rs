@@ -30,7 +30,6 @@
 
 use crate::coordination::{coordinate_row, CoordinationOpts};
 use crate::dataflow::{self, Stage};
-use crate::index::Expr;
 use crate::logic::CaisLogic;
 use crate::merge::MergeConfig;
 use cais_engine::lower::{shard_owner, GemmLowering};
@@ -38,7 +37,7 @@ use cais_engine::{
     ExecReport, IdAlloc, KernelBuilder, KernelSpec, Program, SimError, Strategy, SystemConfig,
     SystemSim,
 };
-use gpu_sim::{KernelCost, MemOp, MemOpKind, Phase, ReadyPolicy, TbDesc};
+use gpu_sim::{KernelCost, MemOp, MemOpKind, Phase, ReadyPolicy, TbBody};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
 use sim_core::{GpuId, KernelId, SimDuration, TileId};
 use std::sync::Arc;
@@ -295,18 +294,15 @@ impl Strategy for CaisStrategy {
 }
 
 impl CaisStrategy {
-    /// Applies the grouping pass to `row`, corresponding TBs whose CAIS
-    /// accesses advance `stride` bytes per block, and records the
-    /// group's `members` for the switch's sync table.
+    /// Applies the grouping pass to `row`, corresponding TBs, and
+    /// records the group's `members` for the switch's sync table.
     fn group_row<'r>(
         &self,
         ctx: &mut LowerCtx,
-        row: impl IntoIterator<Item = &'r mut TbDesc>,
-        stride: u64,
+        row: impl IntoIterator<Item = &'r mut TbBody>,
         members: usize,
     ) {
-        let addr_expr = Expr::mul(Expr::BlockIdx, Expr::Const(stride as i64));
-        if let Some(grp) = coordinate_row(&mut ctx.ids, &self.coordination, row, &addr_expr) {
+        if let Some(grp) = coordinate_row(&mut ctx.ids, &self.coordination, row) {
             ctx.prog.group_expected.insert(grp, members as u32);
         }
     }
@@ -360,26 +356,25 @@ impl CaisStrategy {
                         // ld.cais-gathers the rest.
                         let tile = ctx.ids.tile();
                         ctx.prog.tile_expected.insert(tile, np as u32);
-                        // One `red.cais` list for the row: every GPU
-                        // reduces into the same address.
-                        let ops: Arc<[MemOp]> = Arc::new([MemOp {
-                            kind: MemOpKind::RemoteReduce,
-                            addr,
-                            bytes: len,
-                            cais: true,
-                            tile: Some(tile),
-                        }]);
+                        // One `red.cais` row for every GPU: each reduces
+                        // into the same address.
+                        let phases: Arc<[Phase]> = Arc::new([
+                            Phase::Compute(SimDuration::from_ns(200)),
+                            Phase::IssueMem {
+                                ops: Arc::new([MemOp {
+                                    kind: MemOpKind::RemoteReduce,
+                                    addr,
+                                    bytes: len,
+                                    cais: true,
+                                    tile: Some(tile),
+                                }]),
+                                wait: false,
+                            },
+                        ]);
                         for g in 0..np {
-                            let phases = vec![
-                                Phase::Compute(SimDuration::from_ns(200)),
-                                Phase::IssueMem {
-                                    ops: Arc::clone(&ops),
-                                    wait: false,
-                                },
-                            ];
-                            kb.push(&mut ctx.ids, g, key * 4, phases);
+                            kb.push(&mut ctx.ids, g, key * 4, Arc::clone(&phases));
                         }
-                        self.group_row(ctx, kb.last_row().map(|(_, tb)| tb), pkt, np);
+                        self.group_row(ctx, kb.last_row().map(|(_, tb)| tb), np);
                         // Owner-side waiter so the kernel completes when
                         // the reduction lands.
                         let mut wait = vec![Phase::Compute(SimDuration::from_ns(100))];
@@ -426,20 +421,19 @@ impl CaisStrategy {
                     }
                     CollKind::AllGather => {
                         let tile = ctx.ids.tile();
-                        // One `ld.cais` list for every non-owner.
-                        let ops: Arc<[MemOp]> = Arc::new([MemOp {
-                            kind: MemOpKind::RemoteLoad,
-                            addr,
-                            bytes: len,
-                            cais: true,
-                            tile: Some(tile),
+                        // One `ld.cais` row for every non-owner.
+                        let phases: Arc<[Phase]> = Arc::new([Phase::IssueMem {
+                            ops: Arc::new([MemOp {
+                                kind: MemOpKind::RemoteLoad,
+                                addr,
+                                bytes: len,
+                                cais: true,
+                                tile: Some(tile),
+                            }]),
+                            wait: true,
                         }]);
                         for g in (0..np).filter(|&g| g != s) {
-                            let phases = vec![Phase::IssueMem {
-                                ops: Arc::clone(&ops),
-                                wait: true,
-                            }];
-                            kb.push(&mut ctx.ids, g, key, phases);
+                            kb.push(&mut ctx.ids, g, key, Arc::clone(&phases));
                         }
                     }
                 }
@@ -529,7 +523,7 @@ impl CaisStrategy {
                 let t_compute = ctx.low.gemm_tb_time(m_len, n_len, pk);
                 let addr = red_addrs[mi as usize][ni as usize];
                 let rtile = red_tiles[mi as usize][ni as usize];
-                // One `red.cais` list per (mi, ni) row, shared by all GPUs.
+                // One `red.cais` row per (mi, ni), shared by all GPUs.
                 let ops: Arc<[MemOp]> = (0..n_sub)
                     .map(|si| {
                         let off = si * self.cais_packet_bytes;
@@ -543,17 +537,14 @@ impl CaisStrategy {
                         }
                     })
                     .collect();
+                let phases: Arc<[Phase]> = Arc::new([
+                    Phase::Compute(t_compute),
+                    Phase::IssueMem { ops, wait: false },
+                ]);
                 for g in 0..np {
-                    let phases = vec![
-                        Phase::Compute(t_compute),
-                        Phase::IssueMem {
-                            ops: Arc::clone(&ops),
-                            wait: false,
-                        },
-                    ];
-                    producers.push(&mut ctx.ids, g, mi * n_nb + ni, phases);
+                    producers.push(&mut ctx.ids, g, mi * n_nb + ni, Arc::clone(&phases));
                 }
-                self.group_row(ctx, producers.last_row().map(|(_, tb)| tb), tile_bytes, np);
+                self.group_row(ctx, producers.last_row().map(|(_, tb)| tb), np);
             }
         }
         let producer_name: Arc<str> = format!("gemm.{}", dfg.node(producer).name).into();
@@ -722,16 +713,19 @@ impl CaisStrategy {
             // Built once per band and shared by every GPU's TBs: the
             // fetchers' `ld.cais` list (GPU-invariant addresses), the
             // band gate, and the band gate plus operand tiles.
-            let fetch_ops: Arc<[MemOp]> = band
-                .iter()
-                .map(|&(addr, t)| MemOp {
-                    kind: MemOpKind::RemoteLoad,
-                    addr,
-                    bytes: tile_bytes,
-                    cais: true,
-                    tile: Some(t),
-                })
-                .collect();
+            let fetch: Phase = Phase::IssueMem {
+                ops: band
+                    .iter()
+                    .map(|&(addr, t)| MemOp {
+                        kind: MemOpKind::RemoteLoad,
+                        addr,
+                        bytes: tile_bytes,
+                        cais: true,
+                        tile: Some(t),
+                    })
+                    .collect(),
+                wait: true,
+            };
             let gate_deps: Arc<[TileId]> = match band_gate {
                 Some(gate) if self.fused => Arc::new([gate[mi as usize]]),
                 _ => Arc::clone(&whole_gate),
@@ -745,20 +739,18 @@ impl CaisStrategy {
                 let n_len = tile.min(n - ni * tile);
                 let t_compute = ctx.low.gemm_tb_time(m_len, n_len, k);
                 let key = mi * n_nb + ni;
+                // The owner and the siblings compute; the designated
+                // fetchers load first. One list each for the whole row.
+                let compute: Arc<[Phase]> = Arc::new([Phase::Compute(t_compute)]);
+                let fetcher: Option<Arc<[Phase]>> = (ni == 0)
+                    .then(|| Arc::new([fetch.clone(), Phase::Compute(t_compute)]) as Arc<[Phase]>);
                 for g in 0..np {
                     let (phases, deps) = if g == owner {
-                        (vec![Phase::Compute(t_compute)], &gate_deps)
-                    } else if ni == 0 {
+                        (&compute, &gate_deps)
+                    } else if let Some(fetcher) = &fetcher {
                         // Designated fetcher: issues the band's `ld.cais`
                         // operand loads.
-                        let phases = vec![
-                            Phase::IssueMem {
-                                ops: Arc::clone(&fetch_ops),
-                                wait: true,
-                            },
-                            Phase::Compute(t_compute),
-                        ];
-                        (phases, &gate_deps)
+                        (fetcher, &gate_deps)
                     } else {
                         // Siblings reuse the fetched band through the L2
                         // (tile directory). Gate *dispatch* on the operand
@@ -766,16 +758,16 @@ impl CaisStrategy {
                         // holding an SM slot while its band's fetcher is
                         // still queued can starve the fetchers outright
                         // at scale.
-                        (vec![Phase::Compute(t_compute)], &sibling_deps)
+                        (&compute, &sibling_deps)
                     };
-                    kb.push_gated(&mut ctx.ids, g, key, phases, Arc::clone(deps));
+                    kb.push_gated(&mut ctx.ids, g, key, Arc::clone(phases), Arc::clone(deps));
                 }
                 if ni == 0 && np > 1 {
                     // Coordination row: the designated fetchers of the
                     // p - 1 non-owner GPUs (the owner reads locally and
                     // never syncs).
                     let fetchers = kb.last_row().filter(|&(g, _)| g != owner);
-                    self.group_row(ctx, fetchers.map(|(_, tb)| tb), tile_bytes, np - 1);
+                    self.group_row(ctx, fetchers.map(|(_, tb)| tb), np - 1);
                 }
             }
         }
@@ -927,7 +919,7 @@ mod tests {
         let cfg = small_cfg();
         let dfg = sublayer(&small_model(), 4, SubLayer::L1);
         let prog = CaisStrategy::full().lower(&dfg, &cfg);
-        let cais_ops = |tb: &TbDesc, kind: MemOpKind| {
+        let cais_ops = |tb: &TbBody, kind: MemOpKind| {
             tb.phases.iter().find_map(|ph| match ph {
                 Phase::IssueMem { ops, .. } if ops.iter().any(|o| o.cais && o.kind == kind) => {
                     Some(Arc::clone(ops))
@@ -939,8 +931,8 @@ mod tests {
         type Rows = HashMap<(String, u64), Vec<Arc<[MemOp]>>>;
         let (mut producers, mut fetchers): (Rows, Rows) = Default::default();
         for k in &prog.kernels {
-            for tb in &k.desc.tbs {
-                let row = (k.desc.name.to_string(), tb.order_key);
+            for tb in k.desc.body.tbs.iter() {
+                let row = (k.desc.body.name.to_string(), tb.order_key);
                 if let Some(ops) = cais_ops(tb, MemOpKind::RemoteReduce) {
                     producers.entry(row.clone()).or_default().push(ops);
                 }
@@ -968,12 +960,12 @@ mod tests {
             .collect();
         let mut siblings: HashMap<(String, u64), Vec<Arc<[TileId]>>> = HashMap::new();
         for k in &prog.kernels {
-            for tb in &k.desc.tbs {
-                let Some(deps) = prog.tb_ready_deps.get(&tb.id) else {
+            for (id, tb) in k.desc.tb_ids.iter().zip(k.desc.body.tbs.iter()) {
+                let Some(deps) = prog.tb_ready_deps.get(id) else {
                     continue;
                 };
                 if deps.iter().any(|t| fetched.contains(t)) {
-                    let row = (k.desc.name.to_string(), tb.order_key);
+                    let row = (k.desc.body.name.to_string(), tb.order_key);
                     siblings.entry(row).or_default().push(Arc::clone(deps));
                 }
             }
@@ -982,6 +974,42 @@ mod tests {
         for lists in siblings.values() {
             assert_eq!(lists.len(), 3, "one sibling per non-owner GPU");
             assert!(lists.iter().all(|l| Arc::ptr_eq(l, &lists[0])));
+        }
+    }
+
+    #[test]
+    fn gpus_share_a_body_unless_their_tbs_differ() {
+        let cfg = small_cfg();
+        let dfg = sublayer(&small_model(), 4, SubLayer::L1);
+        let prog = CaisStrategy::full().lower(&dfg, &cfg);
+        let mut by_name: HashMap<&str, Vec<&Arc<gpu_sim::KernelBody>>> = HashMap::new();
+        for k in &prog.kernels {
+            by_name
+                .entry(&*k.desc.body.name)
+                .or_default()
+                .push(&k.desc.body);
+        }
+        // The producer GEMM runs the same grouped rows on every GPU.
+        let (producer, bodies) = by_name
+            .iter()
+            .find(|(n, b)| n.starts_with("gemm.") && b[0].tbs.iter().all(|tb| tb.group.is_some()))
+            .expect("a producer GEMM with every row grouped");
+        assert_eq!(bodies.len(), 4);
+        assert!(
+            bodies.iter().all(|b| Arc::ptr_eq(b, bodies[0])),
+            "{producer}: one body"
+        );
+        // The middle kernel runs only the bands a GPU owns.
+        let (mid, bodies) = by_name
+            .iter()
+            .find(|(n, _)| n.starts_with("fused.mid"))
+            .expect("a middle kernel");
+        assert_eq!(bodies.len(), 4);
+        for (i, a) in bodies.iter().enumerate() {
+            assert!(
+                bodies[i + 1..].iter().all(|b| !Arc::ptr_eq(a, b)),
+                "{mid}: one body per GPU"
+            );
         }
     }
 

@@ -1,5 +1,5 @@
 //! Shared lowering primitives: tiling math, the plain compute stage and
-//! the per-GPU kernel builder.
+//! the kernel builder.
 //!
 //! Execution strategies lower [`Dfg`](llm_workload::Dfg) nodes into
 //! [`KernelDesc`]s. The per-strategy schedule (which TBs issue which
@@ -10,7 +10,7 @@
 use crate::config::SystemConfig;
 use crate::ids::IdAlloc;
 use crate::program::{PlannedKernel, Program};
-use gpu_sim::{KernelCost, KernelDesc, Phase, TbDesc};
+use gpu_sim::{KernelBody, KernelCost, KernelDesc, Phase, TbBody};
 use llm_workload::{Node, NodeKind};
 use sim_core::{GpuId, KernelId, SimDuration, TbId, TileId};
 use std::sync::Arc;
@@ -101,11 +101,16 @@ impl GemmLowering {
         node: &Node,
         mut after: impl FnMut(usize) -> Vec<KernelId>,
     ) -> Vec<KernelId> {
-        let times = self.plain_tb_times(&node.kind, cfg.gpu.sm_count);
+        // One phase list per TB position, shared by every GPU.
+        let rows: Vec<Arc<[Phase]>> = self
+            .plain_tb_times(&node.kind, cfg.gpu.sm_count)
+            .into_iter()
+            .map(|t| Arc::from([Phase::Compute(t)]))
+            .collect();
         let mut kb = KernelBuilder::new(cfg.n_gpus);
         for g in 0..cfg.n_gpus {
-            for (key, &t) in times.iter().enumerate() {
-                kb.push(ids, g, key as u64, vec![Phase::Compute(t)]);
+            for (key, phases) in rows.iter().enumerate() {
+                kb.push(ids, g, key as u64, Arc::clone(phases));
             }
         }
         let name: Arc<str> = node.name.as_str().into();
@@ -224,9 +229,17 @@ impl KernelSpec {
 /// A TB's id is allocated when it is pushed; kernel ids are allocated
 /// GPU by GPU in [`finish`](Self::finish), which appends the kernels to
 /// the program in GPU order. Each kernel keeps its TBs in push order.
+///
+/// Tensor parallelism is SPMD, so the builder shares by construction:
+/// hand it one `Arc<[Phase]>` per row of corresponding TBs and every GPU
+/// keeps that one list, and `finish` gives GPUs whose kernels differ
+/// only in ids one [`KernelBody`].
 #[derive(Debug)]
 pub struct KernelBuilder {
-    tbs: Vec<Vec<TbDesc>>,
+    /// Per GPU: the TB ids, in push order.
+    ids: Vec<Vec<TbId>>,
+    /// Per GPU: the TB bodies, parallel to `ids`.
+    tbs: Vec<Vec<TbBody>>,
     /// Dependency lists handed to [`push_gated`](Self::push_gated).
     ready: Vec<(TbId, Arc<[TileId]>)>,
     /// Per GPU: how many of its TBs have a `ready` entry.
@@ -237,15 +250,24 @@ impl KernelBuilder {
     /// An empty builder for `n_gpus` GPUs.
     pub fn new(n_gpus: usize) -> KernelBuilder {
         KernelBuilder {
+            ids: vec![Vec::new(); n_gpus],
             tbs: vec![Vec::new(); n_gpus],
             ready: Vec::new(),
             n_gated: vec![0; n_gpus],
         }
     }
 
-    /// Appends a TB running `phases` to `gpu`'s kernel.
-    pub fn push(&mut self, ids: &mut IdAlloc, gpu: usize, order_key: u64, phases: Vec<Phase>) {
-        self.tbs[gpu].push(TbDesc::new(ids.tb(), order_key, phases));
+    /// Appends a TB running `phases` to `gpu`'s kernel. Pass a clone of
+    /// one `Arc` for corresponding TBs on several GPUs.
+    pub fn push(
+        &mut self,
+        ids: &mut IdAlloc,
+        gpu: usize,
+        order_key: u64,
+        phases: impl Into<Arc<[Phase]>>,
+    ) {
+        self.ids[gpu].push(ids.tb());
+        self.tbs[gpu].push(TbBody::new(order_key, phases));
     }
 
     /// Appends a TB that becomes dispatchable once every tile in `deps`
@@ -255,11 +277,11 @@ impl KernelBuilder {
         ids: &mut IdAlloc,
         gpu: usize,
         order_key: u64,
-        phases: Vec<Phase>,
+        phases: impl Into<Arc<[Phase]>>,
         deps: Arc<[TileId]>,
     ) {
-        let id = ids.tb();
-        self.tbs[gpu].push(TbDesc::new(id, order_key, phases));
+        self.push(ids, gpu, order_key, phases);
+        let id = *self.ids[gpu].last().expect("just pushed");
         self.ready.push((id, deps));
         self.n_gated[gpu] += 1;
     }
@@ -272,7 +294,7 @@ impl KernelBuilder {
 
     /// The last TB pushed to each GPU that has one, in GPU order: the
     /// row of corresponding TBs just pushed, for TB grouping.
-    pub fn last_row(&mut self) -> impl Iterator<Item = (usize, &mut TbDesc)> {
+    pub fn last_row(&mut self) -> impl Iterator<Item = (usize, &mut TbBody)> {
         self.tbs
             .iter_mut()
             .enumerate()
@@ -284,6 +306,11 @@ impl KernelBuilder {
     /// one for each other TB of a kernel that is not auto-ready (a TB
     /// without an entry would never become dispatchable). Returns the
     /// kernel ids in GPU order.
+    ///
+    /// A GPU whose spec and TBs match an earlier GPU's, TB ids aside,
+    /// gets that GPU's body. TBs match by [`TbBody::same_as`]: phase
+    /// lists compare by pointer, so finding a match costs no hashing and
+    /// no allocation per TB.
     pub fn finish(
         self,
         prog: &mut Program,
@@ -292,30 +319,55 @@ impl KernelBuilder {
     ) -> Vec<KernelId> {
         prog.tb_ready_deps.extend(self.ready);
         let n_gated = self.n_gated;
-        self.tbs
+        let mut bodies: Vec<Arc<KernelBody>> = Vec::new();
+        self.ids
             .into_iter()
+            .zip(self.tbs)
             .enumerate()
-            .map(|(g, tbs)| {
+            .map(|(g, (tb_ids, tbs))| {
                 let s = spec(g);
-                if !s.tbs_auto_ready && n_gated[g] < tbs.len() {
-                    for tb in &tbs {
-                        prog.tb_ready_deps.entry(tb.id).or_default();
+                if !s.tbs_auto_ready && n_gated[g] < tb_ids.len() {
+                    for &tb in &tb_ids {
+                        prog.tb_ready_deps.entry(tb).or_default();
                     }
                 }
+                let body = match bodies.iter().find(|b| s.describes(b, &tbs)) {
+                    Some(body) => Arc::clone(body),
+                    None => {
+                        let body = Arc::new(KernelBody {
+                            name: s.name,
+                            tbs_auto_ready: s.tbs_auto_ready,
+                            fused_launch: s.fused_launch,
+                            ordered: s.ordered,
+                            tbs: tbs.into(),
+                        });
+                        bodies.push(Arc::clone(&body));
+                        body
+                    }
+                };
                 prog.push(PlannedKernel {
                     gpu: GpuId(g as u16),
                     desc: KernelDesc {
                         id: ids.kernel(),
-                        name: s.name,
-                        tbs,
-                        tbs_auto_ready: s.tbs_auto_ready,
-                        fused_launch: s.fused_launch,
-                        ordered: s.ordered,
+                        body,
+                        tb_ids: tb_ids.into(),
                     },
                     after: s.after,
                 })
             })
             .collect()
+    }
+}
+
+impl KernelSpec {
+    /// Whether `body` is the kernel this spec and `tbs` describe.
+    fn describes(&self, body: &KernelBody, tbs: &[TbBody]) -> bool {
+        body.tbs.len() == tbs.len()
+            && body.name == self.name
+            && body.tbs_auto_ready == self.tbs_auto_ready
+            && body.fused_launch == self.fused_launch
+            && body.ordered == self.ordered
+            && body.tbs.iter().zip(tbs).all(|(a, b)| a.same_as(b))
     }
 }
 
@@ -407,13 +459,17 @@ mod tests {
         assert_eq!(kids, vec![KernelId(1), KernelId(2)]);
         let tbs = |i: usize| -> Vec<(TbId, u64)> {
             let d = &prog.kernels[i].desc;
-            d.tbs.iter().map(|tb| (tb.id, tb.order_key)).collect()
+            d.tb_ids
+                .iter()
+                .zip(d.body.tbs.iter())
+                .map(|(&id, tb)| (id, tb.order_key))
+                .collect()
         };
         assert_eq!(prog.kernels[0].gpu, GpuId(0));
         assert_eq!(tbs(0), vec![(TbId(1), 5)]);
         assert_eq!(prog.kernels[1].gpu, GpuId(1));
         assert_eq!(tbs(1), vec![(TbId(0), 0), (TbId(2), 1)]);
-        let d = &prog.kernels[1].desc;
+        let d = &prog.kernels[1].desc.body;
         assert_eq!(&*d.name, "k1");
         assert!(d.tbs_auto_ready && d.fused_launch && !d.ordered);
         assert_eq!(prog.kernels[1].after, vec![KernelId(0)]);
@@ -439,8 +495,8 @@ mod tests {
         assert_eq!(&prog.tb_ready_deps[&TbId(0)][..], &[TileId(7)]);
         assert!(prog.tb_ready_deps[&TbId(1)].is_empty());
         assert!(prog.tb_ready_deps[&TbId(2)].is_empty());
-        assert!(prog.kernels.iter().all(|k| !k.desc.tbs_auto_ready));
-        assert!(prog.kernels.iter().all(|k| k.desc.ordered));
+        assert!(prog.kernels.iter().all(|k| !k.desc.body.tbs_auto_ready));
+        assert!(prog.kernels.iter().all(|k| k.desc.body.ordered));
     }
 
     #[test]
@@ -465,11 +521,83 @@ mod tests {
     fn last_row_yields_each_gpus_latest_tb() {
         let mut ids = IdAlloc::new(3);
         let mut kb = KernelBuilder::new(3);
-        for g in [0, 2, 0] {
-            kb.push(&mut ids, g, 0, compute(1));
+        for (key, g) in [0, 2, 0].into_iter().enumerate() {
+            kb.push(&mut ids, g, key as u64, compute(1));
         }
-        let row: Vec<(usize, TbId)> = kb.last_row().map(|(g, tb)| (g, tb.id)).collect();
-        assert_eq!(row, vec![(0, TbId(2)), (2, TbId(1))]);
+        let row: Vec<(usize, u64)> = kb.last_row().map(|(g, tb)| (g, tb.order_key)).collect();
+        assert_eq!(row, vec![(0, 2), (2, 1)]);
+    }
+
+    #[test]
+    fn a_shared_row_keeps_one_phase_list_and_one_body() {
+        let n = 32;
+        let mut ids = IdAlloc::new(n);
+        let mut prog = Program::new();
+        let mut kb = KernelBuilder::new(n);
+        let rows: Vec<Arc<[Phase]>> = (0..3).map(|i| compute(i + 1).into()).collect();
+        for g in 0..n {
+            for (key, phases) in rows.iter().enumerate() {
+                kb.push(&mut ids, g, key as u64, Arc::clone(phases));
+            }
+        }
+        let name: Arc<str> = "gemm".into();
+        kb.finish(&mut prog, &mut ids, |_| {
+            KernelSpec::new(Arc::clone(&name), Vec::new())
+        });
+        assert_eq!(prog.kernels.len(), n);
+        assert_eq!(prog.total_tbs(), 3 * n);
+        let body = &prog.kernels[0].desc.body;
+        for k in &prog.kernels {
+            assert!(Arc::ptr_eq(&k.desc.body, body), "one body for every GPU");
+        }
+        for (tb, row) in body.tbs.iter().zip(&rows) {
+            assert!(Arc::ptr_eq(&tb.phases, row), "one phase list per row");
+        }
+        // Each GPU keeps its own TB ids, in push order.
+        assert_eq!(
+            &prog.kernels[1].desc.tb_ids[..],
+            &[TbId(3), TbId(4), TbId(5)]
+        );
+        prog.validate().expect("ids stay unique");
+    }
+
+    #[test]
+    fn a_gpu_whose_tbs_differ_gets_its_own_body() {
+        let mut ids = IdAlloc::new(4);
+        let mut prog = Program::new();
+        let mut kb = KernelBuilder::new(4);
+        let shared: Arc<[Phase]> = compute(1).into();
+        for g in 0..4 {
+            kb.push(&mut ids, g, 0, Arc::clone(&shared));
+            // GPU 2 runs different phases, GPU 3 a different key.
+            match g {
+                2 => kb.push(&mut ids, g, 1, compute(2)),
+                3 => kb.push(&mut ids, g, 7, Arc::clone(&shared)),
+                _ => kb.push(&mut ids, g, 1, Arc::clone(&shared)),
+            }
+        }
+        // Equal content in separate allocations is not shared.
+        kb.push(&mut ids, 1, 2, compute(1));
+        kb.push(&mut ids, 0, 2, compute(1));
+        kb.finish(&mut prog, &mut ids, |_| KernelSpec::new("k", Vec::new()));
+        let body = |prog: &Program, g: usize| Arc::clone(&prog.kernels[g].desc.body);
+        for (a, b) in [(0, 1), (0, 2), (0, 3), (2, 3), (1, 2)] {
+            assert!(
+                !Arc::ptr_eq(&body(&prog, a), &body(&prog, b)),
+                "GPUs {a} and {b}"
+            );
+        }
+        // Matching TBs but a different spec: a body of its own.
+        let mut kb = KernelBuilder::new(2);
+        for g in 0..2 {
+            kb.push(&mut ids, g, 0, Arc::clone(&shared));
+        }
+        kb.finish(&mut prog, &mut ids, |g| {
+            KernelSpec::new(format!("coll.g{g}"), Vec::new())
+        });
+        let (a, b) = (body(&prog, 4), body(&prog, 5));
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a.tbs[0].phases, &b.tbs[0].phases));
     }
 
     #[test]

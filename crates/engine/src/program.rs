@@ -80,7 +80,7 @@ impl Program {
 
     /// Total TBs across all kernels.
     pub fn total_tbs(&self) -> usize {
-        self.kernels.iter().map(|k| k.desc.tbs.len()).sum()
+        self.kernels.iter().map(|k| k.desc.tb_ids.len()).sum()
     }
 
     /// Checks id uniqueness and dependency sanity.
@@ -97,9 +97,9 @@ impl Program {
             if index.insert(k.desc.id, i).is_some() {
                 return Err(ProgramError::DuplicateKernel(k.desc.id));
             }
-            for tb in &k.desc.tbs {
-                if !tbs.insert(tb.id) {
-                    return Err(ProgramError::DuplicateTb(tb.id));
+            for &tb in &k.desc.tb_ids {
+                if !tbs.insert(tb) {
+                    return Err(ProgramError::DuplicateTb(tb));
                 }
             }
         }

@@ -289,8 +289,8 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         let n_tbs = program
             .kernels
             .iter()
-            .flat_map(|k| k.desc.tbs.iter())
-            .map(|tb| tb.id.index() + 1)
+            .flat_map(|k| k.desc.tb_ids.iter())
+            .map(|tb| tb.index() + 1)
             .max()
             .unwrap_or(0);
         let n_kernels = program
@@ -302,8 +302,8 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
 
         let mut tb_gpu: DenseMap<TbId, GpuId> = DenseMap::with_capacity(n_tbs);
         for k in &program.kernels {
-            for tb in &k.desc.tbs {
-                tb_gpu.insert(tb.id, k.gpu);
+            for &tb in &k.desc.tb_ids {
+                tb_gpu.insert(tb, k.gpu);
             }
         }
 
@@ -698,22 +698,22 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         self.kernel_spans.insert(
             kid,
             KernelSpan {
-                name: Arc::clone(&planned.desc.name),
+                name: Arc::clone(&planned.desc.body.name),
                 gpu: planned.gpu,
                 start: now,
                 end: now,
             },
         );
-        for tb in &planned.desc.tbs {
-            self.launched_tbs.insert(tb.id);
+        for &tb in &planned.desc.tb_ids {
+            self.launched_tbs.insert(tb);
         }
         let gpu = planned.gpu;
         let ready_now: Vec<TbId> = planned
             .desc
-            .tbs
+            .tb_ids
             .iter()
-            .map(|tb| tb.id)
-            .filter(|id| self.ready_pending.remove(*id))
+            .copied()
+            .filter(|&id| self.ready_pending.remove(id))
             .collect();
         self.gpus[gpu.index()].launch_kernel(now, planned.desc);
         for tb in ready_now {
@@ -1194,7 +1194,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             .pending_kernels
             .iter()
             .flatten()
-            .map(|k| format!("unlaunched {} on {}", k.desc.name, k.gpu))
+            .map(|k| format!("unlaunched {} on {}", k.desc.body.name, k.gpu))
             // Launched kernels that never completed are the stuck ones.
             .chain(
                 self.kernel_spans
@@ -1369,10 +1369,9 @@ mod tests {
         let mut p = Program::new();
         p.push(PlannedKernel {
             gpu: GpuId(0),
-            desc: KernelDesc::new(ids.kernel(), "loaders", vec![]),
+            desc: KernelDesc::new(ids.kernel(), "loaders", tbs),
             after: vec![],
         });
-        p.kernels[0].desc.tbs = tbs;
         let report = run(cfg, p);
         assert_eq!(report.deduped_fetches, 2, "two of three loads deduped");
     }
@@ -1425,7 +1424,7 @@ mod tests {
                 SimDuration::from_us(1),
             )],
         );
-        desc.tbs_auto_ready = false;
+        Arc::make_mut(&mut desc.body).tbs_auto_ready = false;
         p.push(PlannedKernel {
             gpu: GpuId(0),
             desc,
@@ -1808,7 +1807,7 @@ mod tests {
                 .map(|&i| TbDesc::compute_only(TbId(i), i, SimDuration::from_us(1)))
                 .collect();
             let mut desc = KernelDesc::new(KernelId(k as u32), format!("gated{k}"), tbs);
-            desc.tbs_auto_ready = false;
+            Arc::make_mut(&mut desc.body).tbs_auto_ready = false;
             p.push(PlannedKernel {
                 gpu: GpuId(0),
                 desc,
@@ -1891,7 +1890,7 @@ mod tests {
             "stuck",
             vec![TbDesc::compute_only(tb, 0, SimDuration::from_us(1))],
         );
-        desc.tbs_auto_ready = false;
+        Arc::make_mut(&mut desc.body).tbs_auto_ready = false;
         let mut p = Program::new();
         p.push(PlannedKernel {
             gpu: GpuId(0),
@@ -2167,7 +2166,7 @@ mod tests {
                 SimDuration::from_us(1),
             )],
         );
-        desc.tbs_auto_ready = false;
+        Arc::make_mut(&mut desc.body).tbs_auto_ready = false;
         p.push(PlannedKernel {
             gpu: GpuId(1),
             desc,

@@ -1,7 +1,7 @@
 //! The per-GPU execution simulator.
 
 use crate::config::{GpuConfig, ReadyPolicy};
-use crate::kernel::{KernelDesc, MemOp, Phase, SyncKind, TbDesc};
+use crate::kernel::{KernelBody, KernelDesc, MemOp, Phase, SyncKind, TbBody};
 use sim_core::rng::JitterRng;
 use sim_core::{
     shrink_sparse, EventQueue, FastHash, GroupId, KernelId, SimDuration, SimTime, TbId, TileId,
@@ -60,34 +60,46 @@ enum TbState {
     Waiting,
     /// Ready but gated on a pre-launch group release.
     PendingGroup,
-    /// In the ready queue.
+    /// In the ready queue; dispatch starts it at its current phase.
     Queued,
-    /// Occupying an SM slot, executing phase `phase`.
-    Running { phase: usize },
-    /// Occupying a slot, blocked in phase `phase` on an external event.
-    Blocked { phase: usize },
+    /// Occupying an SM slot, executing its current phase.
+    Running,
+    /// Occupying a slot, blocked in its current phase on an external
+    /// event.
+    Blocked,
     /// Yielded its slot while waiting for a group synchronization (the
     /// warp scheduler runs other work meanwhile); re-dispatched with
     /// priority on resume.
-    Yielded { phase: usize },
+    Yielded,
 }
 
+/// A live TB: where its body is and how far it has run. The body itself
+/// (order key, group, phases) stays in its kernel's shared
+/// [`KernelBody`].
 #[derive(Debug)]
 struct TbRuntime {
-    desc: TbDesc,
     kernel: KernelId,
+    /// Position in the kernel's [`KernelBody::tbs`].
+    pos: u32,
+    /// The phase running, blocked or yielded in, or to start from when
+    /// next dispatched.
+    phase: u32,
     state: TbState,
     armed: bool,
     deps_ok: bool,
     enqueued_or_pending: bool,
-    /// Phase to resume from when re-dispatched after a yielded sync.
-    resume_phase: usize,
 }
 
+// A record per live TB; at 32 GPUs up to ~200k TBs are live at once.
+const _: () = assert!(std::mem::size_of::<TbRuntime>() <= 16);
+
+/// A live kernel: launched and not yet completed.
 #[derive(Debug)]
 struct KernelRuntime {
+    body: Arc<KernelBody>,
+    /// The kernel's TB ids until it arms; empty afterwards.
+    unarmed: Box<[TbId]>,
     remaining: usize,
-    ordered: bool,
 }
 
 #[derive(Debug)]
@@ -114,10 +126,12 @@ pub struct GpuSim {
     cfg: Arc<GpuConfig>,
     now: SimTime,
     queue: EventQueue<GpuEvent>,
-    /// Live TBs only: a TB enters at its kernel's launch and is dropped,
-    /// phases and all, the moment it completes. The table shrinks as TBs
-    /// retire, so it does not keep the capacity of the largest kernel.
+    /// Live TBs only: a TB enters at its kernel's launch and is dropped
+    /// the moment it completes. The table shrinks as TBs retire, so it
+    /// does not keep the capacity of the largest kernel.
     tbs: HashMap<TbId, TbRuntime, FastHash>,
+    /// Live kernels only, each holding its body until its last TB
+    /// completes.
     kernels: HashMap<KernelId, KernelRuntime, FastHash>,
     ready: BinaryHeap<Reverse<(u64, u64, TbId)>>,
     ready_seq: u64,
@@ -178,58 +192,58 @@ impl GpuSim {
     }
 
     /// Launches `kernel` at `time`. TBs become ready after the launch
-    /// overhead (unless the kernel is marked [`KernelDesc::fused_launch`]).
+    /// overhead (unless the kernel is marked
+    /// [`KernelBody::fused_launch`]).
     ///
     /// # Panics
     ///
-    /// Panics if `time` is in the past or the kernel id was already used.
+    /// Panics if `time` is in the past or the kernel is already live here.
     pub fn launch_kernel(&mut self, time: SimTime, kernel: KernelDesc) {
         assert!(time >= self.now, "cannot launch a kernel in the past");
+        let KernelDesc { id, body, tb_ids } = kernel;
         assert!(
-            !self.kernels.contains_key(&kernel.id),
-            "kernel {} launched twice",
-            kernel.id
+            !self.kernels.contains_key(&id),
+            "kernel {id} launched twice"
         );
-        let overhead = if kernel.fused_launch {
+        let overhead = if body.fused_launch {
             SimDuration::ZERO
         } else {
             self.cfg.kernel_launch_overhead + self.rng.jitter(self.cfg.launch_skew)
         };
-        self.kernels.insert(
-            kernel.id,
-            KernelRuntime {
-                remaining: kernel.tbs.len(),
-                ordered: kernel.ordered,
-            },
-        );
         // One rehash for the whole grid, not one per doubling: the table
         // shrinks as the previous kernels' TBs retire.
-        self.tbs.reserve(kernel.tbs.len());
-        if kernel.tbs.is_empty() {
-            // Degenerate but legal: completes right after arming.
-            self.effects.push((
-                time + overhead,
-                GpuEffect::KernelCompleted { kernel: kernel.id },
-            ));
-        }
-        for tb in kernel.tbs {
-            let id = tb.id;
+        self.tbs.reserve(tb_ids.len());
+        for (pos, &tb) in tb_ids.iter().enumerate() {
             let prev = self.tbs.insert(
-                id,
+                tb,
                 TbRuntime {
-                    deps_ok: kernel.tbs_auto_ready,
-                    desc: tb,
-                    kernel: kernel.id,
+                    kernel: id,
+                    pos: pos as u32,
+                    phase: 0,
                     state: TbState::Waiting,
                     armed: false,
+                    deps_ok: body.tbs_auto_ready,
                     enqueued_or_pending: false,
-                    resume_phase: 0,
                 },
             );
-            assert!(prev.is_none(), "thread block {id} registered twice");
+            assert!(prev.is_none(), "thread block {tb} registered twice");
         }
-        self.queue
-            .push(time + overhead, GpuEvent::KernelArmed(kernel.id));
+        if tb_ids.is_empty() {
+            // Degenerate but legal: completes right after arming, and
+            // keeps no state.
+            self.effects
+                .push((time + overhead, GpuEffect::KernelCompleted { kernel: id }));
+        } else {
+            self.kernels.insert(
+                id,
+                KernelRuntime {
+                    remaining: tb_ids.len(),
+                    unarmed: tb_ids,
+                    body,
+                },
+            );
+        }
+        self.queue.push(time + overhead, GpuEvent::KernelArmed(id));
     }
 
     /// Marks a dependency-gated TB as ready (engine resolved its inputs).
@@ -258,15 +272,15 @@ impl GpuSim {
         assert!(time >= self.now, "cannot resume in the past");
         let rt = self.tbs.get_mut(&tb).expect("resume_tb: unknown TB");
         match rt.state {
-            TbState::Blocked { phase } => {
-                rt.state = TbState::Running { phase };
+            TbState::Blocked => {
+                rt.state = TbState::Running;
                 self.queue.push(time, GpuEvent::PhaseDone(tb));
             }
-            TbState::Yielded { phase } => {
+            TbState::Yielded => {
                 // Re-enter the ready queue with top priority (the resident
-                // warp state is already on the SM; it resumes as soon as a
-                // slot frees).
-                rt.resume_phase = phase + 1;
+                // warp state is already on the SM; it resumes after the
+                // sync as soon as a slot frees).
+                rt.phase += 1;
                 rt.state = TbState::Queued;
                 let seq = self.ready_seq;
                 self.ready_seq += 1;
@@ -340,7 +354,7 @@ impl GpuSim {
     /// Whether `kernel` was launched here and still has TBs that have not
     /// completed (diagnostics for deadlock reports).
     pub fn kernel_pending(&self, kernel: KernelId) -> bool {
-        self.kernels.get(&kernel).is_some_and(|k| k.remaining > 0)
+        self.kernels.contains_key(&kernel)
     }
 
     /// Total internal events processed so far (perf accounting).
@@ -382,11 +396,16 @@ impl GpuSim {
         }
     }
 
+    /// The shared body of a live TB.
+    fn body(&self, rt: &TbRuntime) -> &TbBody {
+        &self.kernels[&rt.kernel].body.tbs[rt.pos as usize]
+    }
+
     fn schedule_ready(&mut self, time: SimTime, tb: TbId) {
         let rt = self.tbs.get_mut(&tb).expect("schedule_ready: unknown TB");
         rt.enqueued_or_pending = true;
         let kernel = rt.kernel;
-        let jitter = if self.kernels[&kernel].ordered {
+        let jitter = if self.kernels[&kernel].body.ordered {
             SimDuration::ZERO
         } else {
             self.rng.jitter(self.cfg.dispatch_jitter)
@@ -396,12 +415,13 @@ impl GpuSim {
 
     fn enqueue_ready(&mut self, time: SimTime, tb: TbId) {
         let rt = &self.tbs[&tb];
-        let key = if self.kernels[&rt.kernel].ordered {
-            rt.desc.order_key
+        let kernel = &self.kernels[&rt.kernel].body;
+        let key = if kernel.ordered {
+            kernel.tbs[rt.pos as usize].order_key
         } else {
             match self.cfg.ready_policy {
                 ReadyPolicy::Fifo => time.as_ps(),
-                ReadyPolicy::GroupOrdered => rt.desc.order_key,
+                ReadyPolicy::GroupOrdered => kernel.tbs[rt.pos as usize].order_key,
             }
         };
         let seq = self.ready_seq;
@@ -413,20 +433,19 @@ impl GpuSim {
     fn handle(&mut self, now: SimTime, ev: GpuEvent) {
         match ev {
             GpuEvent::KernelArmed(kernel) => {
-                let mut ready: Vec<(u64, TbId)> = self
-                    .tbs
-                    .iter_mut()
-                    .filter(|(_, rt)| rt.kernel == kernel)
-                    .map(|(id, rt)| {
+                // An empty kernel was never live.
+                let Some(krt) = self.kernels.get_mut(&kernel) else {
+                    return;
+                };
+                let tbs = &mut self.tbs;
+                let mut ready: Vec<(u64, TbId)> = std::mem::take(&mut krt.unarmed)
+                    .iter()
+                    .zip(krt.body.tbs.iter())
+                    .filter_map(|(&id, body)| {
+                        let rt = tbs.get_mut(&id).expect("an unarmed TB is live");
                         rt.armed = true;
-                        (
-                            rt.desc.order_key,
-                            *id,
-                            rt.deps_ok && !rt.enqueued_or_pending,
-                        )
+                        (rt.deps_ok && !rt.enqueued_or_pending).then_some((body.order_key, id))
                     })
-                    .filter(|(_, _, go)| *go)
-                    .map(|(key, id, _)| (key, id))
                     .collect();
                 // Deterministic arming order: hardware drains the grid in
                 // block order, and corresponding TBs on different GPUs
@@ -437,9 +456,9 @@ impl GpuSim {
                 }
             }
             GpuEvent::ReadyAt(tb) => {
-                let rt = &self.tbs[&tb];
-                if rt.desc.pre_launch_sync {
-                    let group = rt.desc.group.expect("pre_launch_sync TB must have a group");
+                let body = self.body(&self.tbs[&tb]);
+                if body.pre_launch_sync {
+                    let group = body.group.expect("pre_launch_sync TB must have a group");
                     if !self.released_groups.contains(&group) {
                         self.tbs.get_mut(&tb).expect("known").state = TbState::PendingGroup;
                         self.pending_group.entry(group).or_default().push(tb);
@@ -463,11 +482,8 @@ impl GpuSim {
             }
             GpuEvent::PhaseDone(tb) => {
                 let rt = self.tbs.get_mut(&tb).expect("PhaseDone: unknown TB");
-                let phase = match rt.state {
-                    TbState::Running { phase } => phase,
-                    other => panic!("PhaseDone for {tb} in state {other:?}"),
-                };
-                rt.state = TbState::Running { phase: phase + 1 };
+                assert_eq!(rt.state, TbState::Running, "PhaseDone for {tb}");
+                rt.phase += 1;
                 self.step_tb(now, tb);
             }
         }
@@ -480,9 +496,7 @@ impl GpuSim {
             };
             self.slots_free -= 1;
             self.note_occupancy_change(now, 1);
-            let rt = self.tbs.get_mut(&tb).expect("dispatch: unknown TB");
-            let phase = std::mem::take(&mut rt.resume_phase);
-            rt.state = TbState::Running { phase };
+            self.tbs.get_mut(&tb).expect("dispatch: unknown TB").state = TbState::Running;
             self.step_tb(now, tb);
         }
     }
@@ -491,18 +505,16 @@ impl GpuSim {
     /// blocks, schedules a timed event, or completes.
     fn step_tb(&mut self, now: SimTime, tb: TbId) {
         loop {
-            let rt = self.tbs.get_mut(&tb).expect("step_tb: unknown TB");
-            let phase_idx = match rt.state {
-                TbState::Running { phase } => phase,
-                other => panic!("step_tb for {tb} in state {other:?}"),
-            };
-            if phase_idx >= rt.desc.phases.len() {
-                self.complete_tb(now, tb);
-                return;
-            }
+            let rt = &self.tbs[&tb];
+            assert_eq!(rt.state, TbState::Running, "step_tb for {tb}");
+            let body = self.body(rt);
             // End the borrow by cloning the phase out: `ops` is a shared
             // list, so the clone is a reference-count increment.
-            match rt.desc.phases[phase_idx].clone() {
+            let Some(phase) = body.phases.get(rt.phase as usize).cloned() else {
+                self.complete_tb(now, tb);
+                return;
+            };
+            match phase {
                 Phase::Compute(d) => {
                     let d = if self.cfg.compute_scale == 1.0 {
                         d
@@ -524,19 +536,17 @@ impl GpuSim {
                     ));
                     let rt = self.tbs.get_mut(&tb).expect("known");
                     if wait {
-                        rt.state = TbState::Blocked { phase: phase_idx };
+                        rt.state = TbState::Blocked;
                         return;
                     }
-                    rt.state = TbState::Running {
-                        phase: phase_idx + 1,
-                    };
+                    rt.phase += 1;
                 }
                 Phase::SyncGroup(kind) => {
-                    let group = rt.desc.group.expect("SyncGroup phase requires a TB group");
+                    let group = body.group.expect("SyncGroup phase requires a TB group");
                     // Yield the slot for the wait: the warp scheduler
                     // issues independent work meanwhile (paper Sec.
                     // III-B-2), so a cross-GPU sync never pins an SM.
-                    rt.state = TbState::Yielded { phase: phase_idx };
+                    self.tbs.get_mut(&tb).expect("known").state = TbState::Yielded;
                     self.slots_free += 1;
                     self.note_occupancy_change(now, -1);
                     self.effects
@@ -545,9 +555,7 @@ impl GpuSim {
                     return;
                 }
                 Phase::SignalTile(tile) => {
-                    rt.state = TbState::Running {
-                        phase: phase_idx + 1,
-                    };
+                    self.tbs.get_mut(&tb).expect("known").phase += 1;
                     self.effects.push((now, GpuEffect::TileReady { tile }));
                 }
             }
@@ -561,8 +569,7 @@ impl GpuSim {
             .expect("complete_tb: unknown TB")
             .kernel;
         // Shrinking changes the table's iteration order, which nothing
-        // observes: arming sorts the TBs it collects, and so does
-        // `stuck_tbs`.
+        // observes: `stuck_tbs` sorts what it collects.
         shrink_sparse(&mut self.tbs, Self::MIN_TB_CAPACITY);
         self.slots_free += 1;
         self.note_occupancy_change(now, -1);
@@ -571,6 +578,8 @@ impl GpuSim {
         let krt = self.kernels.get_mut(&kernel).expect("kernel exists");
         krt.remaining -= 1;
         if krt.remaining == 0 {
+            // The body goes with the kernel's last TB.
+            self.kernels.remove(&kernel);
             self.effects
                 .push((now, GpuEffect::KernelCompleted { kernel }));
         }
@@ -581,6 +590,7 @@ impl GpuSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::TbDesc;
     use sim_core::KernelId;
 
     fn quiet_cfg() -> GpuConfig {
@@ -637,7 +647,9 @@ mod tests {
             ..compute_tb(0, 1)
         };
         let tbs = vec![blocker, compute_tb(1, 10), compute_tb(2, 10)];
-        gpu.launch_kernel(SimTime::ZERO, KernelDesc::new(KernelId(0), "k", tbs));
+        let k = KernelDesc::new(KernelId(0), "k", tbs);
+        let body = Arc::clone(&k.body);
+        gpu.launch_kernel(SimTime::ZERO, k);
         while let Some(t) = gpu.next_time() {
             gpu.advance(t);
         }
@@ -649,6 +661,11 @@ mod tests {
         assert!(gpu.is_idle());
         assert!(gpu.stuck_tbs().is_empty());
         assert!(gpu.tbs.is_empty(), "no TB state may outlive its TB");
+        assert!(
+            gpu.kernels.is_empty(),
+            "no kernel state may outlive its kernel"
+        );
+        assert_eq!(Arc::strong_count(&body), 1, "the GPU let go of the body");
         // A late readiness signal for a retired TB is harmless.
         gpu.make_tb_ready(SimTime::from_us(60), TbId(1));
         assert!(gpu.is_idle());
@@ -693,7 +710,7 @@ mod tests {
     fn fused_launch_skips_overhead() {
         let mut gpu = GpuSim::new(quiet_cfg(), 1);
         let mut k = KernelDesc::new(KernelId(0), "fused", vec![compute_tb(0, 5)]);
-        k.fused_launch = true;
+        Arc::make_mut(&mut k.body).fused_launch = true;
         gpu.launch_kernel(SimTime::ZERO, k);
         let effects = run_all(&mut gpu);
         let done = effects
@@ -743,7 +760,7 @@ mod tests {
     fn dependency_gated_tbs_wait_for_engine() {
         let mut gpu = GpuSim::new(quiet_cfg(), 1);
         let mut k = KernelDesc::new(KernelId(0), "k", vec![compute_tb(0, 1)]);
-        k.tbs_auto_ready = false;
+        Arc::make_mut(&mut k.body).tbs_auto_ready = false;
         gpu.launch_kernel(SimTime::ZERO, k);
         while let Some(t) = gpu.next_time() {
             gpu.advance(t);
@@ -847,7 +864,7 @@ mod tests {
             ..compute_tb(1, 1)
         };
         let mut k = KernelDesc::new(KernelId(0), "coll", vec![a, b]);
-        k.ordered = true;
+        Arc::make_mut(&mut k.body).ordered = true;
         gpu.launch_kernel(SimTime::ZERO, k);
         let fx = run_all(&mut gpu);
         let order: Vec<TbId> = fx
@@ -887,7 +904,7 @@ mod tests {
         // The consumer waits on the tile through its dispatch gate: a
         // dependency-gated kernel the engine releases when the tile lands.
         let mut consumer = KernelDesc::new(KernelId(1), "consumer", vec![compute_tb(1, 1)]);
-        consumer.tbs_auto_ready = false;
+        Arc::make_mut(&mut consumer.body).tbs_auto_ready = false;
         gpu.launch_kernel(SimTime::ZERO, consumer);
         while let Some(t) = gpu.next_time() {
             gpu.advance(t);

@@ -74,11 +74,14 @@ pub enum Phase {
     SignalTile(TileId),
 }
 
-/// A thread block.
+/// What corresponding thread blocks of an SPMD kernel share on every
+/// GPU: everything but the TB id.
+///
+/// Tensor parallelism runs the same kernel on every GPU, so a lowering
+/// builds one phase list per row of corresponding TBs and every GPU's TB
+/// holds a reference to it.
 #[derive(Debug, Clone)]
-pub struct TbDesc {
-    /// Globally unique id (assigned by the engine/lowering).
-    pub id: TbId,
+pub struct TbBody {
     /// Deterministic dispatch-order key, identical for semantically
     /// corresponding TBs on every GPU (the CAIS compiler's TB grouping
     /// relies on this; see [`ReadyPolicy::GroupOrdered`](crate::ReadyPolicy::GroupOrdered)).
@@ -88,24 +91,28 @@ pub struct TbDesc {
     /// Whether dispatch must wait for a pre-launch group release.
     pub pre_launch_sync: bool,
     /// Execution phases, run in order.
-    pub phases: Vec<Phase>,
+    pub phases: Arc<[Phase]>,
 }
 
-impl TbDesc {
-    /// Creates an ungrouped TB that runs `phases`.
-    pub fn new(id: TbId, order_key: u64, phases: Vec<Phase>) -> TbDesc {
-        TbDesc {
-            id,
+impl TbBody {
+    /// An ungrouped TB body that runs `phases`.
+    pub fn new(order_key: u64, phases: impl Into<Arc<[Phase]>>) -> TbBody {
+        TbBody {
             order_key,
             group: None,
             pre_launch_sync: false,
-            phases,
+            phases: phases.into(),
         }
     }
 
-    /// Creates a plain compute TB with no communication.
-    pub fn compute_only(id: TbId, order_key: u64, dur: SimDuration) -> TbDesc {
-        TbDesc::new(id, order_key, vec![Phase::Compute(dur)])
+    /// Whether `self` and `other` describe the same TB: equal order key,
+    /// group and pre-launch flag, and the same phase list by pointer (a
+    /// lowering that shares a row's list shares the `Arc`).
+    pub fn same_as(&self, other: &TbBody) -> bool {
+        self.order_key == other.order_key
+            && self.group == other.group
+            && self.pre_launch_sync == other.pre_launch_sync
+            && Arc::ptr_eq(&self.phases, &other.phases)
     }
 
     /// Sum of declared compute time (ignores jitter and blocking).
@@ -131,16 +138,47 @@ impl TbDesc {
     }
 }
 
-/// A kernel: a grid of TBs launched together on one GPU.
+/// One thread block written out whole, for kernels built by hand:
+/// [`KernelDesc::new`] splits it into its id and its [`TbBody`].
 #[derive(Debug, Clone)]
-pub struct KernelDesc {
-    /// Globally unique kernel id.
-    pub id: KernelId,
+pub struct TbDesc {
+    /// Globally unique id (assigned by the engine/lowering).
+    pub id: TbId,
+    /// See [`TbBody::order_key`].
+    pub order_key: u64,
+    /// See [`TbBody::group`].
+    pub group: Option<GroupId>,
+    /// See [`TbBody::pre_launch_sync`].
+    pub pre_launch_sync: bool,
+    /// Execution phases, run in order.
+    pub phases: Vec<Phase>,
+}
+
+impl TbDesc {
+    /// Creates an ungrouped TB that runs `phases`.
+    pub fn new(id: TbId, order_key: u64, phases: Vec<Phase>) -> TbDesc {
+        TbDesc {
+            id,
+            order_key,
+            group: None,
+            pre_launch_sync: false,
+            phases,
+        }
+    }
+
+    /// Creates a plain compute TB with no communication.
+    pub fn compute_only(id: TbId, order_key: u64, dur: SimDuration) -> TbDesc {
+        TbDesc::new(id, order_key, vec![Phase::Compute(dur)])
+    }
+}
+
+/// What every GPU's instance of an SPMD kernel shares: the name, the
+/// launch flags and one [`TbBody`] per TB.
+#[derive(Debug, Clone)]
+pub struct KernelBody {
     /// Human-readable name for reports ("qkv_gemm", "allgather", ...),
-    /// shared by every GPU's copy of the kernel and by its spans.
+    /// shared by the kernel's spans.
     pub name: Arc<str>,
-    /// The grid.
-    pub tbs: Vec<TbDesc>,
     /// When false, TBs additionally wait for the engine to mark them ready
     /// (fine-grained cross-kernel dependencies); when true every TB is
     /// ready as soon as the kernel launches.
@@ -153,24 +191,53 @@ pub struct KernelDesc {
     /// dispatch jitter — the "TBs" are loop steps of one resident
     /// kernel, not independently scheduled blocks.
     pub ordered: bool,
+    /// The grid, in TB order.
+    pub tbs: Box<[TbBody]>,
+}
+
+/// A kernel: a grid of TBs launched together on one GPU. The body may be
+/// shared with the same kernel on other GPUs; the ids are this GPU's own.
+#[derive(Debug, Clone)]
+pub struct KernelDesc {
+    /// Globally unique kernel id.
+    pub id: KernelId,
+    /// Name, launch flags and TB bodies.
+    pub body: Arc<KernelBody>,
+    /// The TB ids: `tb_ids[i]` runs `body.tbs[i]`.
+    pub tb_ids: Box<[TbId]>,
 }
 
 impl KernelDesc {
     /// Creates a kernel whose TBs are all immediately ready at launch.
     pub fn new(id: KernelId, name: impl Into<Arc<str>>, tbs: Vec<TbDesc>) -> KernelDesc {
+        let (tb_ids, bodies) = tbs
+            .into_iter()
+            .map(|tb| {
+                let body = TbBody {
+                    order_key: tb.order_key,
+                    group: tb.group,
+                    pre_launch_sync: tb.pre_launch_sync,
+                    phases: tb.phases.into(),
+                };
+                (tb.id, body)
+            })
+            .unzip::<_, _, Vec<_>, Vec<_>>();
         KernelDesc {
             id,
-            name: name.into(),
-            tbs,
-            tbs_auto_ready: true,
-            fused_launch: false,
-            ordered: false,
+            body: Arc::new(KernelBody {
+                name: name.into(),
+                tbs_auto_ready: true,
+                fused_launch: false,
+                ordered: false,
+                tbs: bodies.into(),
+            }),
+            tb_ids: tb_ids.into(),
         }
     }
 
     /// Total declared compute time across TBs.
     pub fn total_compute(&self) -> SimDuration {
-        self.tbs.iter().map(|tb| tb.compute_time()).sum()
+        self.body.tbs.iter().map(TbBody::compute_time).sum()
     }
 }
 
@@ -181,12 +248,9 @@ mod tests {
 
     #[test]
     fn tb_aggregates() {
-        let tb = TbDesc {
-            id: TbId(1),
-            order_key: 0,
-            group: None,
-            pre_launch_sync: false,
-            phases: vec![
+        let tb = TbBody::new(
+            0,
+            vec![
                 Phase::Compute(SimDuration::from_us(2)),
                 Phase::IssueMem {
                     ops: Arc::new([MemOp {
@@ -200,7 +264,7 @@ mod tests {
                 },
                 Phase::Compute(SimDuration::from_us(3)),
             ],
-        };
+        );
         assert_eq!(tb.compute_time(), SimDuration::from_us(5));
         assert_eq!(tb.remote_bytes(), 4096);
     }
@@ -212,7 +276,73 @@ mod tests {
             .collect();
         let k = KernelDesc::new(KernelId(0), "k", tbs);
         assert_eq!(k.total_compute(), SimDuration::from_us(4));
-        assert!(k.tbs_auto_ready);
-        assert!(!k.fused_launch);
+        assert!(k.body.tbs_auto_ready);
+        assert!(!k.body.fused_launch);
+    }
+
+    #[test]
+    fn new_round_trips_ids_keys_groups_and_phases() {
+        let grouped = TbDesc {
+            group: Some(GroupId(3)),
+            pre_launch_sync: true,
+            phases: vec![
+                Phase::SyncGroup(SyncKind::PreAccess),
+                Phase::SignalTile(TileId(9)),
+            ],
+            ..TbDesc::new(TbId(7), 2, Vec::new())
+        };
+        let plain = TbDesc::compute_only(TbId(4), 1, SimDuration::from_us(1));
+        let k = KernelDesc::new(KernelId(5), "k", vec![grouped, plain]);
+        assert_eq!(k.id, KernelId(5));
+        assert_eq!(&*k.body.name, "k");
+        let tbs: Vec<_> = k
+            .tb_ids
+            .iter()
+            .zip(k.body.tbs.iter())
+            .map(|(&id, tb)| {
+                let phases: Vec<String> = tb.phases.iter().map(|p| format!("{p:?}")).collect();
+                (id, tb.order_key, tb.group, tb.pre_launch_sync, phases)
+            })
+            .collect();
+        assert_eq!(
+            tbs,
+            vec![
+                (
+                    TbId(7),
+                    2,
+                    Some(GroupId(3)),
+                    true,
+                    vec![
+                        "SyncGroup(PreAccess)".into(),
+                        "SignalTile(TileId(9))".into()
+                    ]
+                ),
+                (
+                    TbId(4),
+                    1,
+                    None,
+                    false,
+                    vec![format!("{:?}", Phase::Compute(SimDuration::from_us(1)))]
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn same_as_compares_phase_lists_by_pointer() {
+        let phases: Arc<[Phase]> = Arc::new([Phase::Compute(SimDuration::from_us(1))]);
+        let a = TbBody::new(0, Arc::clone(&phases));
+        assert!(a.same_as(&TbBody::new(0, Arc::clone(&phases))));
+        // Equal content in another allocation is a different list.
+        assert!(!a.same_as(&TbBody::new(
+            0,
+            vec![Phase::Compute(SimDuration::from_us(1))]
+        )));
+        assert!(!a.same_as(&TbBody::new(1, Arc::clone(&phases))));
+        let grouped = TbBody {
+            group: Some(GroupId(0)),
+            ..a.clone()
+        };
+        assert!(!a.same_as(&grouped));
     }
 }

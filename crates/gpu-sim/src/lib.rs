@@ -3,10 +3,12 @@
 //! This crate replaces the role Accel-Sim plays in the paper: it models
 //! *when* thread blocks (TBs) run and *when* they touch memory, not what
 //! arithmetic they perform. A GPU is an array of SMs with a bounded number
-//! of resident TB slots; kernels are grids of [`TbDesc`]s, each an explicit
+//! of resident TB slots; a kernel is a grid of TBs, each an explicit
 //! sequence of [`Phase`]s (compute intervals, memory-request issues,
 //! TB-group synchronizations, tile signals). Tile *waits* are dispatch
-//! gates the engine resolves before a TB becomes ready.
+//! gates the engine resolves before a TB becomes ready. A
+//! [`KernelDesc`] is this GPU's TB ids plus a [`KernelBody`] that the
+//! same kernel on other GPUs may share (tensor parallelism is SPMD).
 //!
 //! Everything the paper's mechanisms key on is first-class here:
 //!
@@ -35,4 +37,4 @@ pub mod kernel;
 pub use config::{GpuConfig, ReadyPolicy};
 pub use cost::KernelCost;
 pub use gpu::{GpuEffect, GpuSim};
-pub use kernel::{KernelDesc, MemOp, MemOpKind, Phase, SyncKind, TbDesc};
+pub use kernel::{KernelBody, KernelDesc, MemOp, MemOpKind, Phase, SyncKind, TbBody, TbDesc};

@@ -39,19 +39,19 @@ impl std::fmt::Write for Fnv {
 
 fn render(h: &mut Fnv, prog: &Program) -> std::fmt::Result {
     for k in &prog.kernels {
-        let d = &k.desc;
+        let b = &k.desc.body;
         writeln!(
             h,
             "k {} {} {} auto={} fused={} ordered={} after={:?}",
-            k.gpu, d.id, d.name, d.tbs_auto_ready, d.fused_launch, d.ordered, k.after
+            k.gpu, k.desc.id, b.name, b.tbs_auto_ready, b.fused_launch, b.ordered, k.after
         )?;
-        for tb in &d.tbs {
+        for (id, tb) in k.desc.tb_ids.iter().zip(b.tbs.iter()) {
             write!(
                 h,
                 " tb {} {} {:?} {}",
-                tb.id, tb.order_key, tb.group, tb.pre_launch_sync
+                id, tb.order_key, tb.group, tb.pre_launch_sync
             )?;
-            for ph in &tb.phases {
+            for ph in tb.phases.iter() {
                 match ph {
                     Phase::Compute(d) => write!(h, " C{}", d.as_ps())?,
                     Phase::IssueMem { ops, wait } => {
