@@ -10,7 +10,7 @@ use noc_sim::{Delivery, Fabric, SwitchLogic};
 use sim_core::profile::{prof_scope, Subsystem};
 use sim_core::{
     shrink_sparse, Addr, AuditPhase, AuditProbe, DenseMap, DenseSet, FastHash, GpuId, GroupId,
-    KernelId, PlaneId, SimTime, TbId, TileId,
+    KernelId, PlaneId, SimTime, TbId, TileId, Waiters,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -37,124 +37,48 @@ const _: () = assert!(std::mem::size_of::<Option<TileEntry>>() <= 16);
 // Every lowered TB holds a few phases; a shared `ops` list keeps each at
 // a fat pointer plus the `wait` flag.
 const _: () = assert!(std::mem::size_of::<Phase>() <= 24);
-const _: () = assert!(std::mem::size_of::<ParkedReq>() <= 32);
-
-/// TBs blocked on one tile, in arrival order. Most tiles have a single
-/// waiter, which is stored inline; only a second one allocates. The
-/// `Vec` niche keeps this at the size of a `Vec`.
-#[derive(Debug, Default)]
-enum Waiters {
-    #[default]
-    None,
-    One(TbId),
-    Many(Vec<TbId>),
-}
-
-impl Waiters {
-    fn push(&mut self, tb: TbId) {
-        *self = match std::mem::take(self) {
-            Waiters::None => Waiters::One(tb),
-            Waiters::One(first) => Waiters::Many(vec![first, tb]),
-            Waiters::Many(mut tbs) => {
-                tbs.push(tb);
-                Waiters::Many(tbs)
-            }
-        };
-    }
-
-    fn as_slice(&self) -> &[TbId] {
-        match self {
-            Waiters::None => &[],
-            Waiters::One(tb) => std::slice::from_ref(tb),
-            Waiters::Many(tbs) => tbs,
-        }
-    }
-}
+const _: () = assert!(std::mem::size_of::<ParkedRun>() <= 32);
 
 /// Capacity the waiter and in-flight load tables never shrink below:
 /// entries come and go with every awaited tile and CAIS load, and bursts
 /// below this size do not rehash the tables.
 const MIN_TABLE_CAPACITY: usize = 1024;
 
-/// A CAIS request parked behind its plane's credits. Only `ld.cais` loads
-/// and single-contribution `red.cais` pushes are throttled, so the source
-/// is the queue's GPU, the destination is the address's home, and the
-/// rest fits in 32 bytes instead of a full `(src, dst, Msg)`.
-#[derive(Debug, Clone, Copy)]
-struct ParkedReq {
-    addr: Addr,
-    /// The tile the request completes, or [`ParkedReq::NONE`].
-    tile: u64,
-    /// The loading TB, or [`ParkedReq::NONE`] for a reduction.
-    tb: u64,
-    bytes: u32,
+/// CAIS requests of one memory issue parked behind one plane's credits:
+/// the issuing TB and its shared op list. The positions of its parked
+/// ops are the next `len` entries of [`ThrottleState::parked`].
+/// `return_credits` rebuilds each request from its op with [`request`],
+/// as `handle_mem_issued` built it; the issue-time decisions (local,
+/// already present, deduplicated fetch) are recorded only by which
+/// positions were parked.
+#[derive(Debug)]
+struct ParkedRun {
+    tb: TbId,
+    ops: Arc<[MemOp]>,
+    len: u32,
 }
 
-impl ParkedReq {
-    const NONE: u64 = u64::MAX;
-
-    /// Packs a throttled request sent by `src` to `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request is not one the record can rebuild exactly.
-    fn park(src: GpuId, dst: GpuId, msg: &Msg) -> ParkedReq {
-        let (addr, bytes, tile, tb) = match *msg {
-            Msg::LoadReq {
-                addr,
-                bytes,
-                requester,
-                tb,
-                tile,
-                cais: true,
-            } if requester == src && tb.0 != Self::NONE => (addr, bytes, tile, tb.0),
-            Msg::Reduce {
-                addr,
-                bytes,
-                src: from,
-                contribs: 1,
-                tile,
-                cais: true,
-            } if from == src => (addr, bytes, tile, Self::NONE),
-            ref other => panic!("{src} cannot park {other:?} behind CAIS credits"),
-        };
-        assert_eq!(addr.home_gpu(), dst, "parked request must go home");
-        let tile = tile.map_or(Self::NONE, |t| {
-            assert_ne!(t.0, Self::NONE, "tile id collides with the sentinel");
-            t.0
-        });
-        ParkedReq {
-            addr,
-            tile,
+/// The request `gpu`'s TB `tb` sends for the remote load or reduction
+/// `op`.
+fn request(gpu: GpuId, tb: TbId, op: MemOp) -> Msg {
+    match op.kind {
+        MemOpKind::RemoteLoad => Msg::LoadReq {
+            addr: op.addr,
+            bytes: op.bytes,
+            requester: gpu,
             tb,
-            bytes: u32::try_from(bytes).expect("parked request exceeds 4 GiB"),
-        }
-    }
-
-    /// The destination and message of a request parked by `src`.
-    fn unpark(self, src: GpuId) -> (GpuId, Msg) {
-        let tile = (self.tile != Self::NONE).then_some(TileId(self.tile));
-        let bytes = u64::from(self.bytes);
-        let msg = if self.tb == Self::NONE {
-            Msg::Reduce {
-                addr: self.addr,
-                bytes,
-                src,
-                contribs: 1,
-                tile,
-                cais: true,
-            }
-        } else {
-            Msg::LoadReq {
-                addr: self.addr,
-                bytes,
-                requester: src,
-                tb: TbId(self.tb),
-                tile,
-                cais: true,
-            }
-        };
-        (self.addr.home_gpu(), msg)
+            tile: op.tile,
+            cais: op.cais,
+        },
+        MemOpKind::RemoteReduce => Msg::Reduce {
+            addr: op.addr,
+            bytes: op.bytes,
+            src: gpu,
+            contribs: 1,
+            tile: op.tile,
+            cais: op.cais,
+        },
+        other => panic!("{other:?} is not a load or reduction request"),
     }
 }
 
@@ -168,10 +92,46 @@ struct ReadyGate {
     tbs: Vec<TbId>,
 }
 
+/// One (GPU, plane) pair's CAIS credits: requests in flight, and the
+/// requests parked until a credit frees, oldest first.
 #[derive(Debug, Default)]
 struct ThrottleState {
     outstanding: usize,
-    queue: VecDeque<ParkedReq>,
+    runs: VecDeque<ParkedRun>,
+    /// Positions of the parked ops in their runs' op lists: the first
+    /// `runs[0].len` belong to `runs[0]`, the next to `runs[1]`, and so
+    /// on.
+    parked: VecDeque<u32>,
+}
+
+impl ThrottleState {
+    /// Parks `ops[pos]` of `tb`'s issue. It joins the newest run when
+    /// that run is the same TB's same op list, as every parked op of one
+    /// issue on one plane is.
+    fn park(&mut self, tb: TbId, ops: &Arc<[MemOp]>, pos: usize) {
+        match self.runs.back_mut() {
+            Some(run) if run.tb == tb && Arc::ptr_eq(&run.ops, ops) => run.len += 1,
+            _ => self.runs.push_back(ParkedRun {
+                tb,
+                ops: Arc::clone(ops),
+                len: 1,
+            }),
+        }
+        self.parked
+            .push_back(u32::try_from(pos).expect("op list exceeds u32 positions"));
+    }
+
+    /// Takes the oldest parked op and its TB.
+    fn unpark(&mut self) -> Option<(TbId, MemOp)> {
+        let pos = self.parked.pop_front()?;
+        let run = self.runs.front_mut().expect("a parked op belongs to a run");
+        let op = (run.tb, run.ops[pos as usize]);
+        run.len -= 1;
+        if run.len == 0 {
+            self.runs.pop_front();
+        }
+        Some(op)
+    }
 }
 
 /// Executes a [`Program`] on a configured system with a given switch logic.
@@ -540,7 +500,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     /// kernels left, and the tile contribution and fetch tallies.
     fn engine_audit_probe(&self, probe: &mut AuditProbe) {
         let outstanding: usize = self.throttle.iter().map(|t| t.outstanding).sum();
-        let queued: usize = self.throttle.iter().map(|t| t.queue.len()).sum();
+        let queued: usize = self.throttle.iter().map(|t| t.parked.len()).sum();
         let inflight: u32 = self.inflight_cais_loads.values().sum();
         probe.counter("engine.blocked_tbs", self.tb_blocked.len() as f64);
         probe.counter("engine.inflight_cais_loads", inflight as f64);
@@ -635,14 +595,14 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             }
         }
         for (i, st) in self.throttle.iter().enumerate() {
-            if st.queue.is_empty() || edges.len() >= MAX_EDGES {
+            if st.parked.is_empty() || edges.len() >= MAX_EDGES {
                 continue;
             }
             let g = i / self.cfg.n_planes;
             let p = i % self.cfg.n_planes;
             edges.push(format!(
                 "g{g} -> plane{p} ({} queued behind {} outstanding credits)",
-                st.queue.len(),
+                st.parked.len(),
                 st.outstanding
             ));
         }
@@ -815,27 +775,31 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         self.fabric.inject(now, src, dst, plane, msg);
     }
 
-    /// Injects a CAIS-tagged request, honoring per-plane throttle credits.
-    fn inject_cais(&mut self, now: SimTime, src: GpuId, dst: GpuId, msg: Msg) {
+    /// Sends the CAIS request for `ops[pos]` of `tb`'s issue on `gpu`,
+    /// honoring per-plane throttle credits: with none free, the op is
+    /// parked.
+    fn inject_cais(&mut self, now: SimTime, gpu: GpuId, tb: TbId, ops: &Arc<[MemOp]>, pos: usize) {
+        let op = ops[pos];
+        let home = op.addr.home_gpu();
         let Some(limit) = self.cfg.cais_credits_per_plane else {
-            self.inject(now, src, dst, msg);
+            self.inject(now, gpu, home, request(gpu, tb, op));
             return;
         };
-        let plane = self.plane_for(&msg);
-        let st = &mut self.throttle[src.index() * self.cfg.n_planes + plane.index()];
+        let plane = op.addr.plane(self.cfg.n_planes);
+        let st = &mut self.throttle[gpu.index() * self.cfg.n_planes + plane.index()];
         if st.outstanding < limit {
             st.outstanding += 1;
-            self.fabric.inject(now, src, dst, plane, msg);
+            self.fabric
+                .inject(now, gpu, home, plane, request(gpu, tb, op));
         } else {
-            st.queue.push_back(ParkedReq::park(src, dst, &msg));
+            st.park(tb, ops, pos);
         }
     }
 
     fn return_credits(&mut self, now: SimTime, gpu: GpuId, plane: PlaneId, mut n: u32) {
-        if self.cfg.cais_credits_per_plane.is_none() {
+        let Some(limit) = self.cfg.cais_credits_per_plane else {
             return;
-        }
-        let limit = self.cfg.cais_credits_per_plane.expect("checked");
+        };
         loop {
             let st = &mut self.throttle[gpu.index() * self.cfg.n_planes + plane.index()];
             let returned = (n as usize).min(st.outstanding);
@@ -845,17 +809,19 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             if st.outstanding >= limit {
                 break;
             }
-            let Some(req) = st.queue.pop_front() else {
+            let Some((tb, op)) = st.unpark() else {
                 break;
             };
-            // A burst can queue far more requests than the plane has
-            // credits; once it drains, drop the buffer it grew.
-            if st.queue.is_empty() && st.queue.capacity() > limit {
-                st.queue = VecDeque::new();
+            // A burst can park far more requests than the plane has
+            // credits; once it drains, drop the buffers it grew.
+            if st.parked.is_empty() && st.parked.capacity() > limit {
+                st.parked = VecDeque::new();
+                st.runs = VecDeque::new();
             }
             st.outstanding += 1;
-            let (dst, msg) = req.unpark(gpu);
-            self.fabric.inject(now, gpu, dst, plane, msg);
+            let home = op.addr.home_gpu();
+            self.fabric
+                .inject(now, gpu, home, plane, request(gpu, tb, op));
         }
     }
 
@@ -917,7 +883,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         blocking: bool,
     ) {
         let mut outstanding = 0u32;
-        for &op in ops.iter() {
+        for (pos, &op) in ops.iter().enumerate() {
             let home = op.addr.home_gpu();
             match op.kind {
                 MemOpKind::RemoteLoad => {
@@ -945,38 +911,14 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                             continue;
                         }
                         entry.fetching = true;
-                        let msg = Msg::LoadReq {
-                            addr: op.addr,
-                            bytes: op.bytes,
-                            requester: gpu,
-                            tb,
-                            tile: Some(tile),
-                            cais: op.cais,
-                        };
-                        if op.cais {
-                            *self.inflight_cais_loads.entry((gpu, op.addr)).or_default() += 1;
-                            self.inject_cais(t, gpu, home, msg);
-                        } else {
-                            self.inject(t, gpu, home, msg);
-                        }
+                    } else if blocking {
+                        outstanding += 1;
+                    }
+                    if op.cais {
+                        *self.inflight_cais_loads.entry((gpu, op.addr)).or_default() += 1;
+                        self.inject_cais(t, gpu, tb, &ops, pos);
                     } else {
-                        if blocking {
-                            outstanding += 1;
-                        }
-                        let msg = Msg::LoadReq {
-                            addr: op.addr,
-                            bytes: op.bytes,
-                            requester: gpu,
-                            tb,
-                            tile: None,
-                            cais: op.cais,
-                        };
-                        if op.cais {
-                            *self.inflight_cais_loads.entry((gpu, op.addr)).or_default() += 1;
-                            self.inject_cais(t, gpu, home, msg);
-                        } else {
-                            self.inject(t, gpu, home, msg);
-                        }
+                        self.inject(t, gpu, home, request(gpu, tb, op));
                     }
                 }
                 MemOpKind::RemoteReduce => {
@@ -990,18 +932,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                         }
                         continue;
                     }
-                    let msg = Msg::Reduce {
-                        addr: op.addr,
-                        bytes: op.bytes,
-                        src: gpu,
-                        contribs: 1,
-                        tile: op.tile,
-                        cais: op.cais,
-                    };
                     if op.cais {
-                        self.inject_cais(t, gpu, home, msg);
+                        self.inject_cais(t, gpu, tb, &ops, pos);
                     } else {
-                        self.inject(t, gpu, home, msg);
+                        self.inject(t, gpu, home, request(gpu, tb, op));
                     }
                 }
                 MemOpKind::RemoteWrite => {
@@ -1536,119 +1470,141 @@ mod tests {
         );
     }
 
-    /// The `i`th request of a credit burst from GPU 0 to GPU 1: tile-less
-    /// and tiled `ld.cais` loads and `red.cais` pushes in turn, each with
-    /// its own address, TB and tile.
-    fn burst_msg(ids: &mut IdAlloc, i: usize) -> Msg {
-        let (addr, tb, tile) = (ids.addr(GpuId(1), 4096), ids.tb(), ids.tile());
+    /// The `i`th op of a credit burst from GPU 0 to `home`, and the
+    /// request it must put on the wire: tiled and tile-less `red.cais`
+    /// pushes and `ld.cais` loads in turn, each with its own address and
+    /// tile.
+    fn burst_op(ids: &mut IdAlloc, i: usize, home: GpuId, tb: TbId) -> (MemOp, Msg) {
+        let (addr, tile) = (ids.addr(home, 4096), ids.tile());
         let bytes = 4096 + i as u64;
-        match i % 4 {
-            0 => Msg::LoadReq {
-                addr,
-                bytes,
-                requester: GpuId(0),
-                tb,
-                tile: None,
-                cais: true,
-            },
-            1 => Msg::LoadReq {
-                addr,
-                bytes,
-                requester: GpuId(0),
-                tb,
-                tile: Some(tile),
-                cais: true,
-            },
-            2 => Msg::Reduce {
+        let (kind, tile) = match i % 4 {
+            0 => (MemOpKind::RemoteReduce, Some(tile)),
+            1 => (MemOpKind::RemoteReduce, None),
+            2 => (MemOpKind::RemoteLoad, None),
+            _ => (MemOpKind::RemoteLoad, Some(tile)),
+        };
+        let msg = match kind {
+            MemOpKind::RemoteReduce => Msg::Reduce {
                 addr,
                 bytes,
                 src: GpuId(0),
                 contribs: 1,
-                tile: Some(tile),
+                tile,
                 cais: true,
             },
-            _ => Msg::Reduce {
+            _ => Msg::LoadReq {
                 addr,
                 bytes,
-                src: GpuId(0),
-                contribs: 1,
-                tile: None,
+                requester: GpuId(0),
+                tb,
+                tile,
                 cais: true,
             },
-        }
+        };
+        let op = MemOp {
+            kind,
+            addr,
+            bytes,
+            cais: true,
+            tile,
+        };
+        (op, msg)
     }
 
-    /// A system whose GPU 0 has queued `burst` CAIS requests on plane 0
-    /// behind `limit` credits, none of them returned yet, and the
-    /// requests in the order they were sent.
+    /// A system whose GPU 0 has issued `burst` CAIS requests to GPU 1 on
+    /// plane 0, four ops per issue and one TB per issue, behind `limit`
+    /// credits, none of them returned yet, and the requests in the order
+    /// they were sent.
     fn credit_burst(limit: usize, burst: usize) -> (SystemSim<PureRouter>, Vec<Msg>) {
         let mut cfg = quiet_cfg(2);
         cfg.cais_credits_per_plane = Some(limit);
         let mut sim = SystemSim::new(cfg, Program::new(), PureRouter);
         let mut ids = IdAlloc::new(2);
-        let sent: Vec<Msg> = (0..burst).map(|i| burst_msg(&mut ids, i)).collect();
-        for msg in &sent {
-            sim.inject_cais(SimTime::ZERO, GpuId(0), GpuId(1), msg.clone());
+        let mut sent = Vec::new();
+        for start in (0..burst).step_by(4) {
+            let tb = ids.tb();
+            let (ops, msgs): (Vec<MemOp>, Vec<Msg>) = (start..burst.min(start + 4))
+                .map(|i| burst_op(&mut ids, i, GpuId(1), tb))
+                .unzip();
+            sim.handle_mem_issued(SimTime::ZERO, GpuId(0), tb, ops.into(), false);
+            sent.extend(msgs);
         }
         (sim, sent)
+    }
+
+    /// The requests parked on one (GPU, plane) queue, oldest first, as
+    /// `return_credits` would rebuild them.
+    fn parked(st: &ThrottleState, gpu: GpuId) -> Vec<String> {
+        let mut positions = st.parked.iter();
+        st.runs
+            .iter()
+            .flat_map(|run| {
+                positions
+                    .by_ref()
+                    .take(run.len as usize)
+                    .map(|&pos| request(gpu, run.tb, run.ops[pos as usize]))
+                    .collect::<Vec<_>>()
+            })
+            .map(|msg| format!("{msg:?}"))
+            .collect()
     }
 
     #[test]
     fn parked_requests_leave_the_credit_queue_unchanged() {
         let (limit, burst) = (4, 64);
         let (sim, sent) = credit_burst(limit, burst);
-        let parked: Vec<String> = sim.throttle[0]
-            .queue
+        assert!(sim.throttle[0]
+            .runs
             .iter()
-            .map(|req| {
-                let (dst, msg) = req.unpark(GpuId(0));
-                assert_eq!(dst, GpuId(1));
-                format!("{msg:?}")
-            })
-            .collect();
+            .all(|run| run.ops.iter().all(|op| op.addr.home_gpu() == GpuId(1))));
         let queued: Vec<String> = sent[limit..].iter().map(|m| format!("{m:?}")).collect();
-        assert_eq!(parked, queued);
+        assert_eq!(parked(&sim.throttle[0], GpuId(0)), queued);
+        // One run per issue: the first issue went out whole.
+        assert_eq!(sim.throttle[0].runs.len(), burst / 4 - 1);
     }
 
     #[test]
-    #[should_panic(expected = "cannot park")]
-    fn merged_reductions_are_never_parked() {
-        let msg = Msg::Reduce {
-            addr: Addr::new(GpuId(1), 0),
-            bytes: 4096,
-            src: GpuId(0),
-            contribs: 2,
-            tile: None,
-            cais: true,
-        };
-        ParkedReq::park(GpuId(0), GpuId(1), &msg);
+    fn parked_reductions_are_rebuilt_with_one_contribution() {
+        let (sim, _) = credit_burst(1, 16);
+        let reductions: Vec<String> = parked(&sim.throttle[0], GpuId(0))
+            .into_iter()
+            .filter(|m| m.starts_with("Reduce"))
+            .collect();
+        assert_eq!(reductions.len(), 7);
+        assert!(
+            reductions.iter().all(|m| m.contains("contribs: 1,")),
+            "{reductions:?}"
+        );
     }
 
     #[test]
     fn drained_credit_queue_releases_its_buffer() {
         let (limit, burst) = (4, 256);
         let (mut sim, _) = credit_burst(limit, burst);
-        assert_eq!(sim.throttle[0].queue.len(), burst - limit);
-        assert!(sim.throttle[0].queue.capacity() >= burst - limit);
+        assert_eq!(sim.throttle[0].parked.len(), burst - limit);
+        assert!(sim.throttle[0].parked.capacity() >= burst - limit);
         // One credit back per response: each admits one queued request
         // until the queue drains, then the last `limit` return idle.
         for i in 0..burst {
             sim.return_credits(SimTime::from_us(1), GpuId(0), PlaneId(0), 1);
             assert_eq!(
-                sim.throttle[0].queue.len(),
+                sim.throttle[0].parked.len(),
                 (burst - limit).saturating_sub(i + 1)
             );
         }
         assert_eq!(sim.throttle[0].outstanding, 0);
+        assert!(sim.throttle[0].runs.is_empty());
         assert!(
-            sim.throttle[0].queue.capacity() <= limit,
+            sim.throttle[0].parked.capacity() <= limit,
             "drained queue kept {} slots",
-            sim.throttle[0].queue.capacity()
+            sim.throttle[0].parked.capacity()
         );
+        assert_eq!(sim.throttle[0].runs.capacity(), 0);
     }
 
     #[test]
     fn over_returned_credits_break_the_quiescence_ledger() {
+        // Two reductions, so no load is left in flight.
         let (mut sim, _) = credit_burst(4, 2);
         // Two credits outstanding; three come back.
         sim.return_credits(SimTime::from_us(1), GpuId(0), PlaneId(0), 3);
@@ -1661,6 +1617,134 @@ mod tests {
             broken,
             ["quiescence: no credits returned beyond those outstanding"]
         );
+    }
+
+    /// Records every packet reaching a switch, with the fabric's packet
+    /// id (assigned in injection order) and the plane, then forwards it.
+    #[derive(Default)]
+    struct Recorder(Vec<(u64, PlaneId, GpuId, Msg)>);
+
+    impl SwitchLogic<Msg> for Recorder {
+        fn on_packet(
+            &mut self,
+            _now: SimTime,
+            pkt: noc_sim::Packet<Msg>,
+            ctx: &mut noc_sim::SwitchCtx<Msg>,
+        ) {
+            self.0
+                .push((pkt.id, ctx.plane(), pkt.dst, pkt.payload.clone()));
+            ctx.forward(pkt);
+        }
+    }
+
+    /// The reference credit queues: per plane, a FIFO of whole
+    /// requests, parked one at a time, and the requests in the order they
+    /// go on the wire.
+    struct ReferenceCredits {
+        limit: usize,
+        outstanding: Vec<usize>,
+        fifo: Vec<VecDeque<(GpuId, Msg)>>,
+        sent: Vec<String>,
+    }
+
+    impl ReferenceCredits {
+        fn send(&mut self, plane: PlaneId, dst: GpuId, msg: Msg) {
+            let p = plane.index();
+            if self.outstanding[p] < self.limit {
+                self.outstanding[p] += 1;
+                self.sent.push(format!("{plane:?} {dst:?} {msg:?}"));
+            } else {
+                self.fifo[p].push_back((dst, msg));
+            }
+        }
+
+        fn return_credits(&mut self, plane: PlaneId, n: usize) {
+            let p = plane.index();
+            self.outstanding[p] -= n.min(self.outstanding[p]);
+            while self.outstanding[p] < self.limit {
+                let Some((dst, msg)) = self.fifo[p].pop_front() else {
+                    break;
+                };
+                self.outstanding[p] += 1;
+                self.sent.push(format!("{plane:?} {dst:?} {msg:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn credit_burst_injects_in_the_order_of_a_one_request_fifo() {
+        // GPU 0 issues 24 lists of tiled and tile-less `ld.cais` and
+        // `red.cais` to GPUs 1 and 2 over four planes, behind two credits
+        // per plane, while credits come back a few at a time. One list is
+        // issued twice in a row by the same TB: its tiled loads are then
+        // deduplicated fetches, and its other ops go out again.
+        let (n_gpus, n_planes, limit) = (3, 4, 2);
+        let mut cfg = quiet_cfg(n_gpus);
+        cfg.n_planes = n_planes;
+        cfg.fabric = noc_sim::FabricConfig::default_for(n_gpus, n_planes);
+        cfg.cais_credits_per_plane = Some(limit);
+        let mut sim = SystemSim::new(cfg, Program::new(), Recorder::default());
+        let mut reference = ReferenceCredits {
+            limit,
+            outstanding: vec![0; n_planes],
+            fifo: vec![VecDeque::new(); n_planes],
+            sent: Vec::new(),
+        };
+        let mut ids = IdAlloc::new(n_gpus);
+        let mut issues: Vec<(TbId, Arc<[MemOp]>, Vec<Msg>)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut i = 0;
+        for round in 0..24 {
+            let repeat = round == 9;
+            let (tb, ops, msgs) = if repeat {
+                issues[8].clone()
+            } else {
+                let tb = ids.tb();
+                let home = GpuId(1 + (round % 2) as u16);
+                let (ops, msgs): (Vec<MemOp>, Vec<Msg>) = (0..3 + round % 5)
+                    .map(|_| {
+                        i += 1;
+                        burst_op(&mut ids, i, home, tb)
+                    })
+                    .unzip();
+                (tb, Arc::from(ops), msgs)
+            };
+            issues.push((tb, Arc::clone(&ops), msgs.clone()));
+            for (op, msg) in ops.iter().zip(msgs) {
+                let deduped = repeat && op.kind == MemOpKind::RemoteLoad && op.tile.is_some();
+                if !deduped {
+                    reference.send(op.addr.plane(n_planes), op.addr.home_gpu(), msg);
+                }
+            }
+            sim.handle_mem_issued(now, GpuId(0), tb, ops, false);
+            // Every third round, credits come back on one plane.
+            if round % 3 == 2 {
+                now += SimDuration::from_ns(10);
+                let plane = PlaneId((round / 3 % n_planes) as u16);
+                let n = 1 + round / 3 % 3;
+                sim.return_credits(now, GpuId(0), plane, n as u32);
+                reference.return_credits(plane, n);
+            }
+        }
+        let queued: usize = reference.fifo.iter().map(VecDeque::len).sum();
+        assert!(
+            queued > 8 && reference.sent.len() > 16,
+            "the burst parks requests"
+        );
+        let mut probe = AuditProbe::new(AuditPhase::Cadence);
+        sim.engine_audit_probe(&mut probe);
+        assert!(probe
+            .counters()
+            .contains(&("engine.throttle_queued", queued as f64)));
+
+        sim.fabric.run_to_completion();
+        let mut got = std::mem::take(&mut sim.fabric.logic_mut().0);
+        got.sort_by_key(|&(id, ..)| id);
+        let got: Vec<String> = got
+            .into_iter()
+            .map(|(_, plane, dst, msg)| format!("{plane:?} {dst:?} {msg:?}"))
+            .collect();
+        assert_eq!(got, reference.sent);
     }
 
     /// A one-kernel program on GPU 0 whose TBs each issue one blocking

@@ -4,10 +4,11 @@ use crate::config::{GpuConfig, ReadyPolicy};
 use crate::kernel::{KernelBody, KernelDesc, MemOp, Phase, SyncKind, TbBody};
 use sim_core::rng::JitterRng;
 use sim_core::{
-    shrink_sparse, EventQueue, FastHash, GroupId, KernelId, SimDuration, SimTime, TbId, TileId,
+    shrink_sparse, DenseSet, EventQueue, FastHash, GroupId, KernelId, SimDuration, SimTime, TbId,
+    TileId, Waiters,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// An observable action produced by the GPU, drained by the engine.
@@ -133,6 +134,7 @@ pub struct GpuSim {
     /// Live kernels only, each holding its body until its last TB
     /// completes.
     kernels: HashMap<KernelId, KernelRuntime, FastHash>,
+    /// Queued TBs by (key, arrival); shrinks after a burst drains.
     ready: BinaryHeap<Reverse<(u64, u64, TbId)>>,
     ready_seq: u64,
     /// Whether a [`GpuEvent::Dispatch`] is already queued. Every push
@@ -141,8 +143,11 @@ pub struct GpuSim {
     /// (which would drain an already-empty ready queue) is free.
     dispatch_pending: bool,
     slots_free: usize,
-    released_groups: HashSet<GroupId, FastHash>,
-    pending_group: HashMap<GroupId, Vec<TbId>, FastHash>,
+    released_groups: DenseSet<GroupId>,
+    /// TBs held for a pre-launch release, only for groups that have any;
+    /// an entry goes at its group's release, and the table shrinks after
+    /// a burst.
+    pending_group: HashMap<GroupId, Waiters, FastHash>,
     effects: Vec<(SimTime, GpuEffect)>,
     rng: JitterRng,
     // Slot-occupancy integral for utilization reporting.
@@ -152,7 +157,8 @@ pub struct GpuSim {
 }
 
 impl GpuSim {
-    /// Capacity the live-TB table never shrinks below.
+    /// Capacity the live-TB table, the ready heap and the pending-group
+    /// table never shrink below.
     const MIN_TB_CAPACITY: usize = 32;
 
     /// Creates an idle GPU with a deterministic jitter stream. Accepts an
@@ -171,7 +177,7 @@ impl GpuSim {
             ready_seq: 0,
             dispatch_pending: false,
             slots_free: slots,
-            released_groups: HashSet::default(),
+            released_groups: DenseSet::new(),
             pending_group: HashMap::default(),
             effects: Vec::new(),
             rng: JitterRng::seed_from(seed),
@@ -298,7 +304,9 @@ impl GpuSim {
         if !self.released_groups.insert(group) {
             return;
         }
-        for tb in self.pending_group.remove(&group).unwrap_or_default() {
+        let pending = self.pending_group.remove(&group).unwrap_or_default();
+        shrink_sparse(&mut self.pending_group, Self::MIN_TB_CAPACITY);
+        for &tb in pending.as_slice() {
             self.enqueue_ready(time, tb);
         }
         self.push_dispatch(time);
@@ -459,7 +467,7 @@ impl GpuSim {
                 let body = self.body(&self.tbs[&tb]);
                 if body.pre_launch_sync {
                     let group = body.group.expect("pre_launch_sync TB must have a group");
-                    if !self.released_groups.contains(&group) {
+                    if !self.released_groups.contains(group) {
                         self.tbs.get_mut(&tb).expect("known").state = TbState::PendingGroup;
                         self.pending_group.entry(group).or_default().push(tb);
                         self.effects.push((
@@ -494,6 +502,7 @@ impl GpuSim {
             let Some(Reverse((_, _, tb))) = self.ready.pop() else {
                 break;
             };
+            shrink_sparse(&mut self.ready, Self::MIN_TB_CAPACITY);
             self.slots_free -= 1;
             self.note_occupancy_change(now, 1);
             self.tbs.get_mut(&tb).expect("dispatch: unknown TB").state = TbState::Running;
@@ -690,6 +699,45 @@ mod tests {
         run_all(&mut gpu);
         assert!(gpu.is_idle());
         assert!(gpu.tbs.capacity() <= 2 * GpuSim::MIN_TB_CAPACITY);
+    }
+
+    #[test]
+    fn ready_heap_and_group_table_give_back_a_burst() {
+        // 4,096 TBs in 1,024 groups queue for two slots: all of them are
+        // held for their group's pre-launch release, then all enter the
+        // ready heap at once. Both tables must shrink once the burst has
+        // gone through.
+        let mut gpu = GpuSim::new(quiet_cfg(), 1);
+        let big = (0..4096)
+            .map(|i| TbDesc {
+                group: Some(GroupId(i as u32 % 1024)),
+                pre_launch_sync: true,
+                ..compute_tb(i, 1)
+            })
+            .collect();
+        gpu.launch_kernel(SimTime::ZERO, KernelDesc::new(KernelId(0), "big", big));
+        while let Some(t) = gpu.next_time() {
+            gpu.advance(t);
+        }
+        assert_eq!(gpu.pending_group.len(), 1024);
+        let released = gpu.now();
+        for g in 0..1024 {
+            gpu.release_group(released, GroupId(g));
+        }
+        assert!(gpu.pending_group.is_empty());
+        assert!(
+            gpu.pending_group.capacity() <= 2 * GpuSim::MIN_TB_CAPACITY,
+            "the released groups left {} slots",
+            gpu.pending_group.capacity()
+        );
+        assert!(gpu.ready.len() >= 4000);
+        run_all(&mut gpu);
+        assert!(gpu.is_idle());
+        assert!(
+            gpu.ready.capacity() <= 2 * GpuSim::MIN_TB_CAPACITY,
+            "the drained ready heap kept {} slots",
+            gpu.ready.capacity()
+        );
     }
 
     #[test]

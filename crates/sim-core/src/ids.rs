@@ -9,7 +9,7 @@
 //! deterministic index-order iteration — no hashing, no iteration-order
 //! hazards.
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
@@ -162,8 +162,9 @@ impl fmt::Display for Addr {
 /// A map keyed by a dense ID, stored as `Vec<Option<T>>`.
 ///
 /// Constant-time access with no hashing, and iteration in index order, so
-/// it is deterministic by construction. Grows on insert; size it up front
-/// with [`DenseMap::with_capacity`] when the ID universe is known.
+/// it is deterministic by construction. Grows on insert, by at most an
+/// eighth past the highest ID it holds rather than by doubling; size it
+/// up front with [`DenseMap::with_capacity`] when the ID universe is known.
 ///
 /// ```
 /// use sim_core::{DenseMap, TbId};
@@ -233,9 +234,7 @@ impl<I: IdIndex, T> DenseMap<I, T> {
     /// Inserts `value` at `key`, returning the previous value if any.
     pub fn insert(&mut self, key: I, value: T) -> Option<T> {
         let i = key.index();
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
-        }
+        self.extend_to(i);
         let prev = self.slots[i].replace(value);
         if prev.is_none() {
             self.len += 1;
@@ -259,14 +258,28 @@ impl<I: IdIndex, T> DenseMap<I, T> {
         T: Default,
     {
         let i = key.index();
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
-        }
+        self.extend_to(i);
         if self.slots[i].is_none() {
             self.slots[i] = Some(T::default());
             self.len += 1;
         }
         self.slots[i].as_mut().expect("just ensured present")
+    }
+
+    /// Makes index `i` addressable. A reallocation reserves an eighth
+    /// more than the old capacity, or exactly `i + 1` slots if that is
+    /// more: growth stays amortized, but the spare slots stay within an
+    /// eighth of the table's extent instead of up to its whole size.
+    fn extend_to(&mut self, i: usize) {
+        if i < self.slots.len() {
+            return;
+        }
+        let cap = self.slots.capacity();
+        if i >= cap {
+            let want = (i + 1).max(cap + cap / 8);
+            self.slots.reserve_exact(want - self.slots.len());
+        }
+        self.slots.resize_with(i + 1, || None);
     }
 
     /// Present entries in index order.
@@ -428,12 +441,86 @@ impl Hasher for FastHasher {
 /// parameter of `HashMap`/`HashSet`.
 pub type FastHash = BuildHasherDefault<FastHasher>;
 
-/// Gives back a hash map's spare capacity once it is under a quarter
-/// full: the map shrinks to half full, but never below `min_capacity`,
-/// so bursts smaller than that never rehash it. Each shrink at least
-/// halves the table, so calling this after every removal amortizes the
-/// rehash over the removals in between, and a map that grew for a burst
-/// holds only live entries once the burst is over.
+/// TBs waiting on one event, in arrival order. Most waits have a single
+/// TB, which is stored inline; only a second one allocates. The `Vec`
+/// niche keeps this at the size of a `Vec`.
+#[derive(Debug, Default)]
+pub enum Waiters {
+    /// No TB waits.
+    #[default]
+    None,
+    /// One TB waits, stored inline.
+    One(TbId),
+    /// Two or more TBs wait.
+    Many(Vec<TbId>),
+}
+
+const _: () = assert!(std::mem::size_of::<Waiters>() == std::mem::size_of::<Vec<TbId>>());
+
+impl Waiters {
+    /// Appends `tb`.
+    pub fn push(&mut self, tb: TbId) {
+        *self = match std::mem::take(self) {
+            Waiters::None => Waiters::One(tb),
+            Waiters::One(first) => Waiters::Many(vec![first, tb]),
+            Waiters::Many(mut tbs) => {
+                tbs.push(tb);
+                Waiters::Many(tbs)
+            }
+        };
+    }
+
+    /// The waiting TBs, in arrival order.
+    pub fn as_slice(&self) -> &[TbId] {
+        match self {
+            Waiters::None => &[],
+            Waiters::One(tb) => std::slice::from_ref(tb),
+            Waiters::Many(tbs) => tbs,
+        }
+    }
+}
+
+/// A collection that can give back capacity it no longer needs: what
+/// [`shrink_sparse`] works on.
+pub trait Shrink {
+    /// Number of elements held.
+    fn count(&self) -> usize;
+    /// Number of elements the current allocation can hold.
+    fn capacity(&self) -> usize;
+    /// Shrinks the allocation, keeping room for at least `min` elements.
+    fn shrink_to(&mut self, min: usize);
+}
+
+impl<K: Eq + Hash, V, S: BuildHasher> Shrink for HashMap<K, V, S> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn capacity(&self) -> usize {
+        HashMap::capacity(self)
+    }
+    fn shrink_to(&mut self, min: usize) {
+        HashMap::shrink_to(self, min);
+    }
+}
+
+impl<T: Ord> Shrink for BinaryHeap<T> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn capacity(&self) -> usize {
+        BinaryHeap::capacity(self)
+    }
+    fn shrink_to(&mut self, min: usize) {
+        BinaryHeap::shrink_to(self, min);
+    }
+}
+
+/// Gives back a collection's spare capacity once it is under a quarter
+/// full: it shrinks to half full, but never below `min_capacity`, so
+/// bursts smaller than that never reallocate it. Each shrink at least
+/// halves the allocation, so calling this after every removal amortizes
+/// the copy over the removals in between, and a table or queue that grew
+/// for a burst holds only live entries once the burst is over.
 ///
 /// ```
 /// use sim_core::{shrink_sparse, FastHash};
@@ -445,13 +532,10 @@ pub type FastHash = BuildHasherDefault<FastHasher>;
 /// }
 /// assert!(m.capacity() <= 64);
 /// ```
-pub fn shrink_sparse<K: Eq + Hash, V, S: BuildHasher>(
-    map: &mut HashMap<K, V, S>,
-    min_capacity: usize,
-) {
-    let floor = map.len().max(min_capacity / 2);
-    if map.capacity() > 4 * floor {
-        map.shrink_to(2 * floor);
+pub fn shrink_sparse<C: Shrink>(c: &mut C, min_capacity: usize) {
+    let floor = c.count().max(min_capacity / 2);
+    if c.capacity() > 4 * floor {
+        c.shrink_to(2 * floor);
     }
 }
 
@@ -505,6 +589,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn dense_map_grows_by_an_eighth_past_its_extent() {
+        // IDs arriving one at a time, as a GPU's tile table sees them:
+        // the table never holds more than an eighth of spare slots past
+        // the highest ID (a doubling `Vec` holds up to twice the extent).
+        let mut m: DenseMap<TileId, u32> = DenseMap::new();
+        for i in 0..100_000u64 {
+            m.insert(TileId(i), 1);
+            let extent = i as usize + 1;
+            assert!(
+                m.slots.capacity() <= extent + extent / 8 + 1,
+                "{} slots for extent {extent}",
+                m.slots.capacity()
+            );
+        }
+        // A jump far past the extent reserves exactly up to it.
+        m.insert(TileId(1_000_000), 1);
+        assert_eq!(m.slots.capacity(), 1_000_001);
+        assert_eq!(m.len(), 100_001);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use fault::{
 };
 pub use ids::{
     shrink_sparse, Addr, DenseMap, DenseSet, FastHash, GpuId, GroupId, IdIndex, KernelId, PlaneId,
-    TbId, TileId,
+    TbId, TileId, Waiters,
 };
 pub use profile::{prof_scope, Subsystem};
 pub use queue::EventQueue;

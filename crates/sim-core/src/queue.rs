@@ -15,7 +15,11 @@
 //! goes back to the stack with its capacity, and a bucket that receives
 //! its first event takes one from it. So the vectors allocated at once
 //! are bounded by the buckets occupied at once, not by every bucket the
-//! cursor has ever crossed.
+//! cursor has ever crossed. The stack itself holds at most
+//! `len + SPARE_FLOOR` entries of capacity: a vector that would push it
+//! past that is dropped, and a pop that leaves it past that drops spares,
+//! so after a burst drains the queue keeps memory for what is pending,
+//! not for the burst.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -30,6 +34,10 @@ const DAY_SHIFT: u32 = 13;
 /// cheap; rarer far-future events (timers) ride the overflow heap.
 const N_BUCKETS: usize = 1 << 11;
 const DAY_MASK: u64 = N_BUCKETS as u64 - 1;
+/// Spare capacity, in entries, kept beyond the pending events, so a
+/// queue that holds little still recycles its vectors instead of
+/// reallocating them.
+const SPARE_FLOOR: usize = 1024;
 
 fn day_of(t: SimTime) -> u64 {
     t.as_ps() >> DAY_SHIFT
@@ -62,6 +70,9 @@ pub struct EventQueue<E> {
     /// Emptied bucket vectors, kept with their capacity for the next
     /// bucket that receives an event.
     spare: Vec<Vec<Entry<E>>>,
+    /// Total capacity of `spare`, in entries; at most
+    /// `len + SPARE_FLOOR`.
+    spare_cap: usize,
     /// One bit per bucket; set iff the bucket is non-empty.
     occ: Vec<u64>,
     /// Events at days `>= win_lo + N_BUCKETS`, earliest first.
@@ -110,6 +121,7 @@ impl<E> EventQueue<E> {
             win_lo: 0,
             buckets: (0..N_BUCKETS).map(|_| Vec::new()).collect(),
             spare: Vec::new(),
+            spare_cap: 0,
             occ: vec![0u64; N_BUCKETS / 64],
             overflow: BinaryHeap::new(),
             len: 0,
@@ -167,6 +179,9 @@ impl<E> EventQueue<E> {
         if self.staged.is_empty() && self.len > 0 {
             self.restage();
         }
+        if self.spare_cap > self.len + SPARE_FLOOR {
+            self.trim_spare();
+        }
         Some((e.time, e.event))
     }
 
@@ -195,6 +210,7 @@ impl<E> EventQueue<E> {
 
     /// Drops every pending event.
     pub fn clear(&mut self) {
+        self.len = 0;
         self.staged.clear();
         for w in 0..self.occ.len() {
             let mut word = self.occ[w];
@@ -208,7 +224,7 @@ impl<E> EventQueue<E> {
             self.occ[w] = 0;
         }
         self.overflow.clear();
-        self.len = 0;
+        self.trim_spare();
     }
 
     /// Total events popped over the queue's lifetime (perf accounting).
@@ -227,6 +243,7 @@ impl<E> EventQueue<E> {
         let bucket = &mut self.buckets[b];
         if bucket.capacity() == 0 {
             if let Some(v) = self.spare.pop() {
+                self.spare_cap -= v.capacity();
                 *bucket = v;
             }
         }
@@ -234,11 +251,22 @@ impl<E> EventQueue<E> {
         self.occ[b / 64] |= 1 << (b % 64);
     }
 
-    /// Returns an emptied bucket vector to the spare stack.
+    /// Returns an emptied bucket vector to the spare stack, or drops it
+    /// if the stack would exceed its budget.
     fn recycle(&mut self, v: Vec<Entry<E>>) {
         debug_assert!(v.is_empty());
-        if v.capacity() > 0 {
+        let cap = v.capacity();
+        if cap > 0 && self.spare_cap + cap <= self.len + SPARE_FLOOR {
+            self.spare_cap += cap;
             self.spare.push(v);
+        }
+    }
+
+    /// Drops spare vectors until the stack is within its budget again.
+    fn trim_spare(&mut self) {
+        while self.spare_cap > self.len + SPARE_FLOOR {
+            let v = self.spare.pop().expect("spare capacity without spares");
+            self.spare_cap -= v.capacity();
         }
     }
 
@@ -457,9 +485,22 @@ mod tests {
             + q.spare.iter().map(Vec::capacity).sum::<usize>()
     }
 
+    /// The spare budget, checked after every operation of the lockstep
+    /// test: the spare stack holds at most `SPARE_FLOOR` entries of
+    /// capacity beyond the pending events.
+    fn check_spare_budget<E>(q: &EventQueue<E>) {
+        assert!(
+            q.spare_cap <= q.len + SPARE_FLOOR,
+            "spare stack holds {} entries for {} pending",
+            q.spare_cap,
+            q.len
+        );
+    }
+
     /// Structural invariants of the recycling: occupancy bits match the
-    /// buckets, an unoccupied bucket holds no allocation, and every
-    /// spare is empty with some capacity to offer.
+    /// buckets, an unoccupied bucket holds no allocation, every spare is
+    /// empty with some capacity to offer, and the stack's tracked
+    /// capacity is its real one and within budget.
     fn check_recycling<E>(q: &EventQueue<E>) {
         for (b, bucket) in q.buckets.iter().enumerate() {
             let occupied = q.occ[b / 64] >> (b % 64) & 1 == 1;
@@ -470,6 +511,12 @@ mod tests {
             );
         }
         assert!(q.spare.iter().all(|v| v.is_empty() && v.capacity() > 0));
+        assert_eq!(
+            q.spare_cap,
+            q.spare.iter().map(Vec::capacity).sum::<usize>(),
+            "tracked spare capacity"
+        );
+        check_spare_budget(q);
     }
 
     #[test]
@@ -501,6 +548,38 @@ mod tests {
             kept <= 4 * peak,
             "queue retains {kept} entries of capacity for a peak of {peak}"
         );
+        check_recycling(&q);
+    }
+
+    #[test]
+    fn drained_burst_leaves_capacity_for_the_pending_events_only() {
+        // A burst of 16 events in each of 2,000 buckets, plus a far event
+        // that stays pending; the burst then drains. The spare stack
+        // would otherwise keep a vector per drained bucket, 2,000 of
+        // them, whatever is still pending.
+        const BUCKETS: u64 = 2_000;
+        const PER_BUCKET: u64 = 16;
+        let day_ps = 1u64 << DAY_SHIFT;
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_us(1_000), u64::MAX);
+        for b in 0..BUCKETS {
+            for i in 0..PER_BUCKET {
+                q.push(SimTime::from_ps(b * day_ps + i), b);
+            }
+        }
+        assert_eq!(q.len(), (BUCKETS * PER_BUCKET) as usize + 1);
+        for _ in 0..BUCKETS * PER_BUCKET {
+            q.pop().expect("burst pending");
+        }
+        assert_eq!(q.len(), 1);
+        let kept = retained(&q);
+        assert!(
+            kept <= SPARE_FLOOR + 64,
+            "queue retains {kept} entries of capacity for one pending event"
+        );
+        check_recycling(&q);
+        // The pending event still pops, and a later burst still recycles.
+        assert_eq!(q.pop().map(|(_, e)| e), Some(u64::MAX));
         check_recycling(&q);
     }
 
@@ -569,6 +648,7 @@ mod tests {
                     }
                 }
                 assert_eq!(q.len(), r.heap.len(), "seed {seed} step {step}");
+                check_spare_budget(&q);
                 assert_eq!(
                     q.peek_time().map(|t| t.as_ps()),
                     r.heap.peek().map(|e| e.0 .0),
