@@ -47,44 +47,6 @@ pub struct FusionPlan {
     pub stages: Vec<Stage>,
 }
 
-impl FusionPlan {
-    /// Number of fused pipelines found.
-    pub fn pipeline_count(&self) -> usize {
-        self.stages
-            .iter()
-            .filter(|s| matches!(s, Stage::Pipeline { .. }))
-            .count()
-    }
-
-    /// All node ids covered, for coverage checks.
-    pub fn covered_nodes(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for s in &self.stages {
-            match s {
-                Stage::Pipeline {
-                    producer,
-                    reduce,
-                    middle,
-                    gather,
-                    consumer,
-                } => {
-                    out.push(*producer);
-                    out.push(*reduce);
-                    out.extend(middle.iter().copied());
-                    out.extend(gather.iter().copied());
-                    out.extend(consumer.iter().copied());
-                }
-                Stage::GatherGemm { gather, consumer } => {
-                    out.push(*gather);
-                    out.push(*consumer);
-                }
-                Stage::Node(n) => out.push(*n),
-            }
-        }
-        out
-    }
-}
-
 fn single_consumer(dfg: &Dfg, id: NodeId) -> Option<NodeId> {
     let consumers = dfg.consumers(id);
     if consumers.len() == 1 {
@@ -217,13 +179,49 @@ mod tests {
     use super::*;
     use llm_workload::{sublayer, transformer_layer, ModelConfig, Pass, SubLayer, TpMode};
 
+    /// Number of fused pipelines in `p`.
+    fn pipeline_count(p: &FusionPlan) -> usize {
+        p.stages
+            .iter()
+            .filter(|s| matches!(s, Stage::Pipeline { .. }))
+            .count()
+    }
+
+    /// Every node id `p` covers, once per stage that names it.
+    fn covered_nodes(p: &FusionPlan) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        for s in &p.stages {
+            match s {
+                Stage::Pipeline {
+                    producer,
+                    reduce,
+                    middle,
+                    gather,
+                    consumer,
+                } => {
+                    out.push(*producer);
+                    out.push(*reduce);
+                    out.extend(middle.iter().copied());
+                    out.extend(gather.iter().copied());
+                    out.extend(consumer.iter().copied());
+                }
+                Stage::GatherGemm { gather, consumer } => {
+                    out.push(*gather);
+                    out.push(*consumer);
+                }
+                Stage::Node(n) => out.push(*n),
+            }
+        }
+        out
+    }
+
     #[test]
     fn sublayer_fuses_into_one_pipeline() {
         let cfg = ModelConfig::llama_7b();
         for which in SubLayer::ALL {
             let g = sublayer(&cfg, 8, which);
             let p = plan(&g);
-            assert_eq!(p.pipeline_count(), 1, "{}", which.label());
+            assert_eq!(pipeline_count(&p), 1, "{}", which.label());
             let Stage::Pipeline {
                 middle,
                 gather,
@@ -246,7 +244,7 @@ mod tests {
             for pass in [Pass::Forward, Pass::Training] {
                 let g = transformer_layer(&cfg, 8, mode, pass);
                 let p = plan(&g);
-                let mut covered = p.covered_nodes();
+                let mut covered = covered_nodes(&p);
                 covered.sort();
                 let expected: Vec<NodeId> = g.ids().collect();
                 assert_eq!(covered, expected, "{mode:?}/{pass:?}");
@@ -260,7 +258,7 @@ mod tests {
         let cfg = ModelConfig::llama_7b();
         let g = transformer_layer(&cfg, 8, TpMode::SeqPar, Pass::Forward);
         let p = plan(&g);
-        assert_eq!(p.pipeline_count(), 2);
+        assert_eq!(pipeline_count(&p), 2);
         // The layer-entry ln1 -> ag1 -> qkv shows up as GatherGemm.
         assert!(p
             .stages

@@ -61,16 +61,6 @@ impl SystemConfig {
         }
     }
 
-    /// A small fast config for tests: fewer GPUs, coarse tiles.
-    pub fn small_test() -> SystemConfig {
-        let mut cfg = SystemConfig::dgx_h100();
-        cfg.n_gpus = 4;
-        cfg.n_planes = 2;
-        cfg.fabric = FabricConfig::default_for(4, 2);
-        cfg.tile = 256;
-        cfg
-    }
-
     /// Fabric config with system-level fields made consistent.
     pub fn fabric_config(&self) -> FabricConfig {
         let mut f = self.fabric.clone();

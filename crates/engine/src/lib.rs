@@ -10,21 +10,21 @@
 //! supplies the [`SwitchLogic`](noc_sim::SwitchLogic) the switches run
 //! (plain routing, NVLS multicast/reduction, or the CAIS merge unit).
 //!
-//! Responsibilities:
-//!
-//! * **message vocabulary** ([`Msg`]) — every packet type in the system,
-//!   from remote loads to TB-group sync;
-//! * **tile directory** — per-GPU producer/consumer state for fine-grained
-//!   TB dependencies and intra-GPU fetch deduplication (the L2 would
-//!   capture duplicate reads of a gathered row within one GPU);
-//! * **memory semantics** — auto-responding to remote load requests,
-//!   counting reduction contributions, releasing blocked TBs;
-//! * **kernel scheduling** — local and global kernel-completion barriers;
-//! * **TB-group synchronization plumbing** between GPUs and the switch.
+//! [`SystemSim`] keeps the event loop, routes GPU effects and fabric
+//! deliveries and assembles the report. Its state lives in three
+//! components, each a plain struct that lists its own counters and
+//! ledgers: the **kernel DAG** (kernels held until their dependencies
+//! complete, and their spans); the **tile directory** (per-GPU tile
+//! state with L2-style intra-GPU fetch dedup, reduction contributions,
+//! and the TBs blocked on tiles, loads and dispatch gates); and the
+//! **CAIS host protocol** (per-plane request credits, CAIS loads in
+//! flight, pre-access waiters). [`Msg`] names every packet type.
 
 #![warn(missing_docs)]
 
+mod cais_host;
 pub mod config;
+mod dag;
 pub mod error;
 pub mod ids;
 pub mod lower;
@@ -33,6 +33,7 @@ pub mod program;
 pub mod report;
 pub mod strategy;
 pub mod system;
+mod tiles;
 
 pub use config::SystemConfig;
 pub use error::{DeadlockDiag, SimError};

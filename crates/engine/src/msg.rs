@@ -1,7 +1,8 @@
 //! The system-wide fabric message vocabulary.
 
+use gpu_sim::{MemOp, MemOpKind};
 use noc_sim::{FlowClass, Payload};
-use sim_core::{Addr, GpuId, GroupId, TbId, TileId};
+use sim_core::{Addr, GpuId, GroupId, PlaneId, TbId, TileId};
 
 /// Header-only message size on the wire (a sync/control packet carries no
 /// payload beyond the fabric header, matching the paper's "empty packets").
@@ -179,6 +180,50 @@ impl Payload for Msg {
     }
 }
 
+/// The request `gpu`'s TB `tb` sends to the home GPU of `op`'s address:
+/// a reduction carries one contribution, and a write is a plain store.
+pub(crate) fn request(gpu: GpuId, tb: TbId, op: MemOp) -> Msg {
+    let (addr, bytes, tile) = (op.addr, op.bytes, op.tile);
+    match op.kind {
+        MemOpKind::RemoteLoad => Msg::LoadReq {
+            addr,
+            bytes,
+            requester: gpu,
+            tb,
+            tile,
+            cais: op.cais,
+        },
+        MemOpKind::RemoteReduce => Msg::Reduce {
+            addr,
+            bytes,
+            src: gpu,
+            contribs: 1,
+            tile,
+            cais: op.cais,
+        },
+        MemOpKind::RemoteWrite => Msg::Write {
+            addr,
+            bytes,
+            src: gpu,
+            tile,
+            contrib: false,
+        },
+        MemOpKind::MulticastStore => Msg::MulticastStore {
+            addr,
+            bytes,
+            src: gpu,
+            tile,
+        },
+        MemOpKind::LoadReduce => Msg::LoadReduceReq {
+            addr,
+            bytes,
+            requester: gpu,
+            tb,
+            tile,
+        },
+    }
+}
+
 impl Msg {
     /// The address this message concerns, when it has one.
     pub fn addr(&self) -> Option<Addr> {
@@ -192,6 +237,17 @@ impl Msg {
             | Msg::FetchReq { addr, .. }
             | Msg::FetchResp { addr, .. } => Some(*addr),
             _ => None,
+        }
+    }
+
+    /// The plane this message travels on: a sync message's group picks
+    /// it, any other message's address (plane 0 without one).
+    pub(crate) fn plane(&self, n_planes: usize) -> PlaneId {
+        match self {
+            Msg::SyncReq { group, .. } | Msg::SyncRel { group, .. } => {
+                PlaneId((group.0 % n_planes as u32) as u16)
+            }
+            m => m.addr().map_or(PlaneId(0), |a| a.plane(n_planes)),
         }
     }
 }

@@ -1,138 +1,31 @@
-//! The multi-GPU system co-simulator.
+//! The multi-GPU system co-simulator: the event loop and the run report.
+//! Its state lives in three crate-private components, each in its own
+//! module: the kernel DAG (`dag`), the tile directory (`tiles`) and the
+//! host side of the CAIS protocol (`cais_host`); `route` hands each GPU
+//! effect and fabric delivery to the one that owns the state it changes.
 
+use crate::cais_host::CaisHost;
 use crate::config::SystemConfig;
+use crate::dag::KernelDag;
 use crate::error::{DeadlockDiag, SimError};
 use crate::msg::Msg;
 use crate::program::Program;
-use crate::report::{ExecReport, KernelSpan};
-use gpu_sim::{GpuConfig, GpuEffect, GpuSim, MemOp, MemOpKind, Phase, SyncKind};
+use crate::report::ExecReport;
+use crate::tiles::TileDirectory;
+use gpu_sim::{GpuConfig, GpuEffect, GpuSim, Phase};
 use noc_sim::{Delivery, Fabric, SwitchLogic};
 use sim_core::profile::{prof_scope, Subsystem};
-use sim_core::{
-    shrink_sparse, Addr, AuditPhase, AuditProbe, DenseMap, DenseSet, FastHash, GpuId, GroupId,
-    KernelId, PlaneId, SimTime, TbId, TileId, Waiters,
-};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::ops::Range;
+use sim_core::{AuditPhase, AuditProbe, GpuId, SimTime};
 use std::sync::Arc;
 
-/// One GPU's view of one tile. Every GPU holds a slot per tile id it
-/// touches, so the entry stays small: what is only needed while a tile is
-/// awaited lives in [`SystemSim::waiters`] or [`SystemSim::gate_index`].
-#[derive(Debug, Default)]
-struct TileEntry {
-    contribs: u32,
-    present: bool,
-    fetching: bool,
-    /// Whether [`SystemSim::waiters`] holds TBs blocked on this tile, so
-    /// a landing tile that nobody awaits skips the lookup.
-    waited: bool,
-    /// The ready gates this tile counts toward, as a range of
-    /// [`SystemSim::gate_index`]; a gate appears once per listing.
-    gates: Range<u32>,
-}
+mod route;
 
-const _: () = assert!(std::mem::size_of::<Option<TileEntry>>() <= 16);
 // Every lowered TB holds a few phases; a shared `ops` list keeps each at
 // a fat pointer plus the `wait` flag.
 const _: () = assert!(std::mem::size_of::<Phase>() <= 24);
-const _: () = assert!(std::mem::size_of::<ParkedRun>() <= 32);
 
-/// Capacity the waiter and in-flight load tables never shrink below:
-/// entries come and go with every awaited tile and CAIS load, and bursts
-/// below this size do not rehash the tables.
-const MIN_TABLE_CAPACITY: usize = 1024;
-
-/// CAIS requests of one memory issue parked behind one plane's credits:
-/// the issuing TB and its shared op list. The positions of its parked
-/// ops are the next `len` entries of [`ThrottleState::parked`].
-/// `return_credits` rebuilds each request from its op with [`request`],
-/// as `handle_mem_issued` built it; the issue-time decisions (local,
-/// already present, deduplicated fetch) are recorded only by which
-/// positions were parked.
-#[derive(Debug)]
-struct ParkedRun {
-    tb: TbId,
-    ops: Arc<[MemOp]>,
-    len: u32,
-}
-
-/// The request `gpu`'s TB `tb` sends for the remote load or reduction
-/// `op`.
-fn request(gpu: GpuId, tb: TbId, op: MemOp) -> Msg {
-    match op.kind {
-        MemOpKind::RemoteLoad => Msg::LoadReq {
-            addr: op.addr,
-            bytes: op.bytes,
-            requester: gpu,
-            tb,
-            tile: op.tile,
-            cais: op.cais,
-        },
-        MemOpKind::RemoteReduce => Msg::Reduce {
-            addr: op.addr,
-            bytes: op.bytes,
-            src: gpu,
-            contribs: 1,
-            tile: op.tile,
-            cais: op.cais,
-        },
-        other => panic!("{other:?} is not a load or reduction request"),
-    }
-}
-
-/// TBs of one GPU that wait on the same tile list before their kernel may
-/// dispatch them share one counter: the list's length, decremented once
-/// per listed tile as it lands.
-#[derive(Debug)]
-struct ReadyGate {
-    remaining: u32,
-    /// Ascending; emptied when the gate opens.
-    tbs: Vec<TbId>,
-}
-
-/// One (GPU, plane) pair's CAIS credits: requests in flight, and the
-/// requests parked until a credit frees, oldest first.
-#[derive(Debug, Default)]
-struct ThrottleState {
-    outstanding: usize,
-    runs: VecDeque<ParkedRun>,
-    /// Positions of the parked ops in their runs' op lists: the first
-    /// `runs[0].len` belong to `runs[0]`, the next to `runs[1]`, and so
-    /// on.
-    parked: VecDeque<u32>,
-}
-
-impl ThrottleState {
-    /// Parks `ops[pos]` of `tb`'s issue. It joins the newest run when
-    /// that run is the same TB's same op list, as every parked op of one
-    /// issue on one plane is.
-    fn park(&mut self, tb: TbId, ops: &Arc<[MemOp]>, pos: usize) {
-        match self.runs.back_mut() {
-            Some(run) if run.tb == tb && Arc::ptr_eq(&run.ops, ops) => run.len += 1,
-            _ => self.runs.push_back(ParkedRun {
-                tb,
-                ops: Arc::clone(ops),
-                len: 1,
-            }),
-        }
-        self.parked
-            .push_back(u32::try_from(pos).expect("op list exceeds u32 positions"));
-    }
-
-    /// Takes the oldest parked op and its TB.
-    fn unpark(&mut self) -> Option<(TbId, MemOp)> {
-        let pos = self.parked.pop_front()?;
-        let run = self.runs.front_mut().expect("a parked op belongs to a run");
-        let op = (run.tb, run.ops[pos as usize]);
-        run.len -= 1;
-        if run.len == 0 {
-            self.runs.pop_front();
-        }
-        Some(op)
-    }
-}
+/// Most waits-for edges a deadlock report lists.
+const MAX_EDGES: usize = 16;
 
 /// Executes a [`Program`] on a configured system with a given switch logic.
 ///
@@ -147,65 +40,16 @@ pub struct SystemSim<L: SwitchLogic<Msg>> {
     gpus: Vec<GpuSim>,
     fabric: Fabric<Msg, L>,
     now: SimTime,
-
-    pending_kernels: Vec<Option<crate::program::PlannedKernel>>,
-    dep_remaining: Vec<usize>,
-    children: DenseMap<KernelId, Vec<usize>>,
-    kernels_remaining: usize,
-    kernel_spans: BTreeMap<KernelId, KernelSpan>,
-
-    tb_gpu: DenseMap<TbId, GpuId>,
-    tb_blocked: DenseMap<TbId, u32>,
-    gates: Vec<ReadyGate>,
-    /// Gate ids grouped by (GPU, tile); [`TileEntry::gates`] indexes it.
-    gate_index: Vec<u32>,
-    ready_pending: DenseSet<TbId>,
-    launched_tbs: DenseSet<TbId>,
-    tiles: Vec<DenseMap<TileId, TileEntry>>,
-    /// TBs blocked until a tile lands, only for the (GPU, tile) pairs
-    /// that have any; an entry goes when its tile lands, and the table
-    /// shrinks after a burst instead of keeping its busiest capacity.
-    waiters: HashMap<(GpuId, TileId), Waiters, FastHash>,
-    tile_expected: DenseMap<TileId, u32>,
-
-    /// Pre-access-blocked TBs of the (GPU, group) pairs that have any,
-    /// in (GPU, group) order; a pair's entry goes at its release.
-    preaccess_blocked: BTreeMap<(GpuId, GroupId), Vec<TbId>>,
-    /// Running total of `preaccess_blocked`, so cadence audits need not
-    /// sum every waiter list.
-    preaccess_waiting: usize,
-
-    /// Per-plane CAIS credit state, flat-indexed `gpu * n_planes + plane`.
-    throttle: Vec<ThrottleState>,
-    /// Credits returned beyond those outstanding on their plane.
-    credits_over_returned: u64,
-    /// CAIS loads in flight per (requester, address); each response
-    /// returns one credit while its pair's count is nonzero. Holds only
-    /// pairs with loads in flight, and shrinks after a burst.
-    inflight_cais_loads: HashMap<(GpuId, Addr), u32, FastHash>,
-
-    deduped_fetches: u64,
-    semantic_contribs: u64,
-
-    /// Fabric event count at the last cadence audit check.
-    last_audit_events: u64,
-
-    /// GPUs whose next event is at the current step's time, ascending;
-    /// refilled by every engine-loop iteration.
-    due: Vec<usize>,
-
-    /// Recycled drain buffers: effects/deliveries are swapped out of the
-    /// producers into these instead of `mem::take`-ing a fresh `Vec`
-    /// every cycle of the effect fixpoint.
-    scratch_effects: Vec<(SimTime, GpuEffect)>,
-    scratch_deliveries: Vec<Delivery<Msg>>,
+    dag: KernelDag,
+    tiles: TileDirectory,
+    cais: CaisHost,
 }
 
 impl<L: SwitchLogic<Msg>> std::fmt::Debug for SystemSim<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SystemSim")
             .field("now", &self.now)
-            .field("kernels_remaining", &self.kernels_remaining)
+            .field("kernels_remaining", &self.dag.remaining())
             .finish_non_exhaustive()
     }
 }
@@ -228,11 +72,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         let gpus: Vec<GpuSim> = (0..cfg.n_gpus)
             .map(|i| {
                 let gpu_cfg = match &cfg.faults.straggler {
-                    Some(s) if s.gpu == i => {
-                        let mut c = cfg.gpu.clone();
-                        c.compute_scale = s.compute_factor;
-                        Arc::new(c)
-                    }
+                    Some(s) if s.gpu == i => Arc::new(GpuConfig {
+                        compute_scale: s.compute_factor,
+                        ..cfg.gpu.clone()
+                    }),
                     _ => Arc::clone(&shared_cfg),
                 };
                 GpuSim::new(gpu_cfg, cfg.seed ^ (0x9E37 + i as u64 * 0x1234_5678))
@@ -242,127 +85,14 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         if cfg.audit.enabled {
             fabric.enable_audit_ring();
         }
-
-        // Size the dense tables from one program scan; IDs are allocated
-        // densely from zero by `IdAlloc`, so `max + 1` is the table extent
-        // (the tables still auto-grow if a later ID appears).
-        let n_tbs = program
-            .kernels
-            .iter()
-            .flat_map(|k| k.desc.tb_ids.iter())
-            .map(|tb| tb.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let n_kernels = program
-            .kernels
-            .iter()
-            .map(|k| k.desc.id.index() + 1)
-            .max()
-            .unwrap_or(0);
-
-        let mut tb_gpu: DenseMap<TbId, GpuId> = DenseMap::with_capacity(n_tbs);
-        for k in &program.kernels {
-            for &tb in &k.desc.tb_ids {
-                tb_gpu.insert(tb, k.gpu);
-            }
-        }
-
-        let mut index: DenseMap<KernelId, usize> = DenseMap::with_capacity(n_kernels);
-        for (i, k) in program.kernels.iter().enumerate() {
-            index.insert(k.desc.id, i);
-        }
-        let mut children: DenseMap<KernelId, Vec<usize>> = DenseMap::with_capacity(n_kernels);
-        let dep_remaining: Vec<usize> = program.kernels.iter().map(|k| k.after.len()).collect();
-        for (i, k) in program.kernels.iter().enumerate() {
-            for dep in &k.after {
-                debug_assert!(index.contains_key(*dep));
-                children.get_or_default(*dep).push(i);
-            }
-        }
-
-        let mut tiles: Vec<DenseMap<TileId, TileEntry>> =
-            (0..cfg.n_gpus).map(|_| DenseMap::new()).collect();
-        let mut ready_pending: DenseSet<TbId> = DenseSet::with_capacity(n_tbs);
-        // Ascending TB order, so every gate's TB list is sorted.
-        let mut ready_deps: Vec<(&TbId, &Arc<[TileId]>)> = program.tb_ready_deps.iter().collect();
-        ready_deps.sort_by_key(|(tb, _)| **tb);
-        let mut gates: Vec<ReadyGate> = Vec::new();
-        let mut gate_of: HashMap<(GpuId, &[TileId]), u32, FastHash> = HashMap::default();
-        // (GPU, tile, gate) once per listing of a tile in a gate's list.
-        let mut members: Vec<(GpuId, TileId, u32)> = Vec::new();
-        for (tb, dep_tiles) in ready_deps {
-            let gpu = *tb_gpu
-                .get(*tb)
-                .unwrap_or_else(|| panic!("ready dep for unknown TB {tb}"));
-            if dep_tiles.is_empty() {
-                // Dependency-gated kernel but this TB has no prerequisites:
-                // it is ready the moment its kernel launches.
-                ready_pending.insert(*tb);
-                continue;
-            }
-            // Keyed by content, not by `Arc` identity: equal lists from
-            // separately built `Arc`s still share one gate.
-            let gate = *gate_of.entry((gpu, &dep_tiles[..])).or_insert_with(|| {
-                let id = gates.len() as u32;
-                gates.push(ReadyGate {
-                    remaining: dep_tiles.len() as u32,
-                    tbs: Vec::new(),
-                });
-                members.extend(dep_tiles.iter().map(|&tile| (gpu, tile, id)));
-                id
-            });
-            gates[gate as usize].tbs.push(*tb);
-        }
-        members.sort_unstable();
-        let gate_index: Vec<u32> = members.iter().map(|&(_, _, gate)| gate).collect();
-        let mut start = 0;
-        for run in members.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            let (gpu, tile, _) = run[0];
-            let end = start + run.len() as u32;
-            tiles[gpu.index()].get_or_default(tile).gates = start..end;
-            start = end;
-        }
-        drop(members);
-
-        let mut tile_expected: DenseMap<TileId, u32> = DenseMap::new();
-        for (tile, expected) in &program.tile_expected {
-            tile_expected.insert(*tile, *expected);
-        }
-
-        let kernels_remaining = program.kernels.len();
-        let throttle = (0..cfg.n_gpus * cfg.n_planes)
-            .map(|_| ThrottleState::default())
-            .collect();
-
+        let tiles = TileDirectory::new(cfg.n_gpus, &program);
         SystemSim {
             gpus,
             fabric,
             now: SimTime::ZERO,
-            pending_kernels: program.kernels.into_iter().map(Some).collect(),
-            dep_remaining,
-            children,
-            kernels_remaining,
-            kernel_spans: BTreeMap::new(),
-            tb_gpu,
-            tb_blocked: DenseMap::with_capacity(n_tbs),
-            gates,
-            gate_index,
-            ready_pending,
-            launched_tbs: DenseSet::with_capacity(n_tbs),
+            dag: KernelDag::new(program.kernels),
             tiles,
-            waiters: HashMap::default(),
-            tile_expected,
-            preaccess_blocked: BTreeMap::new(),
-            preaccess_waiting: 0,
-            throttle,
-            credits_over_returned: 0,
-            inflight_cais_loads: HashMap::default(),
-            deduped_fetches: 0,
-            semantic_contribs: 0,
-            last_audit_events: 0,
-            due: Vec::new(),
-            scratch_effects: Vec::new(),
-            scratch_deliveries: Vec::new(),
+            cais: CaisHost::new(cfg.n_gpus, cfg.n_planes, cfg.cais_credits_per_plane),
             cfg,
         }
     }
@@ -393,20 +123,20 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
 
     /// Launches the root kernels and processes events until none remain.
     fn step_to_end(&mut self) -> Result<(), SimError> {
-        let roots: Vec<usize> = self
-            .dep_remaining
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| i)
-            .collect();
-        for i in roots {
+        for i in self.dag.roots() {
             self.launch_kernel(SimTime::ZERO, i);
         }
+        // The GPUs whose next event is at the step's time, ascending.
+        let mut due = Vec::new();
+        // Drain buffers the producers swap their effects and deliveries
+        // into, so each drain recycles one instead of growing a new one.
+        let (mut effects, mut deliveries) = (Vec::new(), Vec::new());
+        // The fabric event count at the last cadence audit.
+        let mut last_audit_events = 0;
         loop {
             {
                 let _p = prof_scope(Subsystem::DrainEffects);
-                self.drain_effects();
+                self.drain_effects(&mut effects, &mut deliveries);
             }
             // One scan finds both the earliest pending time and which
             // components own it, so the advance pass below touches only
@@ -416,7 +146,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             // components mid-advance (cross-component traffic flows
             // through drained effects), so skipping the rest is exact.
             let mut t: Option<SimTime> = None;
-            self.due.clear();
+            due.clear();
             for (i, gpu) in self.gpus.iter().enumerate() {
                 let Some(gt) = gpu.next_time() else { continue };
                 match t {
@@ -424,10 +154,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                     Some(cur) if gt == cur => {}
                     _ => {
                         t = Some(gt);
-                        self.due.clear();
+                        due.clear();
                     }
                 }
-                self.due.push(i);
+                due.push(i);
             }
             let mut fabric_due = false;
             if let Some(ft) = self.fabric.next_time() {
@@ -436,7 +166,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                     Some(cur) if ft == cur => fabric_due = true,
                     _ => {
                         t = Some(ft);
-                        self.due.clear();
+                        due.clear();
                         fabric_due = true;
                     }
                 }
@@ -446,12 +176,12 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 return Err(SimError::DeadlineExceeded {
                     deadline: self.cfg.deadline,
                     now: t,
-                    kernels_remaining: self.kernels_remaining,
+                    kernels_remaining: self.dag.remaining(),
                 });
             }
             {
                 let _p = prof_scope(Subsystem::GpuAdvance);
-                for &i in &self.due {
+                for &i in &due {
                     self.gpus[i].advance(t);
                 }
             }
@@ -462,8 +192,8 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             self.now = t;
             if self.cfg.audit.enabled {
                 let done = self.fabric.events_processed();
-                if done - self.last_audit_events >= self.cfg.audit.cadence_events {
-                    self.last_audit_events = done;
+                if done - last_audit_events >= self.cfg.audit.cadence_events {
+                    last_audit_events = done;
                     self.audit_check(AuditPhase::Cadence)?;
                 }
             }
@@ -471,13 +201,15 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         Ok(())
     }
 
-    /// Lists every subsystem into one probe: the fabric, the engine, then
-    /// the switch logic, whose counters close the list. Returns the probe
-    /// and the index of the logic's first counter.
+    /// Lists every subsystem into one probe: the fabric, the engine's
+    /// components, then the switch logic, whose counters close the list.
+    /// Returns the probe and the index of the logic's first counter.
     fn probe(&self, phase: AuditPhase) -> (AuditProbe, usize) {
         let mut probe = AuditProbe::new(phase);
         self.fabric.audit_probe(&mut probe);
-        self.engine_audit_probe(&mut probe);
+        self.tiles.audit_probe(&mut probe);
+        self.cais.audit_probe(&mut probe);
+        self.dag.audit_probe(&mut probe);
         let logic_start = probe.counters().len();
         self.fabric.logic().audit_probe(&mut probe);
         (probe, logic_start)
@@ -495,148 +227,26 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         Ok((probe, logic_start))
     }
 
-    /// Engine-owned counters and quiescence requirements: blocked TBs,
-    /// in-flight CAIS loads, throttle credit state, pre-access waiters,
-    /// kernels left, and the tile contribution and fetch tallies.
-    fn engine_audit_probe(&self, probe: &mut AuditProbe) {
-        let outstanding: usize = self.throttle.iter().map(|t| t.outstanding).sum();
-        let queued: usize = self.throttle.iter().map(|t| t.parked.len()).sum();
-        let inflight: u32 = self.inflight_cais_loads.values().sum();
-        probe.counter("engine.blocked_tbs", self.tb_blocked.len() as f64);
-        probe.counter("engine.inflight_cais_loads", inflight as f64);
-        probe.counter("engine.throttle_outstanding", outstanding as f64);
-        probe.counter("engine.throttle_queued", queued as f64);
-        probe.counter(
-            "engine.credits_over_returned",
-            self.credits_over_returned as f64,
-        );
-        probe.counter("engine.preaccess_blocked", self.preaccess_waiting as f64);
-        probe.counter("engine.kernels_remaining", self.kernels_remaining as f64);
-        probe.counter("engine.semantic_contribs", self.semantic_contribs as f64);
-        probe.counter("engine.deduped_fetches", self.deduped_fetches as f64);
-        if probe.is_quiescence() {
-            probe.require_zero(
-                "engine",
-                "quiescence: no TBs still blocked on tiles or loads",
-                self.tb_blocked.len() as u64,
-            );
-            probe.require_zero(
-                "engine",
-                "quiescence: no CAIS loads still in flight",
-                inflight as u64,
-            );
-            probe.require_zero(
-                "engine",
-                "quiescence: no requests queued behind throttle credits",
-                queued as u64,
-            );
-            probe.require_zero(
-                "engine",
-                "quiescence: no outstanding throttle credits",
-                outstanding as u64,
-            );
-            probe.require_zero(
-                "engine",
-                "quiescence: no credits returned beyond those outstanding",
-                self.credits_over_returned,
-            );
-            // The one full recount of every (GPU, group) waiter list.
-            let preaccess: usize = self.preaccess_blocked.values().map(Vec::len).sum();
-            probe.ledger(
-                "engine",
-                "pre-access tally matches the waiter lists",
-                preaccess as u64,
-                self.preaccess_waiting as u64,
-            );
-            probe.require_zero(
-                "engine",
-                "quiescence: no TBs blocked on pre-access sync",
-                preaccess as u64,
-            );
-        }
-    }
-
-    /// Builds the waits-for edge list attached to deadlock diagnostics:
-    /// which TB waits on which tile, either blocked in a slot (and whether
-    /// a fetch is outstanding) or held at a closed dispatch gate, which
-    /// GPU/plane pairs have requests stuck behind throttle credits, and
-    /// which GPU/group pairs are blocked on pre-access sync.
-    fn waits_for_edges(&self) -> Vec<String> {
-        const MAX_EDGES: usize = 16;
-        let mut edges = Vec::new();
-        'tiles: for (gi, tiles) in self.tiles.iter().enumerate() {
-            for (tile, entry) in tiles.iter() {
-                if entry.present {
-                    continue;
-                }
-                let state = if entry.fetching {
-                    "fetch in flight"
-                } else {
-                    "no fetch outstanding"
-                };
-                let resumes = self
-                    .waiters
-                    .get(&(GpuId(gi as u16), tile))
-                    .map_or(&[][..], Waiters::as_slice)
-                    .iter()
-                    .map(|tb| format!("{tb} -> {tile}@g{gi} ({state})"));
-                // A gate appears once per listing of the tile (adjacent,
-                // as the range is sorted); name its TBs once.
-                let gated = self.gate_index[entry.gates.start as usize..entry.gates.end as usize]
-                    .chunk_by(|a, b| a == b)
-                    .flat_map(|run| &self.gates[run[0] as usize].tbs)
-                    .map(|tb| format!("{tb} -> {tile}@g{gi} (dispatch gate)"));
-                for edge in resumes.chain(gated) {
-                    edges.push(edge);
-                    if edges.len() >= MAX_EDGES {
-                        break 'tiles;
-                    }
-                }
-            }
-        }
-        for (i, st) in self.throttle.iter().enumerate() {
-            if st.parked.is_empty() || edges.len() >= MAX_EDGES {
-                continue;
-            }
-            let g = i / self.cfg.n_planes;
-            let p = i % self.cfg.n_planes;
-            edges.push(format!(
-                "g{g} -> plane{p} ({} queued behind {} outstanding credits)",
-                st.parked.len(),
-                st.outstanding
-            ));
-        }
-        for ((g, grp), tbs) in &self.preaccess_blocked {
-            if edges.len() >= MAX_EDGES {
-                break;
-            }
-            edges.push(format!(
-                "g{} -> group{} ({} TBs awaiting pre-access release)",
-                g.index(),
-                grp.index(),
-                tbs.len()
-            ));
-        }
-        edges
-    }
-
-    fn drain_effects(&mut self) {
-        let mut effects = std::mem::take(&mut self.scratch_effects);
-        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
+    /// Routes GPU effects and fabric deliveries until neither is left.
+    fn drain_effects(
+        &mut self,
+        effects: &mut Vec<(SimTime, GpuEffect)>,
+        deliveries: &mut Vec<Delivery<Msg>>,
+    ) {
         loop {
             let mut any = false;
             for gi in 0..self.gpus.len() {
                 if !self.gpus[gi].has_effects() {
                     continue;
                 }
-                self.gpus[gi].drain_effects_into(&mut effects);
+                self.gpus[gi].drain_effects_into(effects);
                 any = true;
                 for (t, e) in effects.drain(..) {
                     self.handle_gpu_effect(t, GpuId(gi as u16), e);
                 }
             }
             if self.fabric.has_deliveries() {
-                self.fabric.drain_deliveries_into(&mut deliveries);
+                self.fabric.drain_deliveries_into(deliveries);
                 any = true;
                 for d in deliveries.drain(..) {
                     self.handle_delivery(d);
@@ -646,515 +256,34 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 break;
             }
         }
-        self.scratch_effects = effects;
-        self.scratch_deliveries = deliveries;
     }
 
     fn launch_kernel(&mut self, now: SimTime, idx: usize) {
-        let planned = self.pending_kernels[idx]
-            .take()
-            .expect("kernel launched twice");
-        let kid = planned.desc.id;
-        self.kernel_spans.insert(
-            kid,
-            KernelSpan {
-                name: Arc::clone(&planned.desc.body.name),
-                gpu: planned.gpu,
-                start: now,
-                end: now,
-            },
-        );
-        for &tb in &planned.desc.tb_ids {
-            self.launched_tbs.insert(tb);
-        }
-        let gpu = planned.gpu;
-        let ready_now: Vec<TbId> = planned
-            .desc
-            .tb_ids
-            .iter()
-            .copied()
-            .filter(|&id| self.ready_pending.remove(id))
-            .collect();
-        self.gpus[gpu.index()].launch_kernel(now, planned.desc);
-        for tb in ready_now {
-            self.gpus[gpu.index()].make_tb_ready(now, tb);
-        }
+        let planned = self.dag.launch(now, idx);
+        let sim = &mut self.gpus[planned.gpu.index()];
+        self.tiles.launch(now, sim, planned.desc);
     }
-
-    // ---- tile state ----------------------------------------------------
-
-    fn tile_entry(&mut self, gpu: GpuId, tile: TileId) -> &mut TileEntry {
-        self.tiles[gpu.index()].get_or_default(tile)
-    }
-
-    fn mark_tile_present(&mut self, now: SimTime, gpu: GpuId, tile: TileId) {
-        let entry = self.tile_entry(gpu, tile);
-        if entry.present {
-            return;
-        }
-        entry.present = true;
-        let waited = std::mem::take(&mut entry.waited);
-        let gates = entry.gates.clone();
-        if waited {
-            let waiters = self.waiters.remove(&(gpu, tile)).unwrap_or_default();
-            shrink_sparse(&mut self.waiters, MIN_TABLE_CAPACITY);
-            for &tb in waiters.as_slice() {
-                self.dec_blocked(now, tb);
-            }
-        }
-        for tb in self.open_gates(gates) {
-            if self.launched_tbs.contains(tb) {
-                let g = *self.tb_gpu.get(tb).expect("gated TB without a GPU");
-                self.gpus[g.index()].make_tb_ready(now, tb);
-            } else {
-                self.ready_pending.insert(tb);
-            }
-        }
-    }
-
-    /// Counts one landing against each gate in `gates` (a range of
-    /// [`SystemSim::gate_index`]) and returns the TBs of every gate that
-    /// reaches zero, in ascending `TbId` order.
-    fn open_gates(&mut self, gates: Range<u32>) -> Vec<TbId> {
-        let mut woken = Vec::new();
-        for &g in &self.gate_index[gates.start as usize..gates.end as usize] {
-            let gate = &mut self.gates[g as usize];
-            gate.remaining -= 1;
-            if gate.remaining == 0 {
-                woken.append(&mut gate.tbs);
-            }
-        }
-        woken.sort_unstable();
-        woken
-    }
-
-    fn add_contrib(&mut self, now: SimTime, gpu: GpuId, tile: TileId, n: u32) {
-        let expected = self.tile_expected.get(tile).copied().unwrap_or(1);
-        self.semantic_contribs += n as u64;
-        let entry = self.tile_entry(gpu, tile);
-        entry.contribs += n;
-        debug_assert!(
-            entry.contribs <= expected,
-            "tile {tile} on {gpu} got {} contributions, expected {expected}",
-            entry.contribs
-        );
-        if entry.contribs >= expected {
-            self.mark_tile_present(now, gpu, tile);
-        }
-    }
-
-    fn dec_blocked(&mut self, now: SimTime, tb: TbId) {
-        let count = self
-            .tb_blocked
-            .get_mut(tb)
-            .unwrap_or_else(|| panic!("TB {tb} not blocked"));
-        *count -= 1;
-        if *count == 0 {
-            self.tb_blocked.remove(tb);
-            let g = *self.tb_gpu.get(tb).expect("blocked TB without a GPU");
-            self.gpus[g.index()].resume_tb(now, tb);
-        }
-    }
-
-    // ---- fabric injection ----------------------------------------------
-
-    fn plane_for(&self, msg: &Msg) -> PlaneId {
-        match msg {
-            Msg::SyncReq { group, .. } | Msg::SyncRel { group, .. } => {
-                PlaneId((group.0 % self.cfg.n_planes as u32) as u16)
-            }
-            m => m
-                .addr()
-                .map(|a| a.plane(self.cfg.n_planes))
-                .unwrap_or(PlaneId(0)),
-        }
-    }
-
-    fn inject(&mut self, now: SimTime, src: GpuId, dst: GpuId, msg: Msg) {
-        let plane = self.plane_for(&msg);
-        self.fabric.inject(now, src, dst, plane, msg);
-    }
-
-    /// Sends the CAIS request for `ops[pos]` of `tb`'s issue on `gpu`,
-    /// honoring per-plane throttle credits: with none free, the op is
-    /// parked.
-    fn inject_cais(&mut self, now: SimTime, gpu: GpuId, tb: TbId, ops: &Arc<[MemOp]>, pos: usize) {
-        let op = ops[pos];
-        let home = op.addr.home_gpu();
-        let Some(limit) = self.cfg.cais_credits_per_plane else {
-            self.inject(now, gpu, home, request(gpu, tb, op));
-            return;
-        };
-        let plane = op.addr.plane(self.cfg.n_planes);
-        let st = &mut self.throttle[gpu.index() * self.cfg.n_planes + plane.index()];
-        if st.outstanding < limit {
-            st.outstanding += 1;
-            self.fabric
-                .inject(now, gpu, home, plane, request(gpu, tb, op));
-        } else {
-            st.park(tb, ops, pos);
-        }
-    }
-
-    fn return_credits(&mut self, now: SimTime, gpu: GpuId, plane: PlaneId, mut n: u32) {
-        let Some(limit) = self.cfg.cais_credits_per_plane else {
-            return;
-        };
-        loop {
-            let st = &mut self.throttle[gpu.index() * self.cfg.n_planes + plane.index()];
-            let returned = (n as usize).min(st.outstanding);
-            self.credits_over_returned += (n as usize - returned) as u64;
-            st.outstanding -= returned;
-            n = 0;
-            if st.outstanding >= limit {
-                break;
-            }
-            let Some((tb, op)) = st.unpark() else {
-                break;
-            };
-            // A burst can park far more requests than the plane has
-            // credits; once it drains, drop the buffers it grew.
-            if st.parked.is_empty() && st.parked.capacity() > limit {
-                st.parked = VecDeque::new();
-                st.runs = VecDeque::new();
-            }
-            st.outstanding += 1;
-            let home = op.addr.home_gpu();
-            self.fabric
-                .inject(now, gpu, home, plane, request(gpu, tb, op));
-        }
-    }
-
-    // ---- GPU effects ----------------------------------------------------
-
-    fn handle_gpu_effect(&mut self, t: SimTime, gpu: GpuId, effect: GpuEffect) {
-        match effect {
-            GpuEffect::MemIssued { tb, ops, blocking } => {
-                self.handle_mem_issued(t, gpu, tb, ops, blocking)
-            }
-            GpuEffect::TileReady { tile } => self.mark_tile_present(t, gpu, tile),
-            GpuEffect::GroupSyncRequest { tb, group, kind } => {
-                let kind_raw = match kind {
-                    SyncKind::PreLaunch => 0,
-                    SyncKind::PreAccess => 1,
-                };
-                if kind == SyncKind::PreAccess {
-                    self.preaccess_blocked
-                        .entry((gpu, group))
-                        .or_default()
-                        .push(tb);
-                    self.preaccess_waiting += 1;
-                }
-                self.inject(
-                    t,
-                    gpu,
-                    gpu,
-                    Msg::SyncReq {
-                        group,
-                        gpu,
-                        kind: kind_raw,
-                    },
-                );
-            }
-            GpuEffect::TbCompleted { .. } => {}
-            GpuEffect::KernelCompleted { kernel } => {
-                if let Some(span) = self.kernel_spans.get_mut(&kernel) {
-                    span.end = t;
-                }
-                self.kernels_remaining -= 1;
-                if let Some(children) = self.children.remove(kernel) {
-                    for idx in children {
-                        self.dep_remaining[idx] -= 1;
-                        if self.dep_remaining[idx] == 0 {
-                            self.launch_kernel(t, idx);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn handle_mem_issued(
-        &mut self,
-        t: SimTime,
-        gpu: GpuId,
-        tb: TbId,
-        ops: Arc<[MemOp]>,
-        blocking: bool,
-    ) {
-        let mut outstanding = 0u32;
-        for (pos, &op) in ops.iter().enumerate() {
-            let home = op.addr.home_gpu();
-            match op.kind {
-                MemOpKind::RemoteLoad => {
-                    if home == gpu {
-                        // Local read: covered by the roofline compute time;
-                        // just materialize the tile.
-                        if let Some(tile) = op.tile {
-                            self.mark_tile_present(t, gpu, tile);
-                        }
-                        continue;
-                    }
-                    if let Some(tile) = op.tile {
-                        let entry = self.tiles[gpu.index()].get_or_default(tile);
-                        if entry.present {
-                            continue;
-                        }
-                        if blocking {
-                            outstanding += 1;
-                            entry.waited = true;
-                            self.waiters.entry((gpu, tile)).or_default().push(tb);
-                        }
-                        if entry.fetching {
-                            // L2 capture: another TB already fetching.
-                            self.deduped_fetches += 1;
-                            continue;
-                        }
-                        entry.fetching = true;
-                    } else if blocking {
-                        outstanding += 1;
-                    }
-                    if op.cais {
-                        *self.inflight_cais_loads.entry((gpu, op.addr)).or_default() += 1;
-                        self.inject_cais(t, gpu, tb, &ops, pos);
-                    } else {
-                        self.inject(t, gpu, home, request(gpu, tb, op));
-                    }
-                }
-                MemOpKind::RemoteReduce => {
-                    // CAIS `red.cais` to a locally-homed address is a plain
-                    // HBM accumulate; NVLS `multimem.red` (cais = false)
-                    // always traverses the switch, which owns the
-                    // reduce-and-multicast semantics.
-                    if home == gpu && op.cais {
-                        if let Some(tile) = op.tile {
-                            self.add_contrib(t, gpu, tile, 1);
-                        }
-                        continue;
-                    }
-                    if op.cais {
-                        self.inject_cais(t, gpu, tb, &ops, pos);
-                    } else {
-                        self.inject(t, gpu, home, request(gpu, tb, op));
-                    }
-                }
-                MemOpKind::RemoteWrite => {
-                    if home == gpu {
-                        if let Some(tile) = op.tile {
-                            self.mark_tile_present(t, gpu, tile);
-                        }
-                        continue;
-                    }
-                    self.inject(
-                        t,
-                        gpu,
-                        home,
-                        Msg::Write {
-                            addr: op.addr,
-                            bytes: op.bytes,
-                            src: gpu,
-                            tile: op.tile,
-                            contrib: false,
-                        },
-                    );
-                }
-                MemOpKind::MulticastStore => {
-                    // Push once; the switch logic replicates to the other
-                    // GPUs (each marks `tile` present on delivery).
-                    self.inject(
-                        t,
-                        gpu,
-                        home,
-                        Msg::MulticastStore {
-                            addr: op.addr,
-                            bytes: op.bytes,
-                            src: gpu,
-                            tile: op.tile,
-                        },
-                    );
-                }
-                MemOpKind::LoadReduce => {
-                    if blocking {
-                        outstanding += 1;
-                        // Completion is signaled through the tile; for
-                        // tile-less ops the LoadResp credits the TB
-                        // directly in `handle_delivery`.
-                        if let Some(tile) = op.tile {
-                            self.tile_entry(gpu, tile).waited = true;
-                            self.waiters.entry((gpu, tile)).or_default().push(tb);
-                        }
-                    }
-                    self.inject(
-                        t,
-                        gpu,
-                        home,
-                        Msg::LoadReduceReq {
-                            addr: op.addr,
-                            bytes: op.bytes,
-                            requester: gpu,
-                            tb,
-                            tile: op.tile,
-                        },
-                    );
-                }
-            }
-        }
-        if blocking && outstanding == 0 {
-            self.gpus[gpu.index()].resume_tb(t, tb);
-        } else if blocking {
-            *self.tb_blocked.get_or_default(tb) += outstanding;
-        }
-    }
-
-    // ---- fabric deliveries ----------------------------------------------
-
-    fn handle_delivery(&mut self, d: Delivery<Msg>) {
-        let Delivery {
-            time: t,
-            dst: gpu,
-            plane,
-            payload,
-            ..
-        } = d;
-        match payload {
-            Msg::LoadReq {
-                addr,
-                bytes,
-                requester,
-                tb,
-                tile,
-                ..
-            } => {
-                // We are the home GPU: the memory system answers after its
-                // read latency; no SM involvement.
-                debug_assert_eq!(addr.home_gpu(), gpu, "load routed to wrong GPU");
-                let resp = Msg::LoadResp {
-                    addr,
-                    bytes,
-                    requester,
-                    tb,
-                    tile,
-                };
-                let at = t + self.cfg.mem_read_latency;
-                let plane = self.plane_for(&resp);
-                self.fabric.inject(at, gpu, requester, plane, resp);
-            }
-            Msg::LoadResp { addr, tb, tile, .. } => {
-                if let Entry::Occupied(mut loads) = self.inflight_cais_loads.entry((gpu, addr)) {
-                    *loads.get_mut() -= 1;
-                    if *loads.get() == 0 {
-                        loads.remove();
-                        shrink_sparse(&mut self.inflight_cais_loads, MIN_TABLE_CAPACITY);
-                    }
-                    self.return_credits(t, gpu, plane, 1);
-                }
-                match tile {
-                    Some(tile) => self.mark_tile_present(t, gpu, tile),
-                    None => self.dec_blocked(t, tb),
-                }
-            }
-            Msg::Reduce { tile, contribs, .. } => {
-                // A (possibly switch-merged) reduction contribution reached
-                // the home GPU.
-                if let Some(tile) = tile {
-                    self.add_contrib(t, gpu, tile, contribs);
-                }
-            }
-            Msg::Write { tile, contrib, .. } => {
-                if let Some(tile) = tile {
-                    if contrib {
-                        self.add_contrib(t, gpu, tile, 1);
-                    } else {
-                        self.mark_tile_present(t, gpu, tile);
-                    }
-                }
-            }
-            Msg::MulticastStore { tile, .. } => {
-                if let Some(tile) = tile {
-                    self.mark_tile_present(t, gpu, tile);
-                }
-            }
-            Msg::FetchReq {
-                addr,
-                bytes,
-                session,
-                ..
-            } => {
-                // Supply our partial to the switch's reduction session.
-                let resp = Msg::FetchResp {
-                    addr,
-                    bytes,
-                    src: gpu,
-                    session,
-                };
-                let at = t + self.cfg.mem_read_latency;
-                self.fabric.inject(at, gpu, gpu, plane, resp);
-            }
-            Msg::FetchResp { .. } => {
-                panic!("FetchResp must be consumed by switch logic, not a GPU");
-            }
-            Msg::LoadReduceReq { .. } => {
-                panic!("LoadReduceReq reached a GPU; switch logic must implement it");
-            }
-            Msg::SyncReq { .. } => {
-                panic!("SyncReq reached a GPU; switch logic must implement the sync table");
-            }
-            Msg::SyncRel { group, kind } => match kind {
-                0 => self.gpus[gpu.index()].release_group(t, group),
-                _ => {
-                    let waiters = self
-                        .preaccess_blocked
-                        .remove(&(gpu, group))
-                        .unwrap_or_default();
-                    self.preaccess_waiting -= waiters.len();
-                    for tb in waiters {
-                        self.gpus[gpu.index()].resume_tb(t, tb);
-                    }
-                }
-            },
-            Msg::CreditGrant { credits } => {
-                self.return_credits(t, gpu, plane, credits);
-            }
-        }
-    }
-
-    // ---- teardown --------------------------------------------------------
 
     /// What a stalled run left behind: every subsystem's counters, the
     /// unlaunched and incomplete kernels, pre-access waiters, blocked
     /// TBs and the waits-for edges.
     fn deadlock_diag(&self) -> DeadlockDiag {
-        let kernels = self
-            .pending_kernels
-            .iter()
-            .flatten()
-            .map(|k| format!("unlaunched {} on {}", k.desc.body.name, k.gpu))
-            // Launched kernels that never completed are the stuck ones.
-            .chain(
-                self.kernel_spans
-                    .iter()
-                    .filter(|&(id, s)| self.gpus[s.gpu.index()].kernel_pending(*id))
-                    .map(|(id, s)| format!("incomplete {id} {} on {}", s.name, s.gpu)),
-            )
-            .take(12)
-            .collect();
-        let preaccess_waiters = self
-            .preaccess_blocked
-            .iter()
-            .map(|((g, grp), tbs)| format!("{g}/{grp}:{}", tbs.len()))
-            .take(8)
-            .collect();
+        let mut waits_for = Vec::new();
+        self.tiles.waits_for(&mut waits_for, MAX_EDGES);
+        self.cais.waits_for(&mut waits_for, MAX_EDGES);
         DeadlockDiag {
             counters: self.probe(AuditPhase::Cadence).0.counters().to_vec(),
-            preaccess_waiters,
-            kernels,
+            preaccess_waiters: self.cais.preaccess_waiters(),
+            kernels: self
+                .dag
+                .stuck(|gpu, k| self.gpus[gpu.index()].kernel_pending(k)),
             blocked_tbs: self
-                .tb_blocked
-                .keys()
+                .tiles
+                .blocked_tbs()
                 .take(16)
                 .map(|tb| tb.to_string())
                 .collect(),
-            waits_for: self.waits_for_edges(),
+            waits_for,
             recent_events: self.fabric.audit_recent_events(),
         }
     }
@@ -1172,7 +301,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 });
             }
         }
-        if self.kernels_remaining > 0 || !self.tb_blocked.is_empty() {
+        if self.dag.remaining() > 0 || self.tiles.blocked_tbs().next().is_some() {
             return Err(SimError::Deadlock(Box::new(self.deadlock_diag())));
         }
         // Mandatory end-of-run quiescence verification: every queue
@@ -1188,22 +317,18 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         let total = self.now.since(SimTime::ZERO);
         let events_processed = self.gpus.iter().map(|g| g.events_processed()).sum::<u64>()
             + self.fabric.events_processed();
-        let queue_peak = self
-            .gpus
-            .iter()
-            .map(|g| g.queue_peak())
-            .chain(std::iter::once(self.fabric.queue_peak()))
-            .max()
-            .unwrap_or(0);
+        let gpu_queue_peak = self.gpus.iter().map(GpuSim::queue_peak).max();
+        let queue_peak = gpu_queue_peak.unwrap_or(0).max(self.fabric.queue_peak());
+        let (semantic_contribs, deduped_fetches) = self.tiles.tallies();
         Ok(ExecReport {
             total,
             gpu_occupancy: self.gpus.iter().map(|g| g.occupancy(total)).collect(),
             fabric: self.fabric.report(total),
-            kernel_spans: self.kernel_spans,
+            deduped_fetches,
+            semantic_contribs,
+            kernel_spans: self.dag.into_spans(),
             counters,
             logic_stats,
-            deduped_fetches: self.deduped_fetches,
-            semantic_contribs: self.semantic_contribs,
             events_processed,
             queue_peak,
         })
@@ -1215,9 +340,11 @@ mod tests {
     use super::*;
     use crate::ids::IdAlloc;
     use crate::program::PlannedKernel;
-    use gpu_sim::{KernelDesc, Phase, TbDesc};
+    use crate::tiles::MIN_TABLE_CAPACITY;
+    use gpu_sim::{KernelDesc, MemOp, MemOpKind, SyncKind, TbDesc};
     use noc_sim::PureRouter;
-    use sim_core::SimDuration;
+    use sim_core::{Addr, GroupId, KernelId, PlaneId, SimDuration, TbId, TileId};
+    use std::collections::VecDeque;
 
     fn quiet_cfg(n_gpus: usize) -> SystemConfig {
         let mut cfg = SystemConfig::dgx_h100();
@@ -1511,14 +638,12 @@ mod tests {
         (op, msg)
     }
 
-    /// A system whose GPU 0 has issued `burst` CAIS requests to GPU 1 on
+    /// A CAIS host whose GPU 0 has sent `burst` requests to GPU 1 on
     /// plane 0, four ops per issue and one TB per issue, behind `limit`
     /// credits, none of them returned yet, and the requests in the order
     /// they were sent.
-    fn credit_burst(limit: usize, burst: usize) -> (SystemSim<PureRouter>, Vec<Msg>) {
-        let mut cfg = quiet_cfg(2);
-        cfg.cais_credits_per_plane = Some(limit);
-        let mut sim = SystemSim::new(cfg, Program::new(), PureRouter);
+    fn credit_burst(limit: usize, burst: usize) -> (CaisHost, Vec<Msg>) {
+        let mut host = CaisHost::new(2, 1, Some(limit));
         let mut ids = IdAlloc::new(2);
         let mut sent = Vec::new();
         for start in (0..burst).step_by(4) {
@@ -1526,47 +651,35 @@ mod tests {
             let (ops, msgs): (Vec<MemOp>, Vec<Msg>) = (start..burst.min(start + 4))
                 .map(|i| burst_op(&mut ids, i, GpuId(1), tb))
                 .unzip();
-            sim.handle_mem_issued(SimTime::ZERO, GpuId(0), tb, ops.into(), false);
+            let ops: Arc<[MemOp]> = ops.into();
+            for pos in 0..ops.len() {
+                host.send(GpuId(0), tb, &ops, pos);
+            }
             sent.extend(msgs);
         }
-        (sim, sent)
-    }
-
-    /// The requests parked on one (GPU, plane) queue, oldest first, as
-    /// `return_credits` would rebuild them.
-    fn parked(st: &ThrottleState, gpu: GpuId) -> Vec<String> {
-        let mut positions = st.parked.iter();
-        st.runs
-            .iter()
-            .flat_map(|run| {
-                positions
-                    .by_ref()
-                    .take(run.len as usize)
-                    .map(|&pos| request(gpu, run.tb, run.ops[pos as usize]))
-                    .collect::<Vec<_>>()
-            })
-            .map(|msg| format!("{msg:?}"))
-            .collect()
+        (host, sent)
     }
 
     #[test]
     fn parked_requests_leave_the_credit_queue_unchanged() {
         let (limit, burst) = (4, 64);
-        let (sim, sent) = credit_burst(limit, burst);
-        assert!(sim.throttle[0]
-            .runs
+        let (host, sent) = credit_burst(limit, burst);
+        let (g0, p0) = (GpuId(0), PlaneId(0));
+        assert!(host
+            .parked_run_ops(g0, p0)
             .iter()
-            .all(|run| run.ops.iter().all(|op| op.addr.home_gpu() == GpuId(1))));
+            .all(|op| op.addr.home_gpu() == GpuId(1)));
         let queued: Vec<String> = sent[limit..].iter().map(|m| format!("{m:?}")).collect();
-        assert_eq!(parked(&sim.throttle[0], GpuId(0)), queued);
+        assert_eq!(host.parked(g0, p0), queued);
         // One run per issue: the first issue went out whole.
-        assert_eq!(sim.throttle[0].runs.len(), burst / 4 - 1);
+        assert_eq!(host.queue_sizes(g0, p0).runs, burst / 4 - 1);
     }
 
     #[test]
     fn parked_reductions_are_rebuilt_with_one_contribution() {
-        let (sim, _) = credit_burst(1, 16);
-        let reductions: Vec<String> = parked(&sim.throttle[0], GpuId(0))
+        let (host, _) = credit_burst(1, 16);
+        let reductions: Vec<String> = host
+            .parked(GpuId(0), PlaneId(0))
             .into_iter()
             .filter(|m| m.starts_with("Reduce"))
             .collect();
@@ -1580,38 +693,45 @@ mod tests {
     #[test]
     fn drained_credit_queue_releases_its_buffer() {
         let (limit, burst) = (4, 256);
-        let (mut sim, _) = credit_burst(limit, burst);
-        assert_eq!(sim.throttle[0].parked.len(), burst - limit);
-        assert!(sim.throttle[0].parked.capacity() >= burst - limit);
+        let (mut host, _) = credit_burst(limit, burst);
+        let (g0, p0) = (GpuId(0), PlaneId(0));
+        let sizes = host.queue_sizes(g0, p0);
+        assert_eq!(sizes.parked, burst - limit);
+        assert!(sizes.parked_capacity >= burst - limit);
         // One credit back per response: each admits one queued request
         // until the queue drains, then the last `limit` return idle.
         for i in 0..burst {
-            sim.return_credits(SimTime::from_us(1), GpuId(0), PlaneId(0), 1);
+            host.return_credits(g0, p0, 1, |_, _| {});
             assert_eq!(
-                sim.throttle[0].parked.len(),
+                host.queue_sizes(g0, p0).parked,
                 (burst - limit).saturating_sub(i + 1)
             );
         }
-        assert_eq!(sim.throttle[0].outstanding, 0);
-        assert!(sim.throttle[0].runs.is_empty());
+        let sizes = host.queue_sizes(g0, p0);
+        assert_eq!(sizes.outstanding, 0);
+        assert_eq!(sizes.runs, 0);
         assert!(
-            sim.throttle[0].parked.capacity() <= limit,
+            sizes.parked_capacity <= limit,
             "drained queue kept {} slots",
-            sim.throttle[0].parked.capacity()
+            sizes.parked_capacity
         );
-        assert_eq!(sim.throttle[0].runs.capacity(), 0);
+        assert_eq!(sizes.runs_capacity, 0);
     }
 
     #[test]
     fn over_returned_credits_break_the_quiescence_ledger() {
         // Two reductions, so no load is left in flight.
-        let (mut sim, _) = credit_burst(4, 2);
+        let (mut host, _) = credit_burst(4, 2);
         // Two credits outstanding; three come back.
-        sim.return_credits(SimTime::from_us(1), GpuId(0), PlaneId(0), 3);
-        assert_eq!(sim.throttle[0].outstanding, 0);
-        assert_eq!(sim.credits_over_returned, 1);
+        host.return_credits(GpuId(0), PlaneId(0), 3, |_, m| {
+            panic!("{m:?} was not parked")
+        });
+        assert_eq!(host.queue_sizes(GpuId(0), PlaneId(0)).outstanding, 0);
         let mut probe = AuditProbe::new(AuditPhase::Quiescence);
-        sim.engine_audit_probe(&mut probe);
+        host.audit_probe(&mut probe);
+        assert!(probe
+            .counters()
+            .contains(&("engine.credits_over_returned", 1.0)));
         let broken: Vec<&str> = probe.violations().iter().map(|v| v.ledger).collect();
         assert_eq!(
             broken,
@@ -1732,7 +852,7 @@ mod tests {
             "the burst parks requests"
         );
         let mut probe = AuditProbe::new(AuditPhase::Cadence);
-        sim.engine_audit_probe(&mut probe);
+        sim.cais.audit_probe(&mut probe);
         assert!(probe
             .counters()
             .contains(&("engine.throttle_queued", queued as f64)));
@@ -1808,13 +928,14 @@ mod tests {
         });
         let mut sim = SystemSim::new(cfg, p, PureRouter);
         sim.step_to_end().expect("every load is answered");
-        assert!(sim.waiters.is_empty());
+        let waiters = sim.tiles.waiters();
+        assert!(waiters.is_empty());
         assert!(
-            sim.waiters.capacity() <= 2 * MIN_TABLE_CAPACITY,
+            waiters.capacity() <= 2 * MIN_TABLE_CAPACITY,
             "the landed burst left {} slots",
-            sim.waiters.capacity()
+            waiters.capacity()
         );
-        assert!(sim.tiles[0].iter().all(|(_, e)| e.present && !e.waited));
+        assert!(sim.tiles.all_landed(GpuId(0)));
         sim.finish().expect("the run is quiescent");
     }
 
@@ -1904,8 +1025,14 @@ mod tests {
         p
     }
 
-    fn gated_sim(kernels: &[&[u64]], deps: &[(u64, Vec<TileId>)]) -> SystemSim<PureRouter> {
-        SystemSim::new(quiet_cfg(2), gated_program(kernels, deps), PureRouter)
+    /// The tile directory of `gated_program(kernels, deps)` on two GPUs,
+    /// and GPU 0 with kernel 0 launched through it.
+    fn gated_tiles(kernels: &[&[u64]], deps: &[(u64, Vec<TileId>)]) -> (TileDirectory, GpuSim) {
+        let p = gated_program(kernels, deps);
+        let mut tiles = TileDirectory::new(2, &p);
+        let mut gpu = GpuSim::new(quiet_cfg(2).gpu, 0);
+        tiles.launch(SimTime::ZERO, &mut gpu, p.kernels[0].desc.clone());
+        (tiles, gpu)
     }
 
     #[test]
@@ -1914,31 +1041,27 @@ mod tests {
         // Gate [A] holds tb0 and tb3, gate [B, A] holds tb1 and tb2; tb1
         // and tb3 belong to a kernel that has not launched.
         let deps = [(0, vec![a]), (1, vec![b, a]), (2, vec![b, a]), (3, vec![a])];
-        let mut sim = gated_sim(&[&[0, 2], &[1, 3]], &deps);
-        assert_eq!(sim.gates.len(), 2);
-        sim.launch_kernel(SimTime::ZERO, 0);
+        let (mut tiles, mut gpu) = gated_tiles(&[&[0, 2], &[1, 3]], &deps);
+        assert_eq!(tiles.gate_remaining().len(), 2);
         let t = SimTime::from_us(1);
-        sim.mark_tile_present(t, GpuId(0), b);
-        assert!(sim.ready_pending.is_empty(), "gate [B, A] still waits on A");
+        tiles.land(t, GpuId(0), &mut gpu, b);
+        assert!(
+            tiles.ready_pending().is_empty(),
+            "gate [B, A] still waits on A"
+        );
         // Landing A opens both gates at once.
-        let gates = sim.tiles[0]
-            .get(a)
-            .expect("gated tile has an entry")
-            .gates
-            .clone();
         assert_eq!(
-            sim.open_gates(gates),
+            tiles.open_gates_of(GpuId(0), a),
             vec![TbId(0), TbId(1), TbId(2), TbId(3)]
         );
 
-        // Through `mark_tile_present`: unlaunched TBs wait in
-        // `ready_pending` for their kernel, launched ones go to the GPU.
-        let mut sim = gated_sim(&[&[0, 2], &[1, 3]], &deps);
-        sim.launch_kernel(SimTime::ZERO, 0);
-        sim.mark_tile_present(t, GpuId(0), b);
-        sim.mark_tile_present(t, GpuId(0), a);
+        // Through `land`: unlaunched TBs wait in `ready_pending`
+        // for their kernel, launched ones go to the GPU.
+        let (mut tiles, mut gpu) = gated_tiles(&[&[0, 2], &[1, 3]], &deps);
+        tiles.land(t, GpuId(0), &mut gpu, b);
+        tiles.land(t, GpuId(0), &mut gpu, a);
         let pending: Vec<u64> = (0..4)
-            .filter(|&i| sim.ready_pending.contains(TbId(i)))
+            .filter(|&i| tiles.ready_pending().contains(TbId(i)))
             .collect();
         assert_eq!(pending, vec![1, 3]);
     }
@@ -1946,21 +1069,24 @@ mod tests {
     #[test]
     fn tile_listed_twice_in_one_dependency_list_counts_twice() {
         let (a, b) = (TileId(0), TileId(1));
-        let mut sim = gated_sim(&[&[], &[0]], &[(0, vec![a, a, b])]);
-        sim.mark_tile_present(SimTime::ZERO, GpuId(0), a);
-        assert_eq!(sim.gates[0].remaining, 1);
-        assert!(!sim.ready_pending.contains(TbId(0)));
-        sim.mark_tile_present(SimTime::ZERO, GpuId(0), b);
-        assert!(sim.ready_pending.contains(TbId(0)));
+        let (mut tiles, mut gpu) = gated_tiles(&[&[], &[0]], &[(0, vec![a, a, b])]);
+        tiles.land(SimTime::ZERO, GpuId(0), &mut gpu, a);
+        assert_eq!(tiles.gate_remaining(), [1]);
+        assert!(!tiles.ready_pending().contains(TbId(0)));
+        tiles.land(SimTime::ZERO, GpuId(0), &mut gpu, b);
+        assert!(tiles.ready_pending().contains(TbId(0)));
     }
 
     #[test]
     fn empty_dependency_list_is_ready_at_launch() {
-        let sim = gated_sim(&[&[0]], &[(0, vec![])]);
-        assert!(sim.gates.is_empty());
-        assert!(sim.ready_pending.contains(TbId(0)));
+        let p = gated_program(&[&[0]], &[(0, vec![])]);
+        let tiles = TileDirectory::new(2, &p);
+        assert!(tiles.gate_remaining().is_empty());
+        assert!(tiles.ready_pending().contains(TbId(0)));
         // The TB dispatches with its kernel; nothing else releases it.
-        let report = sim.run().expect("a TB with no prerequisites runs");
+        let report = SystemSim::new(quiet_cfg(2), p, PureRouter)
+            .run()
+            .expect("a TB with no prerequisites runs");
         assert_eq!(report.kernel_spans.len(), 1);
     }
 

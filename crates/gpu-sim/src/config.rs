@@ -41,7 +41,7 @@ pub struct GpuConfig {
     /// Upper bound of the uniform per-kernel launch skew: host/driver
     /// noise staggering the same kernel's launch across GPUs (the
     /// dominant source of the paper's ~35 us uncoordinated request
-    /// spread; see Jain et al. [18] on ML-job variability).
+    /// spread; see Jain et al. \[18\] on ML-job variability).
     pub launch_skew: SimDuration,
     /// Upper bound of the uniform per-compute-phase duration jitter
     /// (divergence accumulated while a TB executes).
@@ -86,11 +86,6 @@ impl GpuConfig {
         self.sm_count * self.tb_slots_per_sm
     }
 
-    /// Peak device math throughput in FLOP/ns.
-    pub fn peak_flops_per_ns(&self) -> f64 {
-        self.flops_per_ns_per_sm * self.sm_count as f64
-    }
-
     /// HBM bandwidth available to one SM when all SMs stream concurrently.
     pub fn hbm_bw_per_sm(&self) -> Bandwidth {
         self.hbm_bw.split(self.sm_count)
@@ -121,7 +116,6 @@ mod tests {
     fn derived_quantities() {
         let c = GpuConfig::h100_half();
         assert_eq!(c.total_slots(), 132);
-        assert!((c.peak_flops_per_ns() - 66.0 * 7492.0).abs() < 1e-6);
         assert!((c.hbm_bw_per_sm().as_gbps() - 1675.0 / 66.0).abs() < 1e-6);
     }
 }

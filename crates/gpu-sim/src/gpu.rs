@@ -41,13 +41,6 @@ pub enum GpuEffect {
         /// Synchronization point.
         kind: SyncKind,
     },
-    /// A TB finished all phases.
-    TbCompleted {
-        /// The TB.
-        tb: TbId,
-        /// Its kernel.
-        kernel: KernelId,
-    },
     /// Every TB of a kernel finished.
     KernelCompleted {
         /// The kernel.
@@ -253,20 +246,20 @@ impl GpuSim {
     }
 
     /// Marks a dependency-gated TB as ready (engine resolved its inputs).
-    /// A TB that is not live (it already completed, so it was ready) is
-    /// left alone.
-    pub fn make_tb_ready(&mut self, time: SimTime, tb: TbId) {
+    /// Returns whether the TB is live here: launched and not completed. A
+    /// TB that is not live is left alone.
+    pub fn make_tb_ready(&mut self, time: SimTime, tb: TbId) -> bool {
         assert!(time >= self.now, "cannot mark ready in the past");
         let Some(rt) = self.tbs.get_mut(&tb) else {
-            return;
+            return false;
         };
-        if rt.deps_ok {
-            return;
+        if !rt.deps_ok {
+            rt.deps_ok = true;
+            if rt.armed && !rt.enqueued_or_pending {
+                self.schedule_ready(time, tb);
+            }
         }
-        rt.deps_ok = true;
-        if rt.armed && !rt.enqueued_or_pending {
-            self.schedule_ready(time, tb);
-        }
+        true
     }
 
     /// Resumes a TB blocked on memory completion or pre-access sync.
@@ -349,14 +342,6 @@ impl GpuSim {
     /// True when no TB is queued, running, blocked or pending.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.tbs.is_empty()
-    }
-
-    /// Live TBs in ascending id order: launched and not yet completed
-    /// (diagnostics for deadlock reports).
-    pub fn stuck_tbs(&self) -> Vec<TbId> {
-        let mut tbs: Vec<TbId> = self.tbs.keys().copied().collect();
-        tbs.sort_unstable();
-        tbs
     }
 
     /// Whether `kernel` was launched here and still has TBs that have not
@@ -578,12 +563,10 @@ impl GpuSim {
             .expect("complete_tb: unknown TB")
             .kernel;
         // Shrinking changes the table's iteration order, which nothing
-        // observes: `stuck_tbs` sorts what it collects.
+        // observes.
         shrink_sparse(&mut self.tbs, Self::MIN_TB_CAPACITY);
         self.slots_free += 1;
         self.note_occupancy_change(now, -1);
-        self.effects
-            .push((now, GpuEffect::TbCompleted { tb, kernel }));
         let krt = self.kernels.get_mut(&kernel).expect("kernel exists");
         krt.remaining -= 1;
         if krt.remaining == 0 {
@@ -627,6 +610,25 @@ mod tests {
         TbDesc::compute_only(TbId(id), id, SimDuration::from_us(us))
     }
 
+    /// A compute TB that closes by signaling tile `id`, so the tile's
+    /// `TileReady` effect marks when the TB finished.
+    fn signaling_tb(id: u64, us: u64) -> TbDesc {
+        let mut tb = compute_tb(id, us);
+        tb.phases.push(Phase::SignalTile(TileId(id)));
+        tb
+    }
+
+    /// The TBs of `signaling_tb`s in the order they finished.
+    fn finish_order(effects: &[(SimTime, GpuEffect)]) -> Vec<TbId> {
+        effects
+            .iter()
+            .filter_map(|(_, e)| match e {
+                GpuEffect::TileReady { tile } => Some(TbId(tile.0)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn kernel_runs_after_launch_overhead() {
         let mut gpu = GpuSim::new(quiet_cfg(), 1);
@@ -663,12 +665,11 @@ mod tests {
             gpu.advance(t);
         }
         // The two compute TBs retired; only the blocked one is live.
-        assert_eq!(gpu.stuck_tbs(), vec![TbId(0)]);
+        assert_eq!(gpu.tbs.keys().copied().collect::<Vec<_>>(), vec![TbId(0)]);
         assert!(!gpu.is_idle());
         gpu.resume_tb(SimTime::from_us(50), TbId(0));
         run_all(&mut gpu);
         assert!(gpu.is_idle());
-        assert!(gpu.stuck_tbs().is_empty());
         assert!(gpu.tbs.is_empty(), "no TB state may outlive its TB");
         assert!(
             gpu.kernels.is_empty(),
@@ -676,7 +677,7 @@ mod tests {
         );
         assert_eq!(Arc::strong_count(&body), 1, "the GPU let go of the body");
         // A late readiness signal for a retired TB is harmless.
-        gpu.make_tb_ready(SimTime::from_us(60), TbId(1));
+        assert!(!gpu.make_tb_ready(SimTime::from_us(60), TbId(1)));
         assert!(gpu.is_idle());
     }
 
@@ -873,7 +874,7 @@ mod tests {
                 Phase::Compute(SimDuration::from_us(1)),
             ],
         };
-        let worker = compute_tb(1, 2);
+        let worker = signaling_tb(1, 2);
         gpu.launch_kernel(
             SimTime::ZERO,
             KernelDesc::new(KernelId(0), "k", vec![syncer, worker]),
@@ -883,9 +884,7 @@ mod tests {
         }
         let fx = gpu.drain_effects();
         // The worker completed even though the syncer is still waiting.
-        assert!(fx
-            .iter()
-            .any(|(_, e)| matches!(e, GpuEffect::TbCompleted { tb, .. } if *tb == TbId(1))));
+        assert_eq!(finish_order(&fx), vec![TbId(1)]);
         assert!(!gpu.is_idle());
         // Resume the syncer; it re-acquires the slot and finishes.
         gpu.resume_tb(SimTime::from_us(30), TbId(0));
@@ -905,24 +904,17 @@ mod tests {
         let mut gpu = GpuSim::new(cfg, 99);
         let a = TbDesc {
             order_key: 1,
-            ..compute_tb(0, 1)
+            ..signaling_tb(0, 1)
         };
         let b = TbDesc {
             order_key: 0,
-            ..compute_tb(1, 1)
+            ..signaling_tb(1, 1)
         };
         let mut k = KernelDesc::new(KernelId(0), "coll", vec![a, b]);
         Arc::make_mut(&mut k.body).ordered = true;
         gpu.launch_kernel(SimTime::ZERO, k);
         let fx = run_all(&mut gpu);
-        let order: Vec<TbId> = fx
-            .iter()
-            .filter_map(|(_, e)| match e {
-                GpuEffect::TbCompleted { tb, .. } => Some(*tb),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(order, vec![TbId(1), TbId(0)]);
+        assert_eq!(finish_order(&fx), vec![TbId(1), TbId(0)]);
         // No dispatch jitter: total = 3us launch + 2us compute exactly.
         let done = fx
             .iter()
@@ -964,9 +956,13 @@ mod tests {
             .map(|(t, _)| *t)
             .expect("tile signaled");
         assert_eq!(tile_ready_at, SimTime::from_us(4));
-        assert_eq!(gpu.stuck_tbs(), vec![TbId(1)], "consumer waits at its gate");
+        assert_eq!(
+            gpu.tbs.keys().copied().collect::<Vec<_>>(),
+            vec![TbId(1)],
+            "consumer waits at its gate"
+        );
         // Engine would open the consumer's gate now.
-        gpu.make_tb_ready(tile_ready_at, TbId(1));
+        assert!(gpu.make_tb_ready(tile_ready_at, TbId(1)));
         let effects = run_all(&mut gpu);
         let done = effects
             .iter()
@@ -986,25 +982,22 @@ mod tests {
         // order_key reversed relative to launch order within the grid.
         let tb_a = TbDesc {
             order_key: 1,
-            ..compute_tb(0, 1)
+            ..signaling_tb(0, 1)
         };
         let tb_b = TbDesc {
             order_key: 0,
-            ..compute_tb(1, 1)
+            ..signaling_tb(1, 1)
         };
         gpu.launch_kernel(
             SimTime::ZERO,
             KernelDesc::new(KernelId(0), "k", vec![tb_a, tb_b]),
         );
         let effects = run_all(&mut gpu);
-        let order: Vec<TbId> = effects
-            .iter()
-            .filter_map(|(_, e)| match e {
-                GpuEffect::TbCompleted { tb, .. } => Some(*tb),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(order, vec![TbId(1), TbId(0)], "order_key must win");
+        assert_eq!(
+            finish_order(&effects),
+            vec![TbId(1), TbId(0)],
+            "order_key must win"
+        );
     }
 
     #[test]

@@ -125,17 +125,6 @@ impl TbBody {
             })
             .sum()
     }
-
-    /// Total bytes this TB moves through the fabric.
-    pub fn remote_bytes(&self) -> u64 {
-        self.phases
-            .iter()
-            .map(|p| match p {
-                Phase::IssueMem { ops, .. } => ops.iter().map(|o| o.bytes).sum(),
-                _ => 0,
-            })
-            .sum()
-    }
 }
 
 /// One thread block written out whole, for kernels built by hand:
@@ -234,11 +223,6 @@ impl KernelDesc {
             tb_ids: tb_ids.into(),
         }
     }
-
-    /// Total declared compute time across TBs.
-    pub fn total_compute(&self) -> SimDuration {
-        self.body.tbs.iter().map(TbBody::compute_time).sum()
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +250,6 @@ mod tests {
             ],
         );
         assert_eq!(tb.compute_time(), SimDuration::from_us(5));
-        assert_eq!(tb.remote_bytes(), 4096);
     }
 
     #[test]
@@ -275,7 +258,6 @@ mod tests {
             .map(|i| TbDesc::compute_only(TbId(i), i, SimDuration::from_us(1)))
             .collect();
         let k = KernelDesc::new(KernelId(0), "k", tbs);
-        assert_eq!(k.total_compute(), SimDuration::from_us(4));
         assert!(k.body.tbs_auto_ready);
         assert!(!k.body.fused_launch);
     }

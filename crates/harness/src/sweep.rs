@@ -11,7 +11,7 @@
 //!   [`SystemSim`](cais_engine::SystemSim) on the worker thread, so no
 //!   simulation state crosses threads.
 //! * **Failure isolation.** A job that returns a typed
-//!   [`SimError`](cais_engine::SimError), panics, or exceeds the optional
+//!   [`SimError`], panics, or exceeds the optional
 //!   per-job wall-clock watchdog ([`set_job_timeout`]) becomes a failed
 //!   result carrying a [`JobFailure`] instead of aborting the binary;
 //!   the remaining jobs keep running.
@@ -290,7 +290,12 @@ mod tests {
             batch: 1,
             ..ModelConfig::llama_7b()
         };
-        let cfg = SystemConfig::small_test();
+        // Four GPUs on two planes, coarse tiles: small and fast.
+        let mut cfg = SystemConfig::dgx_h100();
+        cfg.n_gpus = 4;
+        cfg.n_planes = 2;
+        cfg.fabric = noc_sim::FabricConfig::default_for(4, 2);
+        cfg.tile = 256;
         let dfg = sublayer(&model, cfg.tp(), SubLayer::L1);
         execute(&CaisStrategy::full(), &dfg, &cfg)
     }

@@ -95,26 +95,6 @@ impl ModelConfig {
         self.batch * self.seq_len
     }
 
-    /// Bytes of one full activation tensor `[tokens, hidden]`.
-    pub fn activation_bytes(&self) -> u64 {
-        self.tokens() * self.hidden * self.elem_bytes
-    }
-
-    /// Head dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hidden` is not divisible by `heads`.
-    pub fn head_dim(&self) -> u64 {
-        assert!(
-            self.hidden.is_multiple_of(self.heads),
-            "hidden {} not divisible by heads {}",
-            self.hidden,
-            self.heads
-        );
-        self.hidden / self.heads
-    }
-
     /// A copy with the hidden/FFN dimensions scaled by `num/den`
     /// (used by the Fig. 17 scalability sweep, which grows the model with
     /// the GPU count).
@@ -148,8 +128,6 @@ mod tests {
     fn derived_sizes() {
         let m = ModelConfig::llama_7b();
         assert_eq!(m.tokens(), 9216);
-        assert_eq!(m.activation_bytes(), 9216 * 4096 * 2);
-        assert_eq!(m.head_dim(), 128);
     }
 
     #[test]

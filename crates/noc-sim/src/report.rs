@@ -119,15 +119,6 @@ impl FabricReport {
         self.usages.iter().map(|u| u.utilization).sum::<f64>() / self.usages.len() as f64
     }
 
-    /// Mean utilization across links in one direction.
-    pub fn mean_utilization_dir(&self, dir: Direction) -> f64 {
-        let sel: Vec<&LinkUsage> = self.usages.iter().filter(|u| u.dir == dir).collect();
-        if sel.is_empty() {
-            return 0.0;
-        }
-        sel.iter().map(|u| u.utilization).sum::<f64>() / sel.len() as f64
-    }
-
     /// Total wire bytes in one direction.
     pub fn bytes_dir(&self, dir: Direction) -> u64 {
         self.usages
@@ -192,7 +183,6 @@ mod tests {
             ],
         );
         assert!((r.mean_utilization() - 0.5).abs() < 1e-12);
-        assert!((r.mean_utilization_dir(Direction::Up) - 0.2).abs() < 1e-12);
         assert_eq!(r.bytes_dir(Direction::Down), 30);
     }
 
@@ -200,7 +190,6 @@ mod tests {
     fn empty_report_is_zero() {
         let r = FabricReport::new(SimDuration::from_us(1), vec![]);
         assert_eq!(r.mean_utilization(), 0.0);
-        assert_eq!(r.mean_utilization_dir(Direction::Up), 0.0);
         assert!(r.mean_series().is_empty());
     }
 

@@ -277,7 +277,6 @@ pub struct EventRing {
     /// Next write position once the buffer has wrapped.
     next: usize,
     cap: usize,
-    total: u64,
 }
 
 impl EventRing {
@@ -288,7 +287,6 @@ impl EventRing {
             buf: Vec::with_capacity(cap),
             next: 0,
             cap,
-            total: 0,
         }
     }
 
@@ -302,12 +300,6 @@ impl EventRing {
             self.buf[self.next] = entry;
             self.next = (self.next + 1) % self.cap;
         }
-        self.total += 1;
-    }
-
-    /// Total events ever recorded (including evicted ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.total
     }
 
     /// Renders the retained events oldest-first.
@@ -375,7 +367,6 @@ mod tests {
         for i in 0..5u64 {
             r.record(SimTime::from_ns(i), "ev", i, 100 + i);
         }
-        assert_eq!(r.total_recorded(), 5);
         let rendered = r.render();
         assert_eq!(rendered.len(), 3);
         assert!(rendered[0].contains("a=2"), "{rendered:?}");

@@ -99,16 +99,6 @@ impl UtilizationSeries {
         let bw = self.bucket.as_ps() as f64;
         self.busy_ps.iter().map(|&b| b as f64 / bw).collect()
     }
-
-    /// Mean utilization over buckets `[0, n)` where `n` covers `horizon`.
-    pub fn mean_until(&self, horizon: SimTime) -> f64 {
-        let n = (horizon.as_ps().div_ceil(self.bucket.as_ps())) as usize;
-        if n == 0 {
-            return 0.0;
-        }
-        let total: u64 = self.busy_ps.iter().take(n).sum();
-        total as f64 / (n as u64 * self.bucket.as_ps()) as f64
-    }
 }
 
 /// Geometric mean of positive values; 0 when empty.
@@ -160,15 +150,6 @@ mod tests {
         assert!((samples[0] - 0.5).abs() < 1e-12);
         assert!((samples[1] - 1.0).abs() < 1e-12);
         assert!((samples[2] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_series_mean() {
-        let mut s = UtilizationSeries::new(SimDuration::from_ns(10));
-        s.record(SimTime::from_ns(0), SimTime::from_ns(10));
-        // Over two buckets (20 ns horizon) the mean is 0.5.
-        assert!((s.mean_until(SimTime::from_ns(20)) - 0.5).abs() < 1e-12);
-        assert_eq!(s.mean_until(SimTime::ZERO), 0.0);
     }
 
     #[test]

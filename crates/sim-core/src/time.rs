@@ -75,11 +75,6 @@ impl SimTime {
         self.0 as f64 / PS_PER_US as f64
     }
 
-    /// Time as fractional milliseconds.
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
-    }
-
     /// The span from `earlier` to `self`.
     ///
     /// # Panics
@@ -139,11 +134,6 @@ impl SimDuration {
     /// Span as fractional microseconds.
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
-    }
-
-    /// Span as fractional milliseconds.
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
     }
 
     /// Span as fractional seconds.

@@ -48,6 +48,28 @@ fn check_vocabulary(logic_prefix: &str, r: &ExecReport) {
     assert_eq!(ranks.first(), Some(&0));
     assert_eq!(ranks.last(), Some(&2));
 
+    // The engine's components list their own counters: the tile
+    // directory, the CAIS host protocol, then the kernel DAG.
+    let engine: Vec<&str> = names
+        .iter()
+        .copied()
+        .filter(|n| n.starts_with("engine."))
+        .collect();
+    assert_eq!(
+        engine,
+        [
+            "engine.blocked_tbs",
+            "engine.semantic_contribs",
+            "engine.deduped_fetches",
+            "engine.inflight_cais_loads",
+            "engine.throttle_outstanding",
+            "engine.throttle_queued",
+            "engine.credits_over_returned",
+            "engine.preaccess_blocked",
+            "engine.kernels_remaining",
+        ]
+    );
+
     let listed_logic: Vec<(String, f64)> = r
         .counters
         .iter()
