@@ -202,7 +202,7 @@ impl LadmStrategy {
         }
         let kname: Arc<str> = format!("ladm.{name}").into();
         ctx.prev = kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
-            KernelSpec::new(Arc::clone(&kname), ctx.prev.clone()).gated()
+            KernelSpec::new(Arc::clone(&kname), ctx.prev.clone())
         });
     }
 }

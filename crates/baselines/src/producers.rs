@@ -166,9 +166,8 @@ pub fn lower_gated_gemm(
         }
     }
     let name: Arc<str> = name.into();
-    kb.finish(prog, ids, |_| KernelSpec {
-        tbs_auto_ready: gates.is_empty(),
-        ..KernelSpec::new(Arc::clone(&name), after.clone())
+    kb.finish(prog, ids, |_| {
+        KernelSpec::new(Arc::clone(&name), after.clone())
     })
 }
 
@@ -189,9 +188,7 @@ pub fn waiter_kernels(
     }
     let name: Arc<str> = format!("{name}.wait").into();
     kb.finish(prog, ids, |_| {
-        KernelSpec::new(Arc::clone(&name), after.clone())
-            .gated()
-            .fused()
+        KernelSpec::new(Arc::clone(&name), after.clone()).fused()
     })
 }
 
@@ -279,9 +276,12 @@ mod tests {
             &gates,
         );
         assert_eq!(kids.len(), 2);
-        assert!(!prog.kernels[0].desc.body.tbs_auto_ready);
-        assert_eq!(prog.tb_ready_deps.len(), 2 * 2);
-        // The gates differ per GPU, but they are ready entries, not body.
+        // Each GPU's kernel lists its own band gates beside its TB ids...
+        for (g, k) in prog.kernels.iter().enumerate() {
+            let deps: Vec<Vec<TileId>> = k.desc.deps.iter().map(|d| d.to_vec()).collect();
+            assert_eq!(deps, gates[g], "one TB per row band");
+        }
+        // ...so the gates differ per GPU, but the body is shared.
         assert!(Arc::ptr_eq(
             &prog.kernels[0].desc.body,
             &prog.kernels[1].desc.body

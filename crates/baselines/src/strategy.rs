@@ -459,9 +459,7 @@ impl BaselineStrategy {
         }
         let kname: Arc<str> = format!("t3.{name}").into();
         let trigger_kids = kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
-            KernelSpec::new(Arc::clone(&kname), ctx.prev.clone())
-                .gated()
-                .fused()
+            KernelSpec::new(Arc::clone(&kname), ctx.prev.clone()).fused()
         });
         // Waiters: the reduced shard is ready at its owner.
         let mut owner_gates: Vec<Vec<TileId>> = vec![Vec::new(); p];
@@ -624,6 +622,37 @@ mod tests {
             .filter(|bodies| bodies.len() == 4 && distinct(bodies) == 1)
             .count();
         assert!(shared > 0, "some kernel shares one body across GPUs");
+    }
+
+    #[test]
+    fn t3_band_gates_leave_one_gemm_body_across_gpus() {
+        let cfg = small_cfg();
+        let dfg = transformer_layer(&small_model(), 4, TpMode::SeqPar, Pass::Forward);
+        let prog = BaselineStrategy::t3().lower(&dfg, &cfg);
+        // The AG-GEMMs: each GPU gates its bands on the tiles gathered to
+        // it, so the lists differ per GPU; they sit beside the TB ids.
+        let mut gated: std::collections::BTreeMap<&str, Vec<&cais_engine::PlannedKernel>> =
+            Default::default();
+        for k in &prog.kernels {
+            if k.desc.body.name.starts_with("gemm.") && !k.desc.deps.is_empty() {
+                gated.entry(&*k.desc.body.name).or_default().push(k);
+            }
+        }
+        assert!(!gated.is_empty());
+        for (name, kernels) in gated {
+            assert_eq!(kernels.len(), 4, "{name}");
+            let first = kernels[0];
+            assert!(
+                kernels
+                    .iter()
+                    .all(|k| Arc::ptr_eq(&k.desc.body, &first.desc.body)),
+                "{name}: one body"
+            );
+            assert!(
+                kernels[1..].iter().all(|k| k.desc.deps != first.desc.deps),
+                "{name}: per-GPU gates"
+            );
+        }
     }
 
     #[test]

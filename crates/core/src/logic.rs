@@ -139,7 +139,9 @@ impl CaisLogic {
 
     fn arm_timer(&mut self, now: SimTime, ctx: &mut SwitchCtx<Msg>) {
         let plane = ctx.plane();
-        if self.merge.has_entries_on(plane) && self.timer_armed.insert(plane) {
+        // The armed check is one lookup; the entry scan walks the plane.
+        if !self.timer_armed.contains(&plane) && self.merge.has_entries_on(plane) {
+            self.timer_armed.insert(plane);
             ctx.set_timer(now + self.sweep_interval, plane.0 as u64);
         }
     }
@@ -226,7 +228,7 @@ impl SwitchLogic<Msg> for CaisLogic {
         let remain = {
             let _prof = prof_scope(Subsystem::MergeTable);
             if let Some(rng) = &mut self.fault_rng {
-                self.merge.inject_entry_faults(now, plane, rng, &mut out);
+                self.merge.inject_entry_faults(plane, rng, &mut out);
             }
             self.merge.sweep(now, plane, &mut out)
         };

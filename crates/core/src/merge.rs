@@ -285,6 +285,27 @@ impl MergeUnit {
         });
     }
 
+    /// Flushes a contribution no session will merge straight through
+    /// and returns its credit.
+    fn flush_unmerged(
+        stats: &mut MergeStats,
+        addr: Addr,
+        bytes: u64,
+        contribs: u32,
+        tile: Option<TileId>,
+        src: GpuId,
+        out: &mut Vec<MergeAction>,
+    ) {
+        stats.reduce_flushes += 1;
+        out.push(MergeAction::FlushReduce {
+            addr,
+            bytes,
+            contribs,
+            tile,
+        });
+        out.push(MergeAction::GrantCredit { gpu: src });
+    }
+
     /// Handles an incoming `ld.cais` request.
     pub fn on_load_req(
         &mut self,
@@ -495,43 +516,21 @@ impl MergeUnit {
             }
             // Address collides with a load session: bypass.
             self.stats.bypasses += 1;
-            self.stats.reduce_flushes += 1;
-            out.push(MergeAction::FlushReduce {
-                addr,
-                bytes,
-                contribs,
-                tile,
-            });
-            out.push(MergeAction::GrantCredit { gpu: src });
+            Self::flush_unmerged(&mut self.stats, addr, bytes, contribs, tile, src, out);
             return;
         }
 
-        // Degraded port: flush the contribution straight through and
-        // return the credit, exactly like an unmergeable bypass.
+        // Degraded port: unmerged, exactly like a bypass.
         if port.degraded {
             self.stats.degraded_bypasses += 1;
-            self.stats.reduce_flushes += 1;
-            out.push(MergeAction::FlushReduce {
-                addr,
-                bytes,
-                contribs,
-                tile,
-            });
-            out.push(MergeAction::GrantCredit { gpu: src });
+            Self::flush_unmerged(&mut self.stats, addr, bytes, contribs, tile, src, out);
             return;
         }
 
         let need = self.cfg.entry_overhead_bytes + bytes;
         if !Self::make_room(&self.cfg, &mut self.stats, port, need, out) {
             self.stats.bypasses += 1;
-            self.stats.reduce_flushes += 1;
-            out.push(MergeAction::FlushReduce {
-                addr,
-                bytes,
-                contribs,
-                tile,
-            });
-            out.push(MergeAction::GrantCredit { gpu: src });
+            Self::flush_unmerged(&mut self.stats, addr, bytes, contribs, tile, src, out);
             return;
         }
         port.occupancy += need;
@@ -636,7 +635,6 @@ impl MergeUnit {
     /// unmerged NVLS-style forwarding path for all future sessions.
     pub fn inject_entry_faults(
         &mut self,
-        _now: SimTime,
         plane: PlaneId,
         rng: &mut JitterRng,
         out: &mut Vec<MergeAction>,
@@ -1202,7 +1200,7 @@ mod tests {
         m.on_load_req(t(2), PLANE, addr, 4096, waiter(1), &mut out);
         out.clear();
         let mut rng = JitterRng::seed_from(7);
-        m.inject_entry_faults(t(3), PLANE, &mut rng, &mut out);
+        m.inject_entry_faults(PLANE, &mut rng, &mut out);
         assert_eq!(m.stats().entry_faults, 1);
         let refetched: Vec<Waiter> = out
             .iter()
@@ -1250,7 +1248,7 @@ mod tests {
         };
         m.on_load_req(t(1), PLANE, addr, 4096, waiter(0), &mut out);
         m.on_load_req(t(2), PLANE, addr, 4096, waiter(1), &mut out);
-        m.inject_entry_faults(t(3), PLANE, &mut JitterRng::seed_from(7), &mut out);
+        m.inject_entry_faults(PLANE, &mut JitterRng::seed_from(7), &mut out);
         m.on_load_req(t(4), PLANE, addr, 4096, waiter(2), &mut out);
         settle(&mut out, &mut fetches);
         // Deliver waiter 1's refetch first, then the rest in order.
@@ -1288,7 +1286,7 @@ mod tests {
         );
         out.clear();
         let mut rng = JitterRng::seed_from(7);
-        m.inject_entry_faults(t(2), PLANE, &mut rng, &mut out);
+        m.inject_entry_faults(PLANE, &mut rng, &mut out);
         assert!(
             out.iter()
                 .any(|a| matches!(a, MergeAction::FlushReduce { contribs: 1, .. })),
@@ -1312,7 +1310,7 @@ mod tests {
         m.on_reduce(t(1), PLANE, a1, 1024, GpuId(1), 1, None, &mut out);
         m.on_reduce(t(1), PLANE, a2, 1024, GpuId(2), 1, None, &mut out);
         let mut rng = JitterRng::seed_from(7);
-        m.inject_entry_faults(t(2), PLANE, &mut rng, &mut out);
+        m.inject_entry_faults(PLANE, &mut rng, &mut out);
         assert_eq!(m.stats().entry_faults, 2);
         assert_eq!(m.stats().degraded_ports, 1);
         // New reduce contributions flush straight through with a credit.
@@ -1345,7 +1343,7 @@ mod tests {
         let mut rng = JitterRng::seed_from(7);
         let before = rng.next_u64();
         let mut rng = JitterRng::seed_from(7);
-        m.inject_entry_faults(t(2), PLANE, &mut rng, &mut out);
+        m.inject_entry_faults(PLANE, &mut rng, &mut out);
         assert_eq!(m.stats().entry_faults, 0);
         assert!(m.has_entries(), "entry untouched");
         assert_eq!(rng.next_u64(), before, "no RNG draws at rate 0");

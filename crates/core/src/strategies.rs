@@ -251,8 +251,8 @@ impl Strategy for CaisStrategy {
         for stage in &plan.stages {
             match stage {
                 Stage::Node(id) => self.lower_node(&mut ctx, dfg, *id),
-                Stage::GatherGemm { gather, consumer } => {
-                    self.lower_gather_gemm(&mut ctx, dfg, *gather, *consumer)
+                Stage::GatherGemm { consumer, .. } => {
+                    self.lower_gather_gemm(&mut ctx, dfg, *consumer)
                 }
                 Stage::Pipeline {
                     producer,
@@ -442,19 +442,18 @@ impl CaisStrategy {
         let after = ctx.prev_all.clone();
         let kname: Arc<str> = format!("coll.{name}").into();
         let out = kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
-            KernelSpec::new(Arc::clone(&kname), after.clone()).gated()
+            KernelSpec::new(Arc::clone(&kname), after.clone())
         });
         ctx.set_stage_output(out);
     }
 
     /// AllGather feeding a GEMM: gathered operand rows are pulled with
     /// `ld.cais` by the consuming GEMM's thread blocks.
-    fn lower_gather_gemm(&self, ctx: &mut LowerCtx, dfg: &Dfg, gather: NodeId, consumer: NodeId) {
+    fn lower_gather_gemm(&self, ctx: &mut LowerCtx, dfg: &Dfg, consumer: NodeId) {
         let NodeKind::Gemm { m, n, k } = dfg.node(consumer).kind else {
             panic!("GatherGemm consumer must be a GEMM");
         };
         let name = dfg.node(consumer).name.clone();
-        let _ = gather;
         // Remote reads require the producer data to exist on every GPU:
         // global barrier on the previous stage (the communication-centric
         // boundary CAIS cannot remove without tiles from the producer).
@@ -640,7 +639,7 @@ impl CaisStrategy {
                 vec![producer_kids.clone(); np]
             };
             mids.finish(&mut ctx.prog, &mut ctx.ids, |g| {
-                KernelSpec::new(Arc::clone(&mid_name), std::mem::take(&mut after[g])).gated()
+                KernelSpec::new(Arc::clone(&mid_name), std::mem::take(&mut after[g]))
             })
         } else {
             Vec::new()
@@ -773,7 +772,7 @@ impl CaisStrategy {
         }
         let kname: Arc<str> = format!("gemm.{name}").into();
         kb.finish(&mut ctx.prog, &mut ctx.ids, |_| {
-            KernelSpec::new(Arc::clone(&kname), after.clone()).gated()
+            KernelSpec::new(Arc::clone(&kname), after.clone())
         })
     }
 }
@@ -960,10 +959,7 @@ mod tests {
             .collect();
         let mut siblings: HashMap<(String, u64), Vec<Arc<[TileId]>>> = HashMap::new();
         for k in &prog.kernels {
-            for (id, tb) in k.desc.tb_ids.iter().zip(k.desc.body.tbs.iter()) {
-                let Some(deps) = prog.tb_ready_deps.get(id) else {
-                    continue;
-                };
+            for (tb, deps) in k.desc.body.tbs.iter().zip(k.desc.deps.iter()) {
                 if deps.iter().any(|t| fetched.contains(t)) {
                     let row = (k.desc.body.name.to_string(), tb.order_key);
                     siblings.entry(row).or_default().push(Arc::clone(deps));

@@ -695,7 +695,7 @@ impl Lockstep {
         self.note(format!("entry faults {plane:?}"));
         let (mut a, mut b) = (Vec::new(), Vec::new());
         self.real
-            .inject_entry_faults(self.now, plane, &mut self.real_faults, &mut a);
+            .inject_entry_faults(plane, &mut self.real_faults, &mut a);
         self.reference
             .inject_entry_faults(plane, &mut self.ref_faults, &mut b);
         self.settle(plane, a, b)

@@ -170,16 +170,14 @@ pub fn shard_owner(band: u64, n_bands: u64, p: usize) -> GpuId {
 }
 
 /// Name, launch dependencies and launch flags of one kernel a
-/// [`KernelBuilder`] emits (see the same-named [`KernelDesc`] fields).
+/// [`KernelBuilder`] emits (see the same-named [`KernelBody`] and
+/// [`PlannedKernel`] fields).
 #[derive(Debug, Clone)]
 pub struct KernelSpec {
     /// Kernel name.
     pub name: Arc<str>,
     /// Kernels that must complete before launch.
     pub after: Vec<KernelId>,
-    /// Every TB is ready at launch; when false each TB waits for its
-    /// [`Program::tb_ready_deps`] entry.
-    pub tbs_auto_ready: bool,
     /// No host launch overhead.
     pub fused_launch: bool,
     /// Persistent-kernel dispatch in `order_key` order.
@@ -187,22 +185,13 @@ pub struct KernelSpec {
 }
 
 impl KernelSpec {
-    /// An auto-ready, separately launched, unordered kernel.
+    /// A separately launched, unordered kernel.
     pub fn new(name: impl Into<Arc<str>>, after: Vec<KernelId>) -> KernelSpec {
         KernelSpec {
             name: name.into(),
             after,
-            tbs_auto_ready: true,
             fused_launch: false,
             ordered: false,
-        }
-    }
-
-    /// TBs wait for their ready entries instead of launching ready.
-    pub fn gated(self) -> KernelSpec {
-        KernelSpec {
-            tbs_auto_ready: false,
-            ..self
         }
     }
 
@@ -233,17 +222,18 @@ impl KernelSpec {
 /// Tensor parallelism is SPMD, so the builder shares by construction:
 /// hand it one `Arc<[Phase]>` per row of corresponding TBs and every GPU
 /// keeps that one list, and `finish` gives GPUs whose kernels differ
-/// only in ids one [`KernelBody`].
+/// only in ids and dependency lists one [`KernelBody`].
 #[derive(Debug)]
 pub struct KernelBuilder {
     /// Per GPU: the TB ids, in push order.
     ids: Vec<Vec<TbId>>,
     /// Per GPU: the TB bodies, parallel to `ids`.
     tbs: Vec<Vec<TbBody>>,
-    /// Dependency lists handed to [`push_gated`](Self::push_gated).
-    ready: Vec<(TbId, Arc<[TileId]>)>,
-    /// Per GPU: how many of its TBs have a `ready` entry.
-    n_gated: Vec<usize>,
+    /// Per GPU: the dependency lists, parallel to `ids` up to the last
+    /// TB pushed by [`push_gated`](Self::push_gated); empty while the
+    /// GPU has none. An ungated TB's list is empty (`Arc::default`,
+    /// which allocates nothing).
+    deps: Vec<Vec<Arc<[TileId]>>>,
 }
 
 impl KernelBuilder {
@@ -252,8 +242,7 @@ impl KernelBuilder {
         KernelBuilder {
             ids: vec![Vec::new(); n_gpus],
             tbs: vec![Vec::new(); n_gpus],
-            ready: Vec::new(),
-            n_gated: vec![0; n_gpus],
+            deps: vec![Vec::new(); n_gpus],
         }
     }
 
@@ -280,10 +269,10 @@ impl KernelBuilder {
         phases: impl Into<Arc<[Phase]>>,
         deps: Arc<[TileId]>,
     ) {
+        let n = self.ids[gpu].len();
+        self.deps[gpu].resize_with(n, Arc::default);
+        self.deps[gpu].push(deps);
         self.push(ids, gpu, order_key, phases);
-        let id = *self.ids[gpu].last().expect("just pushed");
-        self.ready.push((id, deps));
-        self.n_gated[gpu] += 1;
     }
 
     /// The number of TBs pushed to `gpu` so far: the order key of the
@@ -301,42 +290,36 @@ impl KernelBuilder {
             .filter_map(|(g, tbs)| tbs.last_mut().map(|tb| (g, tb)))
     }
 
-    /// Emits one kernel per GPU, described by `spec(gpu)`, and records
-    /// the ready entries: every dependency list handed in, plus an empty
-    /// one for each other TB of a kernel that is not auto-ready (a TB
-    /// without an entry would never become dispatchable). Returns the
-    /// kernel ids in GPU order.
+    /// Emits one kernel per GPU, described by `spec(gpu)`, each with its
+    /// TBs' dependency lists: a kernel with a gated TB lists every TB,
+    /// the others none. Returns the kernel ids in GPU order.
     ///
-    /// A GPU whose spec and TBs match an earlier GPU's, TB ids aside,
-    /// gets that GPU's body. TBs match by [`TbBody::same_as`]: phase
-    /// lists compare by pointer, so finding a match costs no hashing and
-    /// no allocation per TB.
+    /// A GPU whose spec and TBs match an earlier GPU's, TB ids and
+    /// dependency lists aside, gets that GPU's body. TBs match by
+    /// [`TbBody::same_as`]: phase lists compare by pointer, so finding a
+    /// match costs no hashing and no allocation per TB.
     pub fn finish(
         self,
         prog: &mut Program,
         ids: &mut IdAlloc,
         mut spec: impl FnMut(usize) -> KernelSpec,
     ) -> Vec<KernelId> {
-        prog.tb_ready_deps.extend(self.ready);
-        let n_gated = self.n_gated;
         let mut bodies: Vec<Arc<KernelBody>> = Vec::new();
         self.ids
             .into_iter()
             .zip(self.tbs)
+            .zip(self.deps)
             .enumerate()
-            .map(|(g, (tb_ids, tbs))| {
+            .map(|(g, ((tb_ids, tbs), mut deps))| {
                 let s = spec(g);
-                if !s.tbs_auto_ready && n_gated[g] < tb_ids.len() {
-                    for &tb in &tb_ids {
-                        prog.tb_ready_deps.entry(tb).or_default();
-                    }
+                if !deps.is_empty() {
+                    deps.resize_with(tb_ids.len(), Arc::default);
                 }
                 let body = match bodies.iter().find(|b| s.describes(b, &tbs)) {
                     Some(body) => Arc::clone(body),
                     None => {
                         let body = Arc::new(KernelBody {
                             name: s.name,
-                            tbs_auto_ready: s.tbs_auto_ready,
                             fused_launch: s.fused_launch,
                             ordered: s.ordered,
                             tbs: tbs.into(),
@@ -351,6 +334,7 @@ impl KernelBuilder {
                         id: ids.kernel(),
                         body,
                         tb_ids: tb_ids.into(),
+                        deps: deps.into(),
                     },
                     after: s.after,
                 })
@@ -364,7 +348,6 @@ impl KernelSpec {
     fn describes(&self, body: &KernelBody, tbs: &[TbBody]) -> bool {
         body.tbs.len() == tbs.len()
             && body.name == self.name
-            && body.tbs_auto_ready == self.tbs_auto_ready
             && body.fused_launch == self.fused_launch
             && body.ordered == self.ordered
             && body.tbs.iter().zip(tbs).all(|(a, b)| a.same_as(b))
@@ -471,11 +454,11 @@ mod tests {
         assert_eq!(tbs(1), vec![(TbId(0), 0), (TbId(2), 1)]);
         let d = &prog.kernels[1].desc.body;
         assert_eq!(&*d.name, "k1");
-        assert!(d.tbs_auto_ready && d.fused_launch && !d.ordered);
+        assert!(d.fused_launch && !d.ordered);
         assert_eq!(prog.kernels[1].after, vec![KernelId(0)]);
         assert!(
-            prog.tb_ready_deps.is_empty(),
-            "auto-ready TBs need no entry"
+            prog.kernels.iter().all(|k| k.desc.deps.is_empty()),
+            "ungated kernels list no dependencies"
         );
     }
 
@@ -484,18 +467,28 @@ mod tests {
         let mut ids = IdAlloc::new(2);
         let mut prog = Program::new();
         let mut kb = KernelBuilder::new(2);
-        let deps: Arc<[TileId]> = Arc::new([TileId(7)]);
-        kb.push_gated(&mut ids, 0, 0, compute(1), Arc::clone(&deps));
-        kb.push(&mut ids, 0, 1, compute(1));
+        kb.push(&mut ids, 0, 0, compute(1));
+        kb.push_gated(&mut ids, 0, 1, compute(1), Arc::new([TileId(7)]));
+        kb.push(&mut ids, 0, 2, compute(1));
         kb.push(&mut ids, 1, 0, compute(1));
         kb.finish(&mut prog, &mut ids, |_| {
-            KernelSpec::new("coll", Vec::new()).gated().ordered()
+            KernelSpec::new("coll", Vec::new()).ordered()
         });
-        assert_eq!(prog.tb_ready_deps.len(), 3);
-        assert_eq!(&prog.tb_ready_deps[&TbId(0)][..], &[TileId(7)]);
-        assert!(prog.tb_ready_deps[&TbId(1)].is_empty());
-        assert!(prog.tb_ready_deps[&TbId(2)].is_empty());
-        assert!(prog.kernels.iter().all(|k| !k.desc.body.tbs_auto_ready));
+        // Every TB of GPU 0's kernel has a list, beside its id; the TBs
+        // pushed ungated, before and after the gated one, have an empty
+        // one. GPU 1's kernel has no gated TB and lists nothing.
+        let deps: Vec<Vec<TileId>> = prog.kernels[0]
+            .desc
+            .deps
+            .iter()
+            .map(|d| d.to_vec())
+            .collect();
+        assert_eq!(deps, [vec![], vec![TileId(7)], vec![]]);
+        assert_eq!(
+            &prog.kernels[0].desc.tb_ids[..],
+            &[TbId(0), TbId(1), TbId(2)]
+        );
+        assert!(prog.kernels[1].desc.deps.is_empty());
         assert!(prog.kernels.iter().all(|k| k.desc.body.ordered));
     }
 
@@ -508,12 +501,13 @@ mod tests {
         for g in 0..4 {
             kb.push_gated(&mut ids, g, 0, compute(1), Arc::clone(&band));
         }
-        kb.finish(&mut prog, &mut ids, |_| {
-            KernelSpec::new("gemm", Vec::new()).gated()
-        });
-        assert_eq!(prog.tb_ready_deps.len(), 4);
-        for deps in prog.tb_ready_deps.values() {
-            assert!(Arc::ptr_eq(deps, &band), "no list is re-allocated");
+        kb.finish(&mut prog, &mut ids, |_| KernelSpec::new("gemm", Vec::new()));
+        for k in &prog.kernels {
+            assert_eq!(k.desc.deps.len(), 1);
+            assert!(
+                Arc::ptr_eq(&k.desc.deps[0], &band),
+                "no list is re-allocated"
+            );
         }
     }
 

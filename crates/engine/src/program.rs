@@ -3,7 +3,6 @@
 use gpu_sim::KernelDesc;
 use sim_core::{DenseMap, DenseSet, GpuId, GroupId, KernelId, TbId, TileId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A kernel instance scheduled on one GPU with launch dependencies.
 #[derive(Debug, Clone)]
@@ -18,18 +17,14 @@ pub struct PlannedKernel {
     pub after: Vec<KernelId>,
 }
 
-/// A fully lowered multi-GPU program.
+/// A fully lowered multi-GPU program. Each kernel carries its TBs'
+/// dispatch dependencies ([`KernelDesc::deps`]); the engine groups them
+/// into gates by list content, so how a lowering shares lists cannot
+/// change a result.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     /// All kernel instances.
     pub kernels: Vec<PlannedKernel>,
-    /// Fine-grained readiness: a TB (in a kernel with
-    /// `tbs_auto_ready = false`) becomes dispatchable only when these
-    /// tiles are present on its GPU. Lists are shared: the TBs of one row
-    /// or band wait on the same tiles, so a lowering builds the list once
-    /// and clones the `Arc`. The engine groups gates by list content, so
-    /// how a lowering shares cannot change a result.
-    pub tb_ready_deps: HashMap<TbId, Arc<[TileId]>>,
     /// Reduction tiles needing more than one contribution before they
     /// count as present (e.g. `p` partial sums).
     pub tile_expected: HashMap<TileId, u32>,

@@ -485,13 +485,12 @@ mod tests {
                 SimDuration::from_us(1),
             )],
         );
-        Arc::make_mut(&mut desc.body).tbs_auto_ready = false;
+        desc.deps = Box::new([Arc::new([tile])]);
         p.push(PlannedKernel {
             gpu: GpuId(0),
             desc,
             after: vec![],
         });
-        p.tb_ready_deps.insert(consumer_tb, Arc::new([tile]));
         p.tile_expected.insert(tile, 3);
         let report = run(cfg, p);
         let span = report
@@ -1002,25 +1001,30 @@ mod tests {
     }
 
     /// A program of dependency-gated kernels on GPU 0, one per entry of
-    /// `kernels`, each holding the listed TBs (`TbId(i)`, compute-only).
-    /// Kernel `i > 0` runs after kernel 0, so only kernel 0 is a root.
+    /// `kernels`, each holding the listed TBs (`TbId(i)`, compute-only)
+    /// with their lists in `deps` (empty if not listed). Kernel `i > 0`
+    /// runs after kernel 0, so only kernel 0 is a root.
     fn gated_program(kernels: &[&[u64]], deps: &[(u64, Vec<TileId>)]) -> Program {
         let mut p = Program::new();
         for (k, tbs) in kernels.iter().enumerate() {
+            let lists = tbs
+                .iter()
+                .map(|i| match deps.iter().find(|(tb, _)| tb == i) {
+                    Some((_, tiles)) => Arc::from(&tiles[..]),
+                    None => Arc::default(),
+                })
+                .collect();
             let tbs = tbs
                 .iter()
                 .map(|&i| TbDesc::compute_only(TbId(i), i, SimDuration::from_us(1)))
                 .collect();
             let mut desc = KernelDesc::new(KernelId(k as u32), format!("gated{k}"), tbs);
-            Arc::make_mut(&mut desc.body).tbs_auto_ready = false;
+            desc.deps = lists;
             p.push(PlannedKernel {
                 gpu: GpuId(0),
                 desc,
                 after: if k == 0 { vec![] } else { vec![KernelId(0)] },
             });
-        }
-        for (tb, tiles) in deps {
-            p.tb_ready_deps.insert(TbId(*tb), tiles[..].into());
         }
         p
     }
@@ -1080,9 +1084,10 @@ mod tests {
     #[test]
     fn empty_dependency_list_is_ready_at_launch() {
         let p = gated_program(&[&[0]], &[(0, vec![])]);
+        assert_eq!(p.kernels[0].desc.deps.len(), 1);
         let tiles = TileDirectory::new(2, &p);
         assert!(tiles.gate_remaining().is_empty());
-        assert!(tiles.ready_pending().contains(TbId(0)));
+        assert!(tiles.ready_pending().is_empty(), "no gate to wait for");
         // The TB dispatches with its kernel; nothing else releases it.
         let report = SystemSim::new(quiet_cfg(2), p, PureRouter)
             .run()
@@ -1100,14 +1105,13 @@ mod tests {
             "stuck",
             vec![TbDesc::compute_only(tb, 0, SimDuration::from_us(1))],
         );
-        Arc::make_mut(&mut desc.body).tbs_auto_ready = false;
+        desc.deps = Box::new([Arc::new([tile, tile])]);
         let mut p = Program::new();
         p.push(PlannedKernel {
             gpu: GpuId(0),
             desc,
             after: vec![],
         });
-        p.tb_ready_deps.insert(tb, Arc::new([tile, tile]));
         p
     }
 
@@ -1376,13 +1380,12 @@ mod tests {
                 SimDuration::from_us(1),
             )],
         );
-        Arc::make_mut(&mut desc.body).tbs_auto_ready = false;
+        desc.deps = Box::new([Arc::new([tile])]);
         p.push(PlannedKernel {
             gpu: GpuId(1),
             desc,
             after: vec![],
         });
-        p.tb_ready_deps.insert(consumer_tb, Arc::new([tile]));
         let report = run(cfg, p);
         let span = report
             .kernel_spans

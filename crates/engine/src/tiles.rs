@@ -57,8 +57,7 @@ pub(crate) struct TileDirectory {
     waiters: HashMap<(GpuId, TileId), Waiters, FastHash>,
     /// Contributions a tile needs to land, where more than one.
     expected: DenseMap<TileId, u32>,
-    /// Gated TBs whose gate opened (or that have no prerequisites) before
-    /// their kernel launched.
+    /// Gated TBs whose gate opened before their kernel launched.
     ready_pending: DenseSet<TbId>,
     /// Per blocked TB, the tiles and loads it still waits on.
     blocked: DenseMap<TbId, u32>,
@@ -68,11 +67,8 @@ pub(crate) struct TileDirectory {
 
 impl TileDirectory {
     /// The directory of `program` on `n_gpus` GPUs: every tile absent,
-    /// and one gate per (GPU, dependency list) of its gated TBs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a ready dependency names a TB of no kernel.
+    /// and one gate per (GPU, non-empty dependency list) of its kernels'
+    /// TBs.
     pub(crate) fn new(n_gpus: usize, program: &Program) -> TileDirectory {
         let mut tiles: Vec<DenseMap<TileId, TileEntry>> =
             (0..n_gpus).map(|_| DenseMap::new()).collect();
@@ -83,35 +79,23 @@ impl TileDirectory {
             .map(|tb| tb.index() + 1)
             .max()
             .unwrap_or(0);
-        let mut ready_pending: DenseSet<TbId> = DenseSet::with_capacity(n_tbs);
-        // Ascending TB order, so every gate's TB list is sorted.
+        // Ascending TB order, so every gate's TB list is sorted. An empty
+        // list is ready at launch and needs no gate.
         let mut ready_deps: Vec<(TbId, GpuId, &[TileId])> = program
             .kernels
             .iter()
             .flat_map(|k| {
-                k.desc.tb_ids.iter().filter_map(|tb| {
-                    let deps = program.tb_ready_deps.get(tb)?;
-                    Some((*tb, k.gpu, &deps[..]))
-                })
+                (k.desc.tb_ids.iter().zip(k.desc.deps.iter()))
+                    .filter(|(_, deps)| !deps.is_empty())
+                    .map(|(&tb, deps)| (tb, k.gpu, &deps[..]))
             })
             .collect();
-        assert_eq!(
-            ready_deps.len(),
-            program.tb_ready_deps.len(),
-            "ready dep for unknown TB"
-        );
         ready_deps.sort_unstable_by_key(|&(tb, ..)| tb);
         let mut gates: Vec<ReadyGate> = Vec::new();
         let mut gate_of: HashMap<(GpuId, &[TileId]), u32, FastHash> = HashMap::default();
         // (GPU, tile, gate) once per listing of a tile in a gate's list.
         let mut members: Vec<(GpuId, TileId, u32)> = Vec::new();
         for (tb, gpu, dep_tiles) in ready_deps {
-            if dep_tiles.is_empty() {
-                // Dependency-gated kernel but this TB has no prerequisites:
-                // it is ready the moment its kernel launches.
-                ready_pending.insert(tb);
-                continue;
-            }
             // Keyed by content, not by `Arc` identity: equal lists from
             // separately built `Arc`s still share one gate.
             let gate = *gate_of.entry((gpu, dep_tiles)).or_insert_with(|| {
@@ -144,7 +128,7 @@ impl TileDirectory {
             gate_index,
             waiters: HashMap::default(),
             expected,
-            ready_pending,
+            ready_pending: DenseSet::with_capacity(n_tbs),
             blocked: DenseMap::with_capacity(n_tbs),
             semantic_contribs: 0,
             deduped_fetches: 0,
@@ -583,13 +567,5 @@ pub(crate) mod tests {
                 "quiescence: no TBs still blocked on tiles or loads"
             )]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "ready dep for unknown TB")]
-    fn a_ready_dependency_of_no_kernel_is_rejected() {
-        let mut p = Program::new();
-        p.tb_ready_deps.insert(TbId(9), Arc::new([TileId(0)]));
-        TileDirectory::new(1, &p);
     }
 }

@@ -192,17 +192,32 @@ impl GpuSim {
 
     /// Launches `kernel` at `time`. TBs become ready after the launch
     /// overhead (unless the kernel is marked
-    /// [`KernelBody::fused_launch`]).
+    /// [`KernelBody::fused_launch`]); a TB with a non-empty
+    /// [`KernelDesc::deps`] list also waits for
+    /// [`make_tb_ready`](Self::make_tb_ready). The lists themselves are
+    /// not kept.
     ///
     /// # Panics
     ///
-    /// Panics if `time` is in the past or the kernel is already live here.
+    /// Panics if `time` is in the past, the kernel is already live here,
+    /// or `deps` is neither empty nor one list per TB.
     pub fn launch_kernel(&mut self, time: SimTime, kernel: KernelDesc) {
         assert!(time >= self.now, "cannot launch a kernel in the past");
-        let KernelDesc { id, body, tb_ids } = kernel;
+        let KernelDesc {
+            id,
+            body,
+            tb_ids,
+            deps,
+        } = kernel;
         assert!(
             !self.kernels.contains_key(&id),
             "kernel {id} launched twice"
+        );
+        assert!(
+            deps.is_empty() || deps.len() == tb_ids.len(),
+            "kernel {id}: {} dependency lists for {} TBs",
+            deps.len(),
+            tb_ids.len()
         );
         let overhead = if body.fused_launch {
             SimDuration::ZERO
@@ -221,7 +236,7 @@ impl GpuSim {
                     phase: 0,
                     state: TbState::Waiting,
                     armed: false,
-                    deps_ok: body.tbs_auto_ready,
+                    deps_ok: deps.get(pos).is_none_or(|d| d.is_empty()),
                     enqueued_or_pending: false,
                 },
             );
@@ -805,12 +820,17 @@ mod tests {
         assert_eq!(done.0, SimTime::from_us(51));
     }
 
+    /// `kernel` with TB `i` gated on `deps[i]`.
+    fn gated(mut kernel: KernelDesc, deps: &[&[TileId]]) -> KernelDesc {
+        kernel.deps = deps.iter().map(|&d| Arc::from(d)).collect();
+        kernel
+    }
+
     #[test]
     fn dependency_gated_tbs_wait_for_engine() {
         let mut gpu = GpuSim::new(quiet_cfg(), 1);
-        let mut k = KernelDesc::new(KernelId(0), "k", vec![compute_tb(0, 1)]);
-        Arc::make_mut(&mut k.body).tbs_auto_ready = false;
-        gpu.launch_kernel(SimTime::ZERO, k);
+        let k = KernelDesc::new(KernelId(0), "k", vec![compute_tb(0, 1)]);
+        gpu.launch_kernel(SimTime::ZERO, gated(k, &[&[TileId(9)]]));
         while let Some(t) = gpu.next_time() {
             gpu.advance(t);
         }
@@ -822,6 +842,40 @@ mod tests {
             .find(|(_, e)| matches!(e, GpuEffect::KernelCompleted { .. }))
             .unwrap();
         assert_eq!(done.0, SimTime::from_us(101));
+    }
+
+    #[test]
+    fn an_empty_dependency_list_dispatches_at_launch() {
+        let ready_at = |effects: &[(SimTime, GpuEffect)], tile| {
+            effects.iter().find_map(|(t, e)| {
+                matches!(e, GpuEffect::TileReady { tile: x } if *x == TileId(tile)).then_some(*t)
+            })
+        };
+        let tbs = vec![signaling_tb(0, 1), signaling_tb(1, 1)];
+        let mut gpu = GpuSim::new(quiet_cfg(), 1);
+        let k = KernelDesc::new(KernelId(0), "k", tbs.clone());
+        gpu.launch_kernel(SimTime::ZERO, gated(k, &[&[TileId(9)], &[]]));
+        // TB 1 runs after the 3 us launch overhead, as an ungated TB
+        // does; TB 0 waits for the engine.
+        let effects = run_all(&mut gpu);
+        assert_eq!(finish_order(&effects), [TbId(1)]);
+        assert_eq!(ready_at(&effects, 1), Some(SimTime::from_us(4)));
+        assert!(gpu.make_tb_ready(SimTime::from_us(10), TbId(0)));
+        let effects = run_all(&mut gpu);
+        assert_eq!(ready_at(&effects, 0), Some(SimTime::from_us(11)));
+        assert!(gpu.is_idle());
+
+        let mut ungated = GpuSim::new(quiet_cfg(), 1);
+        ungated.launch_kernel(SimTime::ZERO, KernelDesc::new(KernelId(0), "k", tbs));
+        let effects = run_all(&mut ungated);
+        assert_eq!(ready_at(&effects, 1), Some(SimTime::from_us(4)));
+    }
+
+    #[test]
+    #[should_panic(expected = "1 dependency lists for 2 TBs")]
+    fn a_dependency_list_per_tb_or_none() {
+        let k = KernelDesc::new(KernelId(0), "k", vec![compute_tb(0, 1), compute_tb(1, 1)]);
+        GpuSim::new(quiet_cfg(), 1).launch_kernel(SimTime::ZERO, gated(k, &[&[]]));
     }
 
     #[test]
@@ -943,9 +997,8 @@ mod tests {
         );
         // The consumer waits on the tile through its dispatch gate: a
         // dependency-gated kernel the engine releases when the tile lands.
-        let mut consumer = KernelDesc::new(KernelId(1), "consumer", vec![compute_tb(1, 1)]);
-        Arc::make_mut(&mut consumer.body).tbs_auto_ready = false;
-        gpu.launch_kernel(SimTime::ZERO, consumer);
+        let consumer = KernelDesc::new(KernelId(1), "consumer", vec![compute_tb(1, 1)]);
+        gpu.launch_kernel(SimTime::ZERO, gated(consumer, &[&[TileId(5)]]));
         while let Some(t) = gpu.next_time() {
             gpu.advance(t);
         }

@@ -114,17 +114,6 @@ impl TbBody {
             && self.pre_launch_sync == other.pre_launch_sync
             && Arc::ptr_eq(&self.phases, &other.phases)
     }
-
-    /// Sum of declared compute time (ignores jitter and blocking).
-    pub fn compute_time(&self) -> SimDuration {
-        self.phases
-            .iter()
-            .map(|p| match p {
-                Phase::Compute(d) => *d,
-                _ => SimDuration::ZERO,
-            })
-            .sum()
-    }
 }
 
 /// One thread block written out whole, for kernels built by hand:
@@ -168,10 +157,6 @@ pub struct KernelBody {
     /// Human-readable name for reports ("qkv_gemm", "allgather", ...),
     /// shared by the kernel's spans.
     pub name: Arc<str>,
-    /// When false, TBs additionally wait for the engine to mark them ready
-    /// (fine-grained cross-kernel dependencies); when true every TB is
-    /// ready as soon as the kernel launches.
-    pub tbs_auto_ready: bool,
     /// Skip the host launch overhead (used for stages fused into a single
     /// kernel by FuseLib-style strategies).
     pub fused_launch: bool,
@@ -185,7 +170,8 @@ pub struct KernelBody {
 }
 
 /// A kernel: a grid of TBs launched together on one GPU. The body may be
-/// shared with the same kernel on other GPUs; the ids are this GPU's own.
+/// shared with the same kernel on other GPUs; the ids and the dispatch
+/// dependencies are this GPU's own.
 #[derive(Debug, Clone)]
 pub struct KernelDesc {
     /// Globally unique kernel id.
@@ -194,6 +180,14 @@ pub struct KernelDesc {
     pub body: Arc<KernelBody>,
     /// The TB ids: `tb_ids[i]` runs `body.tbs[i]`.
     pub tb_ids: Box<[TbId]>,
+    /// Fine-grained readiness: TB `tb_ids[i]` may dispatch only once the
+    /// tiles of `deps[i]` are present on this GPU, and the engine marks
+    /// it ready ([`GpuSim::make_tb_ready`](crate::GpuSim::make_tb_ready)).
+    /// An empty list is ready at launch, and so is every TB when `deps`
+    /// is empty (no allocation). Lists are shared: the TBs of one row or
+    /// band wait on the same tiles, so a lowering builds the list once
+    /// and clones the `Arc`.
+    pub deps: Box<[Arc<[TileId]>]>,
 }
 
 impl KernelDesc {
@@ -215,12 +209,12 @@ impl KernelDesc {
             id,
             body: Arc::new(KernelBody {
                 name: name.into(),
-                tbs_auto_ready: true,
                 fused_launch: false,
                 ordered: false,
                 tbs: bodies.into(),
             }),
             tb_ids: tb_ids.into(),
+            deps: Box::default(),
         }
     }
 }
@@ -228,29 +222,6 @@ impl KernelDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::GpuId;
-
-    #[test]
-    fn tb_aggregates() {
-        let tb = TbBody::new(
-            0,
-            vec![
-                Phase::Compute(SimDuration::from_us(2)),
-                Phase::IssueMem {
-                    ops: Arc::new([MemOp {
-                        kind: MemOpKind::RemoteLoad,
-                        addr: Addr::new(GpuId(1), 0),
-                        bytes: 4096,
-                        cais: true,
-                        tile: None,
-                    }]),
-                    wait: true,
-                },
-                Phase::Compute(SimDuration::from_us(3)),
-            ],
-        );
-        assert_eq!(tb.compute_time(), SimDuration::from_us(5));
-    }
 
     #[test]
     fn kernel_totals() {
@@ -258,7 +229,7 @@ mod tests {
             .map(|i| TbDesc::compute_only(TbId(i), i, SimDuration::from_us(1)))
             .collect();
         let k = KernelDesc::new(KernelId(0), "k", tbs);
-        assert!(k.body.tbs_auto_ready);
+        assert!(k.deps.is_empty(), "every TB is ready at launch");
         assert!(!k.body.fused_launch);
     }
 

@@ -6,11 +6,12 @@
 //! The result goldens pin simulated outcomes; this one pins the lowering
 //! itself, so a refactor that permutes TB ids, reorders kernels or drops
 //! a ready entry shows here even when timing happens not to move. Each
-//! line carries the kernel and TB counts, the sizes of the ready,
-//! expected-contribution and group-size maps, and an FNV-1a 64 hash of a
-//! canonical text rendering: kernels in push order (GPU, id, name,
-//! flags, `after`), every TB (id, order key, group, pre-launch flag,
-//! phases with their memory ops) and the three maps sorted by key.
+//! line carries the kernel and TB counts, the number of non-empty ready
+//! dependency lists, the sizes of the expected-contribution and
+//! group-size maps, and an FNV-1a 64 hash of a canonical text rendering:
+//! kernels in push order (GPU, id, name, flags, `after`), every TB (id,
+//! order key, group, pre-launch flag, phases with their memory ops, and
+//! its dependency list when non-empty) and the two maps sorted by key.
 //!
 //! If an intentional lowering change moves the digest, regenerate it with
 //! `LOWERING_GOLDEN_PRINT=1 cargo test -p cais-harness --test golden_lowering -- --nocapture`
@@ -42,10 +43,10 @@ fn render(h: &mut Fnv, prog: &Program) -> std::fmt::Result {
         let b = &k.desc.body;
         writeln!(
             h,
-            "k {} {} {} auto={} fused={} ordered={} after={:?}",
-            k.gpu, k.desc.id, b.name, b.tbs_auto_ready, b.fused_launch, b.ordered, k.after
+            "k {} {} {} fused={} ordered={} after={:?}",
+            k.gpu, k.desc.id, b.name, b.fused_launch, b.ordered, k.after
         )?;
-        for (id, tb) in k.desc.tb_ids.iter().zip(b.tbs.iter()) {
+        for (i, (id, tb)) in k.desc.tb_ids.iter().zip(b.tbs.iter()).enumerate() {
             write!(
                 h,
                 " tb {} {} {:?} {}",
@@ -69,13 +70,11 @@ fn render(h: &mut Fnv, prog: &Program) -> std::fmt::Result {
                     Phase::SignalTile(t) => write!(h, " T{t}")?,
                 }
             }
+            if let Some(deps) = k.desc.deps.get(i).filter(|d| !d.is_empty()) {
+                write!(h, " r{deps:?}")?;
+            }
             writeln!(h)?;
         }
-    }
-    let mut ready: Vec<_> = prog.tb_ready_deps.iter().collect();
-    ready.sort_unstable_by_key(|(tb, _)| **tb);
-    for (tb, deps) in ready {
-        writeln!(h, "r {tb} {deps:?}")?;
     }
     let mut expected: Vec<_> = prog.tile_expected.iter().collect();
     expected.sort_unstable();
@@ -100,7 +99,11 @@ fn digest_line(label: &str, strategy: &dyn Strategy, dfg: &Dfg, base: &SystemCon
         "{label} kernels={} tbs={} ready={} tile_expected={} group_expected={} fnv={:016x}\n",
         prog.kernels.len(),
         prog.total_tbs(),
-        prog.tb_ready_deps.len(),
+        prog.kernels
+            .iter()
+            .flat_map(|k| k.desc.deps.iter())
+            .filter(|d| !d.is_empty())
+            .count(),
         prog.tile_expected.len(),
         prog.group_expected.len(),
         h.0

@@ -96,9 +96,7 @@ pub(crate) fn finish_coll(
     after: &[KernelId],
 ) -> Vec<KernelId> {
     kb.finish(prog, ids, |g| {
-        KernelSpec::new(format!("coll.{name}.g{g}"), after.to_vec())
-            .gated()
-            .ordered()
+        KernelSpec::new(format!("coll.{name}.g{g}"), after.to_vec()).ordered()
     })
 }
 
