@@ -13,7 +13,7 @@
 //! ```
 //!
 //! `--check` re-measures and exits nonzero when a run's deterministic
-//! results (`events`, `sim_total_us`) differ at all from the committed
+//! results (`events`, `steps`, `sim_total_us`) differ at all from the committed
 //! `BENCH_sim.json`, or when its best-of-N wall time (`min_ms`) is more
 //! than 20% slower (speed ratio below 0.8; override the fraction with the
 //! `CAIS_BENCH_CHECK_THRESHOLD` env var). Wall time is gated directly
@@ -52,6 +52,8 @@ struct RunResult {
     wall_ms: f64,
     min_ms: f64,
     events: u64,
+    /// Engine loop iterations (`ExecReport::steps`).
+    steps: u64,
     events_per_sec: f64,
     queue_peak: u64,
     sim_total_us: f64,
@@ -84,6 +86,7 @@ fn bench_run(
         wall_ms: wall * 1e3,
         min_ms: stats.min.as_secs_f64() * 1e3,
         events: report.events_processed,
+        steps: report.steps,
         events_per_sec: if wall > 0.0 {
             report.events_processed as f64 / wall
         } else {
@@ -134,9 +137,16 @@ fn render_json(scale_label: &str, runs: &[RunResult]) -> String {
         let _ = write!(
             out,
             "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"min_ms\": {:.3}, \
-             \"events\": {}, \"events_per_sec\": {:.0}, \"queue_peak\": {}, \
-             \"sim_total_us\": {:.3}",
-            r.name, r.wall_ms, r.min_ms, r.events, r.events_per_sec, r.queue_peak, r.sim_total_us
+             \"events\": {}, \"steps\": {}, \"events_per_sec\": {:.0}, \
+             \"queue_peak\": {}, \"sim_total_us\": {:.3}",
+            r.name,
+            r.wall_ms,
+            r.min_ms,
+            r.events,
+            r.steps,
+            r.events_per_sec,
+            r.queue_peak,
+            r.sim_total_us
         );
         if !r.profile.rows.is_empty() {
             let _ = write!(
@@ -170,6 +180,8 @@ fn render_json(scale_label: &str, runs: &[RunResult]) -> String {
 struct BaselineRun {
     name: String,
     events: u64,
+    /// `None` in a baseline written before steps were recorded.
+    steps: Option<u64>,
     min_ms: f64,
     sim_total_us: f64,
 }
@@ -217,6 +229,7 @@ fn parse_baseline(text: &str) -> (Option<String>, Vec<BaselineRun>) {
         runs.push(BaselineRun {
             name,
             events: events as u64,
+            steps: scan_number(line, "\"steps\"").map(|s| s as u64),
             min_ms,
             sim_total_us,
         });
@@ -258,6 +271,12 @@ fn check_runs(runs: &[RunResult], scale_label: &str, path: &str) -> bool {
             failures.push(format!(
                 "{}: events {} vs baseline {}",
                 r.name, r.events, base.events
+            ));
+        }
+        if base.steps != Some(r.steps) {
+            failures.push(format!(
+                "{}: steps {} vs baseline {:?}",
+                r.name, r.steps, base.steps
             ));
         }
         // The baseline stores `sim_total_us` to three decimals.

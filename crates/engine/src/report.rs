@@ -58,6 +58,10 @@ pub struct ExecReport {
     pub events_processed: u64,
     /// Largest pending-event count reached by any single queue.
     pub queue_peak: usize,
+    /// Engine loop iterations (`engine.steps`): one per drain of GPU
+    /// effects and fabric deliveries. Deterministic, so `BENCH_sim.json`
+    /// pins it beside `events_processed`.
+    pub steps: u64,
 }
 
 impl ExecReport {
@@ -111,6 +115,7 @@ mod tests {
             semantic_contribs: 0,
             events_processed: 0,
             queue_peak: 0,
+            steps: 0,
         }
     }
 

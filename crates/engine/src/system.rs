@@ -15,10 +15,13 @@ use crate::tiles::TileDirectory;
 use gpu_sim::{GpuConfig, GpuEffect, GpuSim, Phase};
 use noc_sim::{Delivery, Fabric, SwitchLogic};
 use sim_core::profile::{prof_scope, Subsystem};
-use sim_core::{AuditPhase, AuditProbe, GpuId, SimTime};
+use sim_core::{AuditPhase, AuditProbe, SimTime};
 use std::sync::Arc;
 
+mod gpus;
 mod route;
+
+use gpus::GpuSet;
 
 // Every lowered TB holds a few phases; a shared `ops` list keeps each at
 // a fat pointer plus the `wait` flag.
@@ -37,9 +40,15 @@ const MAX_EDGES: usize = 16;
 /// dispatch on the packet path.
 pub struct SystemSim<L: SwitchLogic<Msg>> {
     cfg: SystemConfig,
-    gpus: Vec<GpuSim>,
+    gpus: GpuSet,
     fabric: Fabric<Msg, L>,
     now: SimTime,
+    /// Loop iterations of [`SystemSim::step_to_end`] (see
+    /// [`ExecReport::steps`]).
+    steps: u64,
+    /// Advance the fabric one event per step instead of running it ahead.
+    #[cfg(test)]
+    single_step: bool,
     dag: KernelDag,
     tiles: TileDirectory,
     cais: CaisHost,
@@ -87,9 +96,12 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         }
         let tiles = TileDirectory::new(cfg.n_gpus, &program);
         SystemSim {
-            gpus,
+            gpus: GpuSet::new(gpus),
             fabric,
             now: SimTime::ZERO,
+            steps: 0,
+            #[cfg(test)]
+            single_step: false,
             dag: KernelDag::new(program.kernels),
             tiles,
             cais: CaisHost::new(cfg.n_gpus, cfg.n_planes, cfg.cais_credits_per_plane),
@@ -122,6 +134,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     }
 
     /// Launches the root kernels and processes events until none remain.
+    ///
+    /// Each step drains effects and deliveries, then advances the GPUs
+    /// whose wake time is earliest, with the fabric if its next event is
+    /// at that time too (DESIGN §8, "Engine stepping").
     fn step_to_end(&mut self) -> Result<(), SimError> {
         for i in self.dag.roots() {
             self.launch_kernel(SimTime::ZERO, i);
@@ -133,69 +149,76 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         let (mut effects, mut deliveries) = (Vec::new(), Vec::new());
         // The fabric event count at the last cadence audit.
         let mut last_audit_events = 0;
-        loop {
+        'step: loop {
+            self.steps += 1;
             {
                 let _p = prof_scope(Subsystem::DrainEffects);
                 self.drain_effects(&mut effects, &mut deliveries);
             }
-            // One scan finds both the earliest pending time and which
-            // components own it, so the advance pass below touches only
-            // the components that actually have work at `t`. The global
-            // minimum guarantees any due component's next event is at
-            // exactly `t`, and GPU handlers cannot enqueue into other
-            // components mid-advance (cross-component traffic flows
-            // through drained effects), so skipping the rest is exact.
-            let mut t: Option<SimTime> = None;
-            due.clear();
-            for (i, gpu) in self.gpus.iter().enumerate() {
-                let Some(gt) = gpu.next_time() else { continue };
-                match t {
-                    Some(cur) if gt > cur => continue,
-                    Some(cur) if gt == cur => {}
-                    _ => {
-                        t = Some(gt);
-                        due.clear();
-                    }
+            let wake = self.gpus.earliest(&mut due);
+            // The fabric's events before the earliest GPU wake reach no
+            // GPU until one of them delivers, and a drain between them
+            // would find nothing, so the fabric runs ahead through them
+            // alone.
+            while let Some(t) = self.fabric.next_time() {
+                if wake.is_some_and(|w| t >= w) {
+                    break;
                 }
-                due.push(i);
-            }
-            let mut fabric_due = false;
-            if let Some(ft) = self.fabric.next_time() {
-                match t {
-                    Some(cur) if ft > cur => {}
-                    Some(cur) if ft == cur => fabric_due = true,
-                    _ => {
-                        t = Some(ft);
-                        due.clear();
-                        fabric_due = true;
-                    }
+                self.check_deadline(t)?;
+                {
+                    let _p = prof_scope(Subsystem::FabricAdvance);
+                    self.fabric.advance(t);
+                }
+                self.now = t;
+                self.audit_tick(&mut last_audit_events)?;
+                if self.fabric.has_deliveries() {
+                    continue 'step;
+                }
+                // Tests step once per fabric event: the reference that
+                // running ahead must match.
+                #[cfg(test)]
+                if self.single_step {
+                    continue 'step;
                 }
             }
-            let Some(t) = t else { break };
-            if t > self.cfg.deadline {
-                return Err(SimError::DeadlineExceeded {
-                    deadline: self.cfg.deadline,
-                    now: t,
-                    kernels_remaining: self.dag.remaining(),
-                });
-            }
+            let Some(t) = wake else { break };
+            self.check_deadline(t)?;
             {
                 let _p = prof_scope(Subsystem::GpuAdvance);
-                for &i in &due {
-                    self.gpus[i].advance(t);
+                for &gpu in &due {
+                    self.gpus.get_mut(gpu).advance(t);
                 }
             }
-            if fabric_due {
+            if self.fabric.next_time() == Some(t) {
                 let _p = prof_scope(Subsystem::FabricAdvance);
                 self.fabric.advance(t);
             }
             self.now = t;
-            if self.cfg.audit.enabled {
-                let done = self.fabric.events_processed();
-                if done - last_audit_events >= self.cfg.audit.cadence_events {
-                    last_audit_events = done;
-                    self.audit_check(AuditPhase::Cadence)?;
-                }
+            self.audit_tick(&mut last_audit_events)?;
+        }
+        Ok(())
+    }
+
+    /// Fails the run if the next step's time `t` passes the deadline.
+    fn check_deadline(&self, t: SimTime) -> Result<(), SimError> {
+        if t > self.cfg.deadline {
+            return Err(SimError::DeadlineExceeded {
+                deadline: self.cfg.deadline,
+                now: t,
+                kernels_remaining: self.dag.remaining(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Runs a cadence audit when one is due: `cfg.audit.cadence_events`
+    /// fabric events after the last.
+    fn audit_tick(&self, last_audit_events: &mut u64) -> Result<(), SimError> {
+        if self.cfg.audit.enabled {
+            let done = self.fabric.events_processed();
+            if done - *last_audit_events >= self.cfg.audit.cadence_events {
+                *last_audit_events = done;
+                self.audit_check(AuditPhase::Cadence)?;
             }
         }
         Ok(())
@@ -227,7 +250,11 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         Ok((probe, logic_start))
     }
 
-    /// Routes GPU effects and fabric deliveries until neither is left.
+    /// Routes GPU effects and fabric deliveries until neither is left,
+    /// then refreshes the wake times of the GPUs touched since the last
+    /// refresh. Only a touched GPU can hold effects; each pass visits the
+    /// touched GPUs in ascending index, including those touched during
+    /// the pass, as a scan of every GPU would.
     fn drain_effects(
         &mut self,
         effects: &mut Vec<(SimTime, GpuEffect)>,
@@ -235,15 +262,16 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     ) {
         loop {
             let mut any = false;
-            for gi in 0..self.gpus.len() {
-                if !self.gpus[gi].has_effects() {
-                    continue;
+            let mut next = self.gpus.next_touched(0);
+            while let Some(gpu) = next {
+                if self.gpus.get(gpu).has_effects() {
+                    self.gpus.get_mut(gpu).drain_effects_into(effects);
+                    any = true;
+                    for (t, e) in effects.drain(..) {
+                        self.handle_gpu_effect(t, gpu, e);
+                    }
                 }
-                self.gpus[gi].drain_effects_into(effects);
-                any = true;
-                for (t, e) in effects.drain(..) {
-                    self.handle_gpu_effect(t, GpuId(gi as u16), e);
-                }
+                next = self.gpus.next_touched(gpu.index() + 1);
             }
             if self.fabric.has_deliveries() {
                 self.fabric.drain_deliveries_into(deliveries);
@@ -256,11 +284,12 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 break;
             }
         }
+        self.gpus.refresh();
     }
 
     fn launch_kernel(&mut self, now: SimTime, idx: usize) {
         let planned = self.dag.launch(now, idx);
-        let sim = &mut self.gpus[planned.gpu.index()];
+        let sim = self.gpus.get_mut(planned.gpu);
         self.tiles.launch(now, sim, planned.desc);
     }
 
@@ -276,7 +305,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             preaccess_waiters: self.cais.preaccess_waiters(),
             kernels: self
                 .dag
-                .stuck(|gpu, k| self.gpus[gpu.index()].kernel_pending(k)),
+                .stuck(|gpu, k| self.gpus.get(gpu).kernel_pending(k)),
             blocked_tbs: self
                 .tiles
                 .blocked_tbs()
@@ -331,6 +360,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             logic_stats,
             events_processed,
             queue_peak,
+            steps: self.steps,
         })
     }
 }
@@ -343,7 +373,7 @@ mod tests {
     use crate::tiles::MIN_TABLE_CAPACITY;
     use gpu_sim::{KernelDesc, MemOp, MemOpKind, SyncKind, TbDesc};
     use noc_sim::PureRouter;
-    use sim_core::{Addr, GroupId, KernelId, PlaneId, SimDuration, TbId, TileId};
+    use sim_core::{Addr, GpuId, GroupId, KernelId, PlaneId, SimDuration, TbId, TileId};
     use std::collections::VecDeque;
 
     fn quiet_cfg(n_gpus: usize) -> SystemConfig {
@@ -1182,6 +1212,78 @@ mod tests {
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
+    }
+
+    /// GPU 0 writes 1 MB to GPU 1, then computes for 50 us: until the
+    /// compute ends, only the fabric has events.
+    fn write_then_compute() -> Program {
+        let mut ids = IdAlloc::new(2);
+        let addr = ids.addr(GpuId(1), 1 << 20);
+        let tb = TbDesc {
+            id: ids.tb(),
+            order_key: 0,
+            group: None,
+            pre_launch_sync: false,
+            phases: vec![
+                Phase::IssueMem {
+                    ops: Arc::new([MemOp {
+                        kind: MemOpKind::RemoteWrite,
+                        addr,
+                        bytes: 1 << 20,
+                        cais: false,
+                        tile: None,
+                    }]),
+                    wait: false,
+                },
+                Phase::Compute(SimDuration::from_us(50)),
+            ],
+        };
+        let mut p = Program::new();
+        p.push(PlannedKernel {
+            gpu: GpuId(0),
+            desc: KernelDesc::new(ids.kernel(), "writer", vec![tb]),
+            after: vec![],
+        });
+        p
+    }
+
+    /// Runs `write_then_compute` until `deadline`, stepping once per
+    /// fabric event when `single_step`.
+    fn run_stepped(deadline: SimTime, single_step: bool) -> Result<ExecReport, SimError> {
+        let mut cfg = quiet_cfg(2);
+        cfg.deadline = deadline;
+        let mut sim = SystemSim::new(cfg, write_then_compute(), PureRouter);
+        sim.single_step = single_step;
+        sim.run()
+    }
+
+    #[test]
+    fn fabric_run_ahead_matches_stepping_every_event() {
+        let stepped = run_stepped(SimTime::MAX, true).expect("run completes");
+        let ahead = run_stepped(SimTime::MAX, false).expect("run completes");
+        assert!(ahead.steps < stepped.steps, "{} steps", ahead.steps);
+        let report = |r: ExecReport| format!("{:?}", ExecReport { steps: 0, ..r });
+        let total = stepped.total.as_ps();
+        assert_eq!(report(ahead), report(stepped));
+        // Deadlines across the run: each is exceeded at the same time
+        // either way, several of them while GPU 0 computes and the
+        // fabric runs ahead.
+        let mut inside_run_ahead = 0;
+        for i in 1..64 {
+            let deadline = SimTime::from_ps(total * i / 64);
+            let ahead = run_stepped(deadline, false).expect_err("deadline passes");
+            let stepped = run_stepped(deadline, true).expect_err("deadline passes");
+            assert_eq!(format!("{ahead:?}"), format!("{stepped:?}"));
+            let SimError::DeadlineExceeded { now, .. } = ahead else {
+                panic!("expected DeadlineExceeded, got {ahead}");
+            };
+            inside_run_ahead +=
+                usize::from(now > SimTime::from_us(4) && now < SimTime::from_us(50));
+        }
+        assert!(
+            inside_run_ahead >= 3,
+            "{inside_run_ahead} deadlines hit the run-ahead"
+        );
     }
 
     #[test]

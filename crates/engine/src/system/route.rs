@@ -24,12 +24,11 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     }
 
     pub(super) fn handle_gpu_effect(&mut self, t: SimTime, gpu: GpuId, effect: GpuEffect) {
-        let sim = &mut self.gpus[gpu.index()];
         match effect {
             GpuEffect::MemIssued { tb, ops, blocking } => {
                 self.handle_mem_issued(t, gpu, tb, ops, blocking)
             }
-            GpuEffect::TileReady { tile } => self.tiles.land(t, gpu, sim, tile),
+            GpuEffect::TileReady { tile } => self.tiles.land(t, gpu, self.gpus.get_mut(gpu), tile),
             GpuEffect::GroupSyncRequest { tb, group, kind } => {
                 if kind == SyncKind::PreAccess {
                     self.cais.preaccess_wait(gpu, group, tb);
@@ -55,7 +54,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     ) {
         let mut outstanding = 0u32;
         for (pos, &op) in ops.iter().enumerate() {
-            let sim = &mut self.gpus[gpu.index()];
+            let sim = self.gpus.get_mut(gpu);
             let (send, waits) = self.tiles.issue(t, gpu, sim, tb, op, blocking);
             outstanding += u32::from(waits);
             if !send {
@@ -72,14 +71,13 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             }
         }
         if blocking {
-            let sim = &mut self.gpus[gpu.index()];
+            let sim = self.gpus.get_mut(gpu);
             self.tiles.block(t, sim, tb, outstanding);
         }
     }
 
     pub(super) fn handle_delivery(&mut self, d: Delivery<Msg>) {
         let (t, gpu, plane) = (d.time, d.dst, d.plane);
-        let sim = &mut self.gpus[gpu.index()];
         let read_done = t + self.cfg.mem_read_latency;
         match d.payload {
             // We are the home GPU: the memory system answers after its
@@ -109,7 +107,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 }
                 // A tile-less response credits its TB, on the GPU it
                 // reached.
-                let sim = &mut self.gpus[gpu.index()];
+                let sim = self.gpus.get_mut(gpu);
                 match tile {
                     Some(tile) => self.tiles.land(t, gpu, sim, tile),
                     None => self.tiles.unblock(t, sim, tb),
@@ -121,18 +119,22 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 tile: Some(tile),
                 contribs,
                 ..
-            } => self.tiles.add_contrib(t, gpu, sim, tile, contribs),
+            } => self
+                .tiles
+                .add_contrib(t, gpu, self.gpus.get_mut(gpu), tile, contribs),
             Msg::Write {
                 tile: Some(tile),
                 contrib: true,
                 ..
-            } => self.tiles.add_contrib(t, gpu, sim, tile, 1),
+            } => self
+                .tiles
+                .add_contrib(t, gpu, self.gpus.get_mut(gpu), tile, 1),
             Msg::Write {
                 tile: Some(tile), ..
             }
             | Msg::MulticastStore {
                 tile: Some(tile), ..
-            } => self.tiles.land(t, gpu, sim, tile),
+            } => self.tiles.land(t, gpu, self.gpus.get_mut(gpu), tile),
             Msg::Reduce { .. } | Msg::Write { .. } | Msg::MulticastStore { .. } => {}
             // Supply our partial to the switch's reduction session.
             Msg::FetchReq {
@@ -153,8 +155,9 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             m @ (Msg::FetchResp { .. } | Msg::LoadReduceReq { .. } | Msg::SyncReq { .. }) => {
                 panic!("{m:?} reached a GPU; the switch logic must consume it")
             }
-            Msg::SyncRel { group, kind: 0 } => sim.release_group(t, group),
+            Msg::SyncRel { group, kind: 0 } => self.gpus.get_mut(gpu).release_group(t, group),
             Msg::SyncRel { group, .. } => {
+                let sim = self.gpus.get_mut(gpu);
                 for tb in self.cais.preaccess_release(gpu, group) {
                     sim.resume_tb(t, tb);
                 }

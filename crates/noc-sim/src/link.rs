@@ -172,17 +172,20 @@ impl<P> Link<P> {
         }
     }
 
-    /// Walks the segment boundaries of a burst of `r0` payload bytes
-    /// starting at `start` (`hdr`: header still pending).
+    /// The segment boundaries of a burst of `r0` payload bytes starting at
+    /// `start` (`hdr`: header still pending), in closed form.
     ///
-    /// With `cut = Some((te, settled))` the walk stops at the first boundary
+    /// With `cut = Some((te, settled))` the burst stops at the first boundary
     /// the baseline would re-arbitrate at after an enqueue at `te`:
     /// strictly after `te` when `settled` (every event at `te` was already
     /// dispatched, so the boundary at `te` itself already went to this
     /// packet), at-or-after `te` otherwise.
     ///
     /// Returns `(boundary, wire_bytes, segments, payload_served)` for the
-    /// walked prefix; with `cut = None` that is the whole burst.
+    /// served prefix; with `cut = None` that is the whole burst. The
+    /// result equals the per-segment walk's: every full segment but the
+    /// first costs the same ceiled `T(segment_bytes)`, so boundary `k` of
+    /// `n` (`k < n`) sits at `b1 + (k − 1)·T(segment_bytes)`.
     fn walk_burst(
         &self,
         start: SimTime,
@@ -191,6 +194,42 @@ impl<P> Link<P> {
         cut: Option<(SimTime, bool)>,
     ) -> (SimTime, u64, u64, u64) {
         debug_assert!(r0 > 0, "burst over an empty packet");
+        let s = self.segment_bytes;
+        let h = if hdr { self.header_bytes } else { 0 };
+        let n = r0.div_ceil(s);
+        let b1 = start + self.transfer(r0.min(s) + h);
+        if n == 1 {
+            return (b1, r0 + h, 1, r0);
+        }
+        let ts = self.transfer(s).as_ps();
+        let at = |k: u64| b1 + SimDuration::from_ps((k - 1) * ts);
+        // The first boundary k < n the cut stops at, as k − 1 full
+        // segments past `b1`; `n` when the burst drains first.
+        let k = match cut {
+            Some((te, true)) if b1 > te => 1,
+            Some((te, false)) if b1 >= te => 1,
+            Some(_) if ts == 0 => n,
+            Some((te, true)) => (te.since(b1).as_ps() / ts).saturating_add(2).min(n),
+            Some((te, false)) => te.since(b1).as_ps().div_ceil(ts).saturating_add(1).min(n),
+            None => n,
+        };
+        if k < n {
+            return (at(k), k * s + h, k, k * s);
+        }
+        let last = r0 - (n - 1) * s;
+        (at(n - 1) + self.transfer(last), r0 + h, n, r0)
+    }
+
+    /// The per-segment walk [`Link::walk_burst`] replaces: one step per
+    /// boundary, kept as its reference.
+    #[cfg(test)]
+    fn walk_burst_by_segment(
+        &self,
+        start: SimTime,
+        r0: u64,
+        hdr: bool,
+        cut: Option<(SimTime, bool)>,
+    ) -> (SimTime, u64, u64, u64) {
         let mut t = start;
         let mut wire_total = 0u64;
         let mut segments = 0u64;
@@ -620,6 +659,70 @@ mod tests {
         let eff = l.enqueue(0, pkt(2), 64, SimTime::from_ns(100), false);
         assert_eq!(eff, EnqueueEffect::Pending);
         assert_eq!(l.token(), 0);
+    }
+
+    #[test]
+    fn closed_form_burst_matches_the_segment_walk() {
+        use sim_core::rng::JitterRng;
+        const MB4: u64 = 4 << 20;
+        // 1, ~8.9, ~333.3 and ~137.0 ps per byte: all but the first ceil.
+        let bandwidths = [1.0, 112.5, 3.0, 7.3].map(Bandwidth::gbps);
+        let segments = [64, 1000, 2048, 4096, 9000];
+        let mut rng = JitterRng::seed_from(0xB0857);
+        for case in 0..600u64 {
+            let s = segments[rng.next_below(segments.len() as u64) as usize];
+            let header = [0, 16, 48][rng.next_below(3) as usize];
+            let mut l: Link<u64> = Link::new(
+                bandwidths[rng.next_below(bandwidths.len() as u64) as usize],
+                SimDuration::ZERO,
+                header,
+                s,
+                2,
+                None,
+            );
+            l.set_slowdown([1.0, 2.0, 2.5][rng.next_below(3) as usize]);
+            // Log-uniform sizes up to 4 MB, exact segment multiples and
+            // their neighbours, and the extremes.
+            let r0 = match case % 6 {
+                0 => s * (1 + rng.next_below(MB4 / s)),
+                1 => (s * (1 + rng.next_below(64))).saturating_sub(1).max(1),
+                2 => s * (1 + rng.next_below(64)) + 1,
+                3 => [1, MB4][(case / 6 % 2) as usize],
+                _ => {
+                    let bits = 1 + rng.next_below(22);
+                    1 + rng.next_below(1 << bits)
+                }
+            };
+            let hdr = rng.next_below(2) == 0;
+            let start = SimTime::from_ps(rng.next_below(1 << 40));
+            let check = |cut| {
+                assert_eq!(
+                    l.walk_burst(start, r0, hdr, cut),
+                    l.walk_burst_by_segment(start, r0, hdr, cut),
+                    "case {case}: r0 {r0}, segment {s}, header {header}/{hdr}, \
+                     slowdown {}, start {start:?}, cut {cut:?}",
+                    l.slowdown
+                );
+            };
+            check(None);
+            let end = l.walk_burst_by_segment(start, r0, hdr, None).0;
+            // Cuts on both sides of and exactly at boundaries spread over
+            // the burst: the first, the last and random ones.
+            let span = end.since(start).as_ps() + 2;
+            let mut probes = vec![start, end, SimTime::from_ps(end.as_ps() + 5)];
+            for _ in 0..4 {
+                probes.push(SimTime::from_ps(start.as_ps() + rng.next_below(span)));
+            }
+            for te in probes {
+                let boundary = l.walk_burst_by_segment(start, r0, hdr, Some((te, false))).0;
+                for t in [te, boundary, boundary + SimDuration::from_ps(1)] {
+                    for at in [t, SimTime::from_ps(t.as_ps().saturating_sub(1))] {
+                        check(Some((at, true)));
+                        check(Some((at, false)));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use cais::baselines::BaselineStrategy;
 use cais::core::CaisStrategy;
 use cais::engine::{strategy::execute, Strategy, SystemConfig};
+use cais::harness::runner::Scale;
 use cais::llm_workload::{sublayer, ModelConfig, SubLayer};
 use cais::sim_core::SimDuration;
 
@@ -112,4 +113,31 @@ fn different_seeds_differ() {
     cfg2.seed ^= 0xDEAD_BEEF;
     let b = execute(&CaisStrategy::full(), &dfg, &cfg2).expect("run completes");
     assert_ne!(a.total, b.total, "jitter must actually depend on the seed");
+}
+
+#[test]
+fn cadence_audits_leave_the_report_unchanged() {
+    // Audits run between engine steps and inside the fabric's run-ahead
+    // alike; at every cadence the run reports the same bytes, step count
+    // included.
+    let cfg = Scale::Smoke.system();
+    let model = Scale::Smoke.model(&ModelConfig::llama_7b());
+    let dfg = sublayer(&model, cfg.tp(), SubLayer::L2);
+    let plain = execute(&CaisStrategy::full(), &dfg, &cfg).expect("run completes");
+    assert!(
+        plain.events_processed > 10_000,
+        "{}",
+        plain.events_processed
+    );
+    for cadence in [1, 7, 4096] {
+        let mut audited = cfg.clone();
+        audited.audit.enabled = true;
+        audited.audit.cadence_events = cadence;
+        let report = execute(&CaisStrategy::full(), &dfg, &audited).expect("audited run completes");
+        assert_eq!(
+            format!("{report:?}"),
+            format!("{plain:?}"),
+            "cadence {cadence}"
+        );
+    }
 }
