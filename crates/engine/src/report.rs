@@ -54,7 +54,10 @@ pub struct ExecReport {
     /// semantic-reduction equivalence oracle.
     pub semantic_contribs: u64,
     /// Discrete events processed across all GPU queues and the fabric
-    /// queue (perf accounting; drives `BENCH_sim.json`).
+    /// queue (perf accounting; drives `BENCH_sim.json`). Link wakes and
+    /// dispatches that would have found nothing to do are not scheduled;
+    /// the counters `fabric.parked_wakes` and `engine.dormant_dispatches`
+    /// count them.
     pub events_processed: u64,
     /// Largest pending-event count reached by any single queue.
     pub queue_peak: usize,

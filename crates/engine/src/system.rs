@@ -136,8 +136,8 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     /// Launches the root kernels and processes events until none remain.
     ///
     /// Each step drains effects and deliveries, then advances the GPUs
-    /// whose wake time is earliest, with the fabric if its next event is
-    /// at that time too (DESIGN §8, "Engine stepping").
+    /// whose wake time is earliest, and the fabric to that time too
+    /// (DESIGN §8, "Engine stepping").
     fn step_to_end(&mut self) -> Result<(), SimError> {
         for i in self.dag.roots() {
             self.launch_kernel(SimTime::ZERO, i);
@@ -189,7 +189,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                     self.gpus.get_mut(gpu).advance(t);
                 }
             }
-            if self.fabric.next_time() == Some(t) {
+            // Even with no event due, so that the fabric's clock is the
+            // step's time: a parked link wake has passed exactly when the
+            // clock reached it (DESIGN §8).
+            {
                 let _p = prof_scope(Subsystem::FabricAdvance);
                 self.fabric.advance(t);
             }
@@ -233,6 +236,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         self.tiles.audit_probe(&mut probe);
         self.cais.audit_probe(&mut probe);
         self.dag.audit_probe(&mut probe);
+        self.gpus.audit_probe(&mut probe);
         let logic_start = probe.counters().len();
         self.fabric.logic().audit_probe(&mut probe);
         (probe, logic_start)
@@ -260,6 +264,11 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         effects: &mut Vec<(SimTime, GpuEffect)>,
         deliveries: &mut Vec<Delivery<Msg>>,
     ) {
+        debug_assert_eq!(
+            self.fabric.now(),
+            self.now,
+            "fabric clock behind the engine"
+        );
         loop {
             let mut any = false;
             let mut next = self.gpus.next_touched(0);

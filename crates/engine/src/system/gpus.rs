@@ -2,7 +2,7 @@
 //! refreshed only for the GPUs a step touched.
 
 use gpu_sim::GpuSim;
-use sim_core::{GpuId, SimTime};
+use sim_core::{AuditProbe, GpuId, SimTime};
 
 /// The system's GPUs. Every `&mut GpuSim` comes from [`GpuSet::get_mut`],
 /// which marks the GPU touched: only a touched GPU can have gained effects
@@ -40,6 +40,12 @@ impl GpuSet {
 
     pub(crate) fn iter(&self) -> std::slice::Iter<'_, GpuSim> {
         self.sims.iter()
+    }
+
+    /// Lists the GPUs' counters, summed over GPUs.
+    pub(crate) fn audit_probe(&self, probe: &mut AuditProbe) {
+        let dormant: u64 = self.sims.iter().map(GpuSim::dormant_dispatches).sum();
+        probe.counter("engine.dormant_dispatches", dormant as f64);
     }
 
     /// The lowest-indexed touched GPU at or after `from`.

@@ -107,6 +107,21 @@ enum GpuEvent {
     Dispatch,
 }
 
+/// Where the GPU's next [`GpuEvent::Dispatch`] stands (DESIGN §8,
+/// "Engine stepping").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DispatchState {
+    /// None pending.
+    Idle,
+    /// In the event queue.
+    Queued,
+    /// Reserved at the queue position `(time, seq)` instead of queued,
+    /// because it would have found no free slot or no ready TB. A later
+    /// push schedules it there once it can dispatch, unless the position
+    /// has passed; a passed reservation is [`DispatchState::Idle`].
+    Dormant(SimTime, u64),
+}
+
 /// One simulated GPU.
 ///
 /// Driven by an engine: [`GpuSim::launch_kernel`] starts work,
@@ -130,11 +145,19 @@ pub struct GpuSim {
     /// Queued TBs by (key, arrival); shrinks after a burst drains.
     ready: BinaryHeap<Reverse<(u64, u64, TbId)>>,
     ready_seq: u64,
-    /// Whether a [`GpuEvent::Dispatch`] is already queued. Every push
-    /// site runs at the engine's current step time, so one pending
-    /// dispatch event covers all of them; collapsing the duplicates
-    /// (which would drain an already-empty ready queue) is free.
-    dispatch_pending: bool,
+    /// Where the next [`GpuEvent::Dispatch`] stands. Every push site runs
+    /// at the engine's current step time, so one pending dispatch event
+    /// covers all of them; collapsing the duplicates (which would drain
+    /// an already-empty ready queue) is free.
+    dispatch: DispatchState,
+    /// Dispatches left dormant and never scheduled: each is a
+    /// [`GpuEvent::Dispatch`] that would have found no free slot or no
+    /// ready TB.
+    dormant_dispatches: u64,
+    /// Schedule every dispatch, as before dormancy: the reference the
+    /// dormant GPU must match.
+    #[cfg(test)]
+    eager: bool,
     slots_free: usize,
     released_groups: DenseSet<GroupId>,
     /// TBs held for a pre-launch release, only for groups that have any;
@@ -168,7 +191,10 @@ impl GpuSim {
             kernels: HashMap::default(),
             ready: BinaryHeap::new(),
             ready_seq: 0,
-            dispatch_pending: false,
+            dispatch: DispatchState::Idle,
+            dormant_dispatches: 0,
+            #[cfg(test)]
+            eager: false,
             slots_free: slots,
             released_groups: DenseSet::new(),
             pending_group: HashMap::default(),
@@ -299,7 +325,7 @@ impl GpuSim {
                 let seq = self.ready_seq;
                 self.ready_seq += 1;
                 self.ready.push(Reverse((0, seq, tb)));
-                self.push_dispatch(time);
+                self.push_dispatch(time, false);
             }
             other => panic!("resume_tb: {tb} is {other:?}, not blocked"),
         }
@@ -317,12 +343,17 @@ impl GpuSim {
         for &tb in pending.as_slice() {
             self.enqueue_ready(time, tb);
         }
-        self.push_dispatch(time);
+        self.push_dispatch(time, false);
     }
 
-    /// Timestamp of the next internal event.
+    /// Timestamp of the next internal event, counting a dormant dispatch:
+    /// an advance to its time passes it, as it would have fired there.
     pub fn next_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        let next = self.queue.peek_time();
+        match self.dispatch {
+            DispatchState::Dormant(t, _) => Some(next.map_or(t, |n| n.min(t))),
+            _ => next,
+        }
     }
 
     /// Processes every internal event at or before `until`.
@@ -332,6 +363,13 @@ impl GpuSim {
             self.handle(t, ev);
         }
         self.now = self.now.max(until);
+        // A dormant dispatch at or before `until` would have fired in this
+        // advance and found nothing.
+        if let DispatchState::Dormant(t, _) = self.dispatch {
+            if t <= until {
+                self.dispatch = DispatchState::Idle;
+            }
+        }
     }
 
     /// Takes all effects produced since the last drain, in time order.
@@ -356,7 +394,7 @@ impl GpuSim {
 
     /// True when no TB is queued, running, blocked or pending.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.tbs.is_empty()
+        self.next_time().is_none() && self.tbs.is_empty()
     }
 
     /// Whether `kernel` was launched here and still has TBs that have not
@@ -373,6 +411,12 @@ impl GpuSim {
     /// High-water mark of the internal event queue (perf accounting).
     pub fn queue_peak(&self) -> usize {
         self.queue.peak_len()
+    }
+
+    /// Dispatch events left dormant and never scheduled (perf
+    /// accounting): each would have found no free slot or no ready TB.
+    pub fn dormant_dispatches(&self) -> u64 {
+        self.dormant_dispatches
     }
 
     /// Mean SM-slot occupancy in `[0, horizon)` (0..=1).
@@ -397,10 +441,51 @@ impl GpuSim {
         self.slots_in_use = (self.slots_in_use as isize + delta) as usize;
     }
 
-    fn push_dispatch(&mut self, time: SimTime) {
-        if !self.dispatch_pending {
-            self.dispatch_pending = true;
+    /// Whether a dispatch now would start a TB.
+    fn can_dispatch(&self) -> bool {
+        self.slots_free > 0 && !self.ready.is_empty()
+    }
+
+    /// Whether every dispatch is queued, as before dormancy: only the
+    /// tests' reference mode.
+    fn eager(&self) -> bool {
+        #[cfg(test)]
+        return self.eager;
+        #[cfg(not(test))]
+        false
+    }
+
+    /// Asks for a dispatch at `time`; `inside` when called while handling
+    /// the event at `time`, otherwise from the engine between advances.
+    ///
+    /// One that could not start a TB is left dormant at the position it
+    /// would take, and scheduled there once it can, unless the position
+    /// has passed: the eager event would then already have fired, found
+    /// nothing and gone idle. Inside an advance a position has passed when
+    /// it precedes the event being handled. A dormant position never
+    /// outlives an advance to its time (see [`GpuSim::advance`]), so one
+    /// seen between advances has not passed.
+    fn push_dispatch(&mut self, time: SimTime, inside: bool) {
+        match self.dispatch {
+            DispatchState::Queued => return,
+            DispatchState::Dormant(t, seq)
+                if !inside || (t, seq) > (time, self.queue.last_seq()) =>
+            {
+                if self.can_dispatch() {
+                    self.dormant_dispatches -= 1;
+                    self.queue.push_reserved(t, seq, GpuEvent::Dispatch);
+                    self.dispatch = DispatchState::Queued;
+                }
+                return;
+            }
+            _ => {}
+        }
+        if self.can_dispatch() || self.eager() {
             self.queue.push(time, GpuEvent::Dispatch);
+            self.dispatch = DispatchState::Queued;
+        } else {
+            self.dormant_dispatches += 1;
+            self.dispatch = DispatchState::Dormant(time, self.queue.reserve());
         }
     }
 
@@ -482,10 +567,10 @@ impl GpuSim {
                     }
                 }
                 self.enqueue_ready(now, tb);
-                self.push_dispatch(now);
+                self.push_dispatch(now, true);
             }
             GpuEvent::Dispatch => {
-                self.dispatch_pending = false;
+                self.dispatch = DispatchState::Idle;
                 self.dispatch(now);
             }
             GpuEvent::PhaseDone(tb) => {
@@ -560,7 +645,7 @@ impl GpuSim {
                     self.note_occupancy_change(now, -1);
                     self.effects
                         .push((now, GpuEffect::GroupSyncRequest { tb, group, kind }));
-                    self.push_dispatch(now);
+                    self.push_dispatch(now, true);
                     return;
                 }
                 Phase::SignalTile(tile) => {
@@ -590,7 +675,7 @@ impl GpuSim {
             self.effects
                 .push((now, GpuEffect::KernelCompleted { kernel }));
         }
-        self.push_dispatch(now);
+        self.push_dispatch(now, true);
     }
 }
 
@@ -1101,6 +1186,172 @@ mod tests {
             SimTime::ZERO,
             KernelDesc::new(KernelId(0), "k2", vec![compute_tb(1, 1)]),
         );
+    }
+
+    /// What the lockstep driver does to the GPU.
+    #[derive(Debug, Clone, Copy)]
+    enum Act {
+        Launch(usize),
+        Ready(TbId),
+        Resume(TbId),
+        Release(GroupId),
+    }
+
+    /// The driver's pending acts, in (time, planning) order.
+    #[derive(Default)]
+    struct Agenda {
+        acts: Vec<Act>,
+        due: BinaryHeap<Reverse<(SimTime, usize)>>,
+    }
+
+    impl Agenda {
+        fn plan(&mut self, at: SimTime, act: Act) {
+            self.due.push(Reverse((at, self.acts.len())));
+            self.acts.push(act);
+        }
+        fn next_time(&self) -> Option<SimTime> {
+            self.due.peek().map(|Reverse((at, _))| *at)
+        }
+        fn pop_due(&mut self, now: SimTime) -> Option<Act> {
+            let &Reverse((at, i)) = self.due.peek()?;
+            (at <= now).then(|| {
+                self.due.pop();
+                self.acts[i]
+            })
+        }
+    }
+
+    /// A seeded program of four kernels on a GPU with four slots, `eager`
+    /// or with dormant dispatch, under a driver that answers each effect
+    /// after a seeded delay of 0 or 100 ns: it resumes blocking memory
+    /// phases and pre-access yields, releases pre-launch groups, and marks
+    /// gated TBs ready. Stray releases, some before any TB of the group
+    /// asks, ride along. The delays depend only on the effects, so both
+    /// modes see the same calls at the same times. Returns every effect
+    /// with its time and the occupancy, with the events processed and the
+    /// dispatches left dormant.
+    fn lockstep_gpu(seed: u64, eager: bool) -> (Vec<String>, u64, u64) {
+        let mut rng = JitterRng::seed_from(0x6907 ^ seed);
+        let jitter = SimDuration::from_ns(if seed.is_multiple_of(2) { 0 } else { 40 });
+        let cfg = GpuConfig {
+            dispatch_jitter: jitter,
+            compute_jitter: jitter,
+            kernel_launch_overhead: SimDuration::from_ns(300),
+            tb_slots_per_sm: 2,
+            ..quiet_cfg()
+        };
+        let mut gpu = GpuSim::new(cfg, seed);
+        gpu.eager = eager;
+        let grid = |rng: &mut JitterRng, n: u64| SimDuration::from_ns(100 * rng.next_below(n));
+        let mut kernels = Vec::new();
+        let mut gated = Vec::new();
+        for k in 0..4u64 {
+            let (mut tbs, mut deps, mut waiting) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..4 + rng.next_below(9) {
+                let id = TbId(k * 16 + tbs.len() as u64);
+                let group =
+                    (rng.next_below(3) != 0).then(|| GroupId((k * 4 + rng.next_below(4)) as u32));
+                let phases = (0..1 + rng.next_below(4))
+                    .map(|_| match rng.next_below(5) {
+                        0 | 1 => Phase::Compute(grid(&mut rng, 4) + SimDuration::from_ns(100)),
+                        2 => Phase::IssueMem {
+                            ops: Arc::from([]),
+                            wait: rng.next_below(3) != 0,
+                        },
+                        3 if group.is_some() => Phase::SyncGroup(SyncKind::PreAccess),
+                        _ => Phase::SignalTile(TileId(id.0)),
+                    })
+                    .collect();
+                let pre_launch_sync = group.is_some() && rng.next_below(2) == 0;
+                tbs.push(TbDesc {
+                    id,
+                    order_key: id.0,
+                    group,
+                    pre_launch_sync,
+                    phases,
+                });
+                let gate = rng.next_below(4) == 0;
+                deps.push(Arc::from(if gate { &[TileId(0)][..] } else { &[] }));
+                if gate {
+                    waiting.push(id);
+                }
+            }
+            let mut desc = KernelDesc::new(KernelId(k as u32), "k", tbs);
+            desc.deps = deps.into();
+            kernels.push(Some(desc));
+            gated.push(waiting);
+        }
+        let mut agenda = Agenda::default();
+        for k in 0..4 {
+            agenda.plan(SimTime::ZERO + grid(&mut rng, 10), Act::Launch(k));
+        }
+        for _ in 0..12 {
+            let group = GroupId(rng.next_below(20) as u32);
+            agenda.plan(SimTime::ZERO + grid(&mut rng, 60), Act::Release(group));
+        }
+        // Steps as the engine does: advance the GPU only when it is due,
+        // then perform the acts due by then, one batch per step, so an act
+        // an effect plans for the same instant runs in the next step.
+        let mut log = Vec::new();
+        let mut batch = Vec::new();
+        let mut steps = 0;
+        while let Some(t) = gpu.next_time().into_iter().chain(agenda.next_time()).min() {
+            steps += 1;
+            assert!(steps < 100_000, "seed {seed}: stuck at {t}");
+            if gpu.next_time() == Some(t) {
+                gpu.advance(t);
+            }
+            batch.extend(std::iter::from_fn(|| agenda.pop_due(t)));
+            for act in std::iter::once(None).chain(batch.drain(..).map(Some)) {
+                match act {
+                    None => {}
+                    Some(Act::Launch(k)) => {
+                        gpu.launch_kernel(t, kernels[k].take().expect("launched once"));
+                        for &tb in &gated[k] {
+                            agenda.plan(t + grid(&mut rng, 8), Act::Ready(tb));
+                        }
+                    }
+                    Some(Act::Ready(tb)) => assert!(gpu.make_tb_ready(t, tb)),
+                    Some(Act::Resume(tb)) => gpu.resume_tb(t, tb),
+                    Some(Act::Release(group)) => gpu.release_group(t, group),
+                }
+                for (at, e) in gpu.drain_effects() {
+                    log.push(format!("{at} {e:?}"));
+                    let act = match e {
+                        GpuEffect::MemIssued {
+                            tb, blocking: true, ..
+                        } => Act::Resume(tb),
+                        GpuEffect::GroupSyncRequest { tb, group, kind } => match kind {
+                            SyncKind::PreAccess => Act::Resume(tb),
+                            SyncKind::PreLaunch => Act::Release(group),
+                        },
+                        _ => continue,
+                    };
+                    agenda.plan(at + grid(&mut rng, 2), act);
+                }
+            }
+        }
+        assert!(gpu.is_idle(), "seed {seed}: the program did not finish");
+        let horizon = gpu.now().since(SimTime::ZERO);
+        log.push(format!("occupancy {:x}", gpu.occupancy(horizon).to_bits()));
+        (log, gpu.events_processed(), gpu.dormant_dispatches)
+    }
+
+    #[test]
+    fn dormant_dispatch_matches_eager_dispatch_effect_for_effect() {
+        let mut dormant = 0;
+        for seed in 0..400 {
+            let (want, eager_events, none) = lockstep_gpu(seed, true);
+            let (got, events, d) = lockstep_gpu(seed, false);
+            assert_eq!(none, 0);
+            assert_eq!(got.len(), want.len(), "seed {seed}");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g, w, "seed {seed} effect {i}");
+            }
+            assert_eq!(eager_events, events + d, "seed {seed}");
+            dormant += d;
+        }
+        assert!(dormant > 1000, "only {dormant} dispatches left dormant");
     }
 
     #[test]

@@ -270,6 +270,13 @@ pub struct Fabric<P, L> {
     audit: AuditTally,
     /// Bounded forensic event ring; `None` unless auditing is enabled.
     ring: Option<EventRing>,
+    /// Link wakes parked and never redeemed: each is a `LinkFree` that
+    /// would have found every VC empty.
+    parked_wakes: u64,
+    /// Schedule every link wake, as before parking: the reference the
+    /// parked fabric must match.
+    #[cfg(test)]
+    eager: bool,
 }
 
 impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
@@ -308,6 +315,9 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
             faults,
             audit: AuditTally::default(),
             ring: None,
+            parked_wakes: 0,
+            #[cfg(test)]
+            eager: false,
         }
     }
 
@@ -352,6 +362,14 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
 
     /// Injects a payload from `src` toward `dst` via `plane` at `time`.
     ///
+    /// A link whose last serve left it empty has its next wake parked at a
+    /// reserved queue position (DESIGN §8, "Engine stepping"). An
+    /// injection redeems that position unless the fabric's clock has
+    /// reached it, so the caller must first [`advance`](Self::advance) the
+    /// fabric to the time it injects from, even when no event is due
+    /// then; a future-stamped `time` is fine. The engine asserts this
+    /// clock at every drain.
+    ///
     /// # Panics
     ///
     /// Panics if `time` is before the fabric's current time, or if ids are
@@ -393,12 +411,59 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
         self.audit.pkt_enqueued += 1;
         match self.links[li].enqueue(vc, pkt, bytes, time, now_settled) {
             EnqueueEffect::Pending => {}
-            // Wake the link: serve at `time` (>= now, so causality holds).
-            EnqueueEffect::Wake => self.push_link_free(li, time),
+            EnqueueEffect::Wake => self.wake_link(li, time, now_settled),
             // A coalesced burst was cut; its old event is now stale and the
             // link re-arbitrates at the cut boundary.
             EnqueueEffect::Preempted(cut) => self.push_link_free(li, cut),
         }
+    }
+
+    /// Wakes an idle link. A parked wake whose position has not passed is
+    /// scheduled there, where the eager `LinkFree` would still be pending;
+    /// otherwise the link serves at `time` (>= now, so causality holds).
+    ///
+    /// The position has passed once the fabric processed through it:
+    /// between advances (`now_settled`) when it is at or before the clock,
+    /// since every event up to the clock fired; inside a dispatch when it
+    /// precedes the event being dispatched.
+    fn wake_link(&mut self, li: usize, time: SimTime, now_settled: bool) {
+        if let Some((at, seq)) = self.links[li].take_parked() {
+            let passed = if now_settled {
+                at <= self.now
+            } else {
+                (at, seq) < (self.now, self.queue.last_seq())
+            };
+            if !passed {
+                self.parked_wakes -= 1;
+                let token = self.links[li].token();
+                self.queue
+                    .push_reserved(at, seq, NetEvent::LinkFree { li, token });
+                return;
+            }
+        }
+        self.push_link_free(li, time);
+    }
+
+    /// Schedules the `LinkFree` that ends a non-burst serve at `at`, or,
+    /// when the serve left every VC empty and that event would find
+    /// nothing to do, parks it at the queue position it would take.
+    fn link_free_after_serve(&mut self, li: usize, at: SimTime) {
+        if self.links[li].has_work() || self.eager() {
+            self.push_link_free(li, at);
+        } else {
+            self.parked_wakes += 1;
+            let seq = self.queue.reserve();
+            self.links[li].park(at, seq);
+        }
+    }
+
+    /// Whether every link wake is scheduled, as before parking: only the
+    /// tests' reference mode.
+    fn eager(&self) -> bool {
+        #[cfg(test)]
+        return self.eager;
+        #[cfg(not(test))]
+        false
     }
 
     fn push_link_free(&mut self, li: usize, at: SimTime) {
@@ -492,7 +557,7 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
                     if let Some(backoff) = fate {
                         self.requeue_for_retx(li, pkt, out.free_at + backoff);
                     } else {
-                        self.push_link_free(li, out.free_at);
+                        self.link_free_after_serve(li, out.free_at);
                         self.push_arrival(pkt, arrive_at);
                     }
                 } else {
@@ -712,6 +777,7 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
         probe.counter("fabric.events_processed", self.queue.pops() as f64);
         probe.counter("fabric.early_departures", self.early_departures() as f64);
         probe.counter("fabric.events_saved", self.events_saved() as f64);
+        probe.counter("fabric.parked_wakes", self.parked_wakes as f64);
         let r = self.resilience_counters().cloned().unwrap_or_default();
         probe.counter("fabric.drops", r.drops as f64);
         probe.counter("fabric.corruptions", r.corruptions as f64);
@@ -1179,6 +1245,178 @@ mod tests {
         f.audit_probe(&mut probe);
         let report = probe.into_report(f.now(), Vec::new());
         assert!(report.counters.contains(&("fabric.early_departures", 1.0)));
+    }
+
+    /// A payload with an id, so deliveries can be matched between runs.
+    #[derive(Debug, Clone)]
+    struct Tagged {
+        id: u64,
+        bytes: u64,
+        class: FlowClass,
+    }
+
+    impl Payload for Tagged {
+        fn data_bytes(&self) -> u64 {
+            self.bytes
+        }
+        fn class(&self) -> FlowClass {
+            self.class
+        }
+    }
+
+    /// Switch logic for the lockstep test: forwards every packet, copies
+    /// one in three to the next GPU as well, and for one in five sets a
+    /// timer that sends a header-only packet back to the source. Copies
+    /// and timers put several packets on one down link at one instant.
+    struct Fanout {
+        n_gpus: u16,
+    }
+
+    impl SwitchLogic<Tagged> for Fanout {
+        fn on_packet(&mut self, now: SimTime, pkt: Packet<Tagged>, ctx: &mut SwitchCtx<Tagged>) {
+            let id = pkt.payload.id;
+            if id.is_multiple_of(3) {
+                let dst = GpuId((pkt.dst.0 + 1) % self.n_gpus);
+                let copy = Tagged {
+                    id: id | 1 << 40,
+                    ..pkt.payload.clone()
+                };
+                ctx.emit(pkt.src, dst, copy);
+            }
+            if id.is_multiple_of(5) {
+                let at = now + SimDuration::from_ns(100 * (id / 5 % 3));
+                ctx.set_timer(at, (pkt.src.0 as u64) << 48 | id);
+            }
+            ctx.forward(pkt);
+        }
+
+        fn on_timer(&mut self, _now: SimTime, key: u64, ctx: &mut SwitchCtx<Tagged>) {
+            let src = GpuId((key >> 48) as u16);
+            let ack = Tagged {
+                id: key & ((1 << 48) - 1) | 1 << 41,
+                bytes: 0,
+                class: FlowClass::Sync,
+            };
+            ctx.emit(src, src, ack);
+        }
+    }
+
+    /// One seeded run on 4 GPUs with traffic control on (so three VCs),
+    /// `eager` or with parked wakes: rounds on a 100 ns grid inject
+    /// packets whose one-segment serves end on that grid too, so
+    /// injections land exactly on parked positions, and equal packets
+    /// from several links meet at one switch at one instant (odd seeds
+    /// use one plane of the two to crowd it). Larger packets burst
+    /// and are cut when another VC enqueues; some are stamped in the
+    /// future. Returns every delivery, then per-link and fault counters,
+    /// with the events processed and the wakes parked.
+    fn lockstep_run(seed: u64, faults: &FaultPlan, eager: bool) -> (Vec<String>, u64, u64) {
+        const N: u16 = 4;
+        let cfg = FabricConfig {
+            link_bw: Bandwidth::gbps(1.0),
+            traffic_control: true,
+            faults: faults.clone(),
+            ..FabricConfig::default_for(N as usize, 2)
+        };
+        let mut f = Fabric::new(cfg, Fanout { n_gpus: N });
+        f.eager = eager;
+        let mut rng = JitterRng::seed_from(0xFAB ^ seed);
+        let mut log = Vec::new();
+        let drain = |f: &mut Fabric<Tagged, Fanout>, log: &mut Vec<String>| {
+            for d in f.drain_deliveries() {
+                let (src, dst, plane) = (d.src.0, d.dst.0, d.plane.0);
+                log.push(format!("{} {src}>{dst}@{plane} #{}", d.time, d.payload.id));
+            }
+        };
+        let classes = [
+            FlowClass::LoadReq,
+            FlowClass::LoadResp,
+            FlowClass::Reduce,
+            FlowClass::Bulk,
+        ];
+        let mut t = SimTime::ZERO;
+        let mut id = 0;
+        for _ in 0..300 {
+            t += SimDuration::from_ns(100 * rng.next_below(5));
+            f.advance(t);
+            drain(&mut f, &mut log);
+            for _ in 0..rng.next_below(8) {
+                let src = GpuId(rng.next_below(N as u64) as u16);
+                let dst = GpuId(rng.next_below(N as u64) as u16);
+                let plane = PlaneId(rng.next_below(seed % 2 + 1) as u16);
+                let bytes = match rng.next_below(6) {
+                    0..=3 => 100 * (1 + rng.next_below(2)) - 16,
+                    4 => 2048 * (1 + rng.next_below(3)) + 84,
+                    _ => 2048 - 16,
+                };
+                let class = classes[rng.next_below(4) as usize];
+                let stamp = if rng.next_below(6) == 0 {
+                    t + SimDuration::from_ns(100 * (1 + rng.next_below(20)))
+                } else {
+                    t
+                };
+                f.inject(stamp, src, dst, plane, Tagged { id, bytes, class });
+                id += 1;
+            }
+        }
+        f.run_to_completion();
+        drain(&mut f, &mut log);
+        let report = f.report(SimDuration::from_us(1));
+        for u in report.usages() {
+            log.push(format!(
+                "{:?} {} {} {}",
+                u.busy,
+                u.bytes,
+                u.packets,
+                u.dir.index()
+            ));
+        }
+        log.push(format!(
+            "early {} saved {} {:?}",
+            report.early_departures(),
+            report.events_saved(),
+            report.resilience()
+        ));
+        (log, f.events_processed(), f.parked_wakes)
+    }
+
+    #[test]
+    fn parked_wakes_match_eager_wakes_delivery_for_delivery() {
+        let window = |us: u64, ns: u64| (SimDuration::from_us(us), SimDuration::from_ns(ns));
+        let (dp, dd) = window(2, 700);
+        let (gp, gd) = window(3, 1_500);
+        let plans = [
+            FaultPlan::default(),
+            FaultPlan::default().with_seed(3).with_drop_rate(0.15),
+            FaultPlan::default()
+                .with_seed(4)
+                .with_link_down(sim_core::DownSpec {
+                    period: dp,
+                    duration: dd,
+                }),
+            FaultPlan::default()
+                .with_seed(5)
+                .with_degrade(sim_core::DegradeSpec {
+                    factor: 3.0,
+                    period: gp,
+                    duration: gd,
+                }),
+        ];
+        let mut parked = 0;
+        for seed in 0..12 {
+            for plan in &plans {
+                let (want, eager_events, none) = lockstep_run(seed, plan, true);
+                let (got, events, p) = lockstep_run(seed, plan, false);
+                assert_eq!(none, 0);
+                assert_eq!(got.len(), want.len(), "seed {seed} {plan:?}");
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g, w, "seed {seed} line {i} {plan:?}");
+                }
+                assert_eq!(eager_events, events + p, "seed {seed} {plan:?}");
+                parked += p;
+            }
+        }
+        assert!(parked > 1000, "only {parked} wakes parked");
     }
 
     #[test]

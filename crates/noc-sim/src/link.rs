@@ -84,6 +84,10 @@ pub struct Link<P> {
     slowdown: f64,
     /// True while a `LinkFree` event is pending for this link.
     serving: bool,
+    /// Queue position `(time, seq)` of a `LinkFree` the fabric reserved
+    /// instead of scheduling, because the serve before it left every VC
+    /// empty; the link is not serving meanwhile (DESIGN §8).
+    parked: Option<(SimTime, u64)>,
     burst: Option<Burst>,
     /// Bumped whenever a pending `LinkFree` event is superseded by a burst
     /// preemption; events carrying an older token are ignored.
@@ -143,6 +147,7 @@ impl<P> Link<P> {
             rr: 0,
             slowdown: 1.0,
             serving: false,
+            parked: None,
             burst: None,
             token: 0,
             events_saved: 0,
@@ -330,6 +335,19 @@ impl<P> Link<P> {
     /// Marks that a serve event has been scheduled (or completed).
     pub fn set_serving(&mut self, serving: bool) {
         self.serving = serving;
+    }
+
+    /// Parks the link's next wake at the reserved queue position
+    /// `(at, seq)`: no `LinkFree` is pending until it is redeemed.
+    pub fn park(&mut self, at: SimTime, seq: u64) {
+        debug_assert!(!self.has_work(), "parked a link with queued work");
+        self.serving = false;
+        self.parked = Some((at, seq));
+    }
+
+    /// Takes the parked wake position, if any.
+    pub fn take_parked(&mut self) -> Option<(SimTime, u64)> {
+        self.parked.take()
     }
 
     /// Current token; `LinkFree` events carrying an older value are stale.

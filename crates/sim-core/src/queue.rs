@@ -23,7 +23,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// log2 of the bucket width in picoseconds (8.192 ns per bucket).
 const DAY_SHIFT: u32 = 13;
@@ -77,8 +77,15 @@ pub struct EventQueue<E> {
     occ: Vec<u64>,
     /// Events at days `>= win_lo + N_BUCKETS`, earliest first.
     overflow: BinaryHeap<Entry<E>>,
+    /// The same-instant lane: pushes at the time of the last pop, all at
+    /// one time, in push (so sequence) order.
+    lane: VecDeque<Entry<E>>,
+    /// Entries in the calendar (staged, buckets and overflow); the lane
+    /// is counted apart.
     len: usize,
     seq: u64,
+    /// `(time, seq)` of the last popped event.
+    last: (SimTime, u64),
     pops: u64,
     peak: usize,
 }
@@ -124,8 +131,10 @@ impl<E> EventQueue<E> {
             spare_cap: 0,
             occ: vec![0u64; N_BUCKETS / 64],
             overflow: BinaryHeap::new(),
+            lane: VecDeque::new(),
             len: 0,
             seq: 0,
+            last: (SimTime::ZERO, 0),
             pops: 0,
             peak: 0,
         }
@@ -133,11 +142,47 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.reserve();
+        let e = Entry { time, seq, event };
+        if time == self.last.0 && self.lane.front().is_none_or(|f| f.time == time) {
+            self.lane.push_back(e);
+            self.note_peak();
+            return;
+        }
+        self.insert(e);
+    }
+
+    /// Consumes the sequence number a [`push`](Self::push) made now would
+    /// take, and schedules nothing. [`push_reserved`](Self::push_reserved)
+    /// can later schedule an event at exactly that position.
+    pub fn reserve(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        let e = Entry { time, seq, event };
+        seq
+    }
+
+    /// Schedules `event` at `(time, seq)`, a position taken by
+    /// [`reserve`](Self::reserve) and not yet used.
+    pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        debug_assert!(seq < self.seq, "sequence number {seq} was never reserved");
+        self.insert(Entry { time, seq, event });
+    }
+
+    /// Sequence number of the last popped event: inside the handling of
+    /// an event, the position the queue has been processed through.
+    pub fn last_seq(&self) -> u64 {
+        self.last.1
+    }
+
+    fn note_peak(&mut self) {
+        self.peak = self.peak.max(self.len + self.lane.len());
+    }
+
+    /// Puts `e` into the calendar.
+    fn insert(&mut self, e: Entry<E>) {
+        let (time, seq) = (e.time, e.seq);
         self.len += 1;
-        self.peak = self.peak.max(self.len);
+        self.note_peak();
         if self.len == 1 {
             // Empty queue: re-anchor the window on this event.
             self.win_lo = day_of(time);
@@ -173,21 +218,35 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.staged.pop()?;
-        self.len -= 1;
+        let from_lane = match (self.lane.front(), self.staged.last()) {
+            (Some(l), Some(s)) => (l.time, l.seq) < (s.time, s.seq),
+            (lane, _) => lane.is_some(),
+        };
+        let e = if from_lane {
+            self.lane.pop_front().expect("lane front checked")
+        } else {
+            let e = self.staged.pop()?;
+            self.len -= 1;
+            if self.staged.is_empty() && self.len > 0 {
+                self.restage();
+            }
+            if self.spare_cap > self.len + SPARE_FLOOR {
+                self.trim_spare();
+            }
+            e
+        };
         self.pops += 1;
-        if self.staged.is_empty() && self.len > 0 {
-            self.restage();
-        }
-        if self.spare_cap > self.len + SPARE_FLOOR {
-            self.trim_spare();
-        }
+        self.last = (e.time, e.seq);
         Some((e.time, e.event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.staged.last().map(|e| e.time)
+        let staged = self.staged.last().map(|e| e.time);
+        match self.lane.front() {
+            Some(l) => Some(staged.map_or(l.time, |t| t.min(l.time))),
+            None => staged,
+        }
     }
 
     /// Removes the earliest event only if it is scheduled at or before `now`.
@@ -200,17 +259,18 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.len + self.lane.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Drops every pending event.
     pub fn clear(&mut self) {
         self.len = 0;
+        self.lane.clear();
         self.staged.clear();
         for w in 0..self.occ.len() {
             let mut word = self.occ[w];
@@ -455,7 +515,9 @@ mod tests {
     }
 
     /// The original binary-heap implementation, kept as the ordering
-    /// oracle for the calendar queue.
+    /// oracle for the calendar queue. Like the queue it hands out
+    /// sequence numbers, and it also takes them explicitly, for reserved
+    /// positions.
     struct ReferenceQueue {
         heap: BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>>,
         seq: u64,
@@ -468,13 +530,70 @@ mod tests {
                 seq: 0,
             }
         }
-        fn push(&mut self, t: SimTime, v: u32) {
-            self.heap.push(std::cmp::Reverse((t.as_ps(), self.seq, v)));
+        fn reserve(&mut self) -> u64 {
             self.seq += 1;
+            self.seq - 1
+        }
+        fn push(&mut self, t: SimTime, v: u32) {
+            let seq = self.reserve();
+            self.push_at(t, seq, v);
+        }
+        fn push_at(&mut self, t: SimTime, seq: u64, v: u32) {
+            self.heap.push(std::cmp::Reverse((t.as_ps(), seq, v)));
         }
         fn pop(&mut self) -> Option<(u64, u64, u32)> {
             self.heap.pop().map(|std::cmp::Reverse(x)| x)
         }
+    }
+
+    /// The lane's invariant: one time, ascending sequence numbers.
+    fn check_lane<E>(q: &EventQueue<E>) {
+        let mut it = q.lane.iter();
+        if let Some(first) = it.next() {
+            let mut prev = first.seq;
+            for e in it {
+                assert_eq!(e.time, first.time, "the lane holds two times");
+                assert!(e.seq > prev, "the lane is out of sequence order");
+                prev = e.seq;
+            }
+        }
+    }
+
+    #[test]
+    fn reserved_position_orders_before_later_pushes() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ns(5);
+        q.push(SimTime::ZERO, 'a');
+        assert_eq!(q.pop().map(|(_, e)| e), Some('a'));
+        let seq = q.reserve();
+        // Same-instant pushes enter the lane behind the reservation.
+        q.push(SimTime::ZERO, 'c');
+        q.push(t, 'd');
+        q.push_reserved(SimTime::ZERO, seq, 'b');
+        assert_eq!(q.len(), 3);
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['b', 'c', 'd']);
+        assert_eq!(q.last_seq(), seq + 2);
+    }
+
+    #[test]
+    fn lane_takes_only_the_last_popped_instant() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(10), 0);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(10), 0)));
+        q.push(SimTime::from_ns(10), 1);
+        q.push(SimTime::from_ns(20), 2);
+        assert_eq!(q.lane.len(), 1);
+        // Into the past while the lane holds 10 ns: the calendar takes it,
+        // and after it pops, a push at its time must not join the lane.
+        q.push(SimTime::from_ns(5), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(5), 3)));
+        q.push(SimTime::from_ns(5), 4);
+        assert_eq!(q.lane.len(), 1);
+        check_lane(&q);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(5)));
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![4, 1, 2]);
     }
 
     /// Capacity, in entries, held by the staged vector, every bucket and
@@ -584,11 +703,14 @@ mod tests {
     }
 
     /// Drives the calendar queue and the reference heap in lockstep over
-    /// `steps` seeded operations per seed: pushes near the cursor, far
-    /// ahead, behind it (rewinds) and before the window (rebuilds),
-    /// bursts into one day, pops, and occasional clears. Recycled bucket
-    /// vectors are reused by every later insert, so any stale entry left
-    /// in one would surface as a mismatch.
+    /// `steps` seeded operations per seed: pushes near the cursor, at the
+    /// last popped instant (the lane), far ahead, behind it (rewinds) and
+    /// before the window (rebuilds), bursts into one day, reservations
+    /// redeemed later (into the staged day, a rewound day or the
+    /// overflow, and below sequence numbers already in the lane) or never,
+    /// pops, and occasional clears. Recycled bucket vectors are reused by
+    /// every later insert, so any stale entry left in one would surface as
+    /// a mismatch.
     fn lockstep_with_reference(seeds: std::ops::Range<u64>, steps: u32) {
         use crate::rng::JitterRng;
         use crate::time::SimDuration;
@@ -597,23 +719,27 @@ mod tests {
             let mut q = EventQueue::new();
             let mut r = ReferenceQueue::new();
             let mut last = SimTime::ZERO;
+            // Reservations not yet redeemed: (time, seq), the time chosen
+            // when reserving, as an owner does.
+            let mut held: Vec<(SimTime, u64)> = Vec::new();
             let mut step = 0u32;
             while step < steps {
-                match rng.next_below(20) {
+                match rng.next_below(24) {
                     0..=11 => {
                         // Push: cluster near the last popped time, with
-                        // occasional same-instant repeats, far-future
+                        // same-instant repeats (the lane), far-future
                         // outliers to cross the wheel window, and pushes
                         // into the past (rewind inside the window, or a
-                        // rebuild before it).
-                        let t = match rng.next_below(12) {
-                            0 => last,
-                            1..=6 => last + SimDuration::from_ps(rng.next_below(50_000)),
-                            7 | 8 => last + SimDuration::from_ps(rng.next_below(500_000_000)),
-                            9 => SimTime::from_ps(
+                        // rebuild before it), also while the lane holds
+                        // entries.
+                        let t = match rng.next_below(14) {
+                            0..=2 => last,
+                            3..=8 => last + SimDuration::from_ps(rng.next_below(50_000)),
+                            9 | 10 => last + SimDuration::from_ps(rng.next_below(500_000_000)),
+                            11 => SimTime::from_ps(
                                 last.as_ps().saturating_sub(rng.next_below(100_000)),
                             ),
-                            10 => SimTime::from_ps(
+                            12 => SimTime::from_ps(
                                 last.as_ps().saturating_sub(rng.next_below(100_000_000)),
                             ),
                             _ => SimTime::from_ps(rng.next_below(1_000_000_000)),
@@ -633,6 +759,30 @@ mod tests {
                     13 if rng.next_below(50) == 0 => {
                         q.clear();
                         r.heap.clear();
+                        held.clear();
+                    }
+                    14 | 15 => {
+                        // Reserve at the last popped instant (a later
+                        // redemption lands below the lane's sequence
+                        // numbers, or in a rewound day once the cursor
+                        // moves on), a little ahead, or past the window.
+                        let t = match rng.next_below(4) {
+                            0 | 1 => last,
+                            2 => last + SimDuration::from_ps(rng.next_below(100_000)),
+                            _ => last + SimDuration::from_ps(rng.next_below(500_000_000)),
+                        };
+                        let seq = q.reserve();
+                        assert_eq!(seq, r.reserve(), "seed {seed} step {step}");
+                        held.push((t, seq));
+                    }
+                    16 | 17 if !held.is_empty() => {
+                        let (t, seq) = held.swap_remove(rng.next_below(held.len() as u64) as usize);
+                        // Some reservations are abandoned, as a passed
+                        // position is.
+                        if rng.next_below(4) != 0 {
+                            q.push_reserved(t, seq, step);
+                            r.push_at(t, seq, step);
+                        }
                     }
                     _ => {
                         let got = q.pop();
@@ -642,13 +792,15 @@ mod tests {
                             want.map(|(t, _, v)| (t, v)),
                             "seed {seed} step {step}"
                         );
-                        if let Some((t, _)) = got {
-                            last = t;
+                        if let Some((t, seq, _)) = want {
+                            assert_eq!(q.last_seq(), seq, "seed {seed} step {step}");
+                            last = SimTime::from_ps(t);
                         }
                     }
                 }
                 assert_eq!(q.len(), r.heap.len(), "seed {seed} step {step}");
                 check_spare_budget(&q);
+                check_lane(&q);
                 assert_eq!(
                     q.peek_time().map(|t| t.as_ps()),
                     r.heap.peek().map(|e| e.0 .0),

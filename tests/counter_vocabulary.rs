@@ -49,7 +49,7 @@ fn check_vocabulary(logic_prefix: &str, r: &ExecReport) {
     assert_eq!(ranks.last(), Some(&2));
 
     // The engine's components list their own counters: the tile
-    // directory, the CAIS host protocol, then the kernel DAG.
+    // directory, the CAIS host protocol, the kernel DAG, then the GPUs.
     let engine: Vec<&str> = names
         .iter()
         .copied()
@@ -67,6 +67,7 @@ fn check_vocabulary(logic_prefix: &str, r: &ExecReport) {
             "engine.credits_over_returned",
             "engine.preaccess_blocked",
             "engine.kernels_remaining",
+            "engine.dormant_dispatches",
         ]
     );
 
@@ -99,6 +100,9 @@ fn check_vocabulary(logic_prefix: &str, r: &ExecReport) {
         assert_eq!(counter(name), field as f64, "{name}");
     }
     assert_eq!(counter("fabric.backoff_us"), res.backoff_time.as_us_f64());
+    // Events that would have changed nothing and were never scheduled.
+    assert!(counter("fabric.parked_wakes") > 0.0);
+    assert!(counter("engine.dormant_dispatches") > 0.0);
     assert!(res.drops > 0 && res.degraded_serves > 0, "{res:?}");
 }
 
