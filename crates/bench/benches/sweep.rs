@@ -11,9 +11,9 @@ fn render_all(tables: &[cais_harness::Table]) -> String {
 }
 
 fn main() {
-    let reference = render_all(&cais_harness::fig11::run(Scale::Smoke, 1));
+    let reference = render_all(&cais_harness::fig11::EXPERIMENT.run(Scale::Smoke, 1));
     let serial = timeit("sweep/fig11_smoke_jobs=1", 3, || {
-        black_box(cais_harness::fig11::run(Scale::Smoke, 1).len())
+        black_box(cais_harness::fig11::EXPERIMENT.run(Scale::Smoke, 1).len())
     });
     for workers in [2, 4, 8] {
         if workers > sweep::default_jobs() {
@@ -23,14 +23,18 @@ fn main() {
             );
             continue;
         }
-        let tables = cais_harness::fig11::run(Scale::Smoke, workers);
+        let tables = cais_harness::fig11::EXPERIMENT.run(Scale::Smoke, workers);
         assert_eq!(
             render_all(&tables),
             reference,
             "tables must be byte-identical at jobs={workers}"
         );
         let parallel = timeit(&format!("sweep/fig11_smoke_jobs={workers}"), 3, || {
-            black_box(cais_harness::fig11::run(Scale::Smoke, workers).len())
+            black_box(
+                cais_harness::fig11::EXPERIMENT
+                    .run(Scale::Smoke, workers)
+                    .len(),
+            )
         });
         println!(
             "  -> speedup over jobs=1: {:.2}x",

@@ -14,8 +14,11 @@ use llm_workload::Dfg;
 ///
 /// `Send` is a supertrait so strategies (and `Box<dyn Strategy>`) can be
 /// moved into sweep worker threads; each job constructs and consumes its
-/// strategy on one thread, so no `Sync` is required.
-pub trait Strategy: Send {
+/// strategy on one thread, so no `Sync` is required. `Debug` is a
+/// supertrait so a strategy's every field is part of the harness's job
+/// key (`cais_harness::JobSpec::key`): two jobs merge only when their
+/// strategies print the same.
+pub trait Strategy: Send + std::fmt::Debug {
     /// Display name used in experiment tables ("TP-NVLS", "CAIS", ...).
     fn name(&self) -> &str;
 

@@ -12,67 +12,89 @@
 //!    ability to fuse across *layer* boundaries (the L2/L4 patterns)
 //!    materializes as end-to-end gains on a multi-layer stack.
 
-use crate::runner::{Scale, Table};
-use crate::sweep::{self, SweepJob};
+use crate::runner::{Experiment, JobSpec, Scale, Table, Workload};
+use crate::sweep::JobResult;
 use cais_core::CaisStrategy;
-use cais_engine::strategy::execute;
-use llm_workload::{sublayer, transformer_stack, ModelConfig, Pass, SubLayer, TpMode};
+use llm_workload::{Pass, SubLayer, TpMode};
 
-/// Runs all three ablations.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
+/// All three ablations: packet size, then credits, then the stack.
+pub const EXPERIMENT: Experiment = Experiment::new("ablations", manifest, render);
+
+/// Ablation 1's reduction packet sizes.
+fn packet_sizes(scale: Scale) -> Vec<u64> {
+    scale.pick(
+        vec![2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10],
+        vec![4 << 10, 8 << 10, 32 << 10],
+    )
+}
+
+/// Ablation 2's throttle-credit settings.
+const CREDITS: [(&str, Option<usize>); 5] = [
+    ("8", Some(8)),
+    ("16", Some(16)),
+    ("64 (default)", Some(64)),
+    ("256", Some(256)),
+    ("unthrottled", None),
+];
+
+/// Ablation 3's cases: the two stack strategies plus the single-layer
+/// reference.
+type StackCase = (&'static str, fn() -> CaisStrategy, u64);
+const STACK_CASES: [StackCase; 3] = [
+    ("CAIS stack", CaisStrategy::full, 2),
+    ("CAIS-Base stack", CaisStrategy::base, 2),
+    ("2 x CAIS single layer", CaisStrategy::full, 1),
+];
+
+/// One job per packet size, per credit setting and per stack case.
+fn manifest(scale: Scale) -> Vec<JobSpec> {
+    let model = scale.llama_7b_halved();
+    let l2 = || Workload::sublayer(&model, SubLayer::L2);
+    let cfg = scale.system();
+    let mut specs = Vec::new();
+    for bytes in packet_sizes(scale) {
+        let strategy = CaisStrategy::full()
+            .with_packet_bytes(bytes)
+            .with_merge_table(None);
+        let label = format!("packet/{}kb", bytes >> 10);
+        specs.push(JobSpec::new(label, l2(), Box::new(strategy), cfg.clone()));
+    }
+    for (label, credits) in CREDITS {
+        let strategy = Box::new(CaisStrategy::full().with_credits(credits));
+        let label = format!("credits/{label}");
+        specs.push(JobSpec::new(label, l2(), strategy, cfg.clone()));
+    }
+    for (label, make, layers) in STACK_CASES {
+        let workload = Workload::Layers {
+            model: model.clone(),
+            mode: TpMode::SeqPar,
+            pass: Pass::Forward,
+            layers,
+        };
+        specs.push(JobSpec::new(label, workload, Box::new(make()), cfg.clone()));
+    }
+    specs
+}
+
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
+    let sizes = packet_sizes(scale);
+    let (packet, rest) = results.split_at(sizes.len());
+    let (credits, stack) = rest.split_at(CREDITS.len());
     vec![
-        run_packet_size(scale, jobs),
-        run_credits(scale, jobs),
-        run_multi_layer(scale, jobs),
+        packet_size(&sizes, packet),
+        credit_table(credits),
+        multi_layer(stack),
     ]
 }
 
-fn ablation_model(scale: Scale) -> ModelConfig {
-    match scale {
-        Scale::Paper => ModelConfig::llama_7b(),
-        Scale::Smoke => ModelConfig {
-            hidden: 2048,
-            ffn_hidden: 5632,
-            heads: 16,
-            seq_len: 1536,
-            batch: 2,
-            ..ModelConfig::llama_7b()
-        },
-    }
-}
-
-/// Ablation 1: reduction packet granularity. One sweep job per size.
-pub fn run_packet_size(scale: Scale, jobs: usize) -> Table {
-    let model = ablation_model(scale);
-    let cfg = scale.system();
-    let sizes: Vec<u64> = match scale {
-        Scale::Paper => vec![2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10],
-        Scale::Smoke => vec![4 << 10, 8 << 10, 32 << 10],
-    };
+/// Ablation 1: reduction packet granularity.
+fn packet_size(sizes: &[u64], results: &[JobResult]) -> Table {
     let mut table = Table::new(
         "abl-packet",
         "CAIS sensitivity to red.cais packet granularity (L2)",
         vec!["time_us".into(), "peak_table_kb".into()],
     );
-    let manifest: Vec<SweepJob> = sizes
-        .iter()
-        .map(|&bytes| {
-            let (model, cfg) = (model.clone(), cfg.clone());
-            SweepJob::new(format!("packet/{}kb", bytes >> 10), move || {
-                let dfg = sublayer(&model, cfg.tp(), SubLayer::L2);
-                execute(
-                    &CaisStrategy::full()
-                        .with_packet_bytes(bytes)
-                        .with_merge_table(None),
-                    &dfg,
-                    &cfg,
-                )
-            })
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("abl-packet", &results);
-    for (res, &bytes) in results.iter().zip(&sizes) {
+    for (res, &bytes) in results.iter().zip(sizes) {
         let peak = res
             .report()
             .map(|r| r.stat("cais.peak_port_occupancy").unwrap_or(0.0) / 1024.0)
@@ -83,42 +105,21 @@ pub fn run_packet_size(scale: Scale, jobs: usize) -> Table {
             .unwrap_or(f64::NAN);
         table.push(format!("{} KB", bytes >> 10), vec![us, peak]);
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.notes = "finer packets shrink the required merge table (shorter session \
                    lifetimes) at the cost of more switch transactions"
         .into();
     table
 }
 
-/// Ablation 2: throttle credits. One sweep job per credit setting.
-pub fn run_credits(scale: Scale, jobs: usize) -> Table {
-    let model = ablation_model(scale);
-    let cfg = scale.system();
-    let settings: Vec<(String, Option<usize>)> = vec![
-        ("8".into(), Some(8)),
-        ("16".into(), Some(16)),
-        ("64 (default)".into(), Some(64)),
-        ("256".into(), Some(256)),
-        ("unthrottled".into(), None),
-    ];
+/// Ablation 2: throttle credits.
+fn credit_table(results: &[JobResult]) -> Table {
     let mut table = Table::new(
         "abl-credits",
         "CAIS sensitivity to throttle credits per (GPU, plane) (L2, 40 KB table)",
         vec!["time_us".into(), "evictions".into()],
     );
-    let manifest: Vec<SweepJob> = settings
-        .iter()
-        .map(|(label, credits)| {
-            let (model, cfg, credits) = (model.clone(), cfg.clone(), *credits);
-            SweepJob::new(format!("credits/{label}"), move || {
-                let dfg = sublayer(&model, cfg.tp(), SubLayer::L2);
-                execute(&CaisStrategy::full().with_credits(credits), &dfg, &cfg)
-            })
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("abl-credits", &results);
-    for (res, (label, _)) in results.iter().zip(&settings) {
+    for (res, (label, _)) in results.iter().zip(CREDITS) {
         let (us, evictions) = match res.report() {
             Some(r) => (
                 r.total.as_us_f64(),
@@ -127,45 +128,23 @@ pub fn run_credits(scale: Scale, jobs: usize) -> Table {
             ),
             None => (f64::NAN, f64::NAN),
         };
-        table.push(label.clone(), vec![us, evictions]);
+        table.push(label, vec![us, evictions]);
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.notes = "too few credits starve the links; too many overflow the table \
                    (evictions) when requests burst"
         .into();
     table
 }
 
-/// Ablation 3: cross-layer fusion on a 2-layer stack. Three sweep jobs:
-/// the two stack strategies plus the single-layer reference.
-pub fn run_multi_layer(scale: Scale, jobs: usize) -> Table {
-    let model = ablation_model(scale);
-    let cfg = scale.system();
+/// Ablation 3: cross-layer fusion on a 2-layer stack.
+fn multi_layer(results: &[JobResult]) -> Table {
     let mut table = Table::new(
         "abl-stack",
         "cross-layer fusion: 2-layer stack vs 2x single layer",
         vec!["time_us".into()],
     );
-    type StackCase = (&'static str, fn() -> CaisStrategy, u64);
-    let cases: [StackCase; 3] = [
-        ("CAIS stack", CaisStrategy::full, 2),
-        ("CAIS-Base stack", CaisStrategy::base, 2),
-        ("2 x CAIS single layer", CaisStrategy::full, 1),
-    ];
-    let manifest: Vec<SweepJob> = cases
-        .iter()
-        .map(|&(label, make, layers)| {
-            let (model, cfg) = (model.clone(), cfg.clone());
-            SweepJob::new(label, move || {
-                let dfg =
-                    transformer_stack(&model, cfg.tp(), TpMode::SeqPar, Pass::Forward, layers);
-                execute(&make(), &dfg, &cfg)
-            })
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("abl-stack", &results);
-    for (res, &(label, _, layers)) in results.iter().zip(&cases) {
+    for (res, (label, _, layers)) in results.iter().zip(STACK_CASES) {
         let mut us = res
             .report()
             .map(|r| r.total.as_us_f64())
@@ -175,7 +154,7 @@ pub fn run_multi_layer(scale: Scale, jobs: usize) -> Table {
         }
         table.push(label, vec![us]);
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.notes = "the stack under CAIS should beat two isolated layers: the layer \
                    boundary is an L2-shaped RS+LN+AG chain the optimizer pipelines"
         .into();
@@ -188,7 +167,7 @@ mod tests {
 
     #[test]
     fn finer_packets_shrink_the_required_table() {
-        let t = run_packet_size(Scale::Smoke, 1);
+        let t = &EXPERIMENT.run(Scale::Smoke, 1)[0];
         let first = &t.rows.first().unwrap(); // 4 KB
         let last = &t.rows.last().unwrap(); // 32 KB
         assert!(
@@ -201,7 +180,7 @@ mod tests {
 
     #[test]
     fn starvation_credits_hurt() {
-        let t = run_credits(Scale::Smoke, 1);
+        let t = &EXPERIMENT.run(Scale::Smoke, 1)[1];
         let tight = t.rows[0].1[0];
         let default = t.rows[2].1[0];
         assert!(
@@ -212,7 +191,7 @@ mod tests {
 
     #[test]
     fn stack_fusion_does_not_regress() {
-        let t = run_multi_layer(Scale::Smoke, 1);
+        let t = &EXPERIMENT.run(Scale::Smoke, 1)[2];
         let stack = t.rows[0].1[0];
         let two_singles = t.rows[2].1[0];
         assert!(

@@ -1,11 +1,13 @@
 //! Sec. V-D — hardware overhead at TSMC 12 nm.
 
-use crate::runner::{Scale, Table};
+use crate::runner::{Experiment, Scale, Table};
+use crate::sweep::JobResult;
 use cais_core::area::paper_estimate;
 
-/// Runs the area model. Analytic only — no simulations, so the job
-/// count is unused.
-pub fn run(_scale: Scale, _jobs: usize) -> Vec<Table> {
+/// The area model. Analytic only: no jobs.
+pub const EXPERIMENT: Experiment = Experiment::new("area", |_| Vec::new(), render);
+
+fn render(_scale: Scale, _results: &[JobResult]) -> Vec<Table> {
     let r = paper_estimate();
     let mut table = Table::new(
         "area",
@@ -32,7 +34,7 @@ mod tests {
 
     #[test]
     fn overheads_are_below_one_percent() {
-        let t = &run(Scale::Paper, 1)[0];
+        let t = &EXPERIMENT.run(Scale::Paper, 1)[0];
         assert!(t.rows[0].1[1] < 1.0);
         assert!(t.rows[1].1[1] < 0.01);
     }

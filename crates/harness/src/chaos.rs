@@ -12,10 +12,12 @@
 //! On top of the audit, three metamorphic oracles compare runs that must
 //! agree:
 //!
-//! 1. **Zero-fault determinism** — the fault-free plan run with two
+//! 1. **Inert plans change nothing** — the fault-free plan run with two
 //!    different fault seeds must be byte-identical (total time, events
 //!    processed, semantic contributions) and report clean resilience
 //!    counters; a zero-rate plan that perturbs anything is a gating bug.
+//!    TP-NVLS has no merge unit, so its merge-fault run must equal its
+//!    fault-free run in the same three numbers.
 //! 2. **Fault-plan invariance** — retransmission delivers every packet
 //!    exactly once and degradation only stretches time, so each
 //!    strategy's *semantic* counters (tile reduction contributions;
@@ -31,17 +33,20 @@
 //! The whole soak is deterministic in its seed list, so a failure
 //! reproduces by rerunning the same scale.
 
-use crate::runner::{Scale, Table};
-use crate::sweep::{self, SweepJob};
+use crate::runner::{Experiment, JobSpec, Scale, Table, Workload};
+use crate::sweep::JobResult;
 use cais_baselines::BaselineStrategy;
 use cais_core::CaisStrategy;
-use cais_engine::strategy::execute;
-use cais_engine::{ExecReport, SimError, SystemConfig};
-use llm_workload::{sublayer, ModelConfig, SubLayer};
+use cais_engine::{ExecReport, Strategy};
+use llm_workload::{ModelConfig, SubLayer};
 use sim_core::{DegradeSpec, FaultPlan, MergeFaultSpec, SimDuration};
 
 /// Root of the soak's fault-seed sequence.
 pub const CHAOS_SEED: u64 = 0xC4A0_5EED;
+
+/// The soak: one row per fault seed; failed runs and violated oracles
+/// surface as FAILED lines.
+pub const EXPERIMENT: Experiment = Experiment::new("chaos", manifest, render);
 
 /// Fault-plan variants exercised for every (seed, strategy) pair. The
 /// second fault-free variant reseeds the fault RNG streams to prove the
@@ -51,12 +56,10 @@ const PLANS: [&str; 5] = ["none", "none-reseeded", "drop", "degrade", "merge-fau
 /// Strategies in column order.
 const STRATEGIES: [&str; 2] = ["CAIS", "TP-NVLS"];
 
-fn n_seeds(scale: Scale) -> usize {
-    match scale {
-        // 8 seeds x 2 strategies x 5 plans = 80 audited runs.
-        Scale::Smoke => 8,
-        Scale::Paper => 16,
-    }
+fn seeds(scale: Scale) -> Vec<u64> {
+    // At smoke scale 8 seeds x 2 strategies x 5 plans = 80 audited runs.
+    let n = scale.pick(16, 8);
+    (0..n).map(|i| CHAOS_SEED ^ (i * 0x9E37_79B9)).collect()
 }
 
 /// The fault plan for one (seed, variant) cell.
@@ -79,30 +82,38 @@ fn plan(variant: &str, seed: u64) -> FaultPlan {
     }
 }
 
-/// The audited system config for one cell.
-fn audited_cfg(scale: Scale, faults: FaultPlan) -> SystemConfig {
-    let mut cfg = scale.system();
-    cfg.faults = faults;
-    cfg.audit.enabled = true;
-    // Tight enough that cadence checks fire many times per run, not just
-    // the final quiescence pass.
-    cfg.audit.cadence_events = 4096;
-    cfg
-}
-
-/// Runs one cell: the L2 sub-layer under CAIS or TP-NVLS.
-fn run_cell(cais: bool, model: &ModelConfig, cfg: &SystemConfig) -> Result<ExecReport, SimError> {
-    let dfg = sublayer(model, cfg.tp(), SubLayer::L2);
-    if cais {
-        execute(&CaisStrategy::full(), &dfg, cfg)
-    } else {
-        execute(&BaselineStrategy::tp_nvls(), &dfg, cfg)
+fn manifest(scale: Scale) -> Vec<JobSpec> {
+    let model = scale.model(&ModelConfig::llama_7b());
+    let mut specs = Vec::new();
+    for seed in seeds(scale) {
+        for strat in STRATEGIES {
+            for variant in PLANS {
+                let strategy: Box<dyn Strategy> = match strat {
+                    "CAIS" => Box::new(CaisStrategy::full()),
+                    _ => Box::new(BaselineStrategy::tp_nvls()),
+                };
+                let label = format!("seed={seed:#x}/{strat}/{variant}");
+                let l2 = Workload::sublayer(&model, SubLayer::L2);
+                let mut cfg = scale.system();
+                cfg.faults = plan(variant, seed);
+                cfg.audit.enabled = true;
+                // Tight enough that cadence checks fire many times per
+                // run, not just the final quiescence pass.
+                cfg.audit.cadence_events = 4096;
+                specs.push(JobSpec::new(label, l2, strategy, cfg));
+            }
+        }
     }
+    specs
 }
 
-fn job(label: String, cais: bool, model: &ModelConfig, cfg: &SystemConfig) -> SweepJob {
-    let (model, cfg) = (model.clone(), cfg.clone());
-    SweepJob::new(label, move || run_cell(cais, &model, &cfg))
+/// How `run` differs from `reference` in total time, events processed
+/// and semantic contributions, if it does.
+fn run_mismatch(reference: &ExecReport, run: &ExecReport) -> Option<String> {
+    let fingerprint = |r: &ExecReport| (r.total, r.events_processed, r.semantic_contribs);
+    let ((t0, e0, c0), (t1, e1, c1)) = (fingerprint(reference), fingerprint(run));
+    ((t0, e0, c0) != (t1, e1, c1))
+        .then(|| format!("total {t0} vs {t1}, events {e0} vs {e1}, contribs {c0} vs {c1}"))
 }
 
 fn stat(r: &ExecReport, key: &str) -> f64 {
@@ -121,21 +132,21 @@ fn check_group(
     let Some(reference) = runs[0] else {
         return; // run failure already reported by absorb_failures
     };
-    // Oracle 1: the two fault-free runs are byte-identical and clean.
-    if let Some(reseeded) = runs[1] {
-        if reference.total != reseeded.total
-            || reference.events_processed != reseeded.events_processed
-            || reference.semantic_contribs != reseeded.semantic_contribs
+    // Oracle 1: the two fault-free runs are byte-identical and clean,
+    // and a merge-fault plan without a merge unit changes nothing.
+    if let Some(m) = runs[1].and_then(|reseeded| run_mismatch(reference, reseeded)) {
+        fail(format!(
+            "zero-fault plan not byte-identical under reseed: {m}"
+        ));
+    }
+    if !cais {
+        let merge_faults = PLANS.iter().position(|&p| p == "merge-faults");
+        if let Some(m) = merge_faults
+            .and_then(|vi| runs[vi])
+            .and_then(|run| run_mismatch(reference, run))
         {
             fail(format!(
-                "zero-fault plan not byte-identical under reseed: \
-                 total {} vs {}, events {} vs {}, contribs {} vs {}",
-                reference.total,
-                reseeded.total,
-                reference.events_processed,
-                reseeded.events_processed,
-                reference.semantic_contribs,
-                reseeded.semantic_contribs
+                "plan merge-faults without a merge unit changed the run: {m}"
             ));
         }
     }
@@ -173,31 +184,8 @@ fn check_group(
     }
 }
 
-/// Runs the soak and evaluates the oracles. One row per fault seed;
-/// failed runs and violated oracles surface as FAILED lines.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
-    let model = scale.model(&ModelConfig::llama_7b());
-    let seeds: Vec<u64> = (0..n_seeds(scale))
-        .map(|i| CHAOS_SEED ^ ((i as u64) * 0x9E37_79B9))
-        .collect();
-
-    let mut manifest: Vec<SweepJob> = Vec::new();
-    for &seed in &seeds {
-        for (si, strat) in STRATEGIES.iter().enumerate() {
-            for variant in PLANS {
-                let cfg = audited_cfg(scale, plan(variant, seed));
-                manifest.push(job(
-                    format!("seed={seed:#x}/{strat}/{variant}"),
-                    si == 0,
-                    &model,
-                    &cfg,
-                ));
-            }
-        }
-    }
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("chaos", &results);
-
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
+    let seeds = seeds(scale);
     let mut table = Table::new(
         "chaos-soak",
         "seeded fault matrix under full conservation audit (LLaMA-7B L2)",
@@ -211,45 +199,31 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
         ],
     );
     let mut oracle_violations: Vec<String> = Vec::new();
-    let per_strategy = PLANS.len();
-    let per_seed = STRATEGIES.len() * per_strategy;
-    for (i, &seed) in seeds.iter().enumerate() {
-        let base = i * per_seed;
-        let mut row_fails = 0usize;
-        for (si, strat) in STRATEGIES.iter().enumerate() {
-            let group: Vec<Option<&ExecReport>> = (0..per_strategy)
-                .map(|vi| results[base + si * per_strategy + vi].report())
-                .collect();
-            let before = oracle_violations.len();
-            check_group(
-                &format!("seed={seed:#x}/{strat}"),
-                si == 0,
-                &group,
-                &mut oracle_violations,
-            );
-            row_fails += oracle_violations.len() - before;
+    let per_seed = STRATEGIES.len() * PLANS.len();
+    for (seed, runs) in seeds.iter().zip(results.chunks(per_seed)) {
+        let before = oracle_violations.len();
+        for (strat, group) in STRATEGIES.iter().zip(runs.chunks(PLANS.len())) {
+            let reports: Vec<Option<&ExecReport>> = group.iter().map(JobResult::report).collect();
+            let label = format!("seed={seed:#x}/{strat}");
+            check_group(&label, *strat == "CAIS", &reports, &mut oracle_violations);
         }
-        let us = |si: usize, vi: usize| results[base + si * per_strategy + vi].secs() * 1e6;
-        table.push(
-            format!("seed {seed:#x}"),
-            vec![
-                us(0, 0),
-                us(0, 2),
-                us(0, 3),
-                us(0, 4),
-                us(1, 0),
-                row_fails as f64,
-            ],
-        );
+        let row_fails = (oracle_violations.len() - before) as f64;
+        // CAIS none, drop, degrade and merge-faults, then TP-NVLS none.
+        let mut row: Vec<f64> = [0, 2, 3, 4, PLANS.len()]
+            .iter()
+            .map(|&i| runs[i].secs() * 1e6)
+            .collect();
+        row.push(row_fails);
+        table.push(format!("seed {seed:#x}"), row);
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.failures.extend(oracle_violations);
     table.notes = format!(
         "{} audited runs ({} seeds x {} strategies x {} plans); every run \
          verifies conservation ledgers at a {}-event cadence plus end-of-run \
          quiescence; oracle fails counts metamorphic-oracle violations \
          (zero-fault determinism, fault-plan counter invariance)",
-        seeds.len() * per_seed,
+        results.len(),
         seeds.len(),
         STRATEGIES.len(),
         PLANS.len(),
@@ -264,12 +238,12 @@ mod tests {
 
     #[test]
     fn soak_is_well_formed_and_clean() {
-        let tables = run(Scale::Smoke, 2);
+        let tables = EXPERIMENT.run(Scale::Smoke, 2);
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
         assert!(t.failures.is_empty(), "{:?}", t.failures);
         assert!(t.timeouts.is_empty(), "{:?}", t.timeouts);
-        assert_eq!(t.rows.len(), n_seeds(Scale::Smoke));
+        assert_eq!(t.rows.len(), seeds(Scale::Smoke).len());
         for (label, row) in &t.rows {
             assert_eq!(*row.last().expect("cells"), 0.0, "{label} oracle fails");
             assert!(row[..5].iter().all(|v| *v > 0.0), "{label} has empty cells");
@@ -282,11 +256,38 @@ mod tests {
     /// was never answered. It must now finish clean under full audit.
     #[test]
     fn paper_scale_merge_fault_cell_drains() {
-        let scale = Scale::Paper;
-        let model = scale.model(&ModelConfig::llama_7b());
-        let cfg = audited_cfg(scale, plan("merge-faults", 0x8_63a8_f6f3));
-        if let Err(e) = run_cell(true, &model, &cfg) {
+        let cell = manifest(Scale::Paper)
+            .into_iter()
+            .find(|s| s.label == "seed=0x863a8f6f3/CAIS/merge-faults")
+            .expect("the cell is in the paper-scale soak");
+        if let Err(e) = cell.run() {
             panic!("{e}");
         }
+    }
+
+    /// TP-NVLS has no merge unit: its merge-fault run must equal its
+    /// fault-free run, and the oracle says so when a report differs.
+    /// CAIS may legally diverge under the same plan.
+    #[test]
+    fn merge_faults_without_a_merge_unit_change_nothing() {
+        let none = manifest(Scale::Smoke)
+            .into_iter()
+            .find(|s| s.label.ends_with("/TP-NVLS/none"))
+            .expect("a TP-NVLS fault-free cell")
+            .run()
+            .expect("run");
+        let mut moved = none.clone();
+        moved.events_processed += 1;
+        let mut runs = [Some(&none); PLANS.len()];
+        let mut violations = Vec::new();
+        check_group("g", false, &runs, &mut violations);
+        assert!(violations.is_empty(), "{violations:?}");
+        runs[PLANS.len() - 1] = Some(&moved);
+        check_group("g", false, &runs, &mut violations);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("merge-faults"), "{violations:?}");
+        violations.clear();
+        check_group("g", true, &runs, &mut violations);
+        assert!(violations.is_empty(), "{violations:?}");
     }
 }

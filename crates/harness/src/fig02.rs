@@ -4,72 +4,48 @@
 //! The paper's observation: communication overtakes computation beyond
 //! 4–8 GPUs; at 8 GPUs communication is ~1.6x computation.
 
-use crate::runner::{Scale, Table};
-use crate::sweep::{self, SweepJob};
+use crate::runner::{compute_and_comm_us, Experiment, JobSpec, Scale, Table, Workload};
+use crate::sweep::JobResult;
 use cais_baselines::BaselineStrategy;
-use cais_engine::strategy::execute;
-use llm_workload::{transformer_layer, ModelConfig, Pass, TpMode};
+use llm_workload::{Pass, TpMode};
 
-/// Runs the experiment: one sweep job per GPU count.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
-    let gpu_counts: Vec<usize> = match scale {
-        Scale::Paper => vec![2, 4, 8, 16],
-        Scale::Smoke => vec![2, 4],
-    };
-    // The figure's premise (per-GPU compute shrinking against a fixed
-    // collective volume) needs real work to dominate launch overheads,
-    // so the smoke variant halves rather than quarters the model.
-    let model = match scale {
-        Scale::Paper => ModelConfig::llama_7b(),
-        Scale::Smoke => ModelConfig {
-            hidden: 2048,
-            ffn_hidden: 5632,
-            heads: 16,
-            seq_len: 1536,
-            batch: 2,
-            ..ModelConfig::llama_7b()
-        },
-    };
+/// The experiment: one job per GPU count.
+pub const EXPERIMENT: Experiment = Experiment::new("fig2", manifest, render);
+
+fn gpu_counts(scale: Scale) -> Vec<usize> {
+    scale.pick(vec![2, 4, 8, 16], vec![2, 4])
+}
+
+fn manifest(scale: Scale) -> Vec<JobSpec> {
+    let model = scale.llama_7b_halved();
+    gpu_counts(scale)
+        .into_iter()
+        .map(|p| {
+            let mut cfg = scale.system();
+            cfg.n_gpus = p;
+            cfg.fabric = noc_sim::FabricConfig::default_for(p, cfg.n_planes);
+            // This figure is about the compute/communication balance,
+            // not launch noise; quiesce the host-side skew so the
+            // per-layer times reflect work, not jitter.
+            cfg.gpu.launch_skew = sim_core::SimDuration::ZERO;
+            cfg.gpu.dispatch_jitter = sim_core::SimDuration::from_us(1);
+            let workload = Workload::layer(&model, TpMode::BasicTp, Pass::Forward);
+            let strategy = Box::new(BaselineStrategy::tp_nvls());
+            JobSpec::new(format!("tp-nvls/{p}gpus"), workload, strategy, cfg)
+        })
+        .collect()
+}
+
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
     let mut table = Table::new(
         "fig02",
         "LLaMA-7B per-layer compute vs. communication time (TP-NVLS)",
         vec!["compute_us".into(), "comm_us".into(), "comm/compute".into()],
     );
-    let manifest: Vec<SweepJob> = gpu_counts
-        .iter()
-        .map(|&p| {
-            let (scale, model) = (scale, model.clone());
-            SweepJob::new(format!("tp-nvls/{p}gpus"), move || {
-                let mut cfg = scale.system();
-                cfg.n_gpus = p;
-                cfg.fabric = noc_sim::FabricConfig::default_for(p, cfg.n_planes);
-                // This figure is about the compute/communication balance,
-                // not launch noise; quiesce the host-side skew so the
-                // per-layer times reflect work, not jitter.
-                cfg.gpu.launch_skew = sim_core::SimDuration::ZERO;
-                cfg.gpu.dispatch_jitter = sim_core::SimDuration::from_us(1);
-                let strategy = BaselineStrategy::tp_nvls();
-                let dfg = transformer_layer(&model, p as u64, TpMode::BasicTp, Pass::Forward);
-                execute(&strategy, &dfg, &cfg)
-            })
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("fig02", &results);
-    for (res, p) in results.iter().zip(&gpu_counts) {
-        let (compute, comm) = match res.report() {
-            Some(report) => {
-                let comm = report.kernel_time_with_prefix("coll.").as_us_f64();
-                let total_named: f64 = report
-                    .kernel_spans
-                    .values()
-                    .filter(|s| s.gpu == sim_core::GpuId(0))
-                    .map(|s| s.duration().as_us_f64())
-                    .sum();
-                (total_named - comm, comm)
-            }
-            None => (f64::NAN, f64::NAN),
-        };
+    for (res, p) in results.iter().zip(gpu_counts(scale)) {
+        let (compute, comm) = res
+            .report()
+            .map_or((f64::NAN, f64::NAN), compute_and_comm_us);
         let ratio = if compute > 0.0 {
             comm / compute
         } else if compute.is_nan() {
@@ -79,7 +55,7 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
         };
         table.push(format!("{p} GPUs"), vec![compute, comm, ratio]);
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.notes = "paper: communication overtakes compute beyond 4-8 GPUs; ~1.6x at 8 GPUs".into();
     vec![table]
 }
@@ -90,7 +66,7 @@ mod tests {
 
     #[test]
     fn comm_share_grows_with_gpus() {
-        let tables = run(Scale::Smoke, 1);
+        let tables = EXPERIMENT.run(Scale::Smoke, 1);
         let t = &tables[0];
         let r2 = t.cell("2 GPUs", "comm/compute").unwrap();
         let r4 = t.cell("4 GPUs", "comm/compute").unwrap();

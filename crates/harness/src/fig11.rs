@@ -7,62 +7,65 @@
 //! 1.2-1.25x over the NVLS-enhanced overlappers, 1.45x over T3-NVLS,
 //! ~7.6x over LADM, and ~1.45x over CAIS-Base.
 
-use crate::runner::{layer_job, roster, roster_name, Scale, Table};
-use crate::sweep;
+use crate::runner::{push_speedups, roster, Experiment, JobSpec, Scale, Table, Workload};
+use crate::sweep::JobResult;
 use llm_workload::{ModelConfig, Pass};
-use sim_core::stats::geomean;
 
-/// Runs the experiment. One table per phase (inference, training); the
-/// sweep manifest is the full strategy × model cross product per phase.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
-    let models: Vec<ModelConfig> = match scale {
-        Scale::Paper => ModelConfig::table1(),
-        Scale::Smoke => vec![Scale::Smoke.model(&ModelConfig::mega_gpt_4b())],
-    };
-    let passes: Vec<(&str, Pass)> = match scale {
-        Scale::Paper => vec![("inference", Pass::Forward), ("training", Pass::Training)],
-        Scale::Smoke => vec![("inference", Pass::Forward)],
-    };
+/// The experiment: one table per phase (inference, training), each over
+/// the full strategy × model cross product.
+pub const EXPERIMENT: Experiment = Experiment::new("fig11", manifest, render);
 
-    let mut tables = Vec::new();
-    for (phase, pass) in passes {
-        let mut columns: Vec<String> = models.iter().map(|m| m.name.to_string()).collect();
-        columns.push("geomean".into());
-        let mut table = Table::new(
-            "fig11",
-            format!("CAIS end-to-end speedup, {phase}"),
-            columns,
-        );
-        // Measure every strategy on every model, one sweep job each.
-        let cfg = scale.system();
-        let n_entries = roster().len();
-        let manifest: Vec<_> = (0..n_entries)
-            .flat_map(|si| models.iter().map(move |m| (si, m)))
-            .map(|(si, model)| layer_job(si, model, &cfg, pass))
-            .collect();
-        let results = sweep::run_jobs(manifest, jobs);
-        sweep::log_timing("fig11", &results);
-        let times: Vec<Vec<f64>> = results
-            .chunks(models.len())
-            .map(|row| row.iter().map(|r| r.secs()).collect())
-            .collect();
-        let cais_idx = n_entries - 1;
-        for (si, strat_times) in times.iter().enumerate() {
-            let mut speedups: Vec<f64> = (0..models.len())
-                .map(|mi| strat_times[mi] / times[cais_idx][mi])
-                .collect();
-            speedups.push(geomean(&speedups));
-            table.push(format!("vs {}", roster_name(si)), speedups);
+fn models(scale: Scale) -> Vec<ModelConfig> {
+    scale.pick(
+        ModelConfig::table1(),
+        vec![scale.model(&ModelConfig::mega_gpt_4b())],
+    )
+}
+
+fn passes(scale: Scale) -> Vec<(&'static str, Pass)> {
+    scale.pick(
+        vec![("inference", Pass::Forward), ("training", Pass::Training)],
+        vec![("inference", Pass::Forward)],
+    )
+}
+
+/// Per phase and model, the whole roster.
+fn manifest(scale: Scale) -> Vec<JobSpec> {
+    let (models, cfg) = (models(scale), scale.system());
+    let mut specs = Vec::new();
+    for (_, pass) in passes(scale) {
+        for model in &models {
+            for entry in roster() {
+                let label = format!("{}/{}/{pass:?}", entry.strategy.name(), model.name);
+                let workload = Workload::layer(model, entry.mode, pass);
+                specs.push(JobSpec::new(label, workload, entry.strategy, cfg.clone()));
+            }
         }
-        table.absorb_failures(&results);
-        table.notes = "values are CAIS time advantage over each system (>1 = CAIS faster); \
-                       paper geomeans: TP-NVLS 1.38, SP-NVLS 1.89, CoCoNet 1.98, FuseLib 1.90, \
-                       T3 1.61, CoCoNet-NVLS 1.25, FuseLib-NVLS 1.21, T3-NVLS 1.45, LADM 7.6, \
-                       CAIS-Base ~1.45"
-            .into();
-        tables.push(table);
     }
-    tables
+    specs
+}
+
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
+    let models = models(scale);
+    let per_phase = results.len() / passes(scale).len();
+    passes(scale)
+        .into_iter()
+        .zip(results.chunks(per_phase))
+        .map(|((phase, _), results)| {
+            let mut columns: Vec<String> = models.iter().map(|m| m.name.to_string()).collect();
+            columns.push("geomean".into());
+            let title = format!("CAIS end-to-end speedup, {phase}");
+            let mut table = Table::new("fig11", title, columns);
+            push_speedups(&mut table, results);
+            table.absorb_failures(results);
+            table.notes = "values are CAIS time advantage over each system (>1 = CAIS faster); \
+                           paper geomeans: TP-NVLS 1.38, SP-NVLS 1.89, CoCoNet 1.98, \
+                           FuseLib 1.90, T3 1.61, CoCoNet-NVLS 1.25, FuseLib-NVLS 1.21, \
+                           T3-NVLS 1.45, LADM 7.6, CAIS-Base ~1.45"
+                .into();
+            table
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -71,7 +74,7 @@ mod tests {
 
     #[test]
     fn cais_beats_every_baseline_in_smoke_run() {
-        let tables = run(Scale::Smoke, 1);
+        let tables = EXPERIMENT.run(Scale::Smoke, 1);
         let t = &tables[0];
         for (label, values) in &t.rows {
             let geo = *values.last().unwrap();

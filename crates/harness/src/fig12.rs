@@ -5,18 +5,33 @@
 //! end-to-end numbers (e.g. 1.39x over TP-NVLS, 1.64x over T3, 7.9x
 //! over LADM).
 
-use crate::runner::{roster, roster_name, run_graph, Scale, Table};
-use crate::sweep::{self, SweepJob};
-use llm_workload::{sublayer, ModelConfig, SubLayer};
-use sim_core::stats::geomean;
+use crate::runner::{push_speedups, roster, Experiment, JobSpec, Scale, Table, Workload};
+use crate::sweep::JobResult;
+use llm_workload::{ModelConfig, SubLayer};
 
-/// Runs the experiment: one sweep job per strategy × sub-layer.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
+/// The experiment: one job per strategy × sub-layer.
+pub const EXPERIMENT: Experiment = Experiment::new("fig12", manifest, render);
+
+fn sublayers(scale: Scale) -> Vec<SubLayer> {
+    scale.pick(SubLayer::ALL.to_vec(), vec![SubLayer::L1, SubLayer::L2])
+}
+
+fn manifest(scale: Scale) -> Vec<JobSpec> {
     let model = scale.model(&ModelConfig::llama_7b());
-    let sublayers: Vec<SubLayer> = match scale {
-        Scale::Paper => SubLayer::ALL.to_vec(),
-        Scale::Smoke => vec![SubLayer::L1, SubLayer::L2],
-    };
+    sublayers(scale)
+        .into_iter()
+        .flat_map(|which| roster().into_iter().map(move |entry| (which, entry)))
+        .map(|(which, entry)| {
+            let label = format!("{}/{}", entry.strategy.name(), which.label());
+            let workload = Workload::sublayer(&model, which);
+            JobSpec::new(label, workload, entry.strategy, scale.system())
+        })
+        .collect()
+}
+
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
+    let model = scale.model(&ModelConfig::llama_7b());
+    let sublayers = sublayers(scale);
     let mut columns: Vec<String> = sublayers.iter().map(|s| s.label().to_string()).collect();
     columns.push("geomean".into());
     let mut table = Table::new(
@@ -24,38 +39,8 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
         format!("CAIS sub-layer speedup on {}", model.name),
         columns,
     );
-
-    let cfg = scale.system();
-    let n_entries = roster().len();
-    let manifest: Vec<SweepJob> = (0..n_entries)
-        .flat_map(|si| sublayers.iter().map(move |w| (si, *w)))
-        .map(|(si, which)| {
-            let (model, cfg) = (model.clone(), cfg.clone());
-            SweepJob::new(
-                format!("{}/{}", roster_name(si), which.label()),
-                move || {
-                    let entry = roster().swap_remove(si);
-                    let dfg = sublayer(&model, cfg.tp(), which);
-                    run_graph(&entry, &dfg, &cfg)
-                },
-            )
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("fig12", &results);
-    let times: Vec<Vec<f64>> = results
-        .chunks(sublayers.len())
-        .map(|row| row.iter().map(|r| r.secs()).collect())
-        .collect();
-    let cais_idx = n_entries - 1;
-    for (si, strat_times) in times.iter().enumerate() {
-        let mut speedups: Vec<f64> = (0..sublayers.len())
-            .map(|li| strat_times[li] / times[cais_idx][li])
-            .collect();
-        speedups.push(geomean(&speedups));
-        table.push(format!("vs {}", roster_name(si)), speedups);
-    }
-    table.absorb_failures(&results);
+    push_speedups(&mut table, results);
+    table.absorb_failures(results);
     table.notes =
         "all systems run the same RS+LN+AG sub-layer graph; paper geomeans: TP-NVLS 1.39, \
          SP-NVLS 1.91, T3 1.64, T3-NVLS 1.47, LADM 7.9, CAIS-Base ~1.47"
@@ -69,7 +54,7 @@ mod tests {
 
     #[test]
     fn sublayer_speedups_favor_cais() {
-        let tables = run(Scale::Smoke, 1);
+        let tables = EXPERIMENT.run(Scale::Smoke, 1);
         let t = &tables[0];
         for (label, values) in &t.rows {
             if label != "vs CAIS" {

@@ -10,29 +10,65 @@
 //! between the earliest and latest request for the same address, from
 //! ~35 µs uncoordinated down to <3 µs with all mechanisms.
 
-use crate::runner::{Scale, Table};
-use crate::sweep::{self, SweepJob};
+use crate::runner::{Experiment, JobSpec, Scale, Table, Workload};
+use crate::sweep::JobResult;
 use cais_core::strategies::DEFAULT_PACKET_BYTES;
 use cais_core::{CaisStrategy, CoordinationOpts};
-use cais_engine::strategy::execute;
-use llm_workload::{sublayer, ModelConfig, SubLayer};
+use llm_workload::{ModelConfig, SubLayer};
 
-/// Runs both halves of the experiment.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
-    vec![run_table_size(scale, jobs), run_ablation(scale, jobs)]
+/// The experiment: both halves, (a) then (b).
+pub const EXPERIMENT: Experiment = Experiment::new("fig13", manifest, render);
+
+/// Fig. 13a's (model, sub-layer) cells.
+fn cells(scale: Scale) -> Vec<(ModelConfig, SubLayer)> {
+    let models = scale.pick(
+        ModelConfig::table1(),
+        vec![scale.model(&ModelConfig::llama_7b())],
+    );
+    let sublayers = scale.pick(SubLayer::ALL.to_vec(), vec![SubLayer::L1]);
+    models
+        .iter()
+        .flat_map(|m| sublayers.iter().map(move |&w| (m.clone(), w)))
+        .collect()
 }
 
-/// Fig. 13a: minimal required merge-table size per sub-layer. Two sweep
-/// jobs (coordinated, uncoordinated) per model × sub-layer cell.
-pub fn run_table_size(scale: Scale, jobs: usize) -> Table {
-    let models: Vec<ModelConfig> = match scale {
-        Scale::Paper => ModelConfig::table1(),
-        Scale::Smoke => vec![Scale::Smoke.model(&ModelConfig::llama_7b())],
-    };
-    let sublayers: Vec<SubLayer> = match scale {
-        Scale::Paper => SubLayer::ALL.to_vec(),
-        Scale::Smoke => vec![SubLayer::L1],
-    };
+/// Fig. 13a: two jobs (coordinated, uncoordinated) per model ×
+/// sub-layer cell, on an unbounded table. Fig. 13b: one job per rung of
+/// the cumulative coordination ladder, on the L2 sub-layer.
+fn manifest(scale: Scale) -> Vec<JobSpec> {
+    let mut specs = Vec::new();
+    for (model, which) in cells(scale) {
+        for coordinated in [true, false] {
+            let mut strategy = CaisStrategy::full().with_merge_table(None);
+            if !coordinated {
+                strategy = strategy.with_coordination("w/o-coord", CoordinationOpts::none());
+            }
+            let tag = if coordinated { "coord" } else { "uncoord" };
+            let label = format!("{}/{}/{tag}", model.name, which.label());
+            let workload = Workload::sublayer(&model, which);
+            let spec = JobSpec::new(label, workload, Box::new(strategy), scale.system());
+            specs.push(spec);
+        }
+    }
+    let model = scale.model(&ModelConfig::llama_7b());
+    for (name, opts) in CoordinationOpts::ladder() {
+        let strategy = CaisStrategy::full()
+            .with_coordination(name, opts)
+            .with_merge_table(None);
+        let l2 = Workload::sublayer(&model, SubLayer::L2);
+        specs.push(JobSpec::new(name, l2, Box::new(strategy), scale.system()));
+    }
+    specs
+}
+
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
+    let cells = cells(scale);
+    let (sizing, ladder) = results.split_at(2 * cells.len());
+    vec![table_size(&cells, sizing), ablation(ladder)]
+}
+
+/// Fig. 13a: minimal required merge-table size per sub-layer.
+fn table_size(cells: &[(ModelConfig, SubLayer)], results: &[JobResult]) -> Table {
     // Peak occupancy is measured in simulator bytes; report it on the
     // paper's axis by converting through entry counts (entry = one
     // packet-granularity session; the paper's entries are 128 B).
@@ -46,37 +82,8 @@ pub fn run_table_size(scale: Scale, jobs: usize) -> Table {
             "reduction_%".into(),
         ],
     );
-    let cfg = scale.system();
-    let cells: Vec<(&ModelConfig, SubLayer)> = models
-        .iter()
-        .flat_map(|m| sublayers.iter().map(move |w| (m, *w)))
-        .collect();
-    let manifest: Vec<SweepJob> = cells
-        .iter()
-        .flat_map(|(model, which)| {
-            let mk = |coordinated: bool| {
-                let (model, cfg, which) = ((*model).clone(), cfg.clone(), *which);
-                let tag = if coordinated { "coord" } else { "uncoord" };
-                SweepJob::new(
-                    format!("{}/{}/{tag}", model.name, which.label()),
-                    move || {
-                        let dfg = sublayer(&model, cfg.tp(), which);
-                        let mut strategy = CaisStrategy::full().with_merge_table(None);
-                        if !coordinated {
-                            strategy =
-                                strategy.with_coordination("w/o-coord", CoordinationOpts::none());
-                        }
-                        execute(&strategy, &dfg, &cfg)
-                    },
-                )
-            };
-            [mk(true), mk(false)]
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("fig13a", &results);
-    for (pair, (model, which)) in results.chunks(2).zip(&cells) {
-        let occupancy = |r: &sweep::JobResult| {
+    for (pair, (model, which)) in results.chunks(2).zip(cells) {
+        let occupancy = |r: &JobResult| {
             r.report()
                 .map(|rep| rep.stat("cais.peak_port_occupancy").unwrap_or(0.0))
                 .unwrap_or(f64::NAN)
@@ -92,52 +99,28 @@ pub fn run_table_size(scale: Scale, jobs: usize) -> Table {
         };
         table.push(format!("{} {}", model.name, which.label()), vec![c, u, red]);
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.notes = "paper: coordinated <40 KB on every sub-layer, uncoordinated up to 250 KB \
                    (87% reduction)"
         .into();
     table
 }
 
-/// Fig. 13b: the cumulative coordination ablation ladder. One sweep job
-/// per ladder rung.
-pub fn run_ablation(scale: Scale, jobs: usize) -> Table {
-    let model = scale.model(&ModelConfig::llama_7b());
-    let cfg = scale.system();
+/// Fig. 13b: the cumulative coordination ablation ladder.
+fn ablation(results: &[JobResult]) -> Table {
     let mut table = Table::new(
         "fig13b",
         "mean request spread per merged address (us)",
         vec!["spread_us".into()],
     );
-    let ladder = CoordinationOpts::ladder();
-    let manifest: Vec<SweepJob> = ladder
-        .iter()
-        .enumerate()
-        .map(|(i, (name, _))| {
-            let (model, cfg) = (model.clone(), cfg.clone());
-            SweepJob::new(*name, move || {
-                let dfg = sublayer(&model, cfg.tp(), SubLayer::L2);
-                let (name, opts) = CoordinationOpts::ladder().swap_remove(i);
-                execute(
-                    &CaisStrategy::full()
-                        .with_coordination(name, opts)
-                        .with_merge_table(None),
-                    &dfg,
-                    &cfg,
-                )
-            })
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("fig13b", &results);
-    for (res, (name, _)) in results.iter().zip(&ladder) {
+    for (res, (name, _)) in results.iter().zip(CoordinationOpts::ladder()) {
         let spread = res
             .report()
             .map(|r| r.stat("cais.mean_spread_us").unwrap_or(0.0))
             .unwrap_or(f64::NAN);
-        table.push(*name, vec![spread]);
+        table.push(name, vec![spread]);
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.notes = "paper: 35 us uncoordinated falling below 3 us with all mechanisms".into();
     table
 }
@@ -148,7 +131,7 @@ mod tests {
 
     #[test]
     fn coordination_shrinks_required_table() {
-        let t = run_table_size(Scale::Smoke, 1);
+        let t = &EXPERIMENT.run(Scale::Smoke, 1)[0];
         for (label, v) in &t.rows {
             let (c, u) = (v[0], v[1]);
             assert!(
@@ -160,7 +143,7 @@ mod tests {
 
     #[test]
     fn ablation_monotonically_tightens_spread() {
-        let t = run_ablation(Scale::Smoke, 1);
+        let t = &EXPERIMENT.run(Scale::Smoke, 1)[1];
         let first = t.rows.first().unwrap().1[0];
         let last = t.rows.last().unwrap().1[0];
         assert!(

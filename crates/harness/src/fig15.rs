@@ -4,48 +4,50 @@
 //! control) vs. full CAIS, averaged across all links and both directions.
 //! Paper averages: 62.4% → 84.7% → 90.2%.
 
-use crate::runner::{Scale, Table};
-use crate::sweep::{self, SweepJob};
+use crate::runner::{Experiment, JobSpec, Scale, Table, Workload};
+use crate::sweep::JobResult;
 use cais_core::CaisStrategy;
-use cais_engine::strategy::execute;
-use llm_workload::{sublayer, ModelConfig, SubLayer};
+use cais_engine::Strategy;
+use llm_workload::{ModelConfig, SubLayer};
 
-/// The three CAIS variants compared, constructed by index so job
-/// closures can build their own instance on the worker thread.
-fn variant(i: usize) -> (&'static str, CaisStrategy) {
-    match i {
-        0 => ("CAIS-Base", CaisStrategy::base()),
-        1 => ("CAIS-Partial", CaisStrategy::partial()),
-        _ => ("CAIS", CaisStrategy::full()),
-    }
+/// The experiment: one job per sub-layer × CAIS variant.
+pub const EXPERIMENT: Experiment = Experiment::new("fig15", manifest, render);
+
+fn sublayers(scale: Scale) -> Vec<SubLayer> {
+    scale.pick(SubLayer::ALL.to_vec(), vec![SubLayer::L1, SubLayer::L2])
 }
 
-/// Runs the experiment: one sweep job per sub-layer × CAIS variant.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
+fn manifest(scale: Scale) -> Vec<JobSpec> {
     let model = scale.model(&ModelConfig::llama_7b());
-    let sublayers: Vec<SubLayer> = match scale {
-        Scale::Paper => SubLayer::ALL.to_vec(),
-        Scale::Smoke => vec![SubLayer::L1, SubLayer::L2],
-    };
-    let cfg = scale.system();
+    let mut specs = Vec::new();
+    for which in sublayers(scale) {
+        for strategy in variants() {
+            let label = format!("{}/{}", strategy.name(), which.label());
+            let workload = Workload::sublayer(&model, which);
+            let spec = JobSpec::new(label, workload, Box::new(strategy), scale.system());
+            specs.push(spec);
+        }
+    }
+    specs
+}
+
+/// The three CAIS variants compared, in column order; Fig. 16 compares
+/// the same three.
+pub(crate) fn variants() -> [CaisStrategy; 3] {
+    [
+        CaisStrategy::base(),
+        CaisStrategy::partial(),
+        CaisStrategy::full(),
+    ]
+}
+
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
+    let sublayers = sublayers(scale);
     let mut table = Table::new(
         "fig15",
         "mean link bandwidth utilization per sub-layer (%)",
         vec!["CAIS-Base".into(), "CAIS-Partial".into(), "CAIS".into()],
     );
-    let manifest: Vec<SweepJob> = sublayers
-        .iter()
-        .flat_map(|&which| (0..3).map(move |i| (which, i)).collect::<Vec<_>>())
-        .map(|(which, i)| {
-            let (model, cfg) = (model.clone(), cfg.clone());
-            SweepJob::new(format!("{}/{}", variant(i).0, which.label()), move || {
-                let dfg = sublayer(&model, cfg.tp(), which);
-                execute(&variant(i).1, &dfg, &cfg)
-            })
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("fig15", &results);
     let mut sums = [0.0f64; 3];
     for (triple, which) in results.chunks(3).zip(&sublayers) {
         let mut row = Vec::with_capacity(3);
@@ -59,7 +61,7 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
         }
         table.push(which.label(), row);
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     let n = sublayers.len() as f64;
     table.push("average", sums.iter().map(|s| s / n).collect());
     table.notes = "paper averages: 62.4 / 84.7 / 90.2".into();
@@ -72,7 +74,7 @@ mod tests {
 
     #[test]
     fn optimizer_and_traffic_control_raise_utilization() {
-        let t = &run(Scale::Smoke, 1)[0];
+        let t = &EXPERIMENT.run(Scale::Smoke, 1)[0];
         let avg = &t.rows.last().unwrap().1;
         assert!(
             avg[2] > avg[0],

@@ -5,47 +5,37 @@
 //! configuration dips under contention and the base configuration
 //! fluctuates at low levels.
 
-use crate::runner::{Scale, Table};
-use crate::sweep::{self, SweepJob};
-use cais_core::CaisStrategy;
-use cais_engine::strategy::execute;
-use llm_workload::{sublayer, ModelConfig, SubLayer};
+use crate::runner::{Experiment, JobSpec, Scale, Table, Workload};
+use crate::sweep::JobResult;
+use cais_engine::Strategy;
+use llm_workload::{ModelConfig, SubLayer};
 use sim_core::SimDuration;
 
-/// Runs the experiment; rows are time buckets. One sweep job per CAIS
-/// variant.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
+/// The experiment; rows are time buckets. One job per CAIS variant.
+pub const EXPERIMENT: Experiment = Experiment::new("fig16", manifest, render);
+
+fn bucket(scale: Scale) -> SimDuration {
+    scale.pick(SimDuration::from_us(10), SimDuration::from_us(5))
+}
+
+fn manifest(scale: Scale) -> Vec<JobSpec> {
     let model = scale.model(&ModelConfig::llama_7b());
     let mut cfg = scale.system();
-    let bucket = match scale {
-        Scale::Paper => SimDuration::from_us(10),
-        Scale::Smoke => SimDuration::from_us(5),
-    };
-    cfg.fabric.series_bucket = Some(bucket);
+    cfg.fabric.series_bucket = Some(bucket(scale));
+    let l2 = Workload::sublayer(&model, SubLayer::L2);
+    crate::fig15::variants()
+        .into_iter()
+        .map(|s| JobSpec::new(s.name().to_string(), l2.clone(), Box::new(s), cfg.clone()))
+        .collect()
+}
 
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
+    let bucket = bucket(scale);
     let mut table = Table::new(
         "fig16",
         "link utilization over time, L2 sub-layer (%)",
         vec!["CAIS-Base".into(), "CAIS-Partial".into(), "CAIS".into()],
     );
-    type Variant = (&'static str, fn() -> CaisStrategy);
-    let variants: [Variant; 3] = [
-        ("CAIS-Base", CaisStrategy::base),
-        ("CAIS-Partial", CaisStrategy::partial),
-        ("CAIS", CaisStrategy::full),
-    ];
-    let manifest: Vec<SweepJob> = variants
-        .iter()
-        .map(|&(name, make)| {
-            let (model, cfg) = (model.clone(), cfg.clone());
-            SweepJob::new(name, move || {
-                let dfg = sublayer(&model, cfg.tp(), SubLayer::L2);
-                execute(&make(), &dfg, &cfg)
-            })
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("fig16", &results);
     let series: Vec<Vec<f64>> = results
         .iter()
         .map(|r| {
@@ -62,7 +52,7 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
             .collect();
         table.push(format!("t={}us", i as u64 * bucket.as_ns() / 1000), row);
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.notes = "each row is one time bucket; CAIS should sustain the highest steady \
                    utilization and finish first (zeros after completion)"
         .into();
@@ -75,7 +65,7 @@ mod tests {
 
     #[test]
     fn cais_sustains_higher_peak_utilization() {
-        let t = &run(Scale::Smoke, 1)[0];
+        let t = &EXPERIMENT.run(Scale::Smoke, 1)[0];
         let peak = |col: usize| t.rows.iter().map(|(_, v)| v[col]).fold(0.0f64, f64::max);
         assert!(
             peak(2) >= peak(0),

@@ -5,84 +5,59 @@
 //! work stays constant). The paper reports <5% per-GPU throughput drop
 //! from 8 to 32 GPUs.
 
-use crate::runner::{Scale, Table};
-use crate::sweep::{self, SweepJob};
+use crate::runner::{Entry, Experiment, JobSpec, Scale, Table, Workload};
+use crate::sweep::JobResult;
 use cais_baselines::BaselineStrategy;
 use cais_core::CaisStrategy;
-use cais_engine::strategy::execute;
-use cais_engine::Strategy;
-use llm_workload::{transformer_layer, ModelConfig, Pass, TpMode};
+use llm_workload::{ModelConfig, Pass, TpMode};
 
-/// Runs the experiment: one sweep job per GPU count × strategy.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
-    let (base_p, gpu_counts): (usize, Vec<usize>) = match scale {
-        Scale::Paper => (8, vec![8, 16, 32]),
-        Scale::Smoke => (4, vec![4, 8]),
-    };
+/// The experiment: one job per GPU count × strategy.
+pub const EXPERIMENT: Experiment = Experiment::new("fig17", manifest, render);
+
+/// The base GPU count and the GPU counts swept.
+fn gpu_counts(scale: Scale) -> (usize, Vec<usize>) {
+    scale.pick((8, vec![8, 16, 32]), (4, vec![4, 8]))
+}
+
+fn manifest(scale: Scale) -> Vec<JobSpec> {
+    let (base_p, gpu_counts) = gpu_counts(scale);
     let base_model = scale.model(&ModelConfig::llama_7b());
+    let mut specs = Vec::new();
+    for p in gpu_counts {
+        let mut cfg = scale.system();
+        cfg.n_gpus = p;
+        cfg.fabric = noc_sim::FabricConfig::default_for(p, cfg.n_planes);
+        let model = base_model.scale_hidden(p as u64, base_p as u64);
+        for Entry { strategy, mode } in [
+            Entry::new(CaisStrategy::full(), TpMode::SeqPar),
+            Entry::new(BaselineStrategy::coconet_nvls(), TpMode::BasicTp),
+        ] {
+            let label = format!("{}/{p}gpus", strategy.name());
+            let workload = Workload::layer(&model, mode, Pass::Forward);
+            specs.push(JobSpec::new(label, workload, strategy, cfg.clone()));
+        }
+    }
+    specs
+}
+
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
     let mut table = Table::new(
         "fig17",
         "per-GPU throughput normalized to CAIS at the base GPU count",
         vec!["CAIS".into(), "CoCoNet-NVLS".into()],
     );
-
-    let make_strategy = |cais: bool| -> Box<dyn Strategy> {
-        if cais {
-            Box::new(CaisStrategy::full())
-        } else {
-            Box::new(BaselineStrategy::coconet_nvls())
-        }
-    };
-    let graph_for = |p: usize, cais: bool| {
-        let model = base_model.scale_hidden(p as u64, base_p as u64);
-        let mode = if cais {
-            TpMode::SeqPar
-        } else {
-            TpMode::BasicTp
-        };
-        transformer_layer(&model, p as u64, mode, Pass::Forward)
-    };
-    let manifest: Vec<SweepJob> = gpu_counts
-        .iter()
-        .flat_map(|&p| {
-            let mk = |cais: bool| {
-                let (scale, base_model) = (scale, base_model.clone());
-                let tag = if cais { "CAIS" } else { "CoCoNet-NVLS" };
-                SweepJob::new(format!("{tag}/{p}gpus"), move || {
-                    let mut cfg = scale.system();
-                    cfg.n_gpus = p;
-                    cfg.fabric = noc_sim::FabricConfig::default_for(p, cfg.n_planes);
-                    let model = base_model.scale_hidden(p as u64, base_p as u64);
-                    let mode = if cais {
-                        TpMode::SeqPar
-                    } else {
-                        TpMode::BasicTp
-                    };
-                    let dfg = transformer_layer(&model, p as u64, mode, Pass::Forward);
-                    execute(make_strategy(cais).as_ref(), &dfg, &cfg)
-                })
-            };
-            [mk(true), mk(false)]
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("fig17", &results);
     // FLOP counts come from the (cheap, deterministic) graph build; only
     // the simulations themselves ran on the pool.
-    let throughputs: Vec<(usize, f64, f64)> = results
-        .chunks(2)
-        .zip(&gpu_counts)
-        .map(|(pair, &p)| {
-            let tput =
-                |res: &sweep::JobResult, cais: bool| graph_for(p, cais).total_flops() / res.secs();
-            (p, tput(&pair[0], true), tput(&pair[1], false))
-        })
+    let throughputs: Vec<f64> = manifest(scale)
+        .iter()
+        .zip(results)
+        .map(|(spec, res)| spec.graph().expect("a layer graph").total_flops() / res.secs())
         .collect();
-    let norm = throughputs[0].1;
-    for (p, cais, coco) in throughputs {
-        table.push(format!("{p} GPUs"), vec![cais / norm, coco / norm]);
+    let norm = throughputs[0];
+    for (pair, p) in throughputs.chunks(2).zip(gpu_counts(scale).1) {
+        table.push(format!("{p} GPUs"), vec![pair[0] / norm, pair[1] / norm]);
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.notes = "paper: CAIS per-GPU throughput drop stays within 5% up to 32 GPUs".into();
     vec![table]
 }
@@ -93,7 +68,7 @@ mod tests {
 
     #[test]
     fn per_gpu_throughput_stays_flat() {
-        let t = &run(Scale::Smoke, 1)[0];
+        let t = &EXPERIMENT.run(Scale::Smoke, 1)[0];
         let first = t.rows.first().unwrap().1[0];
         let last = t.rows.last().unwrap().1[0];
         assert!((first - 1.0).abs() < 1e-9);

@@ -9,10 +9,12 @@
 //! quantity the paper plots — achieved AllReduce bandwidth per message
 //! size — plus the simulation-vs-reference error.
 
-use crate::runner::{Scale, Table};
-use crate::sweep::{self, SweepJob};
-use cais_engine::{IdAlloc, Program, SystemConfig, SystemSim};
-use nvls::{nvls_all_reduce, NvlsLogic};
+use crate::runner::{Experiment, JobSpec, Scale, Table};
+use crate::sweep::JobResult;
+use cais_engine::SystemConfig;
+
+/// The experiment: one job per AllReduce message size.
+pub const EXPERIMENT: Experiment = Experiment::new("fig18", manifest, render);
 
 /// Analytic reference: NCCL NVLS AllReduce time for `bytes` on 8 GPUs.
 pub fn reference_time_secs(bytes: u64) -> f64 {
@@ -21,49 +23,43 @@ pub fn reference_time_secs(bytes: u64) -> f64 {
     bytes as f64 / EFFECTIVE_BW + BASE_LATENCY
 }
 
-/// Runs the experiment: one sweep job per AllReduce message size.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
-    let sizes: Vec<u64> = match scale {
-        Scale::Paper => vec![1, 2, 4, 8, 16]
-            .into_iter()
-            .map(|gb| gb * (1 << 30))
-            .collect(),
-        Scale::Smoke => vec![64 << 20, 256 << 20],
-    };
+fn sizes(scale: Scale) -> Vec<u64> {
+    let gb = 1 << 30;
+    scale.pick(
+        vec![gb, 2 * gb, 4 * gb, 8 * gb, 16 * gb],
+        vec![64 << 20, 256 << 20],
+    )
+}
+
+fn manifest(scale: Scale) -> Vec<JobSpec> {
+    let mut cfg = SystemConfig::dgx_h100();
+    // Chunks small enough that the address hash spreads work across all
+    // four planes, large enough to bound the event count; coarse
+    // arbitration keeps events proportional to size/segment.
+    cfg.coll_chunk_bytes = 1 << 20;
+    cfg.fabric.segment_bytes = 256 * 1024;
+    cfg.deadline = sim_core::SimTime::from_ms(120_000);
+    // NCCL-style benchmarks report steady-state loop timings, so the
+    // one-shot launch noise is excluded here.
+    cfg.gpu.launch_skew = sim_core::SimDuration::ZERO;
+    cfg.gpu.dispatch_jitter = sim_core::SimDuration::ZERO;
+    cfg.gpu.compute_jitter = sim_core::SimDuration::ZERO;
+    sizes(scale)
+        .into_iter()
+        .map(|bytes| {
+            JobSpec::all_reduce(format!("allreduce/{}mb", bytes >> 20), bytes, cfg.clone())
+        })
+        .collect()
+}
+
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
     let mut table = Table::new(
         "fig18",
         "simulated NVLS AllReduce vs NCCL-style analytic reference",
         vec!["sim_GBps".into(), "ref_GBps".into(), "error_%".into()],
     );
-    let manifest: Vec<SweepJob> = sizes
-        .iter()
-        .map(|&bytes| {
-            SweepJob::new(format!("allreduce/{}mb", bytes >> 20), move || {
-                let mut cfg = SystemConfig::dgx_h100();
-                // Chunks small enough that the address hash spreads work
-                // across all four planes, large enough to bound the event
-                // count; coarse arbitration keeps events proportional to
-                // size/segment.
-                cfg.coll_chunk_bytes = 1 << 20;
-                cfg.fabric.segment_bytes = 256 * 1024;
-                cfg.deadline = sim_core::SimTime::from_ms(120_000);
-                // NCCL-style benchmarks report steady-state loop timings,
-                // so the one-shot launch noise is excluded here.
-                cfg.gpu.launch_skew = sim_core::SimDuration::ZERO;
-                cfg.gpu.dispatch_jitter = sim_core::SimDuration::ZERO;
-                cfg.gpu.compute_jitter = sim_core::SimDuration::ZERO;
-                let mut prog = Program::new();
-                let mut ids = IdAlloc::new(cfg.n_gpus);
-                nvls_all_reduce(&mut prog, &mut ids, &cfg, "ar", bytes, &[], None);
-                let n = cfg.n_gpus;
-                SystemSim::new(cfg, prog, NvlsLogic::new(n)).run()
-            })
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("fig18", &results);
     let mut errors = Vec::new();
-    for (res, &bytes) in results.iter().zip(&sizes) {
+    for (res, bytes) in results.iter().zip(sizes(scale)) {
         let sim_t = res.secs();
         let ref_t = reference_time_secs(bytes);
         let sim_bw = bytes as f64 / sim_t / 1e9;
@@ -73,7 +69,7 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
         table.push(format!("{} MB", bytes >> 20), vec![sim_bw, ref_bw, err]);
     }
     let mean_err = errors.iter().sum::<f64>() / errors.len() as f64;
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.push("mean_error", vec![0.0, 0.0, mean_err]);
     table.notes = format!(
         "paper reports 3.87% mean error vs real hardware; our reference is an analytic \
@@ -88,7 +84,7 @@ mod tests {
 
     #[test]
     fn simulated_nvls_tracks_reference_within_ten_percent() {
-        let t = &run(Scale::Smoke, 1)[0];
+        let t = &EXPERIMENT.run(Scale::Smoke, 1)[0];
         let (_, v) = t.rows.last().unwrap();
         assert!(
             v[2] < 10.0,

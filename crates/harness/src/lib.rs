@@ -1,9 +1,12 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (Sec. V) on the simulated DGX-H100.
 //!
-//! One module per experiment; each exposes `run(scale, jobs) -> Vec<Table>`,
-//! describing its sweep as a flat job manifest executed by the
-//! deterministic parallel runner in [`sweep`]:
+//! One module per experiment. Each exposes an [`Experiment`]: a manifest
+//! of [`JobSpec`]s (workload, strategy and config as plain data) and a
+//! render step that turns their results into [`Table`]s. The suite
+//! runner ([`runner::run_suite`]) builds every selected manifest up front
+//! and runs each distinct [`JobSpec::key`] once on the deterministic
+//! parallel runner in [`sweep`]:
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -21,6 +24,7 @@
 //! | [`ablations`] | extra design-choice sensitivity studies (packet size, credits, cross-layer fusion) |
 //! | [`sensitivity`] | fabric-bandwidth sweep validating the calibration story |
 //! | [`resilience`] | robustness study — packet-drop/retransmission and link-degradation sweeps |
+//! | [`chaos`] | robustness gate — seeded fault matrix under full conservation audit |
 //!
 //! Run everything from the CLI: `cargo run --release --bin cais-experiments -- all`.
 //! Pass `--smoke` for reduced sizes (used by the test suite) and
@@ -47,5 +51,24 @@ pub mod sensitivity;
 pub mod sweep;
 pub mod table2;
 
-pub use runner::{Scale, Table};
+pub use runner::{Experiment, JobSpec, Scale, Table, Workload};
 pub use sweep::{JobResult, SweepJob};
+
+/// Every experiment, in the order the CLI runs and prints them.
+pub const EXPERIMENTS: [Experiment; 15] = [
+    fig02::EXPERIMENT,
+    fig11::EXPERIMENT,
+    fig12::EXPERIMENT,
+    fig13::EXPERIMENT,
+    fig14::EXPERIMENT,
+    fig15::EXPERIMENT,
+    fig16::EXPERIMENT,
+    fig17::EXPERIMENT,
+    fig18::EXPERIMENT,
+    table2::EXPERIMENT,
+    area::EXPERIMENT,
+    ablations::EXPERIMENT,
+    sensitivity::EXPERIMENT,
+    resilience::EXPERIMENT,
+    chaos::EXPERIMENT,
+];

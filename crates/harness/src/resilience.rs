@@ -17,90 +17,67 @@
 //! use `FaultPlan::default()` and therefore match a build without the
 //! fault subsystem exactly.
 
-use crate::runner::{Scale, Table};
-use crate::sweep::{self, SweepJob};
-use cais_baselines::BaselineStrategy;
-use cais_core::CaisStrategy;
-use cais_engine::strategy::execute;
-use cais_engine::{ExecReport, SimError, SystemConfig};
-use llm_workload::{sublayer, ModelConfig, SubLayer};
+use crate::runner::{tp_nvls_and_cais, Entry, Experiment, JobSpec, Scale, Table, Workload};
+use crate::sweep::JobResult;
+use llm_workload::{ModelConfig, SubLayer};
 use sim_core::{DegradeSpec, FaultPlan, SimDuration};
 
 /// Root seed for every resilience run's fault RNG streams.
 pub const FAULT_SEED: u64 = 0xFA17;
 
+/// The experiment: (CAIS, TP-NVLS) per drop rate, then per degradation
+/// factor.
+pub const EXPERIMENT: Experiment = Experiment::new("resilience", manifest, render);
+
 /// Per-packet drop probabilities swept by `resil-drop`.
 fn drop_rates(scale: Scale) -> Vec<f64> {
-    match scale {
-        Scale::Paper => vec![0.0, 1e-4, 1e-3, 5e-3, 1e-2],
-        Scale::Smoke => vec![0.0, 1e-3, 1e-2],
-    }
+    scale.pick(vec![0.0, 1e-4, 1e-3, 5e-3, 1e-2], vec![0.0, 1e-3, 1e-2])
 }
 
 /// Bandwidth-degradation factors swept by `resil-degrade` (`1.0` is the
 /// fault-free baseline row).
 const DEGRADE_FACTORS: [f64; 4] = [1.0, 1.5, 2.0, 4.0];
 
-/// Builds the faulted system config for one sweep point.
-fn faulted_cfg(scale: Scale, faults: FaultPlan) -> SystemConfig {
-    let mut cfg = scale.system();
-    cfg.faults = faults;
-    cfg
-}
-
-/// One (system, fault plan) simulation over the L2 sub-layer.
-fn job(label: String, cais: bool, model: &ModelConfig, cfg: &SystemConfig) -> SweepJob {
-    let (model, cfg) = (model.clone(), cfg.clone());
-    SweepJob::new(label, move || -> Result<ExecReport, SimError> {
-        let dfg = sublayer(&model, cfg.tp(), SubLayer::L2);
-        if cais {
-            execute(&CaisStrategy::full(), &dfg, &cfg)
-        } else {
-            execute(&BaselineStrategy::tp_nvls(), &dfg, &cfg)
-        }
-    })
-}
-
 fn us(secs: f64) -> f64 {
     secs * 1e6
 }
 
-/// Runs the experiment: (CAIS, TP-NVLS) per drop rate, then per
-/// degradation factor.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
+fn manifest(scale: Scale) -> Vec<JobSpec> {
     let model = scale.model(&ModelConfig::llama_7b());
-    let rates = drop_rates(scale);
-
-    let mut manifest: Vec<SweepJob> = Vec::new();
-    for &rate in &rates {
-        let faults = FaultPlan::default()
-            .with_seed(FAULT_SEED)
-            .with_drop_rate(rate);
-        let cfg = faulted_cfg(scale, faults);
-        manifest.push(job(format!("drop={rate:.0e}/CAIS"), true, &model, &cfg));
-        manifest.push(job(format!("drop={rate:.0e}/TP-NVLS"), false, &model, &cfg));
-    }
-    for &factor in &DEGRADE_FACTORS {
-        let mut faults = FaultPlan::default().with_seed(FAULT_SEED);
-        if factor > 1.0 {
-            faults = faults.with_degrade(DegradeSpec {
+    let base = FaultPlan::default().with_seed(FAULT_SEED);
+    let drops = drop_rates(scale).into_iter().map(|rate| {
+        (
+            format!("drop={rate:.0e}"),
+            base.clone().with_drop_rate(rate),
+        )
+    });
+    let degrades = DEGRADE_FACTORS.into_iter().map(|factor| {
+        let faults = if factor > 1.0 {
+            base.clone().with_degrade(DegradeSpec {
                 factor,
                 period: SimDuration::from_us(10),
                 duration: SimDuration::from_us(3),
-            });
+            })
+        } else {
+            base.clone()
+        };
+        (format!("degrade=x{factor}"), faults)
+    });
+    let mut specs = Vec::new();
+    for (plan, faults) in drops.chain(degrades) {
+        let mut cfg = scale.system();
+        cfg.faults = faults;
+        for Entry { strategy, .. } in tp_nvls_and_cais().into_iter().rev() {
+            let label = format!("{plan}/{}", strategy.name());
+            let workload = Workload::sublayer(&model, SubLayer::L2);
+            specs.push(JobSpec::new(label, workload, strategy, cfg.clone()));
         }
-        let cfg = faulted_cfg(scale, faults);
-        manifest.push(job(format!("degrade=x{factor}/CAIS"), true, &model, &cfg));
-        manifest.push(job(
-            format!("degrade=x{factor}/TP-NVLS"),
-            false,
-            &model,
-            &cfg,
-        ));
     }
+    specs
+}
 
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("resilience", &results);
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
+    let rates = drop_rates(scale);
     let (drop_results, degrade_results) = results.split_at(2 * rates.len());
 
     let mut drop_table = Table::new(
@@ -114,12 +91,14 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
             "drops".into(),
         ],
     );
-    for (i, &rate) in rates.iter().enumerate() {
-        let (c, n) = (&drop_results[2 * i], &drop_results[2 * i + 1]);
-        let res = c
-            .report()
+    let cais_counters = |c: &JobResult| {
+        c.report()
             .map(|r| r.fabric.resilience().clone())
-            .unwrap_or_default();
+            .unwrap_or_default()
+    };
+    for (pair, rate) in drop_results.chunks(2).zip(rates) {
+        let (c, n) = (&pair[0], &pair[1]);
+        let res = cais_counters(c);
         drop_table.push(
             format!("drop {rate:.0e}"),
             vec![
@@ -147,12 +126,9 @@ pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
             "degraded serves".into(),
         ],
     );
-    for (i, &factor) in DEGRADE_FACTORS.iter().enumerate() {
-        let (c, n) = (&degrade_results[2 * i], &degrade_results[2 * i + 1]);
-        let res = c
-            .report()
-            .map(|r| r.fabric.resilience().clone())
-            .unwrap_or_default();
+    for (pair, factor) in degrade_results.chunks(2).zip(DEGRADE_FACTORS) {
+        let (c, n) = (&pair[0], &pair[1]);
+        let res = cais_counters(c);
         degrade_table.push(
             format!("x{factor}"),
             vec![us(c.secs()), us(n.secs()), res.degraded_serves as f64],
@@ -172,7 +148,7 @@ mod tests {
 
     #[test]
     fn sweep_is_well_formed() {
-        let tables = run(Scale::Smoke, 2);
+        let tables = EXPERIMENT.run(Scale::Smoke, 2);
         assert_eq!(tables.len(), 2);
         let drops = &tables[0];
         assert!(drops.failures.is_empty(), "{:?}", drops.failures);

@@ -1,10 +1,16 @@
-//! Shared experiment plumbing: scales, strategy roster, result tables.
+//! Shared experiment plumbing: scales, strategy roster, job specs, the
+//! suite runner and result tables.
 
-use crate::sweep::{JobResult, SweepJob};
+use crate::sweep::{self, JobResult, SweepJob};
 use cais_baselines::{BaselineStrategy, LadmStrategy};
 use cais_core::CaisStrategy;
-use cais_engine::{strategy::execute, ExecReport, SimError, Strategy, SystemConfig};
-use llm_workload::{transformer_layer, Dfg, ModelConfig, Pass, TpMode};
+use cais_engine::strategy::execute;
+use cais_engine::{ExecReport, IdAlloc, Program, SimError, Strategy, SystemConfig, SystemSim};
+use llm_workload::{sublayer, transformer_stack, Dfg, ModelConfig, Pass, SubLayer, TpMode};
+use nvls::{nvls_all_reduce, NvlsLogic};
+use sim_core::stats::geomean;
+use sim_core::GpuId;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Experiment size.
@@ -17,6 +23,14 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// `paper` at paper scale, `smoke` at smoke scale.
+    pub(crate) fn pick<T>(self, paper: T, smoke: T) -> T {
+        match self {
+            Scale::Paper => paper,
+            Scale::Smoke => smoke,
+        }
+    }
+
     /// Scales a Table-I model down for smoke runs.
     pub fn model(self, base: &ModelConfig) -> ModelConfig {
         match self {
@@ -28,6 +42,22 @@ impl Scale {
                 seq_len: (base.seq_len / 4).max(256),
                 batch: (base.batch / 2).max(1),
                 ..base.clone()
+            },
+        }
+    }
+
+    /// LLaMA-7B, halved rather than quartered for smoke runs: Fig. 2 and
+    /// the ablations need real work to dominate launch overheads.
+    pub(crate) fn llama_7b_halved(self) -> ModelConfig {
+        match self {
+            Scale::Paper => ModelConfig::llama_7b(),
+            Scale::Smoke => ModelConfig {
+                hidden: 2048,
+                ffn_hidden: 5632,
+                heads: 16,
+                seq_len: 1536,
+                batch: 2,
+                ..ModelConfig::llama_7b()
             },
         }
     }
@@ -160,7 +190,7 @@ pub struct Entry {
 }
 
 impl Entry {
-    fn new(strategy: impl Strategy + 'static, mode: TpMode) -> Entry {
+    pub(crate) fn new(strategy: impl Strategy + 'static, mode: TpMode) -> Entry {
         Entry {
             strategy: Box::new(strategy),
             mode,
@@ -188,57 +218,266 @@ pub fn roster() -> Vec<Entry> {
     ]
 }
 
-/// Executes one strategy on a transformer layer of `model`.
-///
-/// # Errors
-///
-/// Propagates the run's typed [`SimError`].
-pub fn run_layer(
-    entry: &Entry,
-    model: &ModelConfig,
-    cfg: &SystemConfig,
-    pass: Pass,
-) -> Result<ExecReport, SimError> {
-    let dfg = transformer_layer(model, cfg.tp(), entry.mode, pass);
-    execute(entry.strategy.as_ref(), &dfg, cfg)
+/// TP-NVLS and CAIS, the pair most experiments compare: the roster's
+/// first and last entries.
+pub(crate) fn tp_nvls_and_cais() -> [Entry; 2] {
+    [
+        Entry::new(BaselineStrategy::tp_nvls(), TpMode::BasicTp),
+        Entry::new(CaisStrategy::full(), TpMode::SeqPar),
+    ]
 }
 
-/// Executes one strategy on an arbitrary graph.
-///
-/// # Errors
-///
-/// Propagates the run's typed [`SimError`].
-pub fn run_graph(entry: &Entry, dfg: &Dfg, cfg: &SystemConfig) -> Result<ExecReport, SimError> {
-    execute(entry.strategy.as_ref(), dfg, cfg)
+/// Appends one `vs <system>` row per roster entry to a speedup table:
+/// each system's time over CAIS's (the roster's last entry) per column,
+/// then their geomean. `results` holds one run of the whole roster per
+/// column, column after column.
+pub(crate) fn push_speedups(table: &mut Table, results: &[JobResult]) {
+    let roster = roster();
+    let columns: Vec<&[JobResult]> = results.chunks(roster.len()).collect();
+    for (si, entry) in roster.iter().enumerate() {
+        let mut speedups: Vec<f64> = columns
+            .iter()
+            .map(|c| c[si].secs() / c[roster.len() - 1].secs())
+            .collect();
+        speedups.push(geomean(&speedups));
+        table.push(format!("vs {}", entry.strategy.name()), speedups);
+    }
 }
 
-/// Display name of roster entry `si`.
-///
-/// # Panics
-///
-/// Panics with a descriptive message if `si` is out of roster range (a
-/// manifest-construction bug, not a runtime condition).
-pub fn roster_name(si: usize) -> String {
-    let r = roster();
-    let n = r.len();
-    r.into_iter()
-        .nth(si)
-        .unwrap_or_else(|| panic!("roster index {si} out of range (roster has {n} entries)"))
-        .strategy
-        .name()
-        .to_string()
+/// GPU 0's compute and collective (`coll.` kernel) time in µs.
+pub(crate) fn compute_and_comm_us(report: &ExecReport) -> (f64, f64) {
+    let comm = report.kernel_time_with_prefix("coll.").as_us_f64();
+    let total: f64 = report
+        .kernel_spans
+        .values()
+        .filter(|s| s.gpu == GpuId(0))
+        .map(|s| s.duration().as_us_f64())
+        .sum();
+    (total - comm, comm)
 }
 
-/// A sweep job running roster entry `si` on one transformer layer of
-/// `model`. The entry and the graph are constructed inside the closure,
-/// on the worker thread that claims the job.
-pub fn layer_job(si: usize, model: &ModelConfig, cfg: &SystemConfig, pass: Pass) -> SweepJob {
-    let label = format!("{}/{}/{pass:?}", roster_name(si), model.name);
-    let (model, cfg) = (model.clone(), cfg.clone());
-    SweepJob::new(label, move || {
-        let entry = roster().swap_remove(si);
-        run_layer(&entry, &model, &cfg, pass)
-    })
+/// What one sweep job simulates.
+#[derive(Debug, Clone)]
+pub enum Workload {
+    /// `layers` transformer layers of `model` in `mode` (one layer, or a
+    /// stack whose layer boundaries the optimizer may fuse across).
+    Layers {
+        /// The model.
+        model: ModelConfig,
+        /// Parallelism layout of the graph.
+        mode: TpMode,
+        /// Forward or training step.
+        pass: Pass,
+        /// Layer count (1 = a single layer).
+        layers: u64,
+    },
+    /// One GEMM-RS → LN → AG-GEMM sub-layer of `model`.
+    SubLayer {
+        /// The model.
+        model: ModelConfig,
+        /// Which of the four sub-layers.
+        which: SubLayer,
+    },
+    /// A bare NVLS AllReduce of `bytes` on switch multicast/reduction
+    /// logic, with no strategy (Fig. 18's validation runs).
+    NvlsAllReduce {
+        /// Message size.
+        bytes: u64,
+    },
+}
+
+impl Workload {
+    /// One transformer layer of `model`.
+    pub fn layer(model: &ModelConfig, mode: TpMode, pass: Pass) -> Workload {
+        let model = model.clone();
+        Workload::Layers {
+            model,
+            mode,
+            pass,
+            layers: 1,
+        }
+    }
+
+    /// One sub-layer of `model`.
+    pub fn sublayer(model: &ModelConfig, which: SubLayer) -> Workload {
+        let model = model.clone();
+        Workload::SubLayer { model, which }
+    }
+}
+
+/// One sweep job as data: what to simulate, under which strategy, on
+/// which system. Two specs with equal [`key`](JobSpec::key)s compute the
+/// same report, so the suite runs each key once.
+#[derive(Debug)]
+pub struct JobSpec {
+    /// The experiment's name for this job, shown in FAILED/TIMEOUT lines
+    /// and timing logs. Not part of the key.
+    pub label: String,
+    /// What to simulate.
+    pub workload: Workload,
+    /// How to lower and run it; `None` exactly for
+    /// [`Workload::NvlsAllReduce`].
+    pub strategy: Option<Box<dyn Strategy>>,
+    /// The system before the strategy tunes it.
+    pub cfg: SystemConfig,
+}
+
+impl JobSpec {
+    /// A job running `strategy` on a graph workload.
+    pub fn new(
+        label: impl Into<String>,
+        workload: Workload,
+        strategy: Box<dyn Strategy>,
+        cfg: SystemConfig,
+    ) -> JobSpec {
+        JobSpec {
+            label: label.into(),
+            workload,
+            strategy: Some(strategy),
+            cfg,
+        }
+    }
+
+    /// A bare NVLS AllReduce of `bytes` on `cfg`.
+    pub fn all_reduce(label: impl Into<String>, bytes: u64, cfg: SystemConfig) -> JobSpec {
+        JobSpec {
+            label: label.into(),
+            workload: Workload::NvlsAllReduce { bytes },
+            strategy: None,
+            cfg,
+        }
+    }
+
+    /// The canonical identity of what this job computes: the derived
+    /// `Debug` of the workload, the strategy and the config, so no field
+    /// can be left out of it.
+    pub fn key(&self) -> String {
+        format!("{:?}|{:?}|{:?}", self.workload, self.strategy, self.cfg)
+    }
+
+    /// The dataflow graph of a graph workload, at the config's TP degree.
+    pub fn graph(&self) -> Option<Dfg> {
+        let tp = self.cfg.tp();
+        match &self.workload {
+            Workload::Layers {
+                model,
+                mode,
+                pass,
+                layers,
+            } => Some(transformer_stack(model, tp, *mode, *pass, *layers)),
+            Workload::SubLayer { model, which } => Some(sublayer(model, tp, *which)),
+            Workload::NvlsAllReduce { .. } => None,
+        }
+    }
+
+    /// Runs the job. A graph workload without a strategy, or an AllReduce
+    /// with one, is a manifest bug: it panics, and the sweep runner turns
+    /// the panic into a FAILED line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the run's typed [`SimError`].
+    pub fn run(&self) -> Result<ExecReport, SimError> {
+        match (&self.workload, &self.strategy, self.graph()) {
+            (_, Some(strategy), Some(dfg)) => execute(strategy.as_ref(), &dfg, &self.cfg),
+            (&Workload::NvlsAllReduce { bytes }, None, None) => {
+                let cfg = self.cfg.clone();
+                let mut prog = Program::new();
+                let mut ids = IdAlloc::new(cfg.n_gpus);
+                nvls_all_reduce(&mut prog, &mut ids, &cfg, "ar", bytes, &[], None);
+                let n = cfg.n_gpus;
+                SystemSim::new(cfg, prog, NvlsLogic::new(n)).run()
+            }
+            _ => panic!("{}: strategy does not fit workload", self.label),
+        }
+    }
+
+    /// The sweep job that runs this spec on the worker that claims it.
+    pub fn into_job(self) -> SweepJob {
+        SweepJob::new(self.label.clone(), move || self.run())
+    }
+}
+
+/// One table- or figure-producing experiment: the jobs it needs, and how
+/// their results become tables.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// CLI name ("fig11", "chaos", ...).
+    pub name: &'static str,
+    /// The jobs, in the order `render` reads their results.
+    pub manifest: fn(Scale) -> Vec<JobSpec>,
+    /// Builds the tables from the results of `manifest`, one per spec,
+    /// each under its spec's label.
+    pub render: fn(Scale, &[JobResult]) -> Vec<Table>,
+}
+
+impl Experiment {
+    /// The experiment `name` on the CLI.
+    pub const fn new(
+        name: &'static str,
+        manifest: fn(Scale) -> Vec<JobSpec>,
+        render: fn(Scale, &[JobResult]) -> Vec<Table>,
+    ) -> Experiment {
+        Experiment {
+            name,
+            manifest,
+            render,
+        }
+    }
+
+    /// Runs this experiment alone on `workers` threads.
+    pub fn run(self, scale: Scale, workers: usize) -> Vec<Table> {
+        run_suite(&[self], scale, workers)
+            .pop()
+            .expect("one table list per experiment")
+    }
+}
+
+/// Runs `experiments` as one suite on `workers` threads and returns each
+/// experiment's tables.
+///
+/// Every manifest is built up front. Each distinct [`JobSpec::key`] runs
+/// once, in manifest order, from one [`sweep::run_jobs`] queue; each
+/// experiment then gets one result per spec, carrying its own label.
+/// Logs the suite's job and distinct-run counts on stderr.
+pub fn run_suite(experiments: &[Experiment], scale: Scale, workers: usize) -> Vec<Vec<Table>> {
+    let mut first_of: HashMap<String, usize> = HashMap::new();
+    let mut queue: Vec<SweepJob> = Vec::new();
+    let mut n_jobs = 0;
+    let slots: Vec<Vec<(String, usize)>> = experiments
+        .iter()
+        .map(|e| {
+            let manifest = (e.manifest)(scale);
+            n_jobs += manifest.len();
+            manifest
+                .into_iter()
+                .map(|spec| {
+                    let label = spec.label.clone();
+                    let slot = *first_of.entry(spec.key()).or_insert_with(|| {
+                        queue.push(spec.into_job());
+                        queue.len() - 1
+                    });
+                    (label, slot)
+                })
+                .collect()
+        })
+        .collect();
+    let results = sweep::run_jobs(queue, workers);
+    sweep::log_timing("suite", n_jobs, &results);
+    experiments
+        .iter()
+        .zip(slots)
+        .map(|(e, slots)| {
+            let own: Vec<JobResult> = slots
+                .into_iter()
+                .map(|(label, slot)| JobResult {
+                    label,
+                    ..results[slot].clone()
+                })
+                .collect();
+            (e.render)(scale, &own)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -11,76 +11,53 @@
 //! CAIS-over-TP-NVLS speedup must widen from our ~1.4x toward (and past)
 //! the paper's operating point.
 
-use crate::runner::{Scale, Table};
-use crate::sweep::{self, SweepJob};
-use cais_baselines::BaselineStrategy;
-use cais_core::CaisStrategy;
-use cais_engine::strategy::execute;
-use llm_workload::{transformer_layer, ModelConfig, Pass, TpMode};
-use sim_core::GpuId;
+use crate::runner::{
+    compute_and_comm_us, tp_nvls_and_cais, Entry, Experiment, JobSpec, Scale, Table, Workload,
+};
+use crate::sweep::JobResult;
+use llm_workload::{ModelConfig, Pass};
 
-/// Runs the sweep: two jobs (TP-NVLS, CAIS) per bandwidth point.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
-    let gbps_per_dir: Vec<f64> = match scale {
-        Scale::Paper => vec![450.0, 300.0, 150.0, 75.0],
-        Scale::Smoke => vec![450.0, 150.0],
-    };
-    let model = match scale {
-        Scale::Paper => ModelConfig::llama_7b(),
-        Scale::Smoke => Scale::Smoke.model(&ModelConfig::llama_7b()),
-    };
+/// The sweep: two jobs (TP-NVLS, CAIS) per bandwidth point.
+pub const EXPERIMENT: Experiment = Experiment::new("sensitivity", manifest, render);
+
+fn gbps_per_dir(scale: Scale) -> Vec<f64> {
+    scale.pick(vec![450.0, 300.0, 150.0, 75.0], vec![450.0, 150.0])
+}
+
+fn manifest(scale: Scale) -> Vec<JobSpec> {
+    let model = scale.model(&ModelConfig::llama_7b());
+    let mut specs = Vec::new();
+    for gbps in gbps_per_dir(scale) {
+        let mut cfg = scale.system();
+        cfg.fabric.link_bw = sim_core::Bandwidth::gbps(gbps).split(cfg.n_planes);
+        for Entry { strategy, mode } in tp_nvls_and_cais() {
+            let label = format!("{}/{gbps:.0}gbps", strategy.name());
+            let workload = Workload::layer(&model, mode, Pass::Forward);
+            specs.push(JobSpec::new(label, workload, strategy, cfg.clone()));
+        }
+    }
+    specs
+}
+
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
     let mut table = Table::new(
         "sensitivity",
         "fabric bandwidth vs comm/compute balance and CAIS advantage",
         vec!["comm/compute".into(), "CAIS_vs_TP-NVLS".into()],
     );
-    let manifest: Vec<SweepJob> = gbps_per_dir
-        .iter()
-        .flat_map(|&gbps| {
-            let mk = |cais: bool| {
-                let (scale, model) = (scale, model.clone());
-                let tag = if cais { "CAIS" } else { "TP-NVLS" };
-                SweepJob::new(format!("{tag}/{gbps:.0}gbps"), move || {
-                    let mut cfg = scale.system();
-                    cfg.fabric.link_bw = sim_core::Bandwidth::gbps(gbps).split(cfg.n_planes);
-                    if cais {
-                        let dfg =
-                            transformer_layer(&model, cfg.tp(), TpMode::SeqPar, Pass::Forward);
-                        execute(&CaisStrategy::full(), &dfg, &cfg)
-                    } else {
-                        let dfg =
-                            transformer_layer(&model, cfg.tp(), TpMode::BasicTp, Pass::Forward);
-                        execute(&BaselineStrategy::tp_nvls(), &dfg, &cfg)
-                    }
-                })
-            };
-            [mk(false), mk(true)]
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("sensitivity", &results);
-    for (pair, &gbps) in results.chunks(2).zip(&gbps_per_dir) {
+    for (pair, gbps) in results.chunks(2).zip(gbps_per_dir(scale)) {
         // Measure the balance the way Fig. 2 does (barriered TP-NVLS).
-        let ratio = pair[0]
-            .report()
-            .map(|tp| {
-                let comm = tp.kernel_time_with_prefix("coll.").as_us_f64();
-                let total: f64 = tp
-                    .kernel_spans
-                    .values()
-                    .filter(|s| s.gpu == GpuId(0))
-                    .map(|s| s.duration().as_us_f64())
-                    .sum();
-                comm / (total - comm).max(1.0)
-            })
-            .unwrap_or(f64::NAN);
+        let ratio = pair[0].report().map_or(f64::NAN, |tp| {
+            let (compute, comm) = compute_and_comm_us(tp);
+            comm / compute.max(1.0)
+        });
         // And the headline speedup at that balance.
         table.push(
             format!("{gbps:.0} GB/s/dir"),
             vec![ratio, pair[0].secs() / pair[1].secs()],
         );
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.notes = "derating the fabric reproduces the paper's comm-bound regime (ratio \
                    rising through the paper's 1.6); CAIS keeps a solid advantage \
                    throughout, peaking near balance — once communication fully \
@@ -96,7 +73,7 @@ mod tests {
 
     #[test]
     fn slower_fabric_raises_ratio_and_cais_keeps_winning() {
-        let t = &run(Scale::Smoke, 1)[0];
+        let t = &EXPERIMENT.run(Scale::Smoke, 1)[0];
         let fast = &t.rows[0].1;
         let slow = &t.rows[1].1;
         assert!(

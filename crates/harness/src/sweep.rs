@@ -1,13 +1,14 @@
 //! Deterministic parallel sweep execution.
 //!
-//! Every figure module describes its experiment as a flat manifest of
-//! [`SweepJob`]s — one independent simulation each — and hands it to
-//! [`run_jobs`], which executes the manifest on a pool of
+//! The suite runner ([`run_suite`](crate::runner::run_suite)) turns every
+//! distinct [`JobSpec`](crate::JobSpec) of the selected experiments into
+//! a [`SweepJob`] — one independent simulation each — and hands the
+//! queue to [`run_jobs`], which executes it on a pool of
 //! `std::thread::scope` workers. Three properties make the parallelism
 //! safe and invisible in the output:
 //!
 //! * **Thread confinement.** A job closure owns everything it needs
-//!   (model, config, strategy constructor) and builds its own
+//!   (workload, strategy, config) and builds its own
 //!   [`SystemSim`](cais_engine::SystemSim) on the worker thread, so no
 //!   simulation state crosses threads.
 //! * **Failure isolation.** A job that returns a typed
@@ -20,7 +21,7 @@
 //!   byte-identical regardless of the worker count.
 //!
 //! Wall-clock accounting is attached per job ([`JobResult::wall`]) and
-//! summarized per figure by [`log_timing`] on stderr, keeping stdout
+//! summarized per suite by [`log_timing`] on stderr, keeping stdout
 //! (the tables) bit-stable across `--jobs` settings.
 
 use cais_engine::{ExecReport, SimError};
@@ -82,7 +83,7 @@ pub struct JobFailure {
 }
 
 /// The outcome of one [`SweepJob`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct JobResult {
     /// The job's manifest label.
     pub label: String,
@@ -251,22 +252,19 @@ pub fn run_jobs(jobs: Vec<SweepJob>, workers: usize) -> Vec<JobResult> {
         .collect()
 }
 
-/// Per-figure wall-clock accounting on stderr: job count, failures,
-/// cumulative per-job wall time (the serial-equivalent cost) and the
-/// slowest job. Stderr so the stdout tables stay byte-identical across
-/// `--jobs` settings.
-pub fn log_timing(figure: &str, results: &[JobResult]) {
-    if results.is_empty() {
+/// Per-suite wall-clock accounting on stderr: the job count, the
+/// distinct runs that served them, failures, cumulative per-run wall
+/// time (the serial-equivalent cost) and the slowest run. Stderr so the
+/// stdout tables stay byte-identical across `--jobs` settings.
+pub fn log_timing(suite: &str, jobs: usize, results: &[JobResult]) {
+    let Some(slowest) = results.iter().max_by_key(|r| r.wall) else {
         return;
-    }
+    };
     let total: Duration = results.iter().map(|r| r.wall).sum();
     let failures = results.iter().filter(|r| r.outcome.is_err()).count();
-    let slowest = results
-        .iter()
-        .max_by_key(|r| r.wall)
-        .expect("non-empty results");
     eprintln!(
-        "[{figure}: {} jobs, {failures} failed, {:.2}s serial-equivalent, slowest {:.2}s ({})]",
+        "[{suite}: {jobs} jobs, {} distinct runs, {failures} failed, {:.2}s serial-equivalent, \
+         slowest {:.2}s ({})]",
         results.len(),
         total.as_secs_f64(),
         slowest.wall.as_secs_f64(),
@@ -396,6 +394,6 @@ mod tests {
     #[test]
     fn empty_manifest_is_fine() {
         assert!(run_jobs(Vec::new(), 8).is_empty());
-        log_timing("noop", &[]);
+        log_timing("noop", 0, &[]);
     }
 }

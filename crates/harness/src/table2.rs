@@ -5,78 +5,51 @@
 //! setup (hidden 8192, 132 SMs) and the half setup (hidden 4096, 66
 //! SMs): 1.43x vs. 1.40x.
 
-use crate::runner::{Scale, Table};
-use crate::sweep::{self, SweepJob};
-use cais_baselines::BaselineStrategy;
-use cais_core::CaisStrategy;
-use cais_engine::strategy::execute;
+use crate::runner::{tp_nvls_and_cais, Entry, Experiment, JobSpec, Scale, Table, Workload};
+use crate::sweep::JobResult;
 use gpu_sim::GpuConfig;
-use llm_workload::{transformer_layer, ModelConfig, Pass, TpMode};
+use llm_workload::{ModelConfig, Pass};
 
-/// Runs the experiment: two sweep jobs (TP-NVLS, CAIS) per setup.
-pub fn run(scale: Scale, jobs: usize) -> Vec<Table> {
+/// The experiment: two jobs (TP-NVLS, CAIS) per setup.
+pub const EXPERIMENT: Experiment = Experiment::new("table2", manifest, render);
+
+fn setups(scale: Scale) -> [(String, ModelConfig, GpuConfig); 2] {
+    let half = scale.model(&ModelConfig::llama_7b());
+    let full = scale.pick(ModelConfig::llama_full_scale(), half.scale_hidden(2, 1));
+    [
+        ("full", full, GpuConfig::h100_full()),
+        ("half", half, GpuConfig::h100_half()),
+    ]
+    .map(|(name, model, gpu)| {
+        let label = format!("{name} ({}, {} SM)", model.hidden, gpu.sm_count);
+        (label, model, gpu)
+    })
+}
+
+fn manifest(scale: Scale) -> Vec<JobSpec> {
+    let mut specs = Vec::new();
+    for (setup, model, gpu) in setups(scale) {
+        let mut cfg = scale.system();
+        cfg.gpu = gpu;
+        for Entry { strategy, mode } in tp_nvls_and_cais() {
+            let label = format!("{setup}/{}", strategy.name());
+            let workload = Workload::layer(&model, mode, Pass::Forward);
+            specs.push(JobSpec::new(label, workload, strategy, cfg.clone()));
+        }
+    }
+    specs
+}
+
+fn render(scale: Scale, results: &[JobResult]) -> Vec<Table> {
     let mut table = Table::new(
         "table2",
         "scaled-down validation: CAIS speedup over TP-NVLS",
         vec!["speedup".into()],
     );
-    let setups: Vec<(&str, ModelConfig, GpuConfig)> = match scale {
-        Scale::Paper => vec![
-            (
-                "full (8192, 132 SM)",
-                ModelConfig::llama_full_scale(),
-                GpuConfig::h100_full(),
-            ),
-            (
-                "half (4096, 66 SM)",
-                ModelConfig::llama_7b(),
-                GpuConfig::h100_half(),
-            ),
-        ],
-        Scale::Smoke => vec![
-            (
-                "full (2048, 132 SM)",
-                Scale::Smoke
-                    .model(&ModelConfig::llama_7b())
-                    .scale_hidden(2, 1),
-                GpuConfig::h100_full(),
-            ),
-            (
-                "half (1024, 66 SM)",
-                Scale::Smoke.model(&ModelConfig::llama_7b()),
-                GpuConfig::h100_half(),
-            ),
-        ],
-    };
-    let manifest: Vec<SweepJob> = setups
-        .iter()
-        .flat_map(|(label, model, gpu)| {
-            let mk = |cais: bool| {
-                let (scale, model, gpu) = (scale, model.clone(), gpu.clone());
-                let tag = if cais { "CAIS" } else { "TP-NVLS" };
-                SweepJob::new(format!("{label}/{tag}"), move || {
-                    let mut cfg = scale.system();
-                    cfg.gpu = gpu;
-                    if cais {
-                        let dfg =
-                            transformer_layer(&model, cfg.tp(), TpMode::SeqPar, Pass::Forward);
-                        execute(&CaisStrategy::full(), &dfg, &cfg)
-                    } else {
-                        let dfg =
-                            transformer_layer(&model, cfg.tp(), TpMode::BasicTp, Pass::Forward);
-                        execute(&BaselineStrategy::tp_nvls(), &dfg, &cfg)
-                    }
-                })
-            };
-            [mk(false), mk(true)]
-        })
-        .collect();
-    let results = sweep::run_jobs(manifest, jobs);
-    sweep::log_timing("table2", &results);
-    for (pair, (label, _, _)) in results.chunks(2).zip(&setups) {
-        table.push(*label, vec![pair[0].secs() / pair[1].secs()]);
+    for (pair, (label, _, _)) in results.chunks(2).zip(setups(scale)) {
+        table.push(label, vec![pair[0].secs() / pair[1].secs()]);
     }
-    table.absorb_failures(&results);
+    table.absorb_failures(results);
     table.notes = "paper: 1.43 (full) vs 1.40 (half) — the half-scale setup preserves the \
                    speedup ordering and magnitude"
         .into();
@@ -89,7 +62,7 @@ mod tests {
 
     #[test]
     fn half_scale_preserves_speedup_magnitude() {
-        let t = &run(Scale::Smoke, 1)[0];
+        let t = &EXPERIMENT.run(Scale::Smoke, 1)[0];
         let full = t.rows[0].1[0];
         let half = t.rows[1].1[0];
         assert!(full > 1.0 && half > 1.0, "CAIS must win in both setups");

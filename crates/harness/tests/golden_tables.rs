@@ -15,13 +15,9 @@
 //! If an intentional model change shifts these numbers, regenerate the
 //! snapshots (see `EXPERIMENTS.md`) and justify the diff in the PR.
 
-use cais_core::strategies::DEFAULT_PACKET_BYTES;
-use cais_core::{CaisStrategy, CoordinationOpts};
-use cais_engine::strategy::execute;
-use cais_harness::runner::{layer_job, roster, Scale};
+use cais_harness::runner::Scale;
 use cais_harness::sweep::{self, JobResult, SweepJob};
-use cais_harness::Table;
-use llm_workload::{sublayer, ModelConfig, Pass, SubLayer};
+use cais_harness::{fig11, fig14, Table};
 
 /// With the profiler compiled in, every allocation of this test binary is
 /// counted, so the profiler-preservation test below also runs the
@@ -49,7 +45,7 @@ fn rendered(tables: Vec<Table>) -> String {
 #[test]
 fn fig11_smoke_matches_golden() {
     let golden = include_str!("golden/fig11_smoke.txt");
-    let got = rendered(cais_harness::fig11::run(Scale::Smoke, 2));
+    let got = rendered(fig11::EXPERIMENT.run(Scale::Smoke, 2));
     assert_eq!(
         got, golden,
         "fig11 smoke output drifted from the golden snapshot"
@@ -68,7 +64,7 @@ fn fig11_smoke_matches_golden() {
 fn profiler_feature_preserves_results() {
     let golden = include_str!("golden/fig11_smoke.txt");
     sim_core::profile::reset();
-    let got = rendered(cais_harness::fig11::run(Scale::Smoke, 1));
+    let got = rendered(fig11::EXPERIMENT.run(Scale::Smoke, 1));
     assert_eq!(
         got,
         golden,
@@ -85,7 +81,7 @@ fn profiler_feature_preserves_results() {
 #[test]
 fn fig14_smoke_matches_golden() {
     let golden = include_str!("golden/fig14_smoke.txt");
-    let got = rendered(cais_harness::fig14::run(Scale::Smoke, 2));
+    let got = rendered(fig14::EXPERIMENT.run(Scale::Smoke, 2));
     assert_eq!(
         got, golden,
         "fig14 smoke output drifted from the golden snapshot"
@@ -96,34 +92,15 @@ fn fig14_smoke_matches_golden() {
 /// uncoordinated jobs, with the auditor's cadence checks and event ring
 /// switched by `audit`.
 fn golden_jobs(audit: bool) -> Vec<SweepJob> {
-    let mut cfg = Scale::Smoke.system();
-    cfg.audit.enabled = audit;
-    cfg.audit.cadence_events = 1024;
-    let fig11_model = Scale::Smoke.model(&ModelConfig::mega_gpt_4b());
-    let mut jobs: Vec<SweepJob> = (0..roster().len())
-        .map(|si| layer_job(si, &fig11_model, &cfg, Pass::Forward))
-        .collect();
-    let fig14_model = Scale::Smoke.model(&ModelConfig::llama_7b());
-    for kb in [10, 40, 160] {
-        for coordinated in [true, false] {
-            let (model, cfg) = (fig14_model.clone(), cfg.clone());
-            jobs.push(SweepJob::new(
-                format!("fig14/{kb}kb/coordinated={coordinated}"),
-                move || {
-                    // fig14's paper-axis KB at 128 B entries, as bytes.
-                    let bytes = kb * 1024 / 128 * (DEFAULT_PACKET_BYTES + 16);
-                    let mut strategy = CaisStrategy::full().with_merge_table(Some(bytes));
-                    if !coordinated {
-                        strategy =
-                            strategy.with_coordination("w/o-coord", CoordinationOpts::none());
-                    }
-                    let dfg = sublayer(&model, cfg.tp(), SubLayer::L2);
-                    execute(&strategy, &dfg, &cfg)
-                },
-            ));
-        }
-    }
-    jobs
+    [fig11::EXPERIMENT, fig14::EXPERIMENT]
+        .iter()
+        .flat_map(|e| (e.manifest)(Scale::Smoke))
+        .map(|mut spec| {
+            spec.cfg.audit.enabled = audit;
+            spec.cfg.audit.cadence_events = 1024;
+            spec.into_job()
+        })
+        .collect()
 }
 
 /// What a run computed: total time, event count, switch-logic counters

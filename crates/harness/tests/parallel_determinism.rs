@@ -29,16 +29,16 @@ fn assert_identical(a: &[Table], b: &[Table]) {
 /// simulations) and exercises chunked result pairing.
 #[test]
 fn fig14_is_identical_across_worker_counts() {
-    let serial = cais_harness::fig14::run(Scale::Smoke, 1);
-    let parallel = cais_harness::fig14::run(Scale::Smoke, 4);
+    let serial = cais_harness::fig14::EXPERIMENT.run(Scale::Smoke, 1);
+    let parallel = cais_harness::fig14::EXPERIMENT.run(Scale::Smoke, 4);
     assert_identical(&serial, &parallel);
 }
 
 /// fig11 exercises the roster × model manifest plus geomean assembly.
 #[test]
 fn fig11_is_identical_across_worker_counts() {
-    let serial = cais_harness::fig11::run(Scale::Smoke, 1);
-    let parallel = cais_harness::fig11::run(Scale::Smoke, 4);
+    let serial = cais_harness::fig11::EXPERIMENT.run(Scale::Smoke, 1);
+    let parallel = cais_harness::fig11::EXPERIMENT.run(Scale::Smoke, 4);
     assert_identical(&serial, &parallel);
 }
 
@@ -47,7 +47,7 @@ fn fig11_is_identical_across_worker_counts() {
 /// identical retry/backoff counters) at every worker count.
 #[test]
 fn resilience_is_identical_across_worker_counts() {
-    let serial = cais_harness::resilience::run(Scale::Smoke, 1);
-    let parallel = cais_harness::resilience::run(Scale::Smoke, 8);
+    let serial = cais_harness::resilience::EXPERIMENT.run(Scale::Smoke, 1);
+    let parallel = cais_harness::resilience::EXPERIMENT.run(Scale::Smoke, 8);
     assert_identical(&serial, &parallel);
 }
