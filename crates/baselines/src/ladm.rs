@@ -165,11 +165,11 @@ impl LadmStrategy {
                                 wait: false,
                             },
                         ];
-                        kb.push(&mut ctx.ids, g, order, phases);
+                        kb.push(g, order, phases);
                     }
                     // Owner-side waiter.
                     let wait = vec![Phase::Compute(SimDuration::from_ns(100))];
-                    kb.push_gated(&mut ctx.ids, s, order + 1, wait, Arc::new([tile]));
+                    kb.push_gated(s, order + 1, wait, Arc::new([tile]));
                     order += 2;
                 }
             }
@@ -194,7 +194,7 @@ impl LadmStrategy {
                             ops: Arc::new([load]),
                             wait: true,
                         }];
-                        kb.push(&mut ctx.ids, g, order, phases);
+                        kb.push(g, order, phases);
                     }
                     order += 1;
                 }

@@ -63,7 +63,7 @@ pub fn lower_tiled_gemm(
     let mut kb = KernelBuilder::new(n_gpus);
     for g in 0..n_gpus {
         for (key, phases) in rows.iter().enumerate() {
-            kb.push(ids, g, key as u64, Arc::clone(phases));
+            kb.push(g, key as u64, Arc::clone(phases));
         }
     }
     let name: Arc<str> = opts.name.into();
@@ -159,8 +159,8 @@ pub fn lower_gated_gemm(
                 let key = mi * n_nb + ni;
                 let phases = Arc::clone(&rows[key as usize]);
                 match &band_gate {
-                    Some(gate) => kb.push_gated(ids, g, key, phases, Arc::clone(gate)),
-                    None => kb.push(ids, g, key, phases),
+                    Some(gate) => kb.push_gated(g, key, phases, Arc::clone(gate)),
+                    None => kb.push(g, key, phases),
                 }
             }
         }
@@ -184,7 +184,7 @@ pub fn waiter_kernels(
     let mut kb = KernelBuilder::new(gates.len());
     for (g, gate) in gates.iter().enumerate() {
         let wait = vec![Phase::Compute(SimDuration::from_ns(100))];
-        kb.push_gated(ids, g, 0, wait, gate[..].into());
+        kb.push_gated(g, 0, wait, gate[..].into());
     }
     let name: Arc<str> = format!("{name}.wait").into();
     kb.finish(prog, ids, |_| {
@@ -224,7 +224,7 @@ mod tests {
         assert_eq!(g.tiles.len(), 2);
         assert_eq!(g.tiles[0].len(), 3);
         assert_eq!(prog.kernels.len(), 2);
-        assert_eq!(prog.kernels[0].desc.tb_ids.len(), 6);
+        assert_eq!(prog.kernels[0].desc.body.tbs.len(), 6);
         assert!(prog.validate().is_ok());
         // Every GPU runs the same grid: one body.
         assert!(Arc::ptr_eq(

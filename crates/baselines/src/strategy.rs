@@ -453,7 +453,7 @@ impl BaselineStrategy {
                         },
                     ];
                     let produced = Arc::new([tg.tiles[mi as usize][ni as usize]]);
-                    kb.push_gated(&mut ctx.ids, g, mi * n_nb + ni, phases, produced);
+                    kb.push_gated(g, mi * n_nb + ni, phases, produced);
                 }
             }
         }

@@ -408,7 +408,7 @@ mod tests {
         let mut ids = IdAlloc::new(2);
         let addr = ids.addr(GpuId(1), 4096);
         let tb = TbDesc {
-            id: ids.tb(),
+            id: ids.tbs(1),
             order_key: 0,
             group: None,
             pre_launch_sync: false,
@@ -450,7 +450,7 @@ mod tests {
         let addr = ids.addr(GpuId(1), 4096);
         let tile = ids.tile();
         let mk_tb = |ids: &mut IdAlloc, key| TbDesc {
-            id: ids.tb(),
+            id: ids.tbs(1),
             order_key: key,
             group: None,
             pre_launch_sync: false,
@@ -488,7 +488,7 @@ mod tests {
         let mut producer_ids = vec![];
         for g in 0..3u16 {
             let tb = TbDesc {
-                id: ids.tb(),
+                id: ids.tbs(1),
                 order_key: 0,
                 group: None,
                 pre_launch_sync: false,
@@ -514,7 +514,7 @@ mod tests {
                 after: vec![],
             });
         }
-        let consumer_tb = ids.tb();
+        let consumer_tb = ids.tbs(1);
         let mut desc = KernelDesc::new(
             ids.kernel(),
             "consumer",
@@ -556,7 +556,7 @@ mod tests {
                 desc: KernelDesc::new(
                     kid,
                     "first",
-                    vec![TbDesc::compute_only(ids.tb(), 0, SimDuration::from_us(5))],
+                    vec![TbDesc::compute_only(ids.tbs(1), 0, SimDuration::from_us(5))],
                 ),
                 after: vec![],
             });
@@ -567,7 +567,7 @@ mod tests {
             desc: KernelDesc::new(
                 second,
                 "second",
-                vec![TbDesc::compute_only(ids.tb(), 0, SimDuration::from_us(1))],
+                vec![TbDesc::compute_only(ids.tbs(1), 0, SimDuration::from_us(1))],
             ),
             after: first.clone(),
         });
@@ -601,7 +601,7 @@ mod tests {
                 })
                 .collect();
             let tb = TbDesc {
-                id: ids.tb(),
+                id: ids.tbs(1),
                 order_key: 0,
                 group: None,
                 pre_launch_sync: false,
@@ -685,7 +685,7 @@ mod tests {
         let mut ids = IdAlloc::new(2);
         let mut sent = Vec::new();
         for start in (0..burst).step_by(4) {
-            let tb = ids.tb();
+            let tb = ids.tbs(1);
             let (ops, msgs): (Vec<MemOp>, Vec<Msg>) = (start..burst.min(start + 4))
                 .map(|i| burst_op(&mut ids, i, GpuId(1), tb))
                 .unzip();
@@ -857,7 +857,7 @@ mod tests {
             let (tb, ops, msgs) = if repeat {
                 issues[8].clone()
             } else {
-                let tb = ids.tb();
+                let tb = ids.tbs(1);
                 let home = GpuId(1 + (round % 2) as u16);
                 let (ops, msgs): (Vec<MemOp>, Vec<Msg>) = (0..3 + round % 5)
                     .map(|_| {
@@ -911,7 +911,7 @@ mod tests {
         let mut ids = IdAlloc::new(2);
         let tbs = (0..n)
             .map(|i| TbDesc {
-                id: ids.tb(),
+                id: ids.tbs(1),
                 order_key: i,
                 group: None,
                 pre_launch_sync: false,
@@ -1001,7 +1001,7 @@ mod tests {
         let cfg = quiet_cfg(2);
         let mut ids = IdAlloc::new(2);
         let syncer = |ids: &mut IdAlloc, group: u32| TbDesc {
-            id: ids.tb(),
+            id: ids.tbs(1),
             order_key: 0,
             group: Some(GroupId(group)),
             pre_launch_sync: false,
@@ -1040,7 +1040,8 @@ mod tests {
     }
 
     /// A program of dependency-gated kernels on GPU 0, one per entry of
-    /// `kernels`, each holding the listed TBs (`TbId(i)`, compute-only)
+    /// `kernels`, each holding the listed TBs (`TbId(i)`, compute-only;
+    /// a kernel's ids are consecutive)
     /// with their lists in `deps` (empty if not listed). Kernel `i > 0`
     /// runs after kernel 0, so only kernel 0 is a root.
     fn gated_program(kernels: &[&[u64]], deps: &[(u64, Vec<TileId>)]) -> Program {
@@ -1081,10 +1082,10 @@ mod tests {
     #[test]
     fn gates_completing_on_one_tile_wake_in_ascending_tb_order() {
         let (a, b) = (TileId(0), TileId(1));
-        // Gate [A] holds tb0 and tb3, gate [B, A] holds tb1 and tb2; tb1
+        // Gate [A] holds tb0 and tb3, gate [B, A] holds tb1 and tb2; tb2
         // and tb3 belong to a kernel that has not launched.
         let deps = [(0, vec![a]), (1, vec![b, a]), (2, vec![b, a]), (3, vec![a])];
-        let (mut tiles, mut gpu) = gated_tiles(&[&[0, 2], &[1, 3]], &deps);
+        let (mut tiles, mut gpu) = gated_tiles(&[&[0, 1], &[2, 3]], &deps);
         assert_eq!(tiles.gate_remaining().len(), 2);
         let t = SimTime::from_us(1);
         tiles.land(t, GpuId(0), &mut gpu, b);
@@ -1100,13 +1101,13 @@ mod tests {
 
         // Through `land`: unlaunched TBs wait in `ready_pending`
         // for their kernel, launched ones go to the GPU.
-        let (mut tiles, mut gpu) = gated_tiles(&[&[0, 2], &[1, 3]], &deps);
+        let (mut tiles, mut gpu) = gated_tiles(&[&[0, 1], &[2, 3]], &deps);
         tiles.land(t, GpuId(0), &mut gpu, b);
         tiles.land(t, GpuId(0), &mut gpu, a);
         let pending: Vec<u64> = (0..4)
             .filter(|&i| tiles.ready_pending().contains(TbId(i)))
             .collect();
-        assert_eq!(pending, vec![1, 3]);
+        assert_eq!(pending, vec![2, 3]);
     }
 
     #[test]
@@ -1138,7 +1139,7 @@ mod tests {
     /// produces, listed twice.
     fn deadlocking_program(ids: &mut IdAlloc) -> Program {
         let tile = ids.tile();
-        let tb = ids.tb();
+        let tb = ids.tbs(1);
         let mut desc = KernelDesc::new(
             ids.kernel(),
             "stuck",
@@ -1166,7 +1167,7 @@ mod tests {
             desc: KernelDesc::new(
                 ids.kernel(),
                 "done",
-                vec![TbDesc::compute_only(ids.tb(), 0, SimDuration::from_us(1))],
+                vec![TbDesc::compute_only(ids.tbs(1), 0, SimDuration::from_us(1))],
             ),
             after: vec![],
         });
@@ -1202,7 +1203,11 @@ mod tests {
             desc: KernelDesc::new(
                 ids.kernel(),
                 "slow",
-                vec![TbDesc::compute_only(ids.tb(), 0, SimDuration::from_us(50))],
+                vec![TbDesc::compute_only(
+                    ids.tbs(1),
+                    0,
+                    SimDuration::from_us(50),
+                )],
             ),
             after: vec![],
         });
@@ -1229,7 +1234,7 @@ mod tests {
         let mut ids = IdAlloc::new(2);
         let addr = ids.addr(GpuId(1), 1 << 20);
         let tb = TbDesc {
-            id: ids.tb(),
+            id: ids.tbs(1),
             order_key: 0,
             group: None,
             pre_launch_sync: false,
@@ -1302,7 +1307,7 @@ mod tests {
         let mut ids = IdAlloc::new(2);
         let addr = ids.addr(GpuId(1), 4096);
         let tb = TbDesc {
-            id: ids.tb(),
+            id: ids.tbs(1),
             order_key: 0,
             group: None,
             pre_launch_sync: false,
@@ -1353,7 +1358,7 @@ mod tests {
             })
             .collect();
         let tb = TbDesc {
-            id: ids.tb(),
+            id: ids.tbs(1),
             order_key: 0,
             group: None,
             pre_launch_sync: false,
@@ -1381,7 +1386,7 @@ mod tests {
         let p = |ids: &mut IdAlloc| {
             let addr = ids.addr(GpuId(1), 4096);
             let tb = TbDesc {
-                id: ids.tb(),
+                id: ids.tbs(1),
                 order_key: 0,
                 group: None,
                 pre_launch_sync: false,
@@ -1428,7 +1433,11 @@ mod tests {
                     desc: KernelDesc::new(
                         ids.kernel(),
                         format!("work{g}"),
-                        vec![TbDesc::compute_only(ids.tb(), 0, SimDuration::from_us(40))],
+                        vec![TbDesc::compute_only(
+                            ids.tbs(1),
+                            0,
+                            SimDuration::from_us(40),
+                        )],
                     ),
                     after: vec![],
                 });
@@ -1460,7 +1469,7 @@ mod tests {
         let addr = ids.addr(GpuId(1), 1 << 20);
         let tile = ids.tile();
         let writer = TbDesc {
-            id: ids.tb(),
+            id: ids.tbs(1),
             order_key: 0,
             group: None,
             pre_launch_sync: false,
@@ -1475,7 +1484,7 @@ mod tests {
                 wait: false,
             }],
         };
-        let consumer_tb = ids.tb();
+        let consumer_tb = ids.tbs(1);
         let mut p = Program::new();
         p.push(PlannedKernel {
             gpu: GpuId(0),

@@ -91,8 +91,8 @@ const _: () = assert!(std::mem::size_of::<TbRuntime>() <= 16);
 #[derive(Debug)]
 struct KernelRuntime {
     body: Arc<KernelBody>,
-    /// The kernel's TB ids until it arms; empty afterwards.
-    unarmed: Box<[TbId]>,
+    /// The id of TB 0 (see [`KernelDesc::first_tb`]).
+    first_tb: TbId,
     remaining: usize,
 }
 
@@ -229,31 +229,25 @@ impl GpuSim {
     /// or `deps` is neither empty nor one list per TB.
     pub fn launch_kernel(&mut self, time: SimTime, kernel: KernelDesc) {
         assert!(time >= self.now, "cannot launch a kernel in the past");
-        let KernelDesc {
-            id,
-            body,
-            tb_ids,
-            deps,
-        } = kernel;
+        let (id, n) = (kernel.id, kernel.body.tbs.len());
         assert!(
             !self.kernels.contains_key(&id),
             "kernel {id} launched twice"
         );
         assert!(
-            deps.is_empty() || deps.len() == tb_ids.len(),
-            "kernel {id}: {} dependency lists for {} TBs",
-            deps.len(),
-            tb_ids.len()
+            kernel.deps.is_empty() || kernel.deps.len() == n,
+            "kernel {id}: {} dependency lists for {n} TBs",
+            kernel.deps.len(),
         );
-        let overhead = if body.fused_launch {
+        let overhead = if kernel.body.fused_launch {
             SimDuration::ZERO
         } else {
             self.cfg.kernel_launch_overhead + self.rng.jitter(self.cfg.launch_skew)
         };
         // One rehash for the whole grid, not one per doubling: the table
         // shrinks as the previous kernels' TBs retire.
-        self.tbs.reserve(tb_ids.len());
-        for (pos, &tb) in tb_ids.iter().enumerate() {
+        self.tbs.reserve(n);
+        for (pos, tb) in kernel.tb_ids().enumerate() {
             let prev = self.tbs.insert(
                 tb,
                 TbRuntime {
@@ -262,13 +256,13 @@ impl GpuSim {
                     phase: 0,
                     state: TbState::Waiting,
                     armed: false,
-                    deps_ok: deps.get(pos).is_none_or(|d| d.is_empty()),
+                    deps_ok: kernel.deps.get(pos).is_none_or(|d| d.is_empty()),
                     enqueued_or_pending: false,
                 },
             );
             assert!(prev.is_none(), "thread block {tb} registered twice");
         }
-        if tb_ids.is_empty() {
+        if n == 0 {
             // Degenerate but legal: completes right after arming, and
             // keeps no state.
             self.effects
@@ -277,9 +271,9 @@ impl GpuSim {
             self.kernels.insert(
                 id,
                 KernelRuntime {
-                    remaining: tb_ids.len(),
-                    unarmed: tb_ids,
-                    body,
+                    remaining: n,
+                    first_tb: kernel.first_tb,
+                    body: kernel.body,
                 },
             );
         }
@@ -527,14 +521,14 @@ impl GpuSim {
         match ev {
             GpuEvent::KernelArmed(kernel) => {
                 // An empty kernel was never live.
-                let Some(krt) = self.kernels.get_mut(&kernel) else {
+                let Some(krt) = self.kernels.get(&kernel) else {
                     return;
                 };
                 let tbs = &mut self.tbs;
-                let mut ready: Vec<(u64, TbId)> = std::mem::take(&mut krt.unarmed)
-                    .iter()
+                let mut ready: Vec<(u64, TbId)> = (krt.first_tb.0..)
+                    .map(TbId)
                     .zip(krt.body.tbs.iter())
-                    .filter_map(|(&id, body)| {
+                    .filter_map(|(id, body)| {
                         let rt = tbs.get_mut(&id).expect("an unarmed TB is live");
                         rt.armed = true;
                         (rt.deps_ok && !rt.enqueued_or_pending).then_some((body.order_key, id))

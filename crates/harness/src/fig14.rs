@@ -7,20 +7,12 @@
 
 use crate::runner::{Experiment, JobSpec, Scale, Table, Workload};
 use crate::sweep::JobResult;
-use cais_core::strategies::DEFAULT_PACKET_BYTES;
+use cais_core::strategies::{paper_kb_to_bytes, DEFAULT_PACKET_BYTES};
 use cais_core::{CaisStrategy, CoordinationOpts};
 use llm_workload::{ModelConfig, SubLayer};
 
 /// The experiment: two jobs (coordinated, uncoordinated) per table size.
 pub const EXPERIMENT: Experiment = Experiment::new("fig14", manifest, render);
-
-/// Converts a paper-axis table size (KB at 128 B entries) into this
-/// simulator's byte capacity (same entry count at the coarser packet
-/// granularity; see DESIGN.md).
-fn paper_kb_to_bytes(kb: u64) -> u64 {
-    let entries = kb * 1024 / 128;
-    entries * (DEFAULT_PACKET_BYTES + 16)
-}
 
 fn sizes_kb(scale: Scale) -> Vec<u64> {
     scale.pick(vec![5, 10, 20, 40, 80, 160, 320], vec![10, 40, 160])
@@ -31,7 +23,8 @@ fn manifest(scale: Scale) -> Vec<JobSpec> {
     let mut specs = Vec::new();
     for kb in sizes_kb(scale) {
         for coordinated in [true, false] {
-            let mut strategy = CaisStrategy::full().with_merge_table(Some(paper_kb_to_bytes(kb)));
+            let mut strategy = CaisStrategy::full()
+                .with_merge_table(Some(paper_kb_to_bytes(kb, DEFAULT_PACKET_BYTES)));
             if !coordinated {
                 strategy = strategy.with_coordination("w/o-coord", CoordinationOpts::none());
             }

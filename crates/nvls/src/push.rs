@@ -38,7 +38,6 @@ pub fn nvls_all_gather(
         // the local copy.
         push_step(
             &mut kb,
-            ids,
             o,
             vec![
                 Phase::Compute(SimDuration::from_ns(200)),
@@ -61,7 +60,7 @@ pub fn nvls_all_gather(
         let arrived: Arc<[TileId]> = Arc::new([tile]);
         for g in (0..p).filter(|&g| g != o) {
             let wait = vec![Phase::Compute(SimDuration::from_ns(100))];
-            push_step(&mut kb, ids, g, wait, Arc::clone(&arrived));
+            push_step(&mut kb, g, wait, Arc::clone(&arrived));
         }
     }
     CollOutput {
@@ -97,7 +96,6 @@ pub fn nvls_reduce_scatter(
         let addr = ids.addr(GpuId(g as u16), len);
         push_step(
             &mut kb,
-            ids,
             g,
             vec![
                 // Pull the reduced remote partials, then fold in the local
@@ -166,7 +164,6 @@ pub fn nvls_all_reduce(
             // Push TB: contribute the local partial (fire-and-forget).
             push_step(
                 &mut kb,
-                ids,
                 g,
                 vec![
                     Phase::Compute(SimDuration::from_ns(200)),
@@ -179,7 +176,7 @@ pub fn nvls_all_reduce(
             );
             // Waiter TB: the reduced result has landed on this GPU.
             let wait = vec![Phase::Compute(SimDuration::from_ns(100))];
-            push_step(&mut kb, ids, g, wait, Arc::clone(&reduced));
+            push_step(&mut kb, g, wait, Arc::clone(&reduced));
         }
     }
     CollOutput {

@@ -78,13 +78,12 @@ pub(crate) fn input_deps(input: Option<&InputTiles>, gpu: usize, gidx: usize) ->
 /// in push order.
 pub(crate) fn push_step(
     kb: &mut KernelBuilder,
-    ids: &mut IdAlloc,
     gpu: usize,
     phases: Vec<Phase>,
     deps: Arc<[TileId]>,
 ) {
     let key = kb.next_key(gpu);
-    kb.push_gated(ids, gpu, key, phases, deps);
+    kb.push_gated(gpu, key, phases, deps);
 }
 
 /// Emits the per-GPU communication kernels `coll.{name}.g{gpu}`.
@@ -134,7 +133,6 @@ pub fn ring_all_gather(
             let addr = ids.addr(GpuId(receiver as u16), len);
             push_step(
                 &mut kb,
-                ids,
                 sender,
                 vec![
                     Phase::Compute(COPY_TIME),
@@ -158,7 +156,6 @@ pub fn ring_all_gather(
             if let Some(t) = t {
                 push_step(
                     &mut kb,
-                    ids,
                     g,
                     vec![Phase::Compute(SimDuration::from_ns(100))],
                     Arc::new([*t]),
@@ -211,7 +208,6 @@ pub fn ring_reduce_scatter(
             let addr = ids.addr(GpuId(receiver as u16), len);
             push_step(
                 &mut kb,
-                ids,
                 sender,
                 vec![
                     Phase::Compute(ADD_TIME),
@@ -238,7 +234,6 @@ pub fn ring_reduce_scatter(
             .collect();
         push_step(
             &mut kb,
-            ids,
             t,
             vec![Phase::Compute(ADD_TIME), Phase::SignalTile(out)],
             deps,

@@ -1,14 +1,16 @@
-//! Explore the switch Merging Table design space: capacity, timeout and
-//! TB coordination, on one communication-heavy sub-layer.
+//! Explore the switch Merging Table design space: capacity and TB
+//! coordination, on one communication-heavy sub-layer. Table sizes are
+//! on the paper's axis (KB of 128 B entries), mapped to the same entry
+//! count at the simulator's packet granularity, as in Fig. 14.
 //!
 //! ```text
 //! cargo run --release --example merge_table_explorer
 //! ```
 
+use cais::core::strategies::{paper_kb_to_bytes, DEFAULT_PACKET_BYTES};
 use cais::core::{CaisStrategy, CoordinationOpts};
 use cais::engine::{strategy::execute, SystemConfig};
 use cais::llm_workload::{sublayer, ModelConfig, SubLayer};
-use cais::sim_core::SimDuration;
 
 fn main() {
     let cfg = SystemConfig::dgx_h100();
@@ -30,15 +32,14 @@ fn main() {
         "{:>9} {:>14} {:>12} {:>10} {:>10} {:>10}",
         "table", "coordination", "time", "merged%", "evictions", "peak KB"
     );
-    for kb in [10u64, 20, 40, 80, 160] {
+    for kb in [2u64, 5, 10, 40, 160] {
         for (coord_name, opts) in [
             ("full", CoordinationOpts::full()),
             ("none", CoordinationOpts::none()),
         ] {
             let strategy = CaisStrategy::full()
                 .with_coordination(coord_name, opts)
-                .with_merge_table(Some(kb * 1024))
-                .with_timeout(SimDuration::from_us(30));
+                .with_merge_table(Some(paper_kb_to_bytes(kb, DEFAULT_PACKET_BYTES)));
             let r = execute(&strategy, &dfg, &cfg).expect("run completes");
             let reqs = r.stat("cais.load_requests").unwrap_or(0.0)
                 + r.stat("cais.reduce_contribs").unwrap_or(0.0);

@@ -26,7 +26,7 @@ fn quiet_cfg(n_gpus: usize) -> SystemConfig {
 fn loader_program(ids: &mut IdAlloc, cais: bool) -> Program {
     let addr = ids.addr(GpuId(1), 4096);
     let tb = TbDesc {
-        id: ids.tb(),
+        id: ids.tbs(1),
         order_key: 0,
         group: None,
         pre_launch_sync: false,
