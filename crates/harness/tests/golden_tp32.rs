@@ -36,9 +36,9 @@ static COUNTING_ALLOC: profile::CountingAllocator = profile::CountingAllocator;
 static ONE_RUN_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Live-heap peak of the 32-GPU run, in bytes: the value measured when
-/// the ceiling was set (7,964,115 B, the largest of six runs) plus 5%.
+/// the ceiling was set (7,903,208 B, the largest of six runs) plus 5%.
 /// Lower it when a change shrinks the run; raise it only with a reason.
-const PEAK_LIVE_CEILING: u64 = 8_362_321;
+const PEAK_LIVE_CEILING: u64 = 8_298_368;
 
 fn run_tp32() -> ExecReport {
     let (base_p, p) = (8u64, 32usize);
